@@ -5,13 +5,20 @@ Two routes are provided:
 * variable-based: Alice/Bob symbol pairs disclosed through a sampling plan
   feed the sensing model y_s = Phi diag(x) Psi s + z_s; the reconstructed
   transfer vector h = Psi s_hat (constant sqrt(eta*T) per sub-channel) gives
-  T_hat = (sum h)^2 / (eta m^2) and an excess-noise plug-in from the sampled
+  T_hat = mean(h)^2 / eta and an excess-noise plug-in from the sampled
   second moments.
 
 * statistics-based: only Bob's measured variance and the public modulation
   variance enter.  The variance vector, with the constant 1 + nu_el floor
-  removed, feeds the same machinery with weights V_A; T_hat = sum(h)/(eta m).
+  removed, feeds the same machinery with weights V_A; T_hat = mean(h)/eta.
   No individual symbols are consumed, so no key material is sacrificed.
+
+With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
+is the closed-form DC projection :func:`~csqkd.sensing.dc_fit`: mean(h) is
+the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta (variables)
+or g/eta (statistics).  A larger budget runs OMP over the row-sampled IDFT
+operator; a support without the DC column leaves mean(h) at roundoff, so
+such an estimate is flagged ``off_dc_support`` and excluded from aggregation.
 
 The variance split eta*T*(V_A + eps) is not identifiable from a single exact
 variance: a plain least-squares fit folds the eta*T*eps part into the
@@ -34,6 +41,8 @@ from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
+    SparseCoefficients,
+    dc_fit,
     omp_solve,
     unitary_idft,
 )
@@ -41,9 +50,11 @@ from .sensing import (
 FLAG_UNESTIMABLE = "unestimable_transmittance"
 FLAG_BELOW_FLOOR = "below_noise_floor"
 FLAG_DEGENERATE = "degenerate_support"
+#: A multi-atom OMP support without the DC column: mean(h) is roundoff.
+FLAG_OFF_DC = "off_dc_support"
 
 #: Flags that mark an estimate as unusable for aggregation.
-EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR})
+EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR, FLAG_OFF_DC})
 
 #: |x| below this multiple of sqrt(V_A) carries no usable channel information.
 DEGENERATE_ENTRY_SCALE = 1e-6
@@ -133,8 +144,11 @@ def _reconstruct_transfer(
     measurement: np.ndarray,
     omp: OmpConfig,
     delta: float,
-) -> tuple[np.ndarray, float, float, bool]:
-    """Run OMP and synthesize the real transfer vector h = Psi s_hat."""
+) -> tuple[np.ndarray, float, SparseCoefficients]:
+    """Run OMP and synthesize the real transfer vector h = Psi s_hat.
+
+    Returns (h.real, ||h.imag||, the OMP solution).
+    """
     solution = omp_solve(
         op,
         measurement,
@@ -143,8 +157,33 @@ def _reconstruct_transfer(
         shrink_to_delta=omp.shrink_to_delta,
     )
     h = unitary_idft(solution.coefficients)
-    imag_norm = float(np.linalg.norm(h.imag))
-    return h.real, solution.residual_norm, imag_norm, solution.degenerate_support
+    return h.real, float(np.linalg.norm(h.imag)), solution
+
+
+def _transfer_gain(
+    weights: np.ndarray,
+    rows: np.ndarray,
+    measurement: np.ndarray,
+    omp: OmpConfig,
+    delta: float,
+) -> tuple[float, float, float, list[str]]:
+    """Mean of the reconstructed transfer vector of one sub-channel.
+
+    One atom is the closed-form DC projection; a larger budget runs OMP and
+    flags a support that misses the DC column.  Returns (mean(h), residual
+    norm, imaginary-residue norm, flags).
+    """
+    if omp.k_max == 1:
+        gain, residual, degenerate = dc_fit(
+            weights[rows], measurement, delta=delta, shrink_to_delta=omp.shrink_to_delta
+        )
+        return gain, residual, 0.0, [FLAG_DEGENERATE] if degenerate else []
+    op = RowSampledIdftOperator(weights, rows)
+    h, imag_norm, solution = _reconstruct_transfer(op, measurement, omp, delta)
+    flags = [FLAG_DEGENERATE] if solution.degenerate_support else []
+    if solution.support.size and not np.any(solution.support == 0):
+        flags.append(FLAG_OFF_DC)
+    return float(h.mean()), solution.residual_norm, imag_norm, flags
 
 
 def estimate_subchannel_variables(
@@ -164,7 +203,8 @@ def estimate_subchannel_variables(
         params: protocol constants (eta, nu_el, V_A).
         omp: solver configuration; the default single-atom budget matches the
             constant-per-sub-channel transfer vector, whose analysis transform
-            is one DC impulse.  The stop tolerance, when derived from
+            is one DC impulse, and is fitted in closed form (T_hat =
+            (x_s.y_s / x_s.x_s)^2 / eta).  The stop tolerance, when derived from
             ``noise_scale``, is 1.1 * sqrt(m_s) * noise_scale (the residual of
             the true solution concentrates near sqrt(m_s) * sigma).
         noise_floor: constant subtracted per sampled entry in the excess-noise
@@ -180,20 +220,15 @@ def estimate_subchannel_variables(
 
     plan = screen_plan(plan, x, params.modulation_variance)
     rows = plan.indices
-    m = x.size
     m_s = rows.size
     x_s = x[rows]
     y_s = y[rows]
     eta = params.detector_efficiency
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
 
-    op = RowSampledIdftOperator(x, rows)
     delta = _resolve_delta(omp, m_s, slack=1.1)
-    h, residual, imag_norm, degenerate = _reconstruct_transfer(op, y_s, omp, delta)
-
-    flags: list[str] = [FLAG_DEGENERATE] if degenerate else []
-    h_sum = float(h.sum())
-    if h_sum <= 0:
+    gain, residual, imag_norm, flags = _transfer_gain(x, rows, y_s, omp, delta)
+    if gain <= 0:
         flags.append(FLAG_UNESTIMABLE)
         return SubChannelEstimate(
             index=index,
@@ -205,7 +240,7 @@ def estimate_subchannel_variables(
             imag_norm=imag_norm,
         )
 
-    t_hat = h_sum**2 / (eta * m**2)
+    t_hat = gain**2 / eta
     eps_hat = (float(y_s @ y_s) - eta * t_hat * float(x_s @ x_s) - m_s * floor) / (
         m_s * eta * t_hat
     )
@@ -260,7 +295,7 @@ def estimate_whole_channel_variables(
 
     op = RowSampledIdftOperator(weights, rows)
     delta = _resolve_delta(omp, rows.size, slack=1.1)
-    h, _, imag_norm, degenerate = _reconstruct_transfer(op, measurement, omp, delta)
+    h, imag_norm, solution = _reconstruct_transfer(op, measurement, omp, delta)
 
     estimates: list[SubChannelEstimate] = []
     for i, plan in enumerate(screened):
@@ -271,7 +306,7 @@ def estimate_whole_channel_variables(
         block_residual = float(
             np.linalg.norm(y_s - x_s * block[plan.indices])
         )
-        flags: list[str] = [FLAG_DEGENERATE] if degenerate else []
+        flags: list[str] = [FLAG_DEGENERATE] if solution.degenerate_support else []
         mean_h = float(block.mean())
         if mean_h <= 0:
             flags.append(FLAG_UNESTIMABLE)
@@ -356,11 +391,13 @@ def estimate_subchannel_statistics(
             calibrated eta, nu_el are consumed -- never Alice's symbols.
         block_length: m for the sub-channel.
         plan: row-selection plan over m.
-        omp: solver configuration.  The derived stop tolerance is
-            sqrt(m_s) * noise_scale with no slack: the in-model disturbance
-            (eta*T*eps per entry) is deterministic, and keeping the residual
-            constraint active via ``shrink_to_delta`` separates it from the
-            transmittance part exactly.
+        omp: solver configuration; the default single-atom budget is the
+            closed-form DC projection (T_hat = g/eta with g the least-squares
+            gain of the sampled floor-removed variances on V_A).  The derived
+            stop tolerance is sqrt(m_s) * noise_scale with no slack: the
+            in-model disturbance (eta*T*eps per entry) is deterministic, and
+            keeping the residual constraint active via ``shrink_to_delta``
+            separates it from the transmittance part exactly.
         noise_floor: constant removed per entry before sensing; defaults to
             1 + nu_el.
     """
@@ -399,12 +436,11 @@ def estimate_subchannel_statistics(
     eta = params.detector_efficiency
     v_a = params.modulation_variance
     r_vy = r_y - floor
-    op = RowSampledIdftOperator(np.full(block_length, v_a), rows)
     delta = _resolve_delta(omp, m_s, slack=1.0)
-    h, residual, imag_norm, degenerate = _reconstruct_transfer(op, r_vy[rows], omp, delta)
-
-    flags: list[str] = [FLAG_DEGENERATE] if degenerate else []
-    t_hat = float(h.sum()) / (eta * block_length)
+    gain, residual, imag_norm, flags = _transfer_gain(
+        np.full(block_length, v_a), rows, r_vy[rows], omp, delta
+    )
+    t_hat = gain / eta
     if t_hat <= 0:
         flags.append(FLAG_UNESTIMABLE)
         return SubChannelEstimate(
@@ -434,8 +470,8 @@ def aggregate_estimates(
 ) -> AggregateEstimate:
     """Probability-weighted means over the usable estimates.
 
-    Flagged (unestimable or below-floor) entries are excluded and the weights
-    renormalized; the exclusion count is returned.  Raw values feed the T and
+    Flagged (unestimable, below-floor or off-DC) entries are excluded and the
+    weights renormalized; the exclusion count is returned.  Raw values feed the T and
     eps means; sqrt(T) floors the transmittance at zero but applies no upper
     cap (capping individual entries at 1 would bias <sqrt(T)> low near unit
     transmittance, while the Jensen ordering <sqrt(T)>^2 <= <T> already holds

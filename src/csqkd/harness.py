@@ -15,11 +15,16 @@ plus a ``run.json`` manifest carrying the echoed config and its hash so any
 row can be reproduced exactly.  All randomness derives from the configured
 seeds, so reruns are byte-identical.
 
-Estimator policy: the statistics estimator runs with the residual constraint
-active at the model-exact disturbance scale (eta*T_i*eps_i, known here
-because the harness owns the simulation ground truth); the variable-based
-estimator uses its default single-atom budget, for which the stop tolerance
-is immaterial.
+Estimator policy: the statistics estimator runs the one-atom closed-form DC
+projection with the residual constraint active at the model-exact
+disturbance scale (eta*T_i*eps_i, known here because the harness owns the
+simulation ground truth); the variable-based estimator uses the configured
+``k_max``: the closed-form DC projection at 1, for which the stop tolerance
+is immaterial, and OMP above it.  The coherence diagnostic builds the
+row-sampled IDFT operator of each model.
+
+Configs are validated on construction, so a bad grid fails before any
+simulation starts.
 """
 
 from __future__ import annotations
@@ -98,11 +103,24 @@ class ExperimentConfig:
             raise ValueError(f"ensemble.subchannels must be >= 1, got {self.subchannels}")
         if self.block_length < 2:
             raise ValueError(f"ensemble.block_length must be >= 2, got {self.block_length}")
+        if self.source == "sampler" and not self.distances_km:
+            raise ValueError("ensemble.distances_km must not be empty when ensemble.source = sampler")
+        if self.excess_noise < 0:
+            raise ValueError(f"ensemble.excess_noise must be >= 0, got {self.excess_noise}")
+        if not self.fractions:
+            raise ValueError("estimation.fractions must not be empty")
         for f in self.fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"estimation.fractions entries must be in (0, 1], got {f}")
         if not self.seeds:
             raise ValueError("estimation.seeds must not be empty")
+        for key, values in (
+            ("ensemble.distances_km", self.distances_km),
+            ("estimation.fractions", self.fractions),
+            ("estimation.seeds", self.seeds),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat entries, got {_fmt_seq(values)}")
         if self.estimators not in ESTIMATOR_CHOICES:
             raise ValueError(
                 f"estimation.estimators must be one of {ESTIMATOR_CHOICES}, got {self.estimators!r}"
@@ -111,6 +129,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"estimation.variance_mode must be one of {VARIANCE_MODE_CHOICES}, "
                 f"got {self.variance_mode!r}"
+            )
+        if self.variance_mode == "blockwise" and (
+            self.variance_blocks < 1
+            or self.block_length % self.variance_blocks
+            or self.block_length // self.variance_blocks < 2
+        ):
+            raise ValueError(
+                f"estimation.variance_blocks must divide ensemble.block_length = {self.block_length} "
+                f"into sub-blocks of at least 2 samples, got {self.variance_blocks}"
             )
         if self.k_max < 1:
             raise ValueError(f"estimation.k_max must be >= 1, got {self.k_max}")

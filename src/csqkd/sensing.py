@@ -5,6 +5,10 @@ exp(+2i*pi*j*k/m)/sqrt(m)), so a constant vector of length m is a single
 impulse of magnitude sqrt(m) in the analysis domain.  Sensing operators are
 kept in factored form (row selection o diagonal weighting o unitary IDFT)
 and applied with FFTs; nothing is densified for large m.
+
+A one-atom fit on the DC column is a scalar least-squares projection, so
+:func:`dc_fit` computes it in closed form without an operator; OMP serves
+larger atom budgets.
 """
 
 from __future__ import annotations
@@ -117,7 +121,9 @@ class RowSampledIdftOperator(SensingOperator):
             raise ValueError("rows must be a non-empty 1-d index array")
         if rows.min() < 0 or rows.max() >= weights.size:
             raise ValueError("row indices out of range")
-        if np.unique(rows).size != rows.size:
+        # plans are sorted, so a strictly increasing test settles uniqueness
+        # in O(n); only unsorted rows pay for np.unique
+        if not np.all(rows[1:] > rows[:-1]) and np.unique(rows).size != rows.size:
             raise ValueError("row indices must be unique")
         self.weights = weights
         self.rows = rows
@@ -185,6 +191,8 @@ class DenseOperator(SensingOperator):
 class OmpConfig:
     """Solver knobs shared by the estimators.
 
+    ``k_max = 1``, the budget of a constant sub-channel, is the closed-form
+    DC projection of :func:`dc_fit`; a larger budget runs :func:`omp_solve`.
     ``delta`` is an absolute residual tolerance; when it is None the
     estimators derive one from ``noise_scale`` (the known or estimated
     per-entry disturbance amplitude) as delta ~ sqrt(m_s) * noise_scale.
@@ -281,6 +289,44 @@ def omp_solve(
         residual_history=history,
         degenerate_support=degenerate,
     )
+
+
+def dc_fit(
+    weights: np.ndarray,
+    measurement: np.ndarray,
+    delta: float = 0.0,
+    shrink_to_delta: bool = False,
+) -> tuple[float, float, bool]:
+    """Closed-form one-atom fit of ``measurement`` on the DC column.
+
+    ``weights`` and ``measurement`` are the sampled entries w_s and y_s.  The
+    DC column of Phi diag(w) Psi is w_s / sqrt(m), so the least-squares gain
+    g = w_s.y_s / w_s.w_s is the constant value of the transfer vector that
+    :func:`omp_solve` returns whenever it selects the DC atom.  Its
+    semantics are kept: no atom when ||y_s|| <= ``delta``, the
+    ``shrink_to_delta`` factor max(0, 1 - delta / ||g w_s||), and a zero
+    column reported as a degenerate support.
+
+    Returns (g, ||y_s - g w_s||, degenerate_support).
+    """
+    w = np.asarray(weights, dtype=float)
+    y = np.asarray(measurement, dtype=float)
+    if w.ndim != 1 or w.shape != y.shape:
+        raise ValueError("weights and measurement must be 1-d arrays of equal length")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    y_norm = float(np.linalg.norm(y))
+    if y_norm <= delta:
+        return 0.0, y_norm, False
+    ww = float(w @ w)
+    if ww == 0:
+        return 0.0, y_norm, True
+    gain = float(w @ y) / ww
+    if shrink_to_delta and delta > 0:
+        fitted_norm = abs(gain) * math.sqrt(ww)
+        if fitted_norm > 0:
+            gain *= max(0.0, 1.0 - delta / fitted_norm)
+    return gain, float(np.linalg.norm(y - gain * w)), False
 
 
 def _offsets_from_columns(columns: np.ndarray, m: int) -> np.ndarray:

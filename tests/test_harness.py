@@ -106,6 +106,41 @@ def test_config_round_trip(tmp_path):
     assert load_config(path) == config
 
 
+def test_empty_sampler_distances_rejected():
+    with pytest.raises(ValueError, match="distances_km"):
+        dataclasses.replace(FAST, distances_km=())
+
+
+def test_empty_fractions_rejected(tmp_path):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("[estimation]\nfractions =\n")
+    with pytest.raises(ValueError, match="estimation.fractions"):
+        load_config(cfg_file)
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("distances_km", (2.0, 2.0)), ("fractions", (0.25, 1.0, 0.25)), ("seeds", (1, 2, 1))],
+)
+def test_duplicate_grid_entries_rejected(field, values):
+    with pytest.raises(ValueError, match="repeat"):
+        dataclasses.replace(FAST, **{field: values})
+
+
+def test_negative_excess_noise_rejected():
+    with pytest.raises(ValueError, match="excess_noise"):
+        dataclasses.replace(FAST, excess_noise=-0.01)
+
+
+@pytest.mark.parametrize("blocks", [0, 3, 512])
+def test_bad_variance_blocks_rejected(blocks):
+    # block_length = 512: 3 does not divide it, 512 leaves 1 sample per block
+    with pytest.raises(ValueError, match="variance_blocks"):
+        dataclasses.replace(FAST, variance_mode="blockwise", variance_blocks=blocks)
+    # replicated mode never reads variance_blocks
+    assert dataclasses.replace(FAST, variance_blocks=blocks).variance_blocks == blocks
+
+
 def test_preset_validation():
     assert preset_config("desk").subchannels == 20
     assert preset_config("paper").block_length == 10_000

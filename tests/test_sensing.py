@@ -127,6 +127,10 @@ def test_full_fraction_operator_is_unsampled_system():
 def test_operator_input_validation():
     with pytest.raises(ValueError, match="unique"):
         RowSampledIdftOperator(np.ones(4), np.array([0, 0]))
+    with pytest.raises(ValueError, match="unique"):
+        RowSampledIdftOperator(np.ones(4), np.array([2, 0, 2]))
+    # unsorted distinct rows stay valid
+    assert RowSampledIdftOperator(np.ones(4), np.array([3, 0, 2])).n_measurements == 3
     with pytest.raises(ValueError, match="out of range"):
         RowSampledIdftOperator(np.ones(4), np.array([4]))
 
