@@ -16,9 +16,14 @@ Two routes are provided:
 With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_fit`: mean(h) is
 the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta (variables)
-or g/eta (statistics).  A larger budget runs OMP over the row-sampled IDFT
-operator; a support without the DC column leaves mean(h) at roundoff, so
-such an estimate is flagged ``off_dc_support`` and excluded from aggregation.
+or g/eta (statistics).  A larger budget runs Batch-OMP
+(:func:`~csqkd.sensing.omp_solve`) over the row-sampled IDFT operator, and
+:func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and ||Im h|| off the
+sparse coefficients s without synthesizing h.  A support without the DC
+column has mean(h) = 0 exactly, so such an estimate is flagged both
+``off_dc_support`` and ``unestimable_transmittance`` and is excluded from
+aggregation.  Only the joint whole-channel estimator synthesizes h, for its
+per-block means.
 
 The variance split eta*T*(V_A + eps) is not identifiable from a single exact
 variance: a plain least-squares fit folds the eta*T*eps part into the
@@ -41,7 +46,6 @@ from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
-    SparseCoefficients,
     dc_fit,
     omp_solve,
     unitary_idft,
@@ -50,7 +54,7 @@ from .sensing import (
 FLAG_UNESTIMABLE = "unestimable_transmittance"
 FLAG_BELOW_FLOOR = "below_noise_floor"
 FLAG_DEGENERATE = "degenerate_support"
-#: A multi-atom OMP support without the DC column: mean(h) is roundoff.
+#: A multi-atom OMP support without the DC column: mean(h) is exactly 0.
 FLAG_OFF_DC = "off_dc_support"
 
 #: Flags that mark an estimate as unusable for aggregation.
@@ -139,25 +143,21 @@ def screen_plan(plan: SamplingPlan, x_block: np.ndarray, modulation_variance: fl
     return SamplingPlan(length=plan.length, fraction=plan.fraction, seed=plan.seed, indices=indices)
 
 
-def _reconstruct_transfer(
-    op: RowSampledIdftOperator,
-    measurement: np.ndarray,
-    omp: OmpConfig,
-    delta: float,
-) -> tuple[np.ndarray, float, SparseCoefficients]:
-    """Run OMP and synthesize the real transfer vector h = Psi s_hat.
+def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[float, float]:
+    """mean(h) and ||Im h|| of h = Psi s, read off the coefficients s.
 
-    Returns (h.real, ||h.imag||, the OMP solution).
+    ``support`` holds every index where s may be nonzero.  mean(h) =
+    Re(s_0) / sqrt(m), exactly 0 for a support without the DC column.
+    Im h = (h - conj h) / 2i and conj h = Psi t with t_k = conj(s_(-k mod m)),
+    so unitarity gives ||Im h|| = ||s - t|| / 2, to which only the support and
+    its mirror contribute.
     """
-    solution = omp_solve(
-        op,
-        measurement,
-        k_max=omp.k_max,
-        delta=delta,
-        shrink_to_delta=omp.shrink_to_delta,
-    )
-    h = unitary_idft(solution.coefficients)
-    return h.real, float(np.linalg.norm(h.imag)), solution
+    s = np.asarray(coefficients, dtype=np.complex128)
+    m = s.size
+    support = np.asarray(support, dtype=np.int64)
+    touched = np.union1d(support, (-support) % m)
+    imag_norm = 0.5 * float(np.linalg.norm(s[touched] - np.conj(s[(-touched) % m])))
+    return float(s[0].real) / math.sqrt(m), imag_norm
 
 
 def _transfer_gain(
@@ -169,21 +169,28 @@ def _transfer_gain(
 ) -> tuple[float, float, float, list[str]]:
     """Mean of the reconstructed transfer vector of one sub-channel.
 
-    One atom is the closed-form DC projection; a larger budget runs OMP and
-    flags a support that misses the DC column.  Returns (mean(h), residual
-    norm, imaginary-residue norm, flags).
+    One atom is the closed-form DC projection; a larger budget runs OMP,
+    reads mean(h) off its coefficients and flags a support that misses the
+    DC column.  Returns (mean(h), residual norm, imaginary-residue norm,
+    flags).
     """
     if omp.k_max == 1:
         gain, residual, degenerate = dc_fit(
             weights[rows], measurement, delta=delta, shrink_to_delta=omp.shrink_to_delta
         )
         return gain, residual, 0.0, [FLAG_DEGENERATE] if degenerate else []
-    op = RowSampledIdftOperator(weights, rows)
-    h, imag_norm, solution = _reconstruct_transfer(op, measurement, omp, delta)
+    solution = omp_solve(
+        RowSampledIdftOperator(weights, rows),
+        measurement,
+        k_max=omp.k_max,
+        delta=delta,
+        shrink_to_delta=omp.shrink_to_delta,
+    )
+    gain, imag_norm = transfer_moments(solution.coefficients, solution.support)
     flags = [FLAG_DEGENERATE] if solution.degenerate_support else []
     if solution.support.size and not np.any(solution.support == 0):
         flags.append(FLAG_OFF_DC)
-    return float(h.mean()), solution.residual_norm, imag_norm, flags
+    return gain, solution.residual_norm, imag_norm, flags
 
 
 def estimate_subchannel_variables(
@@ -221,6 +228,16 @@ def estimate_subchannel_variables(
     plan = screen_plan(plan, x, params.modulation_variance)
     rows = plan.indices
     m_s = rows.size
+    if m_s == 0:
+        # every Alice symbol is degenerate: no row carries channel information
+        return SubChannelEstimate(
+            index=index,
+            t_hat=0.0,
+            eps_hat=math.nan,
+            residual_norm=0.0,
+            sample_count=0,
+            flags=(FLAG_DEGENERATE, FLAG_UNESTIMABLE),
+        )
     x_s = x[rows]
     y_s = y[rows]
     eta = params.detector_efficiency
@@ -293,9 +310,17 @@ def estimate_whole_channel_variables(
         [dataset.bob[i][plan.indices] for i, plan in enumerate(screened)]
     )
 
-    op = RowSampledIdftOperator(weights, rows)
     delta = _resolve_delta(omp, rows.size, slack=1.1)
-    h, imag_norm, solution = _reconstruct_transfer(op, measurement, omp, delta)
+    solution = omp_solve(
+        RowSampledIdftOperator(weights, rows),
+        measurement,
+        k_max=omp.k_max,
+        delta=delta,
+        shrink_to_delta=omp.shrink_to_delta,
+    )
+    h = unitary_idft(solution.coefficients)
+    imag_norm = float(np.linalg.norm(h.imag))
+    h = h.real
 
     estimates: list[SubChannelEstimate] = []
     for i, plan in enumerate(screened):

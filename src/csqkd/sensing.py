@@ -8,7 +8,10 @@ and applied with FFTs; nothing is densified for large m.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_fit` computes it in closed form without an operator; OMP serves
-larger atom budgets.
+larger atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
+correlations updated through Gram columns A^H a_k (for the row-sampled IDFT
+operator, circular shifts of one transform), and small normal-equation
+refits, so a solve runs two transforms and no dense least squares.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ import numpy as np
 MIP_DENSE_GUARD = 20_000
 #: Entry budget for densified column blocks in the generic coherence path.
 MIP_ENTRY_GUARD = 40_000_000
+#: Relative roundoff of Gram-updated OMP correlations; scores below it are
+#: confirmed against an explicit adjoint of the residual.
+ROUNDOFF_SCALE = 64 * np.finfo(float).eps
+#: A new atom whose squared distance from the span of the support falls to
+#: this fraction of its squared norm makes the support rank-deficient.
+PIVOT_TOLERANCE = 64 * np.finfo(float).eps
 
 
 def unitary_dft(v: np.ndarray) -> np.ndarray:
@@ -99,6 +108,10 @@ class SensingOperator:
             [np.linalg.norm(self.column(k)) for k in range(self.n_coefficients)]
         )
 
+    def gram_column(self, k: int) -> np.ndarray:
+        """Column k of the Gram matrix, A^H a_k."""
+        return self.adjoint(self.column(k))
+
     def dense(self) -> np.ndarray:
         cols = [self.column(k) for k in range(self.n_coefficients)]
         return np.stack(cols, axis=1)
@@ -129,6 +142,7 @@ class RowSampledIdftOperator(SensingOperator):
         self.rows = rows
         self.n_coefficients = weights.size
         self.n_measurements = rows.size
+        self._gram_reversed: np.ndarray | None = None
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         h = unitary_idft(np.asarray(coefficients, dtype=np.complex128))
@@ -143,8 +157,13 @@ class RowSampledIdftOperator(SensingOperator):
 
     def column(self, k: int) -> np.ndarray:
         m = self.n_coefficients
-        phase = np.exp(2j * np.pi * self.rows * (k % m) / m) / math.sqrt(m)
-        return self.weights[self.rows] * phase
+        # reducing r*k mod m in integers keeps the phase in [0, 2*pi)
+        phase = (self.rows * (k % m)) % m * (2 * np.pi / m)
+        col = np.empty(self.rows.size, dtype=np.complex128)
+        col.real = np.cos(phase)
+        col.imag = np.sin(phase)
+        col *= self.weights[self.rows] / math.sqrt(m)
+        return col
 
     def column_norms(self) -> np.ndarray:
         value = np.linalg.norm(self.weights[self.rows]) / math.sqrt(self.n_coefficients)
@@ -159,6 +178,18 @@ class RowSampledIdftOperator(SensingOperator):
         w2 = np.zeros(self.n_coefficients)
         w2[self.rows] = self.weights[self.rows] ** 2
         return np.fft.ifft(w2)
+
+    def gram_column(self, k: int) -> np.ndarray:
+        """A^H a_k without a transform: entry j is g[(k - j) mod m].
+
+        g is :meth:`gram_by_offset`, computed once per operator.
+        """
+        if self._gram_reversed is None:
+            self._gram_reversed = self.gram_by_offset()[::-1].copy()
+        # reversed g rolled by k + 1 puts g[(k - j) mod m] at position j
+        m = self.n_coefficients
+        split = m - (k % m + 1)
+        return np.concatenate((self._gram_reversed[split:], self._gram_reversed[:split]))
 
 
 class DenseOperator(SensingOperator):
@@ -227,13 +258,21 @@ def omp_solve(
     delta: float = 0.0,
     shrink_to_delta: bool = False,
 ) -> SparseCoefficients:
-    """Orthogonal matching pursuit with least-squares refit.
+    """Orthogonal matching pursuit with least-squares refit, in Batch-OMP form.
 
     Each iteration selects the column with the largest normalized correlation
     against the residual (ties break toward the lowest index), refits all
     selected columns by least squares, and stops once the residual norm drops
     to ``delta`` or the support reaches ``k_max``.  A rank-deficient support
     system drops the newest atom, stops, and flags ``degenerate_support``.
+
+    The correlations come from one adjoint, corr0 = A^H y, updated through the
+    Gram columns of the support (corr = corr0 - sum_s c_s A^H a_s; Rubinstein,
+    Zibulevsky & Elad, Technion CS-2008-08), and the refit solves the |S|x|S|
+    normal equations G_SS c = corr0[S] by a progressively grown Cholesky
+    factor, whose new pivot doubles as the rank test.  The residual
+    y - sum_s c_s a_s is still formed explicitly for the stop rule, the
+    ``shrink_to_delta`` factor and the reported norms.
     """
     y = np.asarray(measurement, dtype=np.complex128).ravel()
     if y.size != op.n_measurements:
@@ -246,49 +285,104 @@ def omp_solve(
         raise ValueError("delta must be >= 0")
 
     norms = op.column_norms()
-    usable = norms > 0
+    unusable = np.flatnonzero(norms <= 0)
+    norms = np.where(norms > 0, norms, 1.0)
+    corr0 = op.adjoint(y)
     support: list[int] = []
-    columns = np.empty((y.size, 0), dtype=np.complex128)
+    columns: list[np.ndarray] = []
+    gram_columns: list[np.ndarray] = []
+    chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
     coef = np.empty(0, dtype=np.complex128)
-    residual = y.copy()
+    fitted = np.zeros_like(y)
+    residual = y
     history = [float(np.linalg.norm(residual))]
     degenerate = False
 
     while len(support) < k_max and history[-1] > delta:
-        scores = np.abs(op.adjoint(residual))
-        scores = np.where(usable, scores / np.where(usable, norms, 1.0), -1.0)
         if support:
-            scores[support] = -1.0
+            gram_columns += [op.gram_column(s) for s in support[len(gram_columns) :]]
+            corr = corr0 - coef[0] * gram_columns[0]
+            for c, gram in zip(coef[1:], gram_columns[1:]):
+                corr -= c * gram
+        else:
+            corr = corr0
+        scores = _scores(corr, norms, unusable, support)
         k = int(np.argmax(scores))
+        # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
+        if support and scores[k] <= ROUNDOFF_SCALE * (
+            history[0] + float(np.abs(coef) @ norms[support])
+        ):
+            # the update may have cancelled to roundoff; confirm on the residual
+            scores = _scores(op.adjoint(residual), norms, unusable, support)
+            k = int(np.argmax(scores))
         if scores[k] <= 0:
             break
-        candidate = np.hstack([columns, op.column(k)[:, None]])
-        sol, _, rank, _ = np.linalg.lstsq(candidate, y, rcond=None)
-        if rank < candidate.shape[1]:
+        # grow the Cholesky factor of G_SS by the row of G_{S,k} = conj(G_{k,S})
+        n = len(support)
+        if n == chol.shape[0]:
+            chol = np.pad(chol, (0, n))
+        w = _forward_substitute(chol[:n, :n], np.array([g[k] for g in gram_columns]).conj())
+        diag = norms[k] ** 2
+        pivot = diag - float(np.vdot(w, w).real)
+        if pivot <= PIVOT_TOLERANCE * diag:
             degenerate = True
             break
-        columns = candidate
+        chol[n, :n] = w.conj()
+        chol[n, n] = math.sqrt(pivot)
         support.append(k)
-        coef = sol
-        residual = y - columns @ coef
+        columns.append(op.column(k))
+        coef = _cholesky_solve(chol[: n + 1, : n + 1], corr0[support])
+        fitted = coef[0] * columns[0]
+        for c, column in zip(coef[1:], columns[1:]):
+            fitted += c * column
+        residual = y - fitted
         history.append(float(np.linalg.norm(residual)))
 
     if shrink_to_delta and delta > 0 and support:
-        fitted_norm = float(np.linalg.norm(columns @ coef))
+        fitted_norm = float(np.linalg.norm(fitted))
         if fitted_norm > 0:
-            coef = coef * max(0.0, 1.0 - delta / fitted_norm)
+            factor = max(0.0, 1.0 - delta / fitted_norm)
+            coef = coef * factor
+            residual = y - factor * fitted
 
     full = np.zeros(op.n_coefficients, dtype=np.complex128)
     if support:
         full[np.asarray(support)] = coef
-    residual_norm = float(np.linalg.norm(y - op.apply(full)))
     return SparseCoefficients(
         coefficients=full,
         support=np.asarray(support, dtype=np.int64),
-        residual_norm=residual_norm,
+        residual_norm=float(np.linalg.norm(residual)),
         residual_history=history,
         degenerate_support=degenerate,
     )
+
+
+def _scores(
+    corr: np.ndarray, norms: np.ndarray, unusable: np.ndarray, support: list[int]
+) -> np.ndarray:
+    """Normalized correlation magnitudes; -1 marks zero columns and the support."""
+    scores = np.abs(corr)
+    scores /= norms
+    scores[unusable] = -1.0
+    scores[support] = -1.0
+    return scores
+
+
+def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve lower @ z = b for a small lower-triangular matrix."""
+    z = np.empty(b.size, dtype=np.complex128)
+    for i in range(b.size):
+        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
+    return z
+
+
+def _cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^H) c = b given the small lower Cholesky factor L."""
+    z = _forward_substitute(lower, b)
+    c = np.empty(b.size, dtype=np.complex128)
+    for i in range(b.size - 1, -1, -1):
+        c[i] = (z[i] - lower[i + 1 :, i].conj() @ c[i + 1 :]) / lower[i, i]
+    return c
 
 
 def dc_fit(

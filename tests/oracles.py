@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force and shares no code path with the
-package: direct O(m^2) transforms, exhaustive subset fits, and a numeric
-Gaussian-state pipeline (build the full covariance matrix, apply symplectic
+package: direct O(m^2) transforms, exhaustive subset fits, plain OMP (a
+fresh adjoint and an lstsq refit per atom, sharing only the operators with
+the package's Batch-OMP solver), and a numeric Gaussian-state pipeline (build the full covariance matrix, apply symplectic
 beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|).
 """
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from csqkd.channel import ProtocolParams
 from csqkd.security import ChannelSummary
+from csqkd.sensing import SparseCoefficients
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,79 @@ def best_subset_fit(matrix: np.ndarray, y: np.ndarray, k: int):
             best = (support, coef, res)
     assert best is not None
     return best
+
+
+def omp_reference(
+    op,
+    measurement: np.ndarray,
+    k_max: int = 1,
+    delta: float = 0.0,
+    shrink_to_delta: bool = False,
+) -> SparseCoefficients:
+    """Plain OMP: a fresh adjoint of the residual and an lstsq refit per atom.
+
+    The package's Batch-OMP :func:`csqkd.sensing.omp_solve` must reproduce it.
+
+    Each iteration selects the column with the largest normalized correlation
+    against the residual (ties break toward the lowest index), refits all
+    selected columns by least squares, and stops once the residual norm drops
+    to ``delta`` or the support reaches ``k_max``.  A rank-deficient support
+    system drops the newest atom, stops, and flags ``degenerate_support``.
+    """
+    y = np.asarray(measurement, dtype=np.complex128).ravel()
+    if y.size != op.n_measurements:
+        raise ValueError(
+            f"measurement length {y.size} does not match operator ({op.n_measurements})"
+        )
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+
+    norms = op.column_norms()
+    usable = norms > 0
+    support: list[int] = []
+    columns = np.empty((y.size, 0), dtype=np.complex128)
+    coef = np.empty(0, dtype=np.complex128)
+    residual = y.copy()
+    history = [float(np.linalg.norm(residual))]
+    degenerate = False
+
+    while len(support) < k_max and history[-1] > delta:
+        scores = np.abs(op.adjoint(residual))
+        scores = np.where(usable, scores / np.where(usable, norms, 1.0), -1.0)
+        if support:
+            scores[support] = -1.0
+        k = int(np.argmax(scores))
+        if scores[k] <= 0:
+            break
+        candidate = np.hstack([columns, op.column(k)[:, None]])
+        sol, _, rank, _ = np.linalg.lstsq(candidate, y, rcond=None)
+        if rank < candidate.shape[1]:
+            degenerate = True
+            break
+        columns = candidate
+        support.append(k)
+        coef = sol
+        residual = y - columns @ coef
+        history.append(float(np.linalg.norm(residual)))
+
+    if shrink_to_delta and delta > 0 and support:
+        fitted_norm = float(np.linalg.norm(columns @ coef))
+        if fitted_norm > 0:
+            coef = coef * max(0.0, 1.0 - delta / fitted_norm)
+
+    full = np.zeros(op.n_coefficients, dtype=np.complex128)
+    if support:
+        full[np.asarray(support)] = coef
+    residual_norm = float(np.linalg.norm(y - op.apply(full)))
+    return SparseCoefficients(
+        coefficients=full,
+        support=np.asarray(support, dtype=np.int64),
+        residual_norm=residual_norm,
+        residual_history=history,
+        degenerate_support=degenerate,
+    )
 
 
 def ls_transmittance(x_s: np.ndarray, y_s: np.ndarray, eta: float) -> float:

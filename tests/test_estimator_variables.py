@@ -7,6 +7,7 @@ import pytest
 
 from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import (
+    FLAG_DEGENERATE,
     FLAG_UNESTIMABLE,
     estimate_subchannel_variables,
     estimate_whole_channel_variables,
@@ -133,6 +134,21 @@ def test_screen_plan_replaces_degenerate_entries():
     assert {2, 4} <= set(screened.indices.tolist())
     again = screen_plan(plan, x, modulation_variance=4.0)
     assert np.array_equal(screened.indices, again.indices)
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_all_degenerate_symbols_give_flagged_estimate(k_max):
+    # screening keeps no row, so no budget may build an operator or fit
+    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
+    y = np.random.default_rng(9).normal(size=64)
+    plan = make_sampling_plan(64, 0.5, seed=2)
+    est = estimate_subchannel_variables(
+        np.zeros(64), y, plan, params, omp=OmpConfig(k_max=k_max)
+    )
+    assert est.flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
+    assert est.sample_count == 0
+    assert est.t_hat == 0.0 and math.isnan(est.eps_hat)
+    assert not est.usable
 
 
 def test_unestimable_flag_on_sign_flipped_channel():

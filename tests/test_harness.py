@@ -22,7 +22,8 @@ from csqkd.harness import (
 )
 from csqkd.security import secret_key_rate, summary_from_means
 
-GOLDEN = Path(__file__).resolve().parents[1] / "configs" / "golden.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "configs" / "golden.cfg"
 
 FAST = dataclasses.replace(
     preset_config("desk"),
@@ -74,6 +75,20 @@ def test_minimal_config_applies_defaults(tmp_path):
     defaults = ExperimentConfig()
     assert config.fractions == defaults.fractions
     assert config.modulation_variance == defaults.modulation_variance
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the documented example must load as written, comments included
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_file = tmp_path / "readme.cfg"
+    cfg_file.write_text(block)
+    config = load_config(cfg_file)
+    assert config.source == "sampler"
+    assert config.estimators == "both"
+    assert config.variance_mode == "replicated"
+    assert config.distances_km == (5.0, 10.0)
+    assert config.k_max == 1
 
 
 def test_unknown_keys_rejected(tmp_path):
