@@ -1,8 +1,7 @@
 """Command-line entry points for the experiment harness.
 
-Subcommands slice the sweep: ``simulate`` dumps datasets, ``estimate``
-writes estimates and MSE tables, ``mip`` the coherence diagnostics,
-``keyrate`` the rate comparison, and ``sweep`` the full CSV set.
+``simulate`` dumps the quadrature datasets; ``sweep`` runs the full grid and
+writes the four CSVs (estimates, MSE, key rates, coherence) and ``run.json``.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
+    """write one simulated dataset CSV per distance"""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     distances = config.distances_km if config.source == "sampler" else (0.0,)
@@ -67,38 +67,16 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_and_write(config: ExperimentConfig, keep: set[str]) -> int:
-    report = run_sweep(config)
-    files = write_reports(report, config.out_dir)
-    for name, path in files.items():
-        if name in keep or name == "manifest":
-            print(path)
-        else:
-            path.unlink()
-    return 0
-
-
-def cmd_estimate(config: ExperimentConfig) -> int:
-    return _run_and_write(config, {"estimates", "mse"})
-
-
-def cmd_mip(config: ExperimentConfig) -> int:
-    return _run_and_write(config, {"mip"})
-
-
-def cmd_keyrate(config: ExperimentConfig) -> int:
-    return _run_and_write(config, {"keyrate"})
-
-
 def cmd_sweep(config: ExperimentConfig) -> int:
-    return _run_and_write(config, {"estimates", "mse", "keyrate", "mip"})
+    """run the full grid; write the four CSVs and run.json"""
+    report = run_sweep(config)
+    for path in write_reports(report, config.out_dir).values():
+        print(path)
+    return 0
 
 
 COMMANDS = {
     "simulate": cmd_simulate,
-    "estimate": cmd_estimate,
-    "mip": cmd_mip,
-    "keyrate": cmd_keyrate,
     "sweep": cmd_sweep,
 }
 
@@ -109,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Sub-channel parameter estimation and key-rate experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        _add_common(sub.add_parser(name, help=f"run the {name} stage"))
+    for name, command in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=command.__doc__))
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)

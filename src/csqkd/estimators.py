@@ -22,8 +22,7 @@ or g/eta (statistics).  A larger budget runs Batch-OMP
 sparse coefficients s without synthesizing h.  A support without the DC
 column has mean(h) = 0 exactly, so such an estimate is flagged both
 ``off_dc_support`` and ``unestimable_transmittance`` and is excluded from
-aggregation.  Only the joint whole-channel estimator synthesizes h, for its
-per-block means.
+aggregation.
 
 The variance split eta*T*(V_A + eps) is not identifiable from a single exact
 variance: a plain least-squares fit folds the eta*T*eps part into the
@@ -41,14 +40,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ProtocolParams, QuadratureDataset
+from .channel import ProtocolParams
 from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
     dc_fit,
     omp_solve,
-    unitary_idft,
 )
 
 FLAG_UNESTIMABLE = "unestimable_transmittance"
@@ -270,103 +268,6 @@ def estimate_subchannel_variables(
         flags=tuple(flags),
         imag_norm=imag_norm,
     )
-
-
-def estimate_whole_channel_variables(
-    dataset: QuadratureDataset,
-    plans: Sequence[SamplingPlan],
-    params: ProtocolParams,
-    omp: OmpConfig = OmpConfig(),
-    probabilities: Sequence[float] | None = None,
-    noise_floor: float | None = None,
-) -> tuple[list[SubChannelEstimate], AggregateEstimate]:
-    """Joint sparse recovery over the concatenated sub-channel system.
-
-    The block-diagonal structure makes the global system another row-sampled
-    weighted IDFT over the sum(m_i)-point basis; one OMP solve with budget
-    ``omp.k_max`` reconstructs the piecewise-constant global transfer vector.
-    Per-sub-channel readout averages the reconstruction over each block:
-    T_hat_i = mean(h over block i)^2 / eta, with the excess-noise plug-in
-    evaluated on that block's sampled pairs.  The atom budget should grow
-    with the number of distinct transmittance levels; one atom only suffices
-    when the global vector is constant.
-    """
-    if len(plans) != dataset.count:
-        raise ValueError(f"expected {dataset.count} plans, got {len(plans)}")
-    eta = params.detector_efficiency
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-
-    screened = [
-        screen_plan(plan, x, params.modulation_variance)
-        for plan, x in zip(plans, dataset.alice)
-    ]
-    lengths = dataset.block_lengths
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    weights = np.concatenate(dataset.alice)
-    rows = np.concatenate(
-        [plan.indices + offsets[i] for i, plan in enumerate(screened)]
-    ).astype(np.int64)
-    measurement = np.concatenate(
-        [dataset.bob[i][plan.indices] for i, plan in enumerate(screened)]
-    )
-
-    delta = _resolve_delta(omp, rows.size, slack=1.1)
-    solution = omp_solve(
-        RowSampledIdftOperator(weights, rows),
-        measurement,
-        k_max=omp.k_max,
-        delta=delta,
-        shrink_to_delta=omp.shrink_to_delta,
-    )
-    h = unitary_idft(solution.coefficients)
-    imag_norm = float(np.linalg.norm(h.imag))
-    h = h.real
-
-    estimates: list[SubChannelEstimate] = []
-    for i, plan in enumerate(screened):
-        block = h[offsets[i] : offsets[i + 1]]
-        x_s = dataset.alice[i][plan.indices]
-        y_s = dataset.bob[i][plan.indices]
-        m_s = plan.indices.size
-        block_residual = float(
-            np.linalg.norm(y_s - x_s * block[plan.indices])
-        )
-        flags: list[str] = [FLAG_DEGENERATE] if solution.degenerate_support else []
-        mean_h = float(block.mean())
-        if mean_h <= 0:
-            flags.append(FLAG_UNESTIMABLE)
-            estimates.append(
-                SubChannelEstimate(
-                    index=i,
-                    t_hat=0.0,
-                    eps_hat=math.nan,
-                    residual_norm=block_residual,
-                    sample_count=m_s,
-                    flags=tuple(flags),
-                    imag_norm=imag_norm,
-                )
-            )
-            continue
-        t_hat = mean_h**2 / eta
-        eps_hat = (float(y_s @ y_s) - eta * t_hat * float(x_s @ x_s) - m_s * floor) / (
-            m_s * eta * t_hat
-        )
-        estimates.append(
-            SubChannelEstimate(
-                index=i,
-                t_hat=t_hat,
-                eps_hat=eps_hat,
-                residual_norm=block_residual,
-                sample_count=m_s,
-                flags=tuple(flags),
-                imag_norm=imag_norm,
-            )
-        )
-
-    if probabilities is None:
-        probabilities = lengths / float(lengths.sum())
-    aggregate = aggregate_estimates(estimates, probabilities)
-    return estimates, aggregate
 
 
 def measured_variance(y_block: np.ndarray) -> float:

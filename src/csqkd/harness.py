@@ -34,6 +34,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -105,8 +106,14 @@ class ExperimentConfig:
             raise ValueError(f"ensemble.block_length must be >= 2, got {self.block_length}")
         if self.source == "sampler" and not self.distances_km:
             raise ValueError("ensemble.distances_km must not be empty when ensemble.source = sampler")
-        if self.excess_noise < 0:
-            raise ValueError(f"ensemble.excess_noise must be >= 0, got {self.excess_noise}")
+        for key, value in (
+            ("ensemble.excess_noise", self.excess_noise),
+            ("ensemble.attenuation_per_km", self.attenuation_per_km),
+            ("ensemble.sigma_log", self.sigma_log),
+            *(("ensemble.distances_km entries", d) for d in self.distances_km),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if not self.fractions:
             raise ValueError("estimation.fractions must not be empty")
         for f in self.fractions:
@@ -118,6 +125,7 @@ class ExperimentConfig:
             ("ensemble.distances_km", self.distances_km),
             ("estimation.fractions", self.fractions),
             ("estimation.seeds", self.seeds),
+            ("security.detections", self.detections),
         ):
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat entries, got {_fmt_seq(values)}")
@@ -141,6 +149,8 @@ class ExperimentConfig:
             )
         if self.k_max < 1:
             raise ValueError(f"estimation.k_max must be >= 1, got {self.k_max}")
+        if not self.detections:
+            raise ValueError("security.detections must not be empty")
         for d in self.detections:
             if d not in DETECTIONS:
                 raise ValueError(f"security.detections entries must be in {DETECTIONS}, got {d!r}")

@@ -1,31 +1,27 @@
-"""Compressive-sensing primitives: sampling plans, DFT basis, OMP, coherence.
+"""Compressive sensing: sampling plans, the row-sampled IDFT operator, OMP, coherence.
 
 The sparse basis is the unitary inverse-DFT matrix (entries
 exp(+2i*pi*j*k/m)/sqrt(m)), so a constant vector of length m is a single
-impulse of magnitude sqrt(m) in the analysis domain.  Sensing operators are
-kept in factored form (row selection o diagonal weighting o unitary IDFT)
-and applied with FFTs; nothing is densified for large m.
+impulse of magnitude sqrt(m) in the analysis domain.  The one sensing
+operator, Theta = Phi diag(w) Psi, is kept in factored form (row selection
+o diagonal weighting o unitary IDFT) and applied with FFTs; nothing is
+densified for large m.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_fit` computes it in closed form without an operator; OMP serves
 larger atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
-correlations updated through Gram columns A^H a_k (for the row-sampled IDFT
-operator, circular shifts of one transform), and small normal-equation
-refits, so a solve runs two transforms and no dense least squares.
+correlations updated through Gram columns A^H a_k (circular shifts of one
+transform), and small normal-equation refits, so a solve runs two
+transforms and no dense least squares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-#: Coherence evaluations on generic operators densify columns; refuse beyond this.
-MIP_DENSE_GUARD = 20_000
-#: Entry budget for densified column blocks in the generic coherence path.
-MIP_ENTRY_GUARD = 40_000_000
 #: Relative roundoff of Gram-updated OMP correlations; scores below it are
 #: confirmed against an explicit adjoint of the residual.
 ROUNDOFF_SCALE = 64 * np.finfo(float).eps
@@ -42,17 +38,6 @@ def unitary_dft(v: np.ndarray) -> np.ndarray:
 def unitary_idft(s: np.ndarray) -> np.ndarray:
     """Synthesis transform, the inverse (and adjoint) of :func:`unitary_dft`."""
     return np.fft.ifft(s, norm="ortho")
-
-
-def idft_basis(m: int) -> np.ndarray:
-    """Dense unitary inverse-DFT basis, column k = exp(+2i*pi*j*k/m)/sqrt(m).
-
-    Intended for small-m checks; the operators below never materialize it.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    j = np.arange(m)
-    return np.exp(2j * np.pi * np.outer(j, j) / m) / math.sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -88,36 +73,7 @@ def make_sampling_plan(m: int, fraction: float, seed: int) -> SamplingPlan:
     return SamplingPlan(length=m, fraction=fraction, seed=seed, indices=indices)
 
 
-class SensingOperator:
-    """Linear map from coefficient space (dim m) to measurement space (dim m_s)."""
-
-    n_coefficients: int
-    n_measurements: int
-
-    def apply(self, coefficients: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, measurement: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def column(self, k: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def column_norms(self) -> np.ndarray:
-        return np.array(
-            [np.linalg.norm(self.column(k)) for k in range(self.n_coefficients)]
-        )
-
-    def gram_column(self, k: int) -> np.ndarray:
-        """Column k of the Gram matrix, A^H a_k."""
-        return self.adjoint(self.column(k))
-
-    def dense(self) -> np.ndarray:
-        cols = [self.column(k) for k in range(self.n_coefficients)]
-        return np.stack(cols, axis=1)
-
-
-class RowSampledIdftOperator(SensingOperator):
+class RowSampledIdftOperator:
     """Row-sampled, diagonally weighted unitary IDFT: theta = Phi diag(w) Psi.
 
     Used with w = Alice's symbols (variable-based model) or w = V_A * ones
@@ -191,31 +147,9 @@ class RowSampledIdftOperator(SensingOperator):
         split = m - (k % m + 1)
         return np.concatenate((self._gram_reversed[split:], self._gram_reversed[:split]))
 
-
-class DenseOperator(SensingOperator):
-    """Explicit-matrix operator, mainly for tests and generic diagnostics."""
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise ValueError("matrix must be 2-d")
-        self.matrix = matrix
-        self.n_measurements, self.n_coefficients = matrix.shape
-
-    def apply(self, coefficients: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(coefficients, dtype=np.complex128)
-
-    def adjoint(self, measurement: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ np.asarray(measurement, dtype=np.complex128)
-
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k]
-
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.matrix, axis=0)
-
     def dense(self) -> np.ndarray:
-        return self.matrix
+        """The explicit m_s x m matrix, for small-m checks."""
+        return np.stack([self.column(k) for k in range(self.n_coefficients)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -252,7 +186,7 @@ class SparseCoefficients:
 
 
 def omp_solve(
-    op: SensingOperator,
+    op: RowSampledIdftOperator,
     measurement: np.ndarray,
     k_max: int = 1,
     delta: float = 0.0,
@@ -423,17 +357,7 @@ def dc_fit(
     return gain, float(np.linalg.norm(y - gain * w)), False
 
 
-def _offsets_from_columns(columns: np.ndarray, m: int) -> np.ndarray:
-    diffs = (columns[:, None] - columns[None, :]) % m
-    diffs = np.unique(diffs)
-    return diffs[diffs != 0]
-
-
-def mutual_incoherence(
-    op: SensingOperator,
-    normalize: bool = False,
-    columns: Sequence[int] | None = None,
-) -> float:
+def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> float:
     """Largest off-diagonal column inner product of the sensing matrix.
 
     With ``normalize`` the columns are l2-normalized first (the textbook,
@@ -443,52 +367,17 @@ def mutual_incoherence(
     rows, which is the regime the magnitude diagnostics in this package are
     calibrated against.
 
-    Row-sampled IDFT operators are evaluated exactly over all column pairs in
-    O(m log m) via their offset-circulant Gram.  Other operators fall back to
-    a densified computation guarded by :data:`MIP_DENSE_GUARD`; pass
-    ``columns`` to diagnose a subset when the dense form is too large.
+    All column pairs are evaluated exactly in O(m log m) via the operator's
+    offset-circulant Gram.
     """
     m = op.n_coefficients
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
-
-    if isinstance(op, RowSampledIdftOperator):
-        gram = op.gram_by_offset()
-        if columns is not None:
-            offsets = _offsets_from_columns(np.asarray(columns, dtype=np.int64), m)
-            if offsets.size == 0:
-                raise ValueError("column subset must contain at least two distinct columns")
-            peak = float(np.max(np.abs(gram[offsets])))
-        else:
-            peak = float(np.max(np.abs(gram[1:])))
-        if normalize:
-            diag = float(gram[0].real)
-            if diag <= 0:
-                raise ValueError("operator has zero column norms")
-            return peak / diag
-        return peak / m
-
-    if m > MIP_DENSE_GUARD:
-        raise ValueError(
-            f"dense coherence at m={m} exceeds the guard ({MIP_DENSE_GUARD}); "
-            "pass a column subset to subsample"
-        )
-    idx = np.arange(m) if columns is None else np.asarray(columns, dtype=np.int64)
-    if idx.size < 2:
-        raise ValueError("column subset must contain at least two distinct columns")
-    if idx.size * op.n_measurements > MIP_ENTRY_GUARD:
-        raise ValueError(
-            "densified column block exceeds the memory guard; "
-            "pass a smaller column subset"
-        )
-    block = np.stack([op.column(int(k)) for k in idx], axis=1)
-    gram = block.conj().T @ block
-    off = np.abs(gram - np.diag(np.diag(gram)))
-    peak = float(off.max())
+    gram = op.gram_by_offset()
+    peak = float(np.max(np.abs(gram[1:])))
     if normalize:
-        norms = np.sqrt(np.abs(np.diag(gram)))
-        if np.any(norms == 0):
+        diag = float(gram[0].real)
+        if diag <= 0:
             raise ValueError("operator has zero column norms")
-        scaled = off / np.outer(norms, norms)
-        return float(scaled.max())
+        return peak / diag
     return peak / m

@@ -1,9 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute-force and shares no code path with the
-package: direct O(m^2) transforms, exhaustive subset fits, plain OMP (a
-fresh adjoint and an lstsq refit per atom, sharing only the operators with
-the package's Batch-OMP solver), and a numeric Gaussian-state pipeline (build the full covariance matrix, apply symplectic
+package: direct O(m^2) transforms and the dense IDFT basis, an
+explicit-matrix operator and the dense-Gram coherence, exhaustive subset
+fits, plain OMP (a fresh adjoint and an lstsq refit per atom, sharing only
+the operators with the package's Batch-OMP solver), and a numeric
+Gaussian-state pipeline (build the full covariance matrix, apply symplectic
 beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|).
 """
 
@@ -47,6 +49,68 @@ def idft_direct(s: np.ndarray) -> np.ndarray:
             acc += s[k] * np.exp(2j * np.pi * j * k / m)
         out[j] = acc / math.sqrt(m)
     return out
+
+
+def idft_basis(m: int) -> np.ndarray:
+    """Dense unitary inverse-DFT basis, column k = exp(+2i*pi*j*k/m)/sqrt(m)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    j = np.arange(m)
+    return np.exp(2j * np.pi * np.outer(j, j) / m) / math.sqrt(m)
+
+
+# ---------------------------------------------------------------------------
+# explicit-matrix operator and coherence
+# ---------------------------------------------------------------------------
+
+class DenseOperator:
+    """Explicit-matrix test double with the sensing-operator interface.
+
+    :func:`csqkd.sensing.omp_solve` reads only ``n_coefficients``,
+    ``n_measurements``, ``adjoint``, ``column``, ``column_norms`` and
+    ``gram_column``, so a generic matrix can drive it.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be 2-d")
+        self.matrix = matrix
+        self.n_measurements, self.n_coefficients = matrix.shape
+
+    def apply(self, coefficients: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.asarray(coefficients, dtype=np.complex128)
+
+    def adjoint(self, measurement: np.ndarray) -> np.ndarray:
+        return self.matrix.conj().T @ np.asarray(measurement, dtype=np.complex128)
+
+    def column(self, k: int) -> np.ndarray:
+        return self.matrix[:, k]
+
+    def column_norms(self) -> np.ndarray:
+        return np.linalg.norm(self.matrix, axis=0)
+
+    def gram_column(self, k: int) -> np.ndarray:
+        """Column k of the Gram matrix, A^H a_k."""
+        return self.adjoint(self.column(k))
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+
+def mutual_incoherence_dense(matrix: np.ndarray, normalize: bool = False) -> float:
+    """Largest off-diagonal entry of the explicit Gram matrix.
+
+    Same conventions as :func:`csqkd.sensing.mutual_incoherence`: raw inner
+    products divided by m, or the cosine of the most coherent column pair.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    gram = matrix.conj().T @ matrix
+    off = np.abs(gram - np.diag(np.diag(gram)))
+    if normalize:
+        norms = np.sqrt(np.abs(np.diag(gram)))
+        return float((off / np.outer(norms, norms)).max())
+    return float(off.max()) / matrix.shape[1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from csqkd.estimators import (
     FLAG_DEGENERATE,
     FLAG_UNESTIMABLE,
     estimate_subchannel_variables,
-    estimate_whole_channel_variables,
     screen_plan,
 )
 from csqkd.sensing import OmpConfig, SamplingPlan, make_sampling_plan
@@ -160,64 +159,3 @@ def test_unestimable_flag_on_sign_flipped_channel():
     assert FLAG_UNESTIMABLE in est.flags
     assert est.t_hat == 0.0
     assert math.isnan(est.eps_hat)
-
-
-# ---------------------------------------------------------------------------
-# whole-channel joint recovery
-# ---------------------------------------------------------------------------
-
-def test_whole_channel_single_block_equivalent():
-    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
-    ens = build_ensemble([0.5], excess_noise=0.02, block_length=512)
-    ds = simulate_block(ens, params, seed=41)
-    plan = make_sampling_plan(512, 0.5, seed=10)
-    single = estimate_subchannel_variables(ds.alice[0], ds.bob[0], plan, params)
-    joint, aggregate = estimate_whole_channel_variables(ds, [plan], params)
-    assert joint[0].t_hat == pytest.approx(single.t_hat, rel=1e-12)
-    assert joint[0].eps_hat == pytest.approx(single.eps_hat, rel=1e-9)
-    assert aggregate.t_mean == pytest.approx(single.t_hat, rel=1e-12)
-
-
-def test_whole_channel_constant_global_vector():
-    params = ProtocolParams(detector_efficiency=1.0, electronic_noise=0.0)
-    ens = build_ensemble([0.25, 0.25], excess_noise=0.0, block_length=256)
-    ds = simulate_block(ens, params, seed=43, zero_noise=True)
-    plans = [make_sampling_plan(256, 1.0, seed=i) for i in range(2)]
-    estimates, _ = estimate_whole_channel_variables(
-        ds, plans, params, omp=OmpConfig(k_max=1), noise_floor=0.0
-    )
-    for est in estimates:
-        assert est.t_hat == pytest.approx(0.25, abs=1e-9)
-
-
-def test_whole_channel_piecewise_constant_budget_sweep():
-    # the global transfer vector has 4 levels; the frozen bounds document the
-    # truncated-reconstruction error against the per-block exact values
-    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.0)
-    t_levels = [0.8, 0.6, 0.4, 0.2]
-    ens = build_ensemble(t_levels, excess_noise=0.0, block_length=256)
-    ds = simulate_block(ens, params, seed=11, zero_noise=True)
-    plans = [make_sampling_plan(256, 1.0, seed=i) for i in range(4)]
-
-    def max_gain_error(k_max):
-        ests, _ = estimate_whole_channel_variables(
-            ds, plans, params, omp=OmpConfig(k_max=k_max), noise_floor=0.0
-        )
-        return max(
-            abs(math.sqrt(0.6 * e.t_hat) - math.sqrt(0.6 * t))
-            for e, t in zip(ests, t_levels)
-        )
-
-    err32 = max_gain_error(32)
-    err64 = max_gain_error(64)
-    assert err64 < err32
-    assert err32 < 7e-3
-    assert err64 < 3e-3
-
-
-def test_whole_channel_input_validation():
-    params = ProtocolParams()
-    ens = build_ensemble([0.5, 0.6], block_length=64)
-    ds = simulate_block(ens, params, seed=1)
-    with pytest.raises(ValueError, match="plans"):
-        estimate_whole_channel_variables(ds, [make_sampling_plan(64, 1.0, 0)], params)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from csqkd.channel import ensemble_means
+from csqkd.channel import DETECTIONS, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
     ExperimentConfig,
@@ -114,9 +115,49 @@ def test_missing_ensemble_file_rejected(tmp_path):
         load_config(cfg_file)
 
 
-def test_config_round_trip(tmp_path):
-    config = dataclasses.replace(FAST, detections=("homodyne",), estimators="statistics")
-    path = tmp_path / "rt.cfg"
+_NON_NEGATIVE = st.floats(0.0, 1e6)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def sampler_configs(draw):
+    """Valid sampler-source configs over every schema key."""
+    variance_mode = draw(st.sampled_from(("replicated", "blockwise")))
+    variance_blocks = draw(st.integers(1, 64))
+    sub_block = draw(st.integers(2, 64))
+    if variance_mode == "blockwise":
+        block_length = variance_blocks * sub_block
+    else:
+        block_length = draw(st.integers(2, 10_000))
+    return ExperimentConfig(
+        source="sampler",
+        distances_km=tuple(draw(st.lists(_NON_NEGATIVE, min_size=1, max_size=4, unique=True))),
+        subchannels=draw(st.integers(1, 500)),
+        block_length=block_length,
+        excess_noise=draw(_NON_NEGATIVE),
+        sampler_seed=draw(st.integers(0, 2**63 - 1)),
+        attenuation_per_km=draw(_NON_NEGATIVE),
+        sigma_log=draw(_NON_NEGATIVE),
+        fractions=tuple(draw(st.lists(_UNIT, min_size=1, max_size=4, unique=True))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))),
+        estimators=draw(st.sampled_from(("variables", "statistics", "both"))),
+        variance_mode=variance_mode,
+        variance_blocks=variance_blocks,
+        k_max=draw(st.integers(1, 64)),
+        modulation_variance=draw(st.floats(1e-6, 1e6)),
+        detector_efficiency=draw(_UNIT),
+        electronic_noise=draw(_NON_NEGATIVE),
+        reconciliation_efficiency=draw(_UNIT),
+        detections=tuple(draw(st.lists(st.sampled_from(DETECTIONS), min_size=1, unique=True))),
+        out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=20)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=sampler_configs())
+@example(config=dataclasses.replace(FAST, detections=("homodyne",), estimators="statistics"))
+def test_config_round_trip(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "rt.cfg"
     write_config(config, path)
     assert load_config(path) == config
 
@@ -135,11 +176,32 @@ def test_empty_fractions_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "field, values",
-    [("distances_km", (2.0, 2.0)), ("fractions", (0.25, 1.0, 0.25)), ("seeds", (1, 2, 1))],
+    [
+        ("distances_km", (2.0, 2.0)),
+        ("fractions", (0.25, 1.0, 0.25)),
+        ("seeds", (1, 2, 1)),
+        ("detections", ("homodyne", "homodyne")),
+    ],
 )
 def test_duplicate_grid_entries_rejected(field, values):
     with pytest.raises(ValueError, match="repeat"):
         dataclasses.replace(FAST, **{field: values})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("detections", ()),
+        ("distances_km", (2.0, -1.0)),
+        ("attenuation_per_km", -0.15),
+        ("sigma_log", -0.3),
+    ],
+)
+def test_empty_or_negative_grid_keys_rejected(field, value):
+    # otherwise each passes loading and then writes a header-only CSV or
+    # fails in the middle of the sweep
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(FAST, **{field: value})
 
 
 def test_negative_excess_noise_rejected():
@@ -275,6 +337,6 @@ def test_cli_sweep_and_simulate(tmp_path, capsys):
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[estimation]\nfractions = 2.0\n")
-    rc = cli_main(["estimate", "--config", str(bad)])
+    rc = cli_main(["sweep", "--config", str(bad)])
     assert rc == 2
     assert "fractions" in capsys.readouterr().err
