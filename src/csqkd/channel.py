@@ -51,12 +51,14 @@ class ProtocolParams:
     detection: str = "homodyne"
 
     def __post_init__(self) -> None:
-        if not self.modulation_variance > 0:
-            raise ValueError(f"modulation_variance must be > 0, got {self.modulation_variance}")
+        if not (math.isfinite(self.modulation_variance) and self.modulation_variance > 0):
+            raise ValueError(
+                f"modulation_variance must be finite and > 0, got {self.modulation_variance}"
+            )
         if not 0 < self.detector_efficiency <= 1:
             raise ValueError(f"detector_efficiency must be in (0, 1], got {self.detector_efficiency}")
-        if self.electronic_noise < 0:
-            raise ValueError(f"electronic_noise must be >= 0, got {self.electronic_noise}")
+        if not (math.isfinite(self.electronic_noise) and self.electronic_noise >= 0):
+            raise ValueError(f"electronic_noise must be finite and >= 0, got {self.electronic_noise}")
         if not 0 < self.reconciliation_efficiency <= 1:
             raise ValueError(
                 f"reconciliation_efficiency must be in (0, 1], got {self.reconciliation_efficiency}"

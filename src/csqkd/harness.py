@@ -121,6 +121,12 @@ class ExperimentConfig:
                 raise ValueError(f"estimation.fractions entries must be in (0, 1], got {f}")
         if not self.seeds:
             raise ValueError("estimation.seeds must not be empty")
+        for key, value in (
+            ("ensemble.sampler_seed", self.sampler_seed),
+            *(("estimation.seeds entries", s) for s in self.seeds),
+        ):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         for key, values in (
             ("ensemble.distances_km", self.distances_km),
             ("estimation.fractions", self.fractions),
@@ -154,6 +160,11 @@ class ExperimentConfig:
         for d in self.detections:
             if d not in DETECTIONS:
                 raise ValueError(f"security.detections entries must be in {DETECTIONS}, got {d!r}")
+        try:
+            self.protocol
+        except ValueError as exc:
+            # building the protocol validates it; its messages begin with the field name
+            raise ValueError(f"protocol.{exc}") from exc
 
     @property
     def protocol(self) -> ProtocolParams:
@@ -228,7 +239,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     with path.open() as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            # headerless lines, repeated keys or sections, keys without a value
+            raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
     unknown: list[str] = []
     values: dict[str, object] = {}
     for section in parser.sections():
@@ -253,7 +268,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         target = Path(config.ensemble_file)
         if not target.is_absolute():
             target = path.parent / target
-        if not target.exists():
+        try:
+            found = target.exists()
+        except OSError:  # e.g. a name too long to look up
+            found = False
+        if not found:
             raise ValueError(f"{path}: ensemble file does not exist: {target}")
         config = dataclasses.replace(config, ensemble_file=str(target))
     return config
@@ -278,7 +297,10 @@ def write_config(config: ExperimentConfig, path: str | Path | None = None) -> st
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(write_config(config).encode()).hexdigest()[:16]
+    """Hash of the serialized config with the output directory blanked:
+    where results are written does not change them."""
+    text = write_config(dataclasses.replace(config, out_dir=""))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def compute_mse(estimates: Sequence[float], truth: Sequence[float]) -> float:

@@ -7,6 +7,13 @@ operator, Theta = Phi diag(w) Psi, is kept in factored form (row selection
 o diagonal weighting o unitary IDFT) and applied with FFTs; nothing is
 densified for large m.
 
+The weights are real, and both estimators measure real data, so the adjoint
+and the circulant Gram take a real FFT (``np.fft.rfft``) and complete the
+other half of the spectrum by exact conjugate mirroring, s[m-k] = conj(s[k])
+(Sorensen, Jones, Heideman & Burrus, IEEE Trans. ASSP 35(6), 1987); complex
+data keeps the complex FFT.  Columns gather exp(2i*pi*j/m) from a table built
+once per block length, equal bit for bit to the direct cos/sin expression.
+
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_fit` computes it in closed form without an operator; OMP serves
 larger atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
@@ -17,6 +24,7 @@ transforms and no dense least squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +46,26 @@ def unitary_dft(v: np.ndarray) -> np.ndarray:
 def unitary_idft(s: np.ndarray) -> np.ndarray:
     """Synthesis transform, the inverse (and adjoint) of :func:`unitary_dft`."""
     return np.fft.ifft(s, norm="ortho")
+
+
+def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
+    """Length-m spectrum of a real signal from its rfft half: s[m-k] = conj(s[k])."""
+    full = np.empty(m, dtype=np.complex128)
+    n = half.size
+    full[:n] = half
+    np.conj(half[m - n : 0 : -1], out=full[n:])
+    return full
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_roots(m: int) -> np.ndarray:
+    """exp(2i*pi*j/m) for j = 0..m-1, read-only; column k gathers j = r*k mod m."""
+    phase = np.arange(m) * (2 * np.pi / m)
+    roots = np.empty(m, dtype=np.complex128)
+    roots.real = np.cos(phase)
+    roots.imag = np.sin(phase)
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)
@@ -98,26 +126,25 @@ class RowSampledIdftOperator:
         self.rows = rows
         self.n_coefficients = weights.size
         self.n_measurements = rows.size
-        self._gram_reversed: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         h = unitary_idft(np.asarray(coefficients, dtype=np.complex128))
         return self.weights[self.rows] * h[self.rows]
 
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
-        scattered = np.zeros(self.n_coefficients, dtype=np.complex128)
-        scattered[self.rows] = self.weights[self.rows] * np.asarray(
-            measurement, dtype=np.complex128
-        )
-        return unitary_dft(scattered)
+        """A^H r; a real r takes a real transform and Hermitian completion."""
+        measurement = np.asarray(measurement)
+        scattered = np.zeros(self.n_coefficients, dtype=np.result_type(measurement, float))
+        scattered[self.rows] = self.weights[self.rows] * measurement
+        if np.iscomplexobj(scattered):
+            return unitary_dft(scattered)
+        return _hermitian_completion(np.fft.rfft(scattered, norm="ortho"), self.n_coefficients)
 
     def column(self, k: int) -> np.ndarray:
         m = self.n_coefficients
-        # reducing r*k mod m in integers keeps the phase in [0, 2*pi)
-        phase = (self.rows * (k % m)) % m * (2 * np.pi / m)
-        col = np.empty(self.rows.size, dtype=np.complex128)
-        col.real = np.cos(phase)
-        col.imag = np.sin(phase)
+        # reducing r*k mod m in integers indexes the phase j*2*pi/m in [0, 2*pi)
+        col = _unit_roots(m)[(self.rows * (k % m)) % m]
         col *= self.weights[self.rows] / math.sqrt(m)
         return col
 
@@ -125,27 +152,35 @@ class RowSampledIdftOperator:
         value = np.linalg.norm(self.weights[self.rows]) / math.sqrt(self.n_coefficients)
         return np.full(self.n_coefficients, value)
 
+    def half_gram_by_offset(self) -> np.ndarray:
+        """Entries d = 0..m//2 of :meth:`gram_by_offset`, one real transform."""
+        w2 = np.zeros(self.n_coefficients)
+        w2[self.rows] = self.weights[self.rows] ** 2
+        half = np.fft.rfft(w2)
+        np.conj(half, out=half)
+        half /= self.n_coefficients
+        return half
+
     def gram_by_offset(self) -> np.ndarray:
         """Column Gram as a function of index offset d = (j - k) mod m.
 
         <theta_k, theta_j> depends only on d, which makes the full m^2-pair
-        coherence an O(m log m) FFT of the scattered squared weights.
+        coherence an O(m log m) FFT of the scattered squared weights.  The
+        weights are real, so g[m - d] = conj(g[d]) and a real transform of
+        half the work gives all of g.
         """
-        w2 = np.zeros(self.n_coefficients)
-        w2[self.rows] = self.weights[self.rows] ** 2
-        return np.fft.ifft(w2)
+        return _hermitian_completion(self.half_gram_by_offset(), self.n_coefficients)
 
     def gram_column(self, k: int) -> np.ndarray:
         """A^H a_k without a transform: entry j is g[(k - j) mod m].
 
         g is :meth:`gram_by_offset`, computed once per operator.
         """
-        if self._gram_reversed is None:
-            self._gram_reversed = self.gram_by_offset()[::-1].copy()
-        # reversed g rolled by k + 1 puts g[(k - j) mod m] at position j
-        m = self.n_coefficients
-        split = m - (k % m + 1)
-        return np.concatenate((self._gram_reversed[split:], self._gram_reversed[:split]))
+        if self._gram is None:
+            self._gram = self.gram_by_offset()
+        k %= self.n_coefficients
+        # j = 0..k reads g[k], ..., g[0]; j = k+1..m-1 reads g[m-1], ..., g[k+1]
+        return np.concatenate((self._gram[k::-1], self._gram[: k : -1]))
 
     def dense(self) -> np.ndarray:
         """The explicit m_s x m matrix, for small-m checks."""
@@ -207,8 +242,13 @@ def omp_solve(
     factor, whose new pivot doubles as the rank test.  The residual
     y - sum_s c_s a_s is still formed explicitly for the stop rule, the
     ``shrink_to_delta`` factor and the reported norms.
+
+    Real data stays real, so the adjoint runs a real transform; its
+    correlations with columns k and m - k are then exact conjugates, and of
+    such a tie the lower index is selected.
     """
-    y = np.asarray(measurement, dtype=np.complex128).ravel()
+    y = np.ravel(measurement)
+    y = y.astype(np.result_type(y, float), copy=False)
     if y.size != op.n_measurements:
         raise ValueError(
             f"measurement length {y.size} does not match operator ({op.n_measurements})"
@@ -224,7 +264,6 @@ def omp_solve(
     corr0 = op.adjoint(y)
     support: list[int] = []
     columns: list[np.ndarray] = []
-    gram_columns: list[np.ndarray] = []
     chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
     coef = np.empty(0, dtype=np.complex128)
     fitted = np.zeros_like(y)
@@ -233,13 +272,16 @@ def omp_solve(
     degenerate = False
 
     while len(support) < k_max and history[-1] > delta:
+        corr = corr0
         if support:
-            gram_columns += [op.gram_column(s) for s in support[len(gram_columns) :]]
-            corr = corr0 - coef[0] * gram_columns[0]
-            for c, gram in zip(coef[1:], gram_columns[1:]):
-                corr -= c * gram
-        else:
-            corr = corr0
+            # a Gram column is a cheap rotation of one cached transform, so
+            # each is rebuilt per use and scaled in place rather than held
+            # across iterations: fewer length-m arrays alive at once
+            corr = corr0.copy()
+            for c, s in zip(coef, support):
+                update = op.gram_column(s)
+                update *= c
+                corr -= update
         scores = _scores(corr, norms, unusable, support)
         k = int(np.argmax(scores))
         # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
@@ -251,11 +293,13 @@ def omp_solve(
             k = int(np.argmax(scores))
         if scores[k] <= 0:
             break
-        # grow the Cholesky factor of G_SS by the row of G_{S,k} = conj(G_{k,S})
+        # grow the Cholesky factor of G_SS by G_{S,k}, the new atom's Gram
+        # column read at the support
         n = len(support)
         if n == chol.shape[0]:
             chol = np.pad(chol, (0, n))
-        w = _forward_substitute(chol[:n, :n], np.array([g[k] for g in gram_columns]).conj())
+        gram_row = op.gram_column(k)[support] if support else np.empty(0, dtype=np.complex128)
+        w = _forward_substitute(chol[:n, :n], gram_row)
         diag = norms[k] ** 2
         pivot = diag - float(np.vdot(w, w).real)
         if pivot <= PIVOT_TOLERANCE * diag:
@@ -373,7 +417,8 @@ def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> f
     m = op.n_coefficients
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
-    gram = op.gram_by_offset()
+    # |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every column pair
+    gram = op.half_gram_by_offset()
     peak = float(np.max(np.abs(gram[1:])))
     if normalize:
         diag = float(gram[0].real)

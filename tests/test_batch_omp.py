@@ -124,6 +124,24 @@ def test_dense_operator_matches_oracle(k_max, delta_share):
     _assert_parity(op, y, k_max=k_max, delta=delta, shrink_to_delta=delta > 0)
 
 
+@pytest.mark.parametrize("m", [63, 64, 2000])
+@pytest.mark.parametrize("seed", range(6))
+def test_real_data_mirror_tie_breaks_to_lower_index(m, seed):
+    # on real data columns k and m - k score exactly alike, because the
+    # real adjoint's spectrum is completed by exact conjugate mirroring;
+    # the tie goes to the lower index, and then the mirror atom follows
+    rng, op = _idft_case(m, 0.4, "symbols", seed=seed)
+    k = int(rng.integers(1, (m - 1) // 2))
+    truth = np.zeros(m, dtype=complex)
+    truth[k] = 3.0 * np.sqrt(m)
+    y = op.apply(truth).real + rng.normal(0, 0.1, op.n_measurements)
+    corr = op.adjoint(y)
+    assert abs(corr[k]) == abs(corr[m - k])
+    for _ in range(2):
+        sol = omp_solve(op, y, k_max=2)
+        assert sol.support.tolist() == [k, m - k]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_degenerate_beyond_row_count_matches_oracle(seed):
     # six rows hold at most six independent columns: the seventh atom is
@@ -175,8 +193,9 @@ def test_batch_omp_budget_one_adjoint_one_gram(monkeypatch):
 
 
 def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
-    # one adjoint and one Gram transform per estimate; no synthesis of h
-    counts = {"fft": 0, "ifft": 0}
+    # one adjoint and one Gram transform per estimate, both real; no
+    # complex transform and no synthesis of h
+    counts = {"fft": 0, "ifft": 0, "rfft": 0}
 
     def counting(name):
         original = getattr(np.fft, name)
@@ -197,7 +216,7 @@ def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
         ds.alice[0], ds.bob[0], plan, params, omp=OmpConfig(k_max=3)
     )
     assert est.usable
-    assert counts == {"fft": 1, "ifft": 1}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 2}
     # the estimators have no synthesis transform to call
     assert not hasattr(estimators, "unitary_idft")
 

@@ -19,6 +19,7 @@ from csqkd.harness import (
     run_sweep,
     write_config,
     write_reports,
+    _SCHEMA,
     _ensemble_for,
 )
 from csqkd.security import secret_key_rate, summary_from_means
@@ -111,6 +112,14 @@ def test_bad_fraction_named(tmp_path):
 def test_missing_ensemble_file_rejected(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("[ensemble]\nsource = file\nfile = nowhere.csv\n")
+    with pytest.raises(ValueError, match="does not exist"):
+        load_config(cfg_file)
+
+
+def test_unreadable_ensemble_file_name_rejected(tmp_path):
+    # a name the file system refuses to look up is a config error too
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[ensemble]\nsource = file\nfile = {'x' * 300}.csv\n")
     with pytest.raises(ValueError, match="does not exist"):
         load_config(cfg_file)
 
@@ -216,6 +225,49 @@ def test_bad_variance_blocks_rejected(blocks):
         dataclasses.replace(FAST, variance_mode="blockwise", variance_blocks=blocks)
     # replicated mode never reads variance_blocks
     assert dataclasses.replace(FAST, variance_blocks=blocks).variance_blocks == blocks
+
+
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(("-1", "0", "nan", "inf", "-inf", "1e400", "0.5,0.5", "1,,2", "sampler",
+                     "file", "both", "blockwise", "homodyne")),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_LINES = st.one_of(
+    st.sampled_from(sorted(_SCHEMA)).map(lambda name: f"[{name}]"),
+    st.text(max_size=10).map(lambda name: f"[{name}]"),
+    st.tuples(
+        st.sampled_from(sorted({k for keys in _SCHEMA.values() for k in keys})),
+        st.sampled_from(("=", ":", " = ", "")),
+        _VALUES,
+    ).map("".join),
+    st.text(max_size=20),
+    st.sampled_from(("", "# comment", "; comment", "  continued")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join)))
+def test_load_config_fuzz_returns_config_or_value_error(tmp_path_factory, text):
+    # malformed files, bad values and bad combinations all surface as a
+    # ValueError naming the file or the key, never as another exception
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        config = load_config(path)
+    except ValueError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+def test_config_hash_ignores_output_directory():
+    a = dataclasses.replace(FAST, out_dir="run/a")
+    b = dataclasses.replace(FAST, out_dir="elsewhere/b")
+    assert config_hash(a) == config_hash(b)
+    assert config_hash(a) != config_hash(dataclasses.replace(a, sampler_seed=8))
+    # the written config still records where the results go
+    assert "directory = run/a" in write_config(a)
 
 
 def test_preset_validation():
@@ -332,6 +384,34 @@ def test_cli_sweep_and_simulate(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "sim" / "dataset_2km.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("seeds = 1\n[estimation]\nk_max = 2\n", "seeds = 1"),
+        ("[estimation]\nseeds = 1\nseeds = 2\n", "'seeds' in section 'estimation'"),
+        ("[estimation]\nseeds = 1\n[estimation]\nk_max = 2\n", "section 'estimation'"),
+        ("[estimation]\nseeds\n", "seeds"),
+        ("[estimation]\nseeds = 1,-2\n", "estimation.seeds"),
+        ("[ensemble]\nsampler_seed = -1\n", "ensemble.sampler_seed"),
+        ("[protocol]\nelectronic_noise = nan\n", "protocol.electronic_noise"),
+        ("[protocol]\nelectronic_noise = inf\n", "protocol.electronic_noise"),
+        ("[protocol]\nmodulation_variance = inf\n", "protocol.modulation_variance"),
+    ],
+)
+def test_cli_bad_config_fails_before_the_sweep(tmp_path, capsys, monkeypatch, text, names):
+    def refuse(config):
+        raise AssertionError("the sweep started on a bad config")
+
+    monkeypatch.setattr("csqkd.cli.run_sweep", refuse)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    rc = cli_main(["sweep", "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+    assert names in err
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -114,6 +114,56 @@ def test_operator_matches_dense():
     assert np.allclose(op.column_norms(), np.linalg.norm(dense, axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 256])
+def test_real_adjoint_matches_dense_and_is_hermitian(m):
+    # a real measurement takes the rfft path; its completion mirrors exactly
+    rng = np.random.default_rng(m)
+    op = RowSampledIdftOperator(rng.normal(0, 2.0, m), make_sampling_plan(m, 0.5, seed=m).indices)
+    r = rng.normal(size=op.n_measurements)
+    s = op.adjoint(r)
+    assert np.linalg.norm(s - op.dense().conj().T @ r) <= 1e-10
+    k = np.arange(m)
+    assert np.array_equal(s[(-k) % m], np.conj(s))
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_real_gram_and_mip_match_dense(m):
+    rng = np.random.default_rng(m)
+    op = RowSampledIdftOperator(rng.normal(0, 2.0, m), make_sampling_plan(m, 0.5, seed=3).indices)
+    dense = op.dense()
+    gram = dense.conj().T @ dense
+    g = op.gram_by_offset()
+    j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    # entry (j, k) is <theta_j, theta_k> = g[(k - j) mod m]
+    assert np.max(np.abs(gram - g[(k - j) % m])) <= 1e-12 * g[0].real
+    for col in (0, 1, m // 2, m - 1):
+        assert np.max(np.abs(op.gram_column(col) - gram[:, col])) <= 1e-12 * g[0].real
+    for normalize in (False, True):
+        fast = mutual_incoherence(op, normalize=normalize)
+        slow = oracles.mutual_incoherence_dense(dense, normalize=normalize)
+        assert fast == pytest.approx(slow, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [97, 10_000])
+def test_column_is_direct_phase_formula_bit_for_bit(m):
+    # the unit-root table holds the direct phase expression's values exactly
+    rng = np.random.default_rng(m)
+    weights = rng.normal(0, 2.0, m)
+    rows = make_sampling_plan(m, 0.3, seed=4).indices
+    op = RowSampledIdftOperator(weights, rows)
+    for k in (0, 1, m - 1, m, -3):
+        phase = (rows * (k % m)) % m * (2 * np.pi / m)
+        expected = np.empty(rows.size, dtype=complex)
+        expected.real = np.cos(phase)
+        expected.imag = np.sin(phase)
+        expected *= weights[rows] / math.sqrt(m)
+        col = op.column(k)
+        assert np.array_equal(col, expected)
+        # a caller writing into a column leaves the shared table intact
+        col[:] = 0
+        assert np.array_equal(op.column(k), expected)
+
+
 def test_full_fraction_operator_is_unsampled_system():
     rng = np.random.default_rng(3)
     m = 64
