@@ -20,8 +20,18 @@ projection with the residual constraint active at the model-exact
 disturbance scale (eta*T_i*eps_i, known here because the harness owns the
 simulation ground truth); the variable-based estimator uses the configured
 ``k_max``: the closed-form DC projection at 1, for which the stop tolerance
-is immaterial, and OMP above it.  The coherence diagnostic builds the
-row-sampled IDFT operator of each model.
+is immaterial, and OMP above it.  Every one-atom fit runs as one cell pass
+per (seed, fraction, estimator) over all sub-channels
+(:func:`~csqkd.estimators.fit_cell_variables`,
+:func:`~csqkd.estimators.fit_cell_statistics`); OMP runs per sub-channel.
+Measured variances are taken once per seed.  The coherence diagnostic builds
+the row-sampled IDFT operator of each model.
+
+A (fraction, estimator) cell with no usable estimate over all seeds keeps its
+``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
+the key-rate cell (largest fraction, first seed) gets NaN key-rate columns,
+so every grid writes the same row counts.  Each table is written with one
+``%`` template per row type: ``%.12g`` for float fields, ``%s`` otherwise.
 
 Configs are validated on construction, so a bad grid fails before any
 simulation starts.
@@ -35,6 +45,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -53,13 +64,20 @@ from .channel import (
     sample_lognormal_transmittances,
     simulate_block,
 )
-from .estimators import (
+# perfbench/tracing.py wraps names in this module, so block_variances and
+# estimate_subchannel_statistics stay importable here though the sweep does
+# not call them
+from .estimators import (  # noqa: F401
+    AggregateEstimate,
     SubChannelEstimate,
     aggregate_estimates,
     block_variances,
     estimate_subchannel_statistics,
     estimate_subchannel_variables,
+    fit_cell_statistics,
+    fit_cell_variables,
     measured_variance,
+    subblock_variances,
 )
 from .sensing import OmpConfig, RowSampledIdftOperator, make_sampling_plan, mutual_incoherence
 from .security import secret_key_rate, summary_from_means
@@ -389,31 +407,32 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
-def _statistics_estimate(
+def _cell_estimates(
+    estimator: str,
     dataset: QuadratureDataset,
-    ensemble: SubChannelEnsemble,
+    measured: list,
+    plans: list,
     config: ExperimentConfig,
-    channel: int,
-    plan,
-) -> SubChannelEstimate:
+    statistics_configs: list[OmpConfig],
+) -> list[SubChannelEstimate]:
+    """Estimates of every sub-channel of one (seed, fraction, estimator) cell."""
     params = config.protocol
-    sub = ensemble.channels[channel]
-    scale = params.detector_efficiency * sub.transmittance * sub.excess_noise
-    cfg = OmpConfig(k_max=1, noise_scale=scale, shrink_to_delta=True)
-    if config.variance_mode == "replicated":
-        measured = measured_variance(dataset.bob[channel])
-    else:
-        measured = block_variances(dataset.bob[channel], config.variance_blocks)
-    return estimate_subchannel_statistics(
-        measured,
-        params,
-        sub.block_length,
-        plan,
-        omp=cfg,
-        mode=config.variance_mode,
-        noise_floor=0.0 if dataset.zero_noise else None,
-        index=channel,
-    )
+    if estimator == "statistics":
+        return fit_cell_statistics(
+            measured,
+            params,
+            plans,
+            omp=statistics_configs,
+            mode=config.variance_mode,
+            noise_floor=0.0 if dataset.zero_noise else None,
+        )
+    if config.k_max == 1:
+        return fit_cell_variables(dataset.alice, dataset.bob, plans, params)
+    omp = OmpConfig(k_max=config.k_max)
+    return [
+        estimate_subchannel_variables(x, y, plan, params, omp=omp, index=i)
+        for i, (x, y, plan) in enumerate(zip(dataset.alice, dataset.bob, plans))
+    ]
 
 
 def run_sweep(config: ExperimentConfig) -> RunReport:
@@ -426,15 +445,31 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
 
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
-        t_true = ensemble.transmittances
-        eps_true = ensemble.excess_noises
+        t_true = ensemble.transmittances.tolist()
+        eps_true = ensemble.excess_noises.tolist()
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
+        # the statistics fit keeps its residual bound at the model-exact
+        # disturbance scale eta*T_i*eps_i of each sub-channel
+        statistics_configs = [
+            OmpConfig(
+                k_max=1,
+                noise_scale=params.detector_efficiency * sub.transmittance * sub.excess_noise,
+                shrink_to_delta=True,
+            )
+            for sub in ensemble.channels
+        ]
 
         # per-seed estimates
-        keyrate_aggregates: dict[str, object] = {}
+        keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, np.ndarray]]] = {}
         for seed in config.seeds:
             dataset = simulate_block(ensemble, params, seed=_derived_seed(seed, d_idx))
+            measured: list = []
+            if "statistics" in config.estimator_names:
+                if config.variance_mode == "replicated":
+                    measured = [measured_variance(y) for y in dataset.bob]
+                else:
+                    measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
             for f_idx, fraction in enumerate(fractions):
                 plans = [
                     make_sampling_plan(
@@ -445,46 +480,28 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                     for i in range(ensemble.count)
                 ]
                 for estimator in config.estimator_names:
-                    estimates: list[SubChannelEstimate] = []
-                    for i in range(ensemble.count):
-                        if estimator == "variables":
-                            est = estimate_subchannel_variables(
-                                dataset.alice[i],
-                                dataset.bob[i],
-                                plans[i],
-                                params,
-                                omp=OmpConfig(k_max=config.k_max),
-                                index=i,
-                            )
-                        else:
-                            est = _statistics_estimate(dataset, ensemble, config, i, plans[i])
-                        estimates.append(est)
-                        report.estimate_rows.append(
-                            EstimateRow(
-                                distance=distance,
-                                subchannel=i,
-                                fraction=fraction,
-                                seed=seed,
-                                estimator=estimator,
-                                t_true=float(t_true[i]),
-                                t_hat=est.t_hat,
-                                eps_true=float(eps_true[i]),
-                                eps_hat=est.eps_hat,
-                                residual=est.residual_norm,
-                                flags=";".join(est.flags),
-                            )
+                    estimates = _cell_estimates(
+                        estimator, dataset, measured, plans, config, statistics_configs
+                    )
+                    report.estimate_rows.extend(
+                        EstimateRow(
+                            distance, i, fraction, seed, estimator, t_true[i], est.t_hat,
+                            eps_true[i], est.eps_hat, est.residual_norm, ";".join(est.flags),
                         )
+                        for i, est in enumerate(estimates)
+                    )
                     usable = [e for e in estimates if e.usable]
+                    cell = per_cell.setdefault((fraction, estimator), [])
                     if usable:
-                        idx = [e.index for e in usable]
-                        pair = (
-                            np.array([(e.t_hat, e.eps_hat) for e in usable]),
-                            np.array([(t_true[i], eps_true[i]) for i in idx]),
+                        cell.append(
+                            (
+                                np.array([(e.t_hat, e.eps_hat) for e in usable]),
+                                np.array([(t_true[e.index], eps_true[e.index]) for e in usable]),
+                            )
                         )
-                        per_cell.setdefault((fraction, estimator), []).append(pair)
                     if seed == keyrate_seed and fraction == keyrate_fraction:
-                        keyrate_aggregates[estimator] = aggregate_estimates(
-                            estimates, ensemble.probabilities
+                        keyrate_aggregates[estimator] = (
+                            aggregate_estimates(estimates, ensemble.probabilities) if usable else None
                         )
                 # coherence diagnostics, once per (fraction, channel, model)
                 if seed == config.seeds[0]:
@@ -512,32 +529,44 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                             )
 
         for (fraction, estimator), pairs in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            hat = np.vstack([p[0] for p in pairs])
-            true = np.vstack([p[1] for p in pairs])
+            # a cell with no usable estimate over all seeds keeps its row, as NaN
+            mse_t = mse_eps = math.nan
+            if pairs:
+                hat = np.vstack([p[0] for p in pairs])
+                true = np.vstack([p[1] for p in pairs])
+                mse_t = compute_mse(hat[:, 0], true[:, 0])
+                mse_eps = compute_mse(hat[:, 1], true[:, 1])
             report.mse_rows.append(
                 MseRow(
                     distance=distance,
                     fraction=fraction,
                     estimator=estimator,
                     seeds=len(config.seeds),
-                    mse_t=compute_mse(hat[:, 0], true[:, 0]),
-                    mse_eps=compute_mse(hat[:, 1], true[:, 1]),
+                    mse_t=mse_t,
+                    mse_eps=mse_eps,
                 )
             )
 
-        # key rates under true and estimated summaries
+        # key rates under true and estimated summaries; an estimator with no
+        # usable estimate in the key-rate cell gets NaN rates
         summaries = {"true": summary_from_means(t_mean, sqrt_t_mean, eps_mean, source="true")}
         for estimator, aggregate in keyrate_aggregates.items():
-            summaries[f"estimated-{estimator}"] = summary_from_means(
+            source = f"estimated-{estimator}"
+            summaries[source] = None if aggregate is None else summary_from_means(
                 aggregate.t_mean_clamped,
                 aggregate.sqrt_t_mean,
                 aggregate.eps_mean_clamped,
-                source=f"estimated-{estimator}",
+                source=source,
             )
         for detection in config.detections:
             det_params = dataclasses.replace(params, detection=detection)
             for source in ("true", "estimated-variables", "estimated-statistics"):
                 if source not in summaries:
+                    continue
+                if summaries[source] is None:
+                    report.keyrate_rows.append(
+                        KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan)
+                    )
                     continue
                 rate = secret_key_rate(summaries[source], det_params)
                 report.keyrate_rows.append(
@@ -553,21 +582,19 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        if value != value:  # NaN
-            return "nan"
-        return format(value, ".12g")
-    return str(value)
+def _row_template(row_type: type) -> str:
+    """One ``%`` format for a row dataclass: floats as ``%.12g``, the rest as str."""
+    fields = dataclasses.fields(row_type)
+    return ",".join("%.12g" if f.type in (float, "float") else "%s" for f in fields) + "\n"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], row_type: type, rows: Sequence) -> None:
+    """Write ``rows`` (instances of the dataclass ``row_type``) under ``header``."""
+    template = _row_template(row_type)
+    values = operator.attrgetter(*(f.name for f in dataclasses.fields(row_type)))
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join([template % values(row) for row in rows]))
 
 
 def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
@@ -585,26 +612,26 @@ def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         files["estimates"],
         ["distance", "subchannel", "fraction", "seed", "estimator",
          "T_true", "T_hat", "eps_true", "eps_hat", "residual", "flags"],
-        [
-            (r.distance, r.subchannel, r.fraction, r.seed, r.estimator,
-             r.t_true, r.t_hat, r.eps_true, r.eps_hat, r.residual, r.flags)
-            for r in report.estimate_rows
-        ],
+        EstimateRow,
+        report.estimate_rows,
     )
     _write_csv(
         files["mse"],
         ["distance", "fraction", "estimator", "seeds", "MSE_T", "MSE_eps"],
-        [(r.distance, r.fraction, r.estimator, r.seeds, r.mse_t, r.mse_eps) for r in report.mse_rows],
+        MseRow,
+        report.mse_rows,
     )
     _write_csv(
         files["keyrate"],
         ["distance", "detection", "source", "I_AB", "chi_BE", "K"],
-        [(r.distance, r.detection, r.source, r.i_ab, r.chi_be, r.k) for r in report.keyrate_rows],
+        KeyrateRow,
+        report.keyrate_rows,
     )
     _write_csv(
         files["mip"],
         ["distance", "subchannel", "fraction", "model", "mip", "subsampled"],
-        [(r.distance, r.subchannel, r.fraction, r.model, r.mip, r.subsampled) for r in report.mip_rows],
+        MipRow,
+        report.mip_rows,
     )
     manifest = {
         "config_hash": report.config_hash,

@@ -15,8 +15,9 @@ data keeps the complex FFT.  Columns gather exp(2i*pi*j/m) from a table built
 once per block length, equal bit for bit to the direct cos/sin expression.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
-:func:`dc_fit` computes it in closed form without an operator; OMP serves
-larger atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
+:func:`dc_project` computes it in closed form without an operator, for a
+stack of fits at once (:func:`dc_fit` is its one-fit case); OMP serves larger
+atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
 correlations updated through Gram columns A^H a_k (circular shifts of one
 transform), and small normal-equation refits, so a solve runs two
 transforms and no dense least squares.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,7 +88,8 @@ def make_sampling_plan(m: int, fraction: float, seed: int) -> SamplingPlan:
     """Choose max(1, round(fraction * m)) distinct indices from 0..m-1.
 
     fraction = 1 keeps every index (identity selection).  Deterministic for a
-    fixed seed.
+    fixed seed.  The draw skips the generator's final shuffle, which the
+    sorted index set does not see.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -97,7 +100,7 @@ def make_sampling_plan(m: int, fraction: float, seed: int) -> SamplingPlan:
         indices = np.arange(m, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        indices = np.sort(rng.choice(m, size=m_s, replace=False)).astype(np.int64)
+        indices = np.sort(rng.choice(m, size=m_s, replace=False, shuffle=False)).astype(np.int64)
     return SamplingPlan(length=m, fraction=fraction, seed=seed, indices=indices)
 
 
@@ -192,7 +195,7 @@ class OmpConfig:
     """Solver knobs shared by the estimators.
 
     ``k_max = 1``, the budget of a constant sub-channel, is the closed-form
-    DC projection of :func:`dc_fit`; a larger budget runs :func:`omp_solve`.
+    DC projection of :func:`dc_project`; a larger budget runs :func:`omp_solve`.
     ``delta`` is an absolute residual tolerance; when it is None the
     estimators derive one from ``noise_scale`` (the known or estimated
     per-entry disturbance amplitude) as delta ~ sqrt(m_s) * noise_scale.
@@ -363,21 +366,74 @@ def _cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for every row of b (a 1-d ``a`` is shared by all rows).
+
+    A stacked matmul keeps the bits of the 1-d ``a[i] @ b[i]`` (one BLAS dot
+    per row), which a row sum of a * b does not.
+    """
+    return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class DcProjection(NamedTuple):
+    """Row-wise one-atom fits on the DC column, one entry per row."""
+
+    gain: np.ndarray
+    residual_norm: np.ndarray
+    degenerate: np.ndarray
+    #: w_s.w_s and y_s.y_s, which the estimators' plug-ins reuse
+    ww: np.ndarray
+    yy: np.ndarray
+
+
+def dc_project(
+    weights: np.ndarray,
+    measurement: np.ndarray,
+    delta: float | np.ndarray = 0.0,
+    shrink_to_delta: bool | np.ndarray = False,
+) -> DcProjection:
+    """Closed-form one-atom fits of each row of ``measurement`` on the DC column.
+
+    Row i of ``weights`` and ``measurement`` holds the sampled entries w_s and
+    y_s of one fit; a 1-d ``weights`` is shared by every row.  ``delta`` and
+    ``shrink_to_delta`` are scalars or one entry per row.  The DC column of
+    Phi diag(w) Psi is w_s / sqrt(m), so the least-squares gain
+    g = w_s.y_s / w_s.w_s is the constant value of the transfer vector that
+    :func:`omp_solve` returns whenever it selects the DC atom.  Its semantics
+    are kept: no atom when ||y_s|| <= ``delta``, and the ``shrink_to_delta``
+    factor max(0, 1 - delta / ||g w_s||).  A zero column (w_s.w_s = 0) is
+    reported as a degenerate support with g = 0, whatever ``delta`` is.
+    """
+    y = np.asarray(measurement, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if y.ndim != 2 or w.shape not in (y.shape, y.shape[1:]):
+        raise ValueError("measurement must be 2-d rows, weights one row each or one shared row")
+    delta = np.asarray(delta, dtype=float)
+    if (delta < 0).any():
+        raise ValueError("delta must be >= 0")
+    ww = _row_dots(w, w) if w.ndim == 2 else np.full(y.shape[0], w @ w)
+    yy = _row_dots(y, y)
+    degenerate = ww == 0
+    fit = np.sqrt(yy) > delta
+    fit &= ~degenerate
+    gain = np.divide(_row_dots(w, y), ww, out=np.zeros(y.shape[0]), where=fit)
+    shrink = np.asarray(shrink_to_delta, dtype=bool)
+    if shrink.any():
+        fitted_norm = np.abs(gain) * np.sqrt(ww)
+        shrink = shrink & fit & (delta > 0) & (fitted_norm > 0)
+        ratio = np.divide(delta, fitted_norm, out=np.zeros(y.shape[0]), where=shrink)
+        gain *= np.where(shrink, np.maximum(0.0, 1.0 - ratio), 1.0)
+    residual = y - gain[:, None] * w
+    return DcProjection(gain, np.sqrt(_row_dots(residual, residual)), degenerate, ww, yy)
+
+
 def dc_fit(
     weights: np.ndarray,
     measurement: np.ndarray,
     delta: float = 0.0,
     shrink_to_delta: bool = False,
 ) -> tuple[float, float, bool]:
-    """Closed-form one-atom fit of ``measurement`` on the DC column.
-
-    ``weights`` and ``measurement`` are the sampled entries w_s and y_s.  The
-    DC column of Phi diag(w) Psi is w_s / sqrt(m), so the least-squares gain
-    g = w_s.y_s / w_s.w_s is the constant value of the transfer vector that
-    :func:`omp_solve` returns whenever it selects the DC atom.  Its
-    semantics are kept: no atom when ||y_s|| <= ``delta``, the
-    ``shrink_to_delta`` factor max(0, 1 - delta / ||g w_s||), and a zero
-    column reported as a degenerate support.
+    """One fit of :func:`dc_project`: 1-d sampled entries w_s and y_s.
 
     Returns (g, ||y_s - g w_s||, degenerate_support).
     """
@@ -385,20 +441,8 @@ def dc_fit(
     y = np.asarray(measurement, dtype=float)
     if w.ndim != 1 or w.shape != y.shape:
         raise ValueError("weights and measurement must be 1-d arrays of equal length")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    y_norm = float(np.linalg.norm(y))
-    if y_norm <= delta:
-        return 0.0, y_norm, False
-    ww = float(w @ w)
-    if ww == 0:
-        return 0.0, y_norm, True
-    gain = float(w @ y) / ww
-    if shrink_to_delta and delta > 0:
-        fitted_norm = abs(gain) * math.sqrt(ww)
-        if fitted_norm > 0:
-            gain *= max(0.0, 1.0 - delta / fitted_norm)
-    return gain, float(np.linalg.norm(y - gain * w)), False
+    fit = dc_project(w, y[None, :], delta, shrink_to_delta)
+    return float(fit.gain[0]), float(fit.residual_norm[0]), bool(fit.degenerate[0])
 
 
 def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> float:

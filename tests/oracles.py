@@ -4,9 +4,12 @@ Everything here is deliberately brute-force and shares no code path with the
 package: direct O(m^2) transforms and the dense IDFT basis, an
 explicit-matrix operator and the dense-Gram coherence, exhaustive subset
 fits, plain OMP (a fresh adjoint and an lstsq refit per atom, sharing only
-the operators with the package's Batch-OMP solver), and a numeric
+the operators with the package's Batch-OMP solver), the one-atom estimates
+in scalar arithmetic (one dot product per call), and a numeric
 Gaussian-state pipeline (build the full covariance matrix, apply symplectic
-beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|).
+beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|),
+and the per-value CSV field formatter that the report writer's row templates
+replaced.
 """
 
 from __future__ import annotations
@@ -209,6 +212,54 @@ def omp_reference(
         residual_history=history,
         degenerate_support=degenerate,
     )
+
+
+def csv_field(value) -> str:
+    """One CSV field as the report writer formatted it value by value."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        if value != value:  # NaN
+            return "nan"
+        return format(value, ".12g")
+    return str(value)
+
+
+def scalar_dc_estimate(weights_s, y_s, delta=0.0, shrink=False):
+    """One-atom DC fit and the gain in plain scalar arithmetic, one BLAS dot
+    at a time: (gain, residual norm); gain 0 when no atom fits."""
+    y_norm = float(np.linalg.norm(y_s))
+    ww = float(weights_s @ weights_s)
+    gain = 0.0
+    if y_norm > delta and ww != 0:
+        gain = float(weights_s @ y_s) / ww
+        if shrink and delta > 0 and abs(gain) * math.sqrt(ww) > 0:
+            gain *= max(0.0, 1.0 - delta / (abs(gain) * math.sqrt(ww)))
+    return gain, float(np.linalg.norm(y_s - gain * weights_s))
+
+
+def scalar_variables_estimate(x_s, y_s, eta, floor, delta=0.0, shrink=False):
+    """(T_hat, eps_hat, residual) of the one-atom variables fit; T_hat is
+    None when the gain is <= 0."""
+    gain, residual = scalar_dc_estimate(x_s, y_s, delta, shrink)
+    if gain <= 0:
+        return None, None, residual
+    m_s = y_s.size
+    t_hat = gain**2 / eta
+    eps_hat = (float(y_s @ y_s) - eta * t_hat * float(x_s @ x_s) - m_s * floor) / (m_s * eta * t_hat)
+    return t_hat, eps_hat, residual
+
+
+def scalar_statistics_estimate(r_s, v_a, eta, delta=0.0, shrink=False):
+    """(T_hat, eps_hat, residual) of the one-atom statistics fit of sampled
+    floor-removed variances r_s; T_hat is None when the gain is <= 0."""
+    m_s = r_s.size
+    gain, residual = scalar_dc_estimate(np.full(m_s, v_a), r_s, delta, shrink)
+    t_hat = gain / eta
+    if t_hat <= 0:
+        return None, None, residual
+    eps_hat = (float(r_s.sum()) - eta * t_hat * m_s * v_a) / (m_s * eta * t_hat)
+    return t_hat, eps_hat, residual
 
 
 def ls_transmittance(x_s: np.ndarray, y_s: np.ndarray, eta: float) -> float:

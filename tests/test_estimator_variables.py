@@ -10,9 +10,8 @@ from csqkd.estimators import (
     FLAG_DEGENERATE,
     FLAG_UNESTIMABLE,
     estimate_subchannel_variables,
-    screen_plan,
 )
-from csqkd.sensing import OmpConfig, SamplingPlan, make_sampling_plan
+from csqkd.sensing import OmpConfig, make_sampling_plan
 
 import oracles
 
@@ -124,15 +123,38 @@ def test_scaling_covariance_zero_noise():
     assert scaled.t_hat == pytest.approx(9.0 * base.t_hat, abs=1e-9)
 
 
-def test_screen_plan_replaces_degenerate_entries():
-    x = np.array([1.0, 0.0, 2.0, 1e-12, -3.0, 0.5, 0.9, -1.1])
-    plan = SamplingPlan(length=8, fraction=0.5, seed=4, indices=np.array([1, 2, 3, 4]))
-    screened = screen_plan(plan, x, modulation_variance=4.0)
-    assert screened.sample_count == 4
-    assert np.all(np.abs(x[screened.indices]) >= 1e-6 * 2.0)
-    assert {2, 4} <= set(screened.indices.tolist())
-    again = screen_plan(plan, x, modulation_variance=4.0)
-    assert np.array_equal(screened.indices, again.indices)
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_zero_weight_row_is_kept_and_only_all_zero_block_flagged(k_max):
+    # a zero Alice symbol adds nothing to the least-squares sums, so the row
+    # stays in the plan: its Bob symbol still feeds the excess-noise plug-in
+    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 2.0, 64)
+    y = 0.5 * x + rng.normal(size=64)
+    plan = make_sampling_plan(64, 0.5, seed=2)
+    zeroed = x.copy()
+    zeroed[plan.indices[:3]] = 0.0
+    zeroed[plan.indices[3]] = 1e-12
+    omp = OmpConfig(k_max=k_max)
+    est = estimate_subchannel_variables(zeroed, y, plan, params, omp=omp)
+    assert est.flags == ()
+    assert est.sample_count == plan.sample_count - 3
+    x_s, y_s = zeroed[plan.indices], y[plan.indices]
+    m_s = plan.sample_count
+    if k_max == 1:
+        gain = float(x_s @ y_s) / float(x_s @ x_s)
+        assert est.t_hat == gain**2 / 0.6
+    eps = (float(y_s @ y_s) - 0.6 * est.t_hat * float(x_s @ x_s) - m_s * 1.05) / (
+        m_s * 0.6 * est.t_hat
+    )
+    assert est.eps_hat == pytest.approx(eps, rel=1e-12)
+    # every sampled symbol zero: flagged, whatever the rest of the block holds
+    blank = x.copy()
+    blank[plan.indices] = 0.0
+    est = estimate_subchannel_variables(blank, y, plan, params, omp=omp)
+    assert est.flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
+    assert est.sample_count == 0
+    assert est.residual_norm == pytest.approx(float(np.linalg.norm(y_s)), rel=1e-15)
 
 
 @pytest.mark.parametrize("k_max", [1, 3])

@@ -11,7 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from csqkd.channel import DETECTIONS, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
+    EstimateRow,
     ExperimentConfig,
+    KeyrateRow,
+    MipRow,
+    MseRow,
     compute_mse,
     config_hash,
     load_config,
@@ -21,8 +25,11 @@ from csqkd.harness import (
     write_reports,
     _SCHEMA,
     _ensemble_for,
+    _write_csv,
 )
 from csqkd.security import secret_key_rate, summary_from_means
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "configs" / "golden.cfg"
@@ -355,6 +362,59 @@ def test_written_files_and_headers(tmp_path, fast_report):
     assert files["keyrate"].read_text().splitlines()[0] == "distance,detection,source,I_AB,chi_BE,K"
     assert files["mip"].read_text().splitlines()[0] == "distance,subchannel,fraction,model,mip,subsampled"
     assert files["manifest"].exists()
+
+
+def test_write_csv_templates_match_value_formatter(tmp_path):
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3]
+    tables = [
+        (EstimateRow, [EstimateRow(5.0, i, 0.1, 2**40 + i, "variables", v, -v, 1e-300, v, 0.0,
+                                   "degenerate_support;unestimable_transmittance")
+                       for i, v in enumerate(odd)]),
+        (MseRow, [MseRow(v, 1.0, "statistics", 16, v, math.nan) for v in odd]),
+        (KeyrateRow, [KeyrateRow(100.0, "homodyne", "estimated-variables", v, v, v) for v in odd]),
+        (MipRow, [MipRow(v, 3, 0.4, "variables", v, flag) for v in odd for flag in (False, True)]),
+    ]
+    for row_type, rows in tables:
+        path = tmp_path / f"{row_type.__name__}.csv"
+        header = [f.name for f in dataclasses.fields(row_type)]
+        _write_csv(path, header, row_type, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(oracles.csv_field(getattr(r, name)) for name in header) + "\n" for r in rows
+        )
+        assert path.read_bytes() == expected.encode()
+    _write_csv(tmp_path / "empty.csv", ["a", "b"], MseRow, [])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def test_sweep_without_usable_estimate_writes_nan_rows(tmp_path):
+    # at 100 km every estimate of this cell is unestimable; the sweep must
+    # still finish and write every row of the grid
+    config = dataclasses.replace(
+        preset_config("desk"),
+        distances_km=(100.0,),
+        subchannels=1,
+        block_length=256,
+        fractions=(0.02,),
+        seeds=(2,),
+        estimators="variables",
+        out_dir=str(tmp_path),
+    )
+    report = run_sweep(config)
+    assert all(r.flags for r in report.estimate_rows)
+    assert len(report.keyrate_rows) == 1 * len(config.detections) * 2
+    for row in report.keyrate_rows:
+        values = (row.i_ab, row.chi_be, row.k)
+        if row.source == "true":
+            assert all(math.isfinite(v) for v in values)
+        else:
+            assert row.source == "estimated-variables"
+            assert all(math.isnan(v) for v in values)
+    (mse,) = report.mse_rows
+    assert (mse.fraction, mse.estimator) == (0.02, "variables")
+    assert math.isnan(mse.mse_t) and math.isnan(mse.mse_eps)
+    files = write_reports(report, tmp_path)
+    assert files["mse"].read_text().splitlines()[1] == "100,0.02,variables,1,nan,nan"
+    assert files["keyrate"].read_text().count(",nan,nan,nan\n") == len(config.detections)
 
 
 def test_golden_config_runs_deterministically(tmp_path):
