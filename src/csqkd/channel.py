@@ -87,9 +87,10 @@ class SubChannel:
             raise ValueError(
                 f"sub-channel {self.index}: transmittance must be in (0, 1], got {self.transmittance}"
             )
-        if self.excess_noise < 0:
+        if not (math.isfinite(self.excess_noise) and self.excess_noise >= 0):
             raise ValueError(
-                f"sub-channel {self.index}: excess_noise must be >= 0, got {self.excess_noise}"
+                f"sub-channel {self.index}: excess_noise must be finite and >= 0, "
+                f"got {self.excess_noise}"
             )
         if not 0 <= self.probability <= 1:
             raise ValueError(
@@ -192,31 +193,51 @@ def build_ensemble(
     return SubChannelEnsemble(channels)
 
 
+def _csv_number(path: Path, row: int, column: str, text: str | None) -> float | None:
+    """A finite float from one table cell, None for a blank one."""
+    if text is None or not text.strip():
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row}, column {column!r}: expected a finite number, got {text!r}")
+    return value
+
+
 def read_transmittance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Read an ensemble table with header ``index,T,epsilon,p``.
 
-    The epsilon and p columns are optional.  Returns (T, epsilon-or-None,
-    p-or-None) ordered by row.
+    The epsilon and p columns are optional; one that is absent or blank on
+    every row is not used.  Returns (T, epsilon-or-None, p-or-None) ordered by
+    row.  A value that is not a finite number, a blank T, or a blank in an
+    optional column that other rows fill raises a ``ValueError`` naming the
+    file, the row (counted from 1 below the header) and the column.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "T" not in reader.fieldnames:
             raise ValueError(f"{path}: expected a header containing a 'T' column")
-        has_eps = "epsilon" in reader.fieldnames
-        has_p = "p" in reader.fieldnames
-        t_vals: list[float] = []
-        eps_vals: list[float] = []
-        p_vals: list[float] = []
-        for row in reader:
-            t_vals.append(float(row["T"]))
-            if has_eps and row["epsilon"] not in (None, ""):
-                eps_vals.append(float(row["epsilon"]))
-            if has_p and row["p"] not in (None, ""):
-                p_vals.append(float(row["p"]))
-    eps = np.array(eps_vals) if len(eps_vals) == len(t_vals) and t_vals else None
-    p = np.array(p_vals) if len(p_vals) == len(t_vals) and t_vals else None
-    return np.array(t_vals), eps, p
+        names = [name for name in ("T", "epsilon", "p") if name in reader.fieldnames]
+        columns: dict[str, list] = {name: [] for name in names}
+        for row, record in enumerate(reader, start=1):
+            for name in names:
+                columns[name].append(_csv_number(path, row, name, record[name]))
+    result = []
+    for name in ("T", "epsilon", "p"):
+        values = columns.get(name, [])
+        if name != "T" and all(v is None for v in values):
+            result.append(None)
+            continue
+        if None in values:
+            raise ValueError(
+                f"{path}: row {values.index(None) + 1}, column {name!r}: blank, "
+                "but a column must give a value on every row or on none"
+            )
+        result.append(np.array(values))
+    return tuple(result)
 
 
 def ensemble_from_csv(

@@ -17,16 +17,17 @@ With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
 is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
 (variables) or g/eta (statistics).  :func:`fit_cell_variables` and
-:func:`fit_cell_statistics` evaluate it for every sub-channel of one (seed,
-fraction) cell, gathering the sampled rows of a few sub-channels at a time
-under :data:`CHUNK_BYTES` per work array; at this budget the per-sub-channel
-estimators are their one-channel case.  A larger budget runs Batch-OMP
-(:func:`~csqkd.sensing.omp_solve`) per sub-channel over the row-sampled IDFT
-operator, and :func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and
-||Im h|| off the sparse coefficients s without synthesizing h.  A support
-without the DC column has mean(h) = 0 exactly, so such an estimate is flagged
-both ``off_dc_support`` and ``unestimable_transmittance`` and is excluded
-from aggregation.
+:func:`fit_cell_statistics` are the one implementation of each route: they
+evaluate the projection for every sub-channel of one (seed, fraction) cell,
+gathering the sampled rows of a few sub-channels at a time under
+:data:`CHUNK_BYTES` per work array, and the per-sub-channel estimators are
+their one-channel case.  A sub-channel whose config has a larger budget is
+then refitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the
+row-sampled IDFT operator, and :func:`transfer_moments` reads mean(h) =
+Re(s_0)/sqrt(m) and ||Im h|| off the sparse coefficients s without
+synthesizing h.  A support without the DC column has mean(h) = 0 exactly, so
+such an estimate is flagged both ``off_dc_support`` and
+``unestimable_transmittance`` and is excluded from aggregation.
 
 Every sampled row is used: a zero Alice symbol adds nothing to the
 least-squares sums, and its Bob symbol still enters the excess-noise plug-in.
@@ -47,12 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import ProtocolParams
 from .sensing import (
+    DcProjection,
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
@@ -142,8 +144,6 @@ def _cell_configs(omp: OmpConfig | Sequence[OmpConfig], count: int) -> list[OmpC
     configs = [omp] * count if isinstance(omp, OmpConfig) else list(omp)
     if len(configs) != count:
         raise ValueError(f"expected {count} solver configs, got {len(configs)}")
-    if any(c.k_max != 1 for c in configs):
-        raise ValueError("a cell fit is the one-atom closed form; k_max > 1 runs per sub-channel")
     return configs
 
 
@@ -168,20 +168,74 @@ def _estimates(
     eps_hat: np.ndarray,
     residual: np.ndarray,
     sample_count: np.ndarray,
+    imag_norm: np.ndarray,
     flags: Sequence[tuple[str, np.ndarray]],
 ) -> list[SubChannelEstimate]:
     """One estimate per row; ``flags`` pairs a flag with the rows that carry it."""
     names = [name for name, _ in flags]
     rows = zip(*(mask.tolist() for _, mask in flags))
     flag_rows = [tuple(n for n, on in zip(names, row) if on) if any(row) else () for row in rows]
+    columns = (t_hat, eps_hat, residual, sample_count, imag_norm)
     return [
         SubChannelEstimate(
-            index=first + j, t_hat=t, eps_hat=e, residual_norm=r, sample_count=n, flags=f
+            index=first + j, t_hat=t, eps_hat=e, residual_norm=r, sample_count=n, flags=f,
+            imag_norm=h,
         )
-        for j, (t, e, r, n, f) in enumerate(
-            zip(t_hat.tolist(), eps_hat.tolist(), residual.tolist(), sample_count.tolist(), flag_rows)
-        )
+        for j, (t, e, r, n, h, f) in enumerate(zip(*(c.tolist() for c in columns), flag_rows))
     ]
+
+
+def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[float, float]:
+    """mean(h) and ||Im h|| of h = Psi s, read off the coefficients s.
+
+    ``support`` holds every index where s may be nonzero.  mean(h) =
+    Re(s_0) / sqrt(m), exactly 0 for a support without the DC column.
+    Im h = (h - conj h) / 2i and conj h = Psi t with t_k = conj(s_(-k mod m)),
+    so unitarity gives ||Im h|| = ||s - t|| / 2, to which only the support and
+    its mirror contribute.
+    """
+    s = np.asarray(coefficients, dtype=np.complex128)
+    m = s.size
+    support = np.asarray(support, dtype=np.int64)
+    touched = np.union1d(support, (-support) % m)
+    imag_norm = 0.5 * float(np.linalg.norm(s[touched] - np.conj(s[(-touched) % m])))
+    return float(s[0].real) / math.sqrt(m), imag_norm
+
+
+def _omp_refit(
+    fit: DcProjection,
+    todo: np.ndarray,
+    start: int,
+    weights: Callable[[int], np.ndarray],
+    measurement: np.ndarray,
+    plans: Sequence[SamplingPlan],
+    configs: Sequence[OmpConfig],
+    delta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refit by Batch-OMP the chunk rows marked in ``todo``, in place.
+
+    Row j of the chunk is sub-channel i = ``start + j``: ``measurement[j]``
+    through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``.
+    Its gain becomes mean(h), read off the coefficients, and its residual
+    norm and degenerate flag in ``fit`` are overwritten.  Returns the chunk's
+    imaginary-residue norms and the rows whose support misses the DC column.
+    """
+    imag_norm = np.zeros(todo.size)
+    off_dc = np.zeros(todo.size, dtype=bool)
+    for j in np.flatnonzero(todo).tolist():
+        i = start + j
+        solution = omp_solve(
+            RowSampledIdftOperator(weights(i), plans[i].indices),
+            measurement[j],
+            k_max=configs[i].k_max,
+            delta=float(delta[i]),
+            shrink_to_delta=configs[i].shrink_to_delta,
+        )
+        fit.gain[j], imag_norm[j] = transfer_moments(solution.coefficients, solution.support)
+        fit.residual_norm[j] = solution.residual_norm
+        fit.degenerate[j] = solution.degenerate_support
+        off_dc[j] = solution.support.size > 0 and not np.any(solution.support == 0)
+    return imag_norm, off_dc
 
 
 def _variables_plug_in(
@@ -209,13 +263,14 @@ def _fit_variables(
     noise_floor: float | None,
     first: int = 0,
 ) -> list[SubChannelEstimate]:
-    """The one-atom variables fit of validated blocks, chunk by chunk."""
+    """The variables fit of validated blocks, chunk by chunk."""
     count = len(plans)
     m_s = _cell_sample_count(plans)
     eta = params.detector_efficiency
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.array([_resolve_delta(c, m_s, slack=1.1) for c in configs])
     shrink = np.array([c.shrink_to_delta for c in configs])
+    multi_atom = np.array([c.k_max > 1 for c in configs])
     chunks = _chunks(count, m_s)
     x_work = np.empty((chunks[0].stop, m_s))
     y_work = np.empty_like(x_work)
@@ -227,6 +282,11 @@ def _fit_variables(
             x_blocks[i].take(plans[i].indices, out=x_s[j])
             y_blocks[i].take(plans[i].indices, out=y_s[j])
         fit = dc_project(x_s, y_s, delta[chunk], shrink[chunk])
+        # a zero column has nothing to refit
+        imag_norm, off_dc = _omp_refit(
+            fit, multi_atom[chunk] & ~fit.degenerate, chunk.start,
+            x_blocks.__getitem__, y_s, plans, configs, delta,
+        )
         t_hat, eps_hat, unestimable = _variables_plug_in(fit.gain, fit.ww, fit.yy, m_s, eta, floor)
         estimates += _estimates(
             first + chunk.start,
@@ -234,7 +294,8 @@ def _fit_variables(
             eps_hat,
             fit.residual_norm,
             np.count_nonzero(x_s, axis=1),
-            ((FLAG_DEGENERATE, fit.degenerate), (FLAG_UNESTIMABLE, unestimable)),
+            imag_norm,
+            ((FLAG_DEGENERATE, fit.degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
         )
     return estimates
 
@@ -261,13 +322,13 @@ def fit_cell_variables(
     omp: OmpConfig | Sequence[OmpConfig] = OmpConfig(),
     noise_floor: float | None = None,
 ) -> list[SubChannelEstimate]:
-    """One-atom variables estimates of every sub-channel of one (seed, fraction) cell.
+    """Variables estimates of every sub-channel of one (seed, fraction) cell.
 
     Sub-channel i reads ``x_blocks[i]`` and ``y_blocks[i]`` at ``plans[i]``,
     whose sample counts must agree, and its estimate has index i.  ``omp``
-    holds one ``k_max = 1`` config for all sub-channels or one each.  The
-    result equals :func:`estimate_subchannel_variables` per sub-channel bit
-    for bit.
+    holds one config for all sub-channels or one each, of any ``k_max``.
+    The result equals :func:`estimate_subchannel_variables` per sub-channel
+    bit for bit.
     """
     configs = _cell_configs(omp, len(plans))
     if not len(x_blocks) == len(y_blocks) == len(plans):
@@ -279,50 +340,6 @@ def fit_cell_variables(
     return _fit_variables(
         [x for x, _ in blocks], [y for _, y in blocks], plans, params, configs, noise_floor
     )
-
-
-def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[float, float]:
-    """mean(h) and ||Im h|| of h = Psi s, read off the coefficients s.
-
-    ``support`` holds every index where s may be nonzero.  mean(h) =
-    Re(s_0) / sqrt(m), exactly 0 for a support without the DC column.
-    Im h = (h - conj h) / 2i and conj h = Psi t with t_k = conj(s_(-k mod m)),
-    so unitarity gives ||Im h|| = ||s - t|| / 2, to which only the support and
-    its mirror contribute.
-    """
-    s = np.asarray(coefficients, dtype=np.complex128)
-    m = s.size
-    support = np.asarray(support, dtype=np.int64)
-    touched = np.union1d(support, (-support) % m)
-    imag_norm = 0.5 * float(np.linalg.norm(s[touched] - np.conj(s[(-touched) % m])))
-    return float(s[0].real) / math.sqrt(m), imag_norm
-
-
-def _omp_gain(
-    weights: np.ndarray,
-    rows: np.ndarray,
-    measurement: np.ndarray,
-    omp: OmpConfig,
-    delta: float,
-) -> tuple[float, float, float, list[str]]:
-    """Mean of the transfer vector of one sub-channel reconstructed by OMP.
-
-    Reads mean(h) off the coefficients and flags a support that misses the
-    DC column.  Returns (mean(h), residual norm, imaginary-residue norm,
-    flags).
-    """
-    solution = omp_solve(
-        RowSampledIdftOperator(weights, rows),
-        measurement,
-        k_max=omp.k_max,
-        delta=delta,
-        shrink_to_delta=omp.shrink_to_delta,
-    )
-    gain, imag_norm = transfer_moments(solution.coefficients, solution.support)
-    flags = [FLAG_DEGENERATE] if solution.degenerate_support else []
-    if solution.support.size and not np.any(solution.support == 0):
-        flags.append(FLAG_OFF_DC)
-    return gain, solution.residual_norm, imag_norm, flags
 
 
 def estimate_subchannel_variables(
@@ -343,7 +360,8 @@ def estimate_subchannel_variables(
         omp: solver configuration; the default single-atom budget matches the
             constant-per-sub-channel transfer vector, whose analysis transform
             is one DC impulse, and is fitted in closed form (T_hat =
-            (x_s.y_s / x_s.x_s)^2 / eta) as the one-channel case of
+            (x_s.y_s / x_s.x_s)^2 / eta); a larger one runs OMP.  Either way
+            the estimate is the one-channel case of
             :func:`fit_cell_variables`.  The stop tolerance, when derived from
             ``noise_scale``, is 1.1 * sqrt(m_s) * noise_scale (the residual of
             the true solution concentrates near sqrt(m_s) * sigma).
@@ -352,43 +370,7 @@ def estimate_subchannel_variables(
             zero-noise mode, which carries no vacuum unit.
     """
     x, y = _variables_inputs(x_block, y_block, plan)
-    if omp.k_max == 1:
-        return _fit_variables([x], [y], [plan], params, [omp], noise_floor, first=index)[0]
-
-    rows = plan.indices
-    m_s = rows.size
-    x_s = x[rows]
-    y_s = y[rows]
-    xx = float(x_s @ x_s)
-    yy = float(y_s @ y_s)
-    if xx == 0:
-        # no sampled Alice symbol carries channel information
-        return SubChannelEstimate(
-            index=index,
-            t_hat=0.0,
-            eps_hat=math.nan,
-            residual_norm=math.sqrt(yy),
-            sample_count=int(np.count_nonzero(x_s)),
-            flags=(FLAG_DEGENERATE, FLAG_UNESTIMABLE),
-        )
-    eta = params.detector_efficiency
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = _resolve_delta(omp, m_s, slack=1.1)
-    gain, residual, imag_norm, flags = _omp_gain(x, rows, y_s, omp, delta)
-    t_hat, eps_hat, unestimable = _variables_plug_in(
-        np.array([gain]), np.array([xx]), np.array([yy]), m_s, eta, floor
-    )
-    if unestimable[0]:
-        flags.append(FLAG_UNESTIMABLE)
-    return SubChannelEstimate(
-        index=index,
-        t_hat=float(t_hat[0]),
-        eps_hat=float(eps_hat[0]),
-        residual_norm=residual,
-        sample_count=int(np.count_nonzero(x_s)),
-        flags=tuple(flags),
-        imag_norm=imag_norm,
-    )
+    return _fit_variables([x], [y], [plan], params, [omp], noise_floor, first=index)[0]
 
 
 def measured_variance(y_block: np.ndarray) -> float:
@@ -454,7 +436,7 @@ def _fit_statistics(
     noise_floor: float | None,
     first: int = 0,
 ) -> list[SubChannelEstimate]:
-    """The one-atom statistics fit of validated variances, chunk by chunk."""
+    """The statistics fit of validated variances, chunk by chunk."""
     count = len(plans)
     m_s = _cell_sample_count(plans)
     eta = params.detector_efficiency
@@ -462,6 +444,7 @@ def _fit_statistics(
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.array([_resolve_delta(c, m_s, slack=1.0) for c in configs])
     shrink = np.array([c.shrink_to_delta for c in configs])
+    multi_atom = np.array([c.k_max > 1 for c in configs])
     v_b = np.array([float(v) if mode == "replicated" else float(v.mean()) for v in measured])
     below = v_b <= floor - FLOOR_TOLERANCE
     weights = np.full(m_s, v_a)
@@ -476,9 +459,13 @@ def _fit_statistics(
             for j, i in enumerate(range(chunk.start, chunk.stop)):
                 r_s[j] = _sampled_variances(measured[i], mode, plans[i].indices, plans[i].length)
         r_s -= floor
-        fit = dc_project(weights, r_s, delta[chunk], shrink[chunk])
-        t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, r_s.sum(axis=1), m_s, eta, v_a)
         low = below[chunk]
+        fit = dc_project(weights, r_s, delta[chunk], shrink[chunk])
+        imag_norm, off_dc = _omp_refit(
+            fit, multi_atom[chunk] & ~low, chunk.start,
+            lambda i: np.full(plans[i].length, v_a), r_s, plans, configs, delta,
+        )
+        t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, r_s.sum(axis=1), m_s, eta, v_a)
         t_hat[low] = 0.0
         eps_hat[low] = math.nan
         residual = np.where(low, 0.0, fit.residual_norm)
@@ -488,9 +475,11 @@ def _fit_statistics(
             eps_hat,
             residual,
             np.full(t_hat.shape, m_s),
+            imag_norm,
             (
                 (FLAG_BELOW_FLOOR, low),
                 (FLAG_DEGENERATE, fit.degenerate & ~low),
+                (FLAG_OFF_DC, off_dc),
                 (FLAG_UNESTIMABLE, unestimable & ~low),
             ),
         )
@@ -526,15 +515,15 @@ def fit_cell_statistics(
     mode: str = "replicated",
     noise_floor: float | None = None,
 ) -> list[SubChannelEstimate]:
-    """One-atom statistics estimates of every sub-channel of one (seed, fraction) cell.
+    """Statistics estimates of every sub-channel of one (seed, fraction) cell.
 
     ``measured[i]`` is sub-channel i's scalar measured variance
     (``replicated``) or the variances of equal contiguous sub-blocks of its
     block (``blockwise``), any count that divides ``plans[i].length``; a
     per-entry vector is the one-sample-wide case.  The sampled entries are
     read off them without forming a length-m vector.  The plans' sample
-    counts must agree, and ``omp`` holds one ``k_max = 1`` config for all
-    sub-channels or one each.  The result equals
+    counts must agree, and ``omp`` holds one config for all sub-channels or
+    one each, of any ``k_max``.  The result equals
     :func:`estimate_subchannel_statistics` per sub-channel bit for bit,
     except that the below-floor test reads the mean of the sub-block
     variances rather than of their repetition.
@@ -571,8 +560,9 @@ def estimate_subchannel_statistics(
         plan: row-selection plan over m.
         omp: solver configuration; the default single-atom budget is the
             closed-form DC projection (T_hat = g/eta with g the least-squares
-            gain of the sampled floor-removed variances on V_A), run as the
-            one-channel case of :func:`fit_cell_statistics`.  The derived
+            gain of the sampled floor-removed variances on V_A), and a larger
+            one runs OMP, both as the one-channel case of
+            :func:`fit_cell_statistics`.  The derived
             stop tolerance is sqrt(m_s) * noise_scale with no slack: the
             in-model disturbance (eta*T*eps per entry) is deterministic, and
             keeping the residual constraint active via ``shrink_to_delta``
@@ -585,41 +575,7 @@ def estimate_subchannel_statistics(
     value = _statistics_input(measured, mode, block_length)
     if mode == "blockwise" and value.size != block_length:
         raise ValueError(f"blockwise mode expects a variance vector of length {block_length}")
-    if omp.k_max == 1:
-        return _fit_statistics([value], params, [plan], [omp], mode, noise_floor, first=index)[0]
-
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    v_b = value if mode == "replicated" else float(value.mean())
-    if v_b <= floor - FLOOR_TOLERANCE:
-        return SubChannelEstimate(
-            index=index,
-            t_hat=0.0,
-            eps_hat=math.nan,
-            residual_norm=0.0,
-            sample_count=plan.sample_count,
-            flags=(FLAG_BELOW_FLOOR,),
-        )
-    rows = plan.indices
-    m_s = rows.size
-    eta = params.detector_efficiency
-    v_a = params.modulation_variance
-    r_s = _sampled_variances(value, mode, rows, block_length) - floor
-    delta = _resolve_delta(omp, m_s, slack=1.0)
-    gain, residual, imag_norm, flags = _omp_gain(np.full(block_length, v_a), rows, r_s, omp, delta)
-    t_hat, eps_hat, unestimable = _statistics_plug_in(
-        np.array([gain]), np.array([r_s.sum()]), m_s, eta, v_a
-    )
-    if unestimable[0]:
-        flags.append(FLAG_UNESTIMABLE)
-    return SubChannelEstimate(
-        index=index,
-        t_hat=float(t_hat[0]),
-        eps_hat=float(eps_hat[0]),
-        residual_norm=residual,
-        sample_count=m_s,
-        flags=tuple(flags),
-        imag_norm=imag_norm,
-    )
+    return _fit_statistics([value], params, [plan], [omp], mode, noise_floor, first=index)[0]
 
 
 def aggregate_estimates(

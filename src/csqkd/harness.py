@@ -20,10 +20,10 @@ projection with the residual constraint active at the model-exact
 disturbance scale (eta*T_i*eps_i, known here because the harness owns the
 simulation ground truth); the variable-based estimator uses the configured
 ``k_max``: the closed-form DC projection at 1, for which the stop tolerance
-is immaterial, and OMP above it.  Every one-atom fit runs as one cell pass
-per (seed, fraction, estimator) over all sub-channels
+is immaterial, and OMP above it.  Each (seed, fraction, estimator) cell is one
+call into the cell fit over all sub-channels
 (:func:`~csqkd.estimators.fit_cell_variables`,
-:func:`~csqkd.estimators.fit_cell_statistics`); OMP runs per sub-channel.
+:func:`~csqkd.estimators.fit_cell_statistics`), whatever the atom budget.
 Measured variances are taken once per seed.  The coherence diagnostic builds
 the row-sampled IDFT operator of each model.
 
@@ -65,8 +65,8 @@ from .channel import (
     simulate_block,
 )
 # perfbench/tracing.py wraps names in this module, so block_variances and
-# estimate_subchannel_statistics stay importable here though the sweep does
-# not call them
+# both estimate_subchannel_* stay importable here though the sweep does not
+# call them
 from .estimators import (  # noqa: F401
     AggregateEstimate,
     SubChannelEstimate,
@@ -330,7 +330,7 @@ def compute_mse(estimates: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass
 class EstimateRow:
     distance: float
     subchannel: int
@@ -345,7 +345,7 @@ class EstimateRow:
     flags: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class MseRow:
     distance: float
     fraction: float
@@ -355,7 +355,7 @@ class MseRow:
     mse_eps: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class KeyrateRow:
     distance: float
     detection: str
@@ -365,7 +365,7 @@ class KeyrateRow:
     k: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class MipRow:
     distance: float
     subchannel: int
@@ -426,13 +426,9 @@ def _cell_estimates(
             mode=config.variance_mode,
             noise_floor=0.0 if dataset.zero_noise else None,
         )
-    if config.k_max == 1:
-        return fit_cell_variables(dataset.alice, dataset.bob, plans, params)
-    omp = OmpConfig(k_max=config.k_max)
-    return [
-        estimate_subchannel_variables(x, y, plan, params, omp=omp, index=i)
-        for i, (x, y, plan) in enumerate(zip(dataset.alice, dataset.bob, plans))
-    ]
+    return fit_cell_variables(
+        dataset.alice, dataset.bob, plans, params, OmpConfig(k_max=config.k_max)
+    )
 
 
 def run_sweep(config: ExperimentConfig) -> RunReport:

@@ -16,11 +16,10 @@ once per block length, equal bit for bit to the direct cos/sin expression.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
-stack of fits at once (:func:`dc_fit` is its one-fit case); OMP serves larger
-atom budgets.  :func:`omp_solve` is Batch-OMP: one adjoint A^H y,
-correlations updated through Gram columns A^H a_k (circular shifts of one
-transform), and small normal-equation refits, so a solve runs two
-transforms and no dense least squares.
+stack of fits at once; OMP serves larger atom budgets.  :func:`omp_solve` is
+Batch-OMP: one adjoint A^H y, correlations updated through Gram columns
+A^H a_k (circular shifts of one transform), and small normal-equation
+refits, so a solve runs two transforms and no dense least squares.
 """
 
 from __future__ import annotations
@@ -425,24 +424,6 @@ def dc_project(
         gain *= np.where(shrink, np.maximum(0.0, 1.0 - ratio), 1.0)
     residual = y - gain[:, None] * w
     return DcProjection(gain, np.sqrt(_row_dots(residual, residual)), degenerate, ww, yy)
-
-
-def dc_fit(
-    weights: np.ndarray,
-    measurement: np.ndarray,
-    delta: float = 0.0,
-    shrink_to_delta: bool = False,
-) -> tuple[float, float, bool]:
-    """One fit of :func:`dc_project`: 1-d sampled entries w_s and y_s.
-
-    Returns (g, ||y_s - g w_s||, degenerate_support).
-    """
-    w = np.asarray(weights, dtype=float)
-    y = np.asarray(measurement, dtype=float)
-    if w.ndim != 1 or w.shape != y.shape:
-        raise ValueError("weights and measurement must be 1-d arrays of equal length")
-    fit = dc_project(w, y[None, :], delta, shrink_to_delta)
-    return float(fit.gain[0]), float(fit.residual_norm[0]), bool(fit.degenerate[0])
 
 
 def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> float:

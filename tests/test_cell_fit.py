@@ -1,5 +1,6 @@
-"""One-atom cell fits: bit parity with the per-sub-channel estimators,
-chunking, degenerate rows, and rejection of non-finite inputs."""
+"""Cell fits: bit parity with the per-sub-channel estimators and, for
+multi-atom rows, with the per-sub-channel bodies they replaced; chunking,
+degenerate rows, and rejection of non-finite inputs."""
 
 import math
 import struct
@@ -12,6 +13,7 @@ from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import (
     FLAG_BELOW_FLOOR,
     FLAG_DEGENERATE,
+    FLAG_OFF_DC,
     FLAG_UNESTIMABLE,
     block_variances,
     estimate_subchannel_statistics,
@@ -21,7 +23,7 @@ from csqkd.estimators import (
     measured_variance,
     subblock_variances,
 )
-from csqkd.sensing import OmpConfig, dc_fit, make_sampling_plan
+from csqkd.sensing import OmpConfig, dc_project, make_sampling_plan
 
 import oracles
 
@@ -110,6 +112,16 @@ def _statistics_inputs(bob, mode):
     return per_cell, [block_variances(y, 20) for y in bob]
 
 
+def _statistics_configs(ens, k_max, shrink):
+    if not shrink:
+        return [OmpConfig(k_max=k_max)] * ens.count
+    return [
+        OmpConfig(k_max=k_max, noise_scale=PARAMS.detector_efficiency * s.transmittance * s.excess_noise,
+                  shrink_to_delta=True)
+        for s in ens.channels
+    ]
+
+
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
 def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, mode):
     ens, _, bob = _dataset()
@@ -126,11 +138,7 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, mode):
         low = np.full(m, 50.0)
         low[plans[3].indices] = floor - 0.01
         per_cell[3] = per_channel[3] = low
-    configs = [
-        OmpConfig(noise_scale=PARAMS.detector_efficiency * s.transmittance * s.excess_noise,
-                  shrink_to_delta=True)
-        for s in ens.channels
-    ]
+    configs = _statistics_configs(ens, 1, shrink=True)
     cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
     single = [
         estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, mode=mode, index=i)
@@ -146,6 +154,140 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, mode):
         delta = math.sqrt(rows.size) * configs[i].noise_scale
         reference = oracles.scalar_statistics_estimate(r_s, 4.0, 0.6, delta, shrink=True)
         assert_scalar_reference(cell[i], reference)
+
+
+# ---------------------------------------------------------------------------
+# multi-atom rows: parity with the per-sub-channel bodies they replaced
+# ---------------------------------------------------------------------------
+
+#: low transmittances at rows 2, 4 and 6 make OMP miss the DC column
+LOW_SNR_T = (0.5, 0.2, 0.003, 0.9, 0.002, 0.35, 0.001)
+
+
+def _low_snr_dataset(lengths=m):
+    ens = build_ensemble(LOW_SNR_T, excess_noise=0.02, block_length=lengths)
+    ds = simulate_block(ens, PARAMS, seed=7)
+    return ens, [x.copy() for x in ds.alice], [y.copy() for y in ds.bob]
+
+
+def _flagged(estimates, flag):
+    return {e.index for e in estimates if flag in e.flags}
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_multi_atom_variables_cell_matches_reference(chunk_rows, k_max, shrink):
+    _, alice, bob = _low_snr_dataset()
+    plans = _plans()
+    alice[1][:] = 0.0   # all-zero Alice block: no OMP solve
+    bob[5] = -bob[5]    # sign-flipped channel: negative DC coefficient
+    omp = OmpConfig(k_max=k_max, noise_scale=0.3, shrink_to_delta=shrink)
+    cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=omp)
+    reference = [
+        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
+        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+    ]
+    assert_identical(cell, reference)
+    assert cell[1].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
+    assert cell[5].flags == (FLAG_UNESTIMABLE,)
+    assert _flagged(cell, FLAG_OFF_DC) == {2, 4, 6}
+    assert all(cell[i].flags == (FLAG_OFF_DC, FLAG_UNESTIMABLE) for i in (2, 4, 6))
+    assert all(cell[i].flags == () and cell[i].imag_norm > 0 for i in (0, 3))
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_multi_atom_statistics_cell_matches_reference(chunk_rows, k_max, mode, shrink):
+    ens, _, bob = _low_snr_dataset()
+    plans = _plans()
+    bob[3] *= 0.5       # variance below the 1 + nu_el floor: no OMP solve
+    per_cell, per_channel = _statistics_inputs(bob, mode)
+    configs = _statistics_configs(ens, k_max, shrink)
+    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
+    reference = [
+        oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode=mode, index=i)
+        for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
+    ]
+    assert_identical(cell, reference)
+    assert cell[3].flags == (FLAG_BELOW_FLOOR,)
+    assert cell[0].flags == ()
+    if mode == "blockwise":
+        assert _flagged(cell, FLAG_OFF_DC) == {2, 6}
+        assert cell[0].imag_norm > 0
+
+
+@pytest.mark.parametrize("route", ["variables", "statistics"])
+def test_multi_atom_rank_deficient_support_matches_reference(route):
+    # 3 sampled rows cannot carry 4 independent atoms: OMP stops on a
+    # rank-deficient support, with or without the DC column in it
+    _, alice, bob = _low_snr_dataset()
+    plans = _plans(fraction=3 / m)
+    omp = OmpConfig(k_max=4)
+    if route == "variables":
+        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=omp)
+        reference = [
+            oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
+            for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+        ]
+    else:
+        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
+        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=omp, mode="blockwise")
+        reference = [
+            oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, omp, mode="blockwise", index=i)
+            for i, (v, p) in enumerate(zip(per_channel, plans))
+        ]
+    assert_identical(cell, reference)
+    flags = {e.flags for e in cell}
+    assert (FLAG_DEGENERATE,) in flags
+    assert (FLAG_DEGENERATE, FLAG_OFF_DC, FLAG_UNESTIMABLE) in flags
+
+
+@pytest.mark.parametrize("route", ["variables", "statistics"])
+def test_cell_mixing_one_and_three_atom_configs(chunk_rows, route):
+    # rows 2 and 3 run OMP and fall into different chunks of 3
+    ens, alice, bob = _low_snr_dataset()
+    plans = _plans()
+    three = (2, 3, 6)
+    configs = [OmpConfig(k_max=3 if i in three else 1) for i in range(M)]
+    if route == "variables":
+        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=configs)
+        one_atom = fit_cell_variables(alice, bob, plans, PARAMS)
+        reference = [
+            oracles.multi_atom_variables_estimate(alice[i], bob[i], plans[i], PARAMS, configs[i], index=i)
+            for i in three
+        ]
+    else:
+        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
+        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode="blockwise")
+        one_atom = fit_cell_statistics(per_cell, PARAMS, plans, mode="blockwise")
+        reference = [
+            oracles.multi_atom_statistics_estimate(
+                per_channel[i], PARAMS, m, plans[i], configs[i], mode="blockwise", index=i
+            )
+            for i in three
+        ]
+    assert_identical([cell[i] for i in three], reference)
+    assert_identical([e for e in cell if e.index not in three], [e for e in one_atom if e.index not in three])
+    assert _flagged(cell, FLAG_OFF_DC) == {2, 6}
+
+
+@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
+def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
+    # blocks of 400 and 200 sampled at 120 rows each: each OMP operator
+    # spans its own block length
+    lengths = [m] * 4 + [m // 2] * 3
+    ens, _, bob = _low_snr_dataset(lengths)
+    plans = [make_sampling_plan(n, 120 / n, seed=5 + i) for i, n in enumerate(lengths)]
+    assert {p.sample_count for p in plans} == {120}
+    per_cell, per_channel = _statistics_inputs(bob, mode)
+    configs = _statistics_configs(ens, 3, shrink=True)
+    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
+    reference = [
+        oracles.multi_atom_statistics_estimate(v, PARAMS, n, p, c, mode=mode, index=i)
+        for i, (v, n, p, c) in enumerate(zip(per_channel, lengths, plans, configs))
+    ]
+    assert_identical(cell, reference)
 
 
 @pytest.mark.parametrize("gain", [14.530216986498635, 8.415343471753795e-05, 0.00105462862336806])
@@ -172,8 +314,6 @@ def test_cell_rejects_mixed_inputs():
     plans = _plans()
     with pytest.raises(ValueError, match="share one sample count"):
         fit_cell_variables(alice, bob, plans[:-1] + [make_sampling_plan(m, 0.5, seed=1)], PARAMS)
-    with pytest.raises(ValueError, match="k_max > 1"):
-        fit_cell_variables(alice, bob, plans, PARAMS, omp=OmpConfig(k_max=2))
     with pytest.raises(ValueError, match="solver configs"):
         fit_cell_statistics([4.0] * M, PARAMS, plans, omp=[OmpConfig()] * (M - 1))
     with pytest.raises(ValueError, match="one entry per sub-channel"):
@@ -185,8 +325,10 @@ def test_cell_rejects_mixed_inputs():
 def test_zero_weights_are_degenerate_whatever_delta():
     # a zero column is degenerate even when delta already covers ||y||
     y = np.array([0.1, -0.1, 0.05])
-    assert dc_fit(np.zeros(3), y, delta=1.0) == (0.0, float(np.linalg.norm(y)), True)
-    assert dc_fit(np.ones(3), y, delta=1.0) == (0.0, float(np.linalg.norm(y)), False)
+    fit = dc_project(np.stack([np.zeros(3), np.ones(3)]), np.stack([y, y]), delta=1.0)
+    assert fit.gain.tolist() == [0.0, 0.0]
+    assert fit.residual_norm.tolist() == [float(np.linalg.norm(y))] * 2
+    assert fit.degenerate.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

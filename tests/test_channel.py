@@ -73,6 +73,49 @@ def test_csv_optional_columns(tmp_path):
     assert ens.channels[1].probability == 0.75
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_subchannel_rejects_non_finite_excess_noise(bad):
+    with pytest.raises(ValueError, match="sub-channel 2: excess_noise must be finite"):
+        SubChannel(index=2, transmittance=0.5, excess_noise=bad, probability=0.5, block_length=10)
+
+
+@pytest.mark.parametrize(
+    "table, row, column",
+    [
+        ("index,T,epsilon,p\n0,0.5,0.07,0.5\n1,0.4,,0.5\n", 2, "epsilon"),
+        ("index,T,epsilon,p\n0,0.5,,0.5\n1,0.4,0.07,0.5\n", 1, "epsilon"),
+        ("index,T,epsilon,p\n0,0.5,0.07,0.5\n1,0.4,0.07,\n", 2, "p"),
+        ("index,T,p\n0,0.5,0.5\n1,0.4\n", 2, "p"),
+    ],
+)
+def test_csv_partly_filled_column_rejected(tmp_path, table, row, column):
+    # a partial column may not fall back to the config default
+    path = tmp_path / "ens.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError, match=f"ens.csv: row {row}, column '{column}': blank"):
+        read_transmittance_csv(path)
+
+
+@pytest.mark.parametrize("column", ["T", "epsilon", "p"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc", ""])
+def test_csv_non_finite_value_rejected(tmp_path, column, text):
+    cells = {"T": "0.4", "epsilon": "0.02", "p": "0.5"}
+    cells[column] = text
+    path = tmp_path / "ens.csv"
+    path.write_text(f"index,T,epsilon,p\n0,0.5,0.01,0.5\n1,{cells['T']},{cells['epsilon']},{cells['p']}\n")
+    reason = "blank" if text == "" else "expected a finite number"
+    with pytest.raises(ValueError, match=f"ens.csv: row 2, column '{column}': {reason}"):
+        read_transmittance_csv(path)
+
+
+def test_csv_blank_optional_columns_are_unused(tmp_path):
+    path = tmp_path / "ens.csv"
+    path.write_text("index,T,epsilon,p\n0,0.4,,\n1,0.8,,\n")
+    t, eps, p = read_transmittance_csv(path)
+    assert t.tolist() == [0.4, 0.8]
+    assert eps is None and p is None
+
+
 def test_experiment_scale_ensemble():
     ens = build_ensemble(np.full(100, 0.3), block_length=10_000)
     assert ens.count == 100

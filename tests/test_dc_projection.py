@@ -17,7 +17,7 @@ from csqkd.estimators import (
 from csqkd.sensing import (
     OmpConfig,
     RowSampledIdftOperator,
-    dc_fit,
+    dc_project,
     make_sampling_plan,
     omp_solve,
     unitary_idft,
@@ -36,13 +36,13 @@ def _omp_reference(weights, rows, y_s, delta=0.0, shrink=False):
 
 
 def _assert_parity(weights, rows, y_s, delta=0.0, shrink=False):
-    """dc_fit agrees with OMP on a DC-selected case; returns the gain."""
+    """dc_project agrees with OMP on a DC-selected case; returns the gain."""
     support, ref_gain, ref_residual = _omp_reference(weights, rows, y_s, delta, shrink)
     assert support == [0]
-    gain, residual, degenerate = dc_fit(weights[rows], y_s, delta=delta, shrink_to_delta=shrink)
-    assert not degenerate
-    assert abs(gain - ref_gain) <= TOL * max(1.0, abs(ref_gain))
-    assert abs(residual - ref_residual) <= TOL * max(1.0, ref_residual)
+    fit = dc_project(weights[rows], y_s[None, :], delta, shrink)
+    assert not fit.degenerate[0]
+    assert abs(fit.gain[0] - ref_gain) <= TOL * max(1.0, abs(ref_gain))
+    assert abs(fit.residual_norm[0] - ref_residual) <= TOL * max(1.0, ref_residual)
     return ref_gain
 
 
@@ -118,7 +118,7 @@ def test_variables_shrink_to_delta_matches_omp():
     rows = make_sampling_plan(x.size, 0.4, seed=4).indices
     delta = 0.5 * float(np.linalg.norm(y[rows]))
     gain = _assert_parity(x, rows, y[rows], delta=delta, shrink=True)
-    unshrunk, _, _ = dc_fit(x[rows], y[rows])
+    unshrunk = dc_project(x[rows], y[rows][None, :]).gain[0]
     assert 0 < gain < unshrunk
 
 
@@ -130,32 +130,38 @@ def test_no_atom_when_delta_covers_measurement(factor):
     y_norm = float(np.linalg.norm(y[rows]))
     support, ref_gain, ref_residual = _omp_reference(x, rows, y[rows], delta=factor * y_norm)
     assert support == [] and ref_gain == 0.0
-    gain, residual, degenerate = dc_fit(x[rows], y[rows], delta=factor * y_norm)
-    assert (gain, degenerate) == (0.0, False)
-    assert residual == pytest.approx(ref_residual, rel=TOL)
+    fit = dc_project(x[rows], y[rows][None, :], delta=factor * y_norm)
+    assert (fit.gain[0], fit.degenerate[0]) == (0.0, False)
+    assert fit.residual_norm[0] == pytest.approx(ref_residual, rel=TOL)
 
 
 def test_shrink_past_zero_clamps_gain():
     # ||g w|| = 0.1 < delta = 0.5 < ||y||: one atom is fitted, then shrunk to 0
     w = np.array([1.0, 0.0])
     y = np.array([0.1, 1.0])
-    gain, residual, degenerate = dc_fit(w, y, delta=0.5, shrink_to_delta=True)
-    assert (gain, degenerate) == (0.0, False)
-    assert residual == pytest.approx(float(np.linalg.norm(y)))
-    assert dc_fit(w, y, delta=0.5)[0] == pytest.approx(0.1)
+    fit = dc_project(w, y[None, :], delta=0.5, shrink_to_delta=True)
+    assert (fit.gain[0], fit.degenerate[0]) == (0.0, False)
+    assert fit.residual_norm[0] == pytest.approx(float(np.linalg.norm(y)))
+    assert dc_project(w, y[None, :], delta=0.5).gain[0] == pytest.approx(0.1)
 
 
 def test_zero_weights_are_degenerate():
-    gain, residual, degenerate = dc_fit(np.zeros(4), np.array([1.0, -1.0, 0.5, 0.0]))
-    assert (gain, degenerate) == (0.0, True)
-    assert residual == pytest.approx(1.5)
+    fit = dc_project(np.zeros(4), np.array([[1.0, -1.0, 0.5, 0.0]]))
+    assert (fit.gain[0], fit.degenerate[0]) == (0.0, True)
+    assert fit.residual_norm[0] == pytest.approx(1.5)
 
 
-def test_dc_fit_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        dc_fit(np.ones(3), np.ones(4))
+def test_dc_project_validation():
+    with pytest.raises(ValueError, match="2-d rows"):
+        dc_project(np.ones(3), np.ones((1, 4)))
+    with pytest.raises(ValueError, match="2-d rows"):
+        dc_project(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="2-d rows"):
+        dc_project(np.ones((2, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError, match="delta"):
-        dc_fit(np.ones(3), np.ones(3), delta=-1.0)
+        dc_project(np.ones(3), np.ones((1, 3)), delta=-1.0)
+    with pytest.raises(ValueError, match="delta"):
+        dc_project(np.ones(3), np.ones((2, 3)), delta=np.array([0.0, -1.0]))
 
 
 def test_single_atom_budget_never_runs_omp(monkeypatch):

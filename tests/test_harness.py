@@ -474,6 +474,26 @@ def test_cli_bad_config_fails_before_the_sweep(tmp_path, capsys, monkeypatch, te
     assert names in err
 
 
+@pytest.mark.parametrize(
+    "rows, column",
+    [("0,0.5,0.07,0.5\n1,0.4,,0.5\n", "'epsilon': blank"), ("0,0.5,nan,0.5\n", "'epsilon': expected")],
+    ids=["partly-filled", "nan"],
+)
+def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, column):
+    # the error names the file before any simulation, and no output is written
+    (tmp_path / "ens.csv").write_text("index,T,epsilon,p\n" + rows)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[ensemble]\nsource = file\nfile = ens.csv\nblock_length = 64\n"
+        f"[estimation]\nseeds = 1\nfractions = 1.0\n[output]\ndirectory = {tmp_path / 'out'}\n"
+    )
+    rc = cli_main(["sweep", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "ens.csv: row" in err and column in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[estimation]\nfractions = 2.0\n")
