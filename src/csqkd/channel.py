@@ -206,14 +206,29 @@ def _csv_number(path: Path, row: int, column: str, text: str | None) -> float | 
     return value
 
 
+def _check_index(path: Path, row: int, text: str | None) -> None:
+    """The index cell of ``row`` (counted from 1) must hold the integer row - 1."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        value = None
+    if value != row - 1:
+        raise ValueError(
+            f"{path}: row {row}, column 'index': expected {row - 1}, since indices run "
+            f"0..M-1 in row order, got {text!r}"
+        )
+
+
 def read_transmittance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Read an ensemble table with header ``index,T,epsilon,p``.
 
-    The epsilon and p columns are optional; one that is absent or blank on
-    every row is not used.  Returns (T, epsilon-or-None, p-or-None) ordered by
-    row.  A value that is not a finite number, a blank T, or a blank in an
-    optional column that other rows fill raises a ``ValueError`` naming the
-    file, the row (counted from 1 below the header) and the column.
+    The index, epsilon and p columns are optional; an epsilon or p column
+    that is blank on every row is not used, and an index column must hold
+    the integers 0..M-1 in row order.  Returns (T, epsilon-or-None,
+    p-or-None) ordered by row.  A wrong index, a value that is not a finite
+    number, a blank T, or a blank in an optional column that other rows fill
+    raises a ``ValueError`` naming the file, the row (counted from 1 below
+    the header) and the column.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -222,7 +237,10 @@ def read_transmittance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray | N
             raise ValueError(f"{path}: expected a header containing a 'T' column")
         names = [name for name in ("T", "epsilon", "p") if name in reader.fieldnames]
         columns: dict[str, list] = {name: [] for name in names}
+        indexed = "index" in reader.fieldnames
         for row, record in enumerate(reader, start=1):
+            if indexed:
+                _check_index(path, row, record["index"])
             for name in names:
                 columns[name].append(_csv_number(path, row, name, record[name]))
     result = []
@@ -292,21 +310,11 @@ def sample_lognormal_transmittances(
 
 @dataclass(frozen=True)
 class QuadratureDataset:
-    """Per-sub-channel Alice/Bob variable blocks with seed provenance."""
+    """Per-sub-channel Alice/Bob variable blocks."""
 
     alice: tuple[np.ndarray, ...]
     bob: tuple[np.ndarray, ...]
-    seed: int
-    params: ProtocolParams
     zero_noise: bool = False
-
-    @property
-    def count(self) -> int:
-        return len(self.alice)
-
-    @property
-    def block_lengths(self) -> np.ndarray:
-        return np.array([len(x) for x in self.alice], dtype=np.int64)
 
 
 def attenuate(x: np.ndarray, transmittance: float, detector_efficiency: float) -> np.ndarray:
@@ -341,9 +349,7 @@ def simulate_block(
         y = attenuate(x, sub.transmittance, params.detector_efficiency) + z
         alice.append(x)
         bob.append(y)
-    return QuadratureDataset(
-        alice=tuple(alice), bob=tuple(bob), seed=seed, params=params, zero_noise=zero_noise
-    )
+    return QuadratureDataset(alice=tuple(alice), bob=tuple(bob), zero_noise=zero_noise)
 
 
 def ensemble_means(ensemble: SubChannelEnsemble) -> tuple[float, float, float]:

@@ -8,10 +8,12 @@ Two routes are provided:
   T_hat = mean(h)^2 / eta and an excess-noise plug-in from the sampled
   second moments.
 
-* statistics-based: only Bob's measured variance and the public modulation
-  variance enter.  The variance vector, with the constant 1 + nu_el floor
-  removed, feeds the same machinery with weights V_A; T_hat = mean(h)/eta.
-  No individual symbols are consumed, so no key material is sacrificed.
+* statistics-based: only Bob's measured variances and the public modulation
+  variance enter: one variance for the whole block (a scalar) or one per
+  equal contiguous sub-block (a 1-d array).  The variance vector, with the
+  constant 1 + nu_el floor removed, feeds the same machinery with weights
+  V_A; T_hat = mean(h)/eta.  No individual symbols are consumed, so no key
+  material is sacrificed.
 
 With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
@@ -77,8 +79,6 @@ CHUNK_BYTES = 64 * 1024
 #: Grace below the 1 + nu_el floor before a variance is flagged.
 FLOOR_TOLERANCE = 1e-6
 
-VARIANCE_MODES = ("replicated", "blockwise")
-
 
 @dataclass(frozen=True)
 class SubChannelEstimate:
@@ -91,16 +91,6 @@ class SubChannelEstimate:
     sample_count: int
     flags: tuple[str, ...] = ()
     imag_norm: float = 0.0
-
-    @property
-    def t_hat_clamped(self) -> float:
-        return min(max(self.t_hat, 0.0), 1.0)
-
-    @property
-    def eps_hat_clamped(self) -> float:
-        if math.isnan(self.eps_hat):
-            return math.nan
-        return max(self.eps_hat, 0.0)
 
     @property
     def usable(self) -> bool:
@@ -126,8 +116,6 @@ class AggregateEstimate:
 
 
 def _resolve_delta(omp: OmpConfig, sample_count: int, slack: float) -> float:
-    if omp.delta is not None:
-        return omp.delta
     if omp.noise_scale is not None:
         return slack * math.sqrt(sample_count) * omp.noise_scale
     return 0.0
@@ -397,19 +385,11 @@ def block_variances(y_block: np.ndarray, n_blocks: int) -> np.ndarray:
     """Per-entry variance vector from disjoint contiguous sub-blocks.
 
     Entry j holds the empirical variance of the sub-block containing j, so
-    the vector keeps the block length and feeds the same sensing machinery
-    as the replicated variant.
+    the vector keeps the block length; the statistics estimators read it as
+    sub-blocks of width 1.
     """
     per_block = subblock_variances(y_block, n_blocks)
     return np.repeat(per_block, np.size(y_block) // n_blocks)
-
-
-def _sampled_variances(measured, mode: str, rows: np.ndarray, length: int) -> np.ndarray:
-    """r_y[rows] of the variance vector r_y without forming it: the scalar
-    (replicated) or each sub-block's variance at the rows it covers."""
-    if mode == "replicated":
-        return np.full(rows.size, measured)
-    return measured[rows // (length // measured.size)]
 
 
 def _statistics_plug_in(
@@ -432,7 +412,6 @@ def _fit_statistics(
     params: ProtocolParams,
     plans: Sequence[SamplingPlan],
     configs: Sequence[OmpConfig],
-    mode: str,
     noise_floor: float | None,
     first: int = 0,
 ) -> list[SubChannelEstimate]:
@@ -445,7 +424,7 @@ def _fit_statistics(
     delta = np.array([_resolve_delta(c, m_s, slack=1.0) for c in configs])
     shrink = np.array([c.shrink_to_delta for c in configs])
     multi_atom = np.array([c.k_max > 1 for c in configs])
-    v_b = np.array([float(v) if mode == "replicated" else float(v.mean()) for v in measured])
+    v_b = np.array([v if isinstance(v, float) else float(v.mean()) for v in measured])
     below = v_b <= floor - FLOOR_TOLERANCE
     weights = np.full(m_s, v_a)
     chunks = _chunks(count, m_s)
@@ -453,11 +432,13 @@ def _fit_statistics(
     estimates: list[SubChannelEstimate] = []
     for chunk in chunks:
         r_s = work[: chunk.stop - chunk.start]
-        if mode == "replicated":
-            r_s[:] = v_b[chunk, None]
-        else:
-            for j, i in enumerate(range(chunk.start, chunk.stop)):
-                r_s[j] = _sampled_variances(measured[i], mode, plans[i].indices, plans[i].length)
+        # a scalar fills its row; sub-block variances are read at the rows
+        # each covers, r_y[rows] without forming the length-m vector r_y
+        r_s[:] = v_b[chunk, None]
+        for j, i in enumerate(range(chunk.start, chunk.stop)):
+            v = measured[i]
+            if not isinstance(v, float):
+                v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
         r_s -= floor
         low = below[chunk]
         fit = dc_project(weights, r_s, delta[chunk], shrink[chunk])
@@ -486,19 +467,17 @@ def _fit_statistics(
     return estimates
 
 
-def _statistics_input(measured, mode: str, length: int, name: str = "measured"):
-    if mode not in VARIANCE_MODES:
-        raise ValueError(f"mode must be one of {VARIANCE_MODES}, got {mode!r}")
-    if mode == "replicated":
-        if np.ndim(measured) != 0:
-            raise ValueError(f"replicated mode expects a scalar {name}")
+def _statistics_input(measured, length: int, name: str = "measured") -> float | np.ndarray:
+    """A finite scalar as a float, or a finite nonnegative 1-d array of
+    sub-block variances whose count divides ``length``."""
+    if np.ndim(measured) == 0:
         if not math.isfinite(measured):
             raise ValueError(f"{name} must be finite")
         return float(measured)
     r_y = np.asarray(measured, dtype=float)
     if r_y.ndim != 1 or r_y.size == 0 or length % r_y.size:
         raise ValueError(
-            f"blockwise mode expects {name} to hold one variance per sub-block, "
+            f"{name} must be a scalar variance or hold one variance per sub-block, "
             f"a count that divides the block length {length}"
         )
     _require_finite(name, r_y)
@@ -512,30 +491,28 @@ def fit_cell_statistics(
     params: ProtocolParams,
     plans: Sequence[SamplingPlan],
     omp: OmpConfig | Sequence[OmpConfig] = OmpConfig(),
-    mode: str = "replicated",
     noise_floor: float | None = None,
 ) -> list[SubChannelEstimate]:
     """Statistics estimates of every sub-channel of one (seed, fraction) cell.
 
-    ``measured[i]`` is sub-channel i's scalar measured variance
-    (``replicated``) or the variances of equal contiguous sub-blocks of its
-    block (``blockwise``), any count that divides ``plans[i].length``; a
-    per-entry vector is the one-sample-wide case.  The sampled entries are
-    read off them without forming a length-m vector.  The plans' sample
-    counts must agree, and ``omp`` holds one config for all sub-channels or
-    one each, of any ``k_max``.  The result equals
-    :func:`estimate_subchannel_statistics` per sub-channel bit for bit,
-    except that the below-floor test reads the mean of the sub-block
-    variances rather than of their repetition.
+    ``measured[i]`` is sub-channel i's measured variance: a scalar for the
+    whole block, or a 1-d array holding the variances of equal contiguous
+    sub-blocks of it, in any count that divides ``plans[i].length``; a
+    per-entry vector is the case of width-1 sub-blocks.  The sampled entries
+    are read off the sub-block variances without forming a length-m vector,
+    and the below-floor test reads their mean.  The plans' sample counts must
+    agree, and ``omp`` holds one config for all sub-channels or one each, of
+    any ``k_max``.  The result equals :func:`estimate_subchannel_statistics`
+    per sub-channel bit for bit.
     """
     configs = _cell_configs(omp, len(plans))
     if len(measured) != len(plans):
         raise ValueError("measured and plans must have one entry per sub-channel")
     values = [
-        _statistics_input(v, mode, plan.length, f"measured[{i}]")
+        _statistics_input(v, plan.length, f"measured[{i}]")
         for i, (v, plan) in enumerate(zip(measured, plans))
     ]
-    return _fit_statistics(values, params, plans, configs, mode, noise_floor)
+    return _fit_statistics(values, params, plans, configs, noise_floor)
 
 
 def estimate_subchannel_statistics(
@@ -544,16 +521,17 @@ def estimate_subchannel_statistics(
     block_length: int,
     plan: SamplingPlan,
     omp: OmpConfig = OmpConfig(),
-    mode: str = "replicated",
     noise_floor: float | None = None,
     index: int = 0,
 ) -> SubChannelEstimate:
     """Estimate (T, eps) from second-order statistics only.
 
     Args:
-        measured: the finite scalar measured variance (``replicated`` mode
-            fills the whole variance vector with it) or a finite per-entry
-            variance vector of length ``block_length`` (``blockwise`` mode).
+        measured: the finite measured variance of the block, as a scalar, or
+            a finite 1-d array of the variances of equal contiguous
+            sub-blocks, in any count that divides ``block_length`` (a
+            per-entry vector of length ``block_length`` is the case of
+            width-1 sub-blocks).
         params: protocol constants; only the public modulation variance and
             calibrated eta, nu_el are consumed -- never Alice's symbols.
         block_length: m for the sub-channel.
@@ -572,10 +550,8 @@ def estimate_subchannel_statistics(
     """
     if plan.length != block_length:
         raise ValueError(f"plan covers length {plan.length}, expected {block_length}")
-    value = _statistics_input(measured, mode, block_length)
-    if mode == "blockwise" and value.size != block_length:
-        raise ValueError(f"blockwise mode expects a variance vector of length {block_length}")
-    return _fit_statistics([value], params, [plan], [omp], mode, noise_floor, first=index)[0]
+    value = _statistics_input(measured, block_length)
+    return _fit_statistics([value], params, [plan], [omp], noise_floor, first=index)[0]
 
 
 def aggregate_estimates(

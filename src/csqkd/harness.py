@@ -418,14 +418,7 @@ def _cell_estimates(
     """Estimates of every sub-channel of one (seed, fraction, estimator) cell."""
     params = config.protocol
     if estimator == "statistics":
-        return fit_cell_statistics(
-            measured,
-            params,
-            plans,
-            omp=statistics_configs,
-            mode=config.variance_mode,
-            noise_floor=0.0 if dataset.zero_noise else None,
-        )
+        return fit_cell_statistics(measured, params, plans, omp=statistics_configs)
     return fit_cell_variables(
         dataset.alice, dataset.bob, plans, params, OmpConfig(k_max=config.k_max)
     )
@@ -467,11 +460,12 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                 else:
                     measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
             for f_idx, fraction in enumerate(fractions):
+                # fraction 1 keeps every row without a draw, so it needs no seed
                 plans = [
                     make_sampling_plan(
                         ensemble.channels[i].block_length,
                         fraction,
-                        seed=_derived_seed(seed, d_idx, f_idx, i),
+                        seed=_derived_seed(seed, d_idx, f_idx, i) if fraction < 1 else 0,
                     )
                     for i in range(ensemble.count)
                 ]
@@ -556,15 +550,13 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             )
         for detection in config.detections:
             det_params = dataclasses.replace(params, detection=detection)
-            for source in ("true", "estimated-variables", "estimated-statistics"):
-                if source not in summaries:
-                    continue
-                if summaries[source] is None:
+            for source, summary in summaries.items():
+                if summary is None:
                     report.keyrate_rows.append(
                         KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan)
                     )
                     continue
-                rate = secret_key_rate(summaries[source], det_params)
+                rate = secret_key_rate(summary, det_params)
                 report.keyrate_rows.append(
                     KeyrateRow(
                         distance=distance,

@@ -36,8 +36,6 @@ FLAG_UNPHYSICAL = "unphysical_covariance"
 #: Symplectic eigenvalues may undershoot 1 by at most this before flagging.
 PHYSICALITY_TOLERANCE = 1e-6
 
-SOURCES = ("true", "estimated-variables", "estimated-statistics")
-
 
 @dataclass(frozen=True)
 class ChannelSummary:

@@ -74,8 +74,6 @@ class SamplingPlan:
     """Random row-selection set: sorted unique indices into a length-m block."""
 
     length: int
-    fraction: float
-    seed: int
     indices: np.ndarray
 
     @property
@@ -100,7 +98,7 @@ def make_sampling_plan(m: int, fraction: float, seed: int) -> SamplingPlan:
     else:
         rng = np.random.default_rng(seed)
         indices = np.sort(rng.choice(m, size=m_s, replace=False, shuffle=False)).astype(np.int64)
-    return SamplingPlan(length=m, fraction=fraction, seed=seed, indices=indices)
+    return SamplingPlan(length=m, indices=indices)
 
 
 class RowSampledIdftOperator:
@@ -195,9 +193,9 @@ class OmpConfig:
 
     ``k_max = 1``, the budget of a constant sub-channel, is the closed-form
     DC projection of :func:`dc_project`; a larger budget runs :func:`omp_solve`.
-    ``delta`` is an absolute residual tolerance; when it is None the
-    estimators derive one from ``noise_scale`` (the known or estimated
-    per-entry disturbance amplitude) as delta ~ sqrt(m_s) * noise_scale.
+    The estimators derive the absolute residual tolerance delta from
+    ``noise_scale`` (the known or estimated per-entry disturbance amplitude)
+    as delta ~ sqrt(m_s) * noise_scale, and use 0 without it.
     ``shrink_to_delta`` treats delta as the norm of a deterministic
     disturbance lying along the fitted component and scales the coefficients
     back by that amount after the greedy fit; on a noise-free fit this makes
@@ -206,7 +204,6 @@ class OmpConfig:
     """
 
     k_max: int = 1
-    delta: float | None = None
     noise_scale: float | None = None
     shrink_to_delta: bool = False
 

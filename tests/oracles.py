@@ -33,7 +33,6 @@ from csqkd.estimators import (
     FLOOR_TOLERANCE,
     SubChannelEstimate,
     _resolve_delta,
-    _sampled_variances,
     _statistics_input,
     _statistics_plug_in,
     _variables_inputs,
@@ -378,9 +377,10 @@ def multi_atom_statistics_estimate(
     noise_floor: float | None = None,
     index: int = 0,
 ) -> SubChannelEstimate:
-    """The ``k_max > 1`` body of ``estimate_subchannel_statistics``; a
-    blockwise ``measured`` is the per-entry vector of length ``block_length``."""
-    value = _statistics_input(measured, mode, block_length)
+    """The ``k_max > 1`` body of ``estimate_subchannel_statistics``: a
+    ``replicated`` ``measured`` is the scalar variance of the block, and a
+    ``blockwise`` one the per-entry vector of length ``block_length``."""
+    value = _statistics_input(measured, block_length)
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     v_b = value if mode == "replicated" else float(value.mean())
     if v_b <= floor - FLOOR_TOLERANCE:
@@ -396,7 +396,7 @@ def multi_atom_statistics_estimate(
     m_s = rows.size
     eta = params.detector_efficiency
     v_a = params.modulation_variance
-    r_s = _sampled_variances(value, mode, rows, block_length) - floor
+    r_s = (np.full(m_s, value) if mode == "replicated" else value[rows]) - floor
     delta = _resolve_delta(omp, m_s, slack=1.0)
     gain, residual, imag_norm, flags = _omp_gain(np.full(block_length, v_a), rows, r_s, omp, delta)
     t_hat, eps_hat, unestimable = _statistics_plug_in(

@@ -104,11 +104,21 @@ def test_variables_cell_matches_per_channel_bit_for_bit(chunk_rows, shrink):
         assert_scalar_reference(cell[i], reference)
 
 
-def _statistics_inputs(bob, mode):
-    if mode == "replicated":
+def _statistics_inputs(bob, form):
+    """(cell input, per-sub-channel input) in one variance form: a scalar
+    (``replicated``), the scalar in a 1-element array (``one-element``), 20
+    sub-block variances on both sides (``sub-blocks``), or those for the cell
+    and their per-entry repetition for the per-sub-channel estimator
+    (``blockwise``)."""
+    if form == "replicated":
         per_cell = [measured_variance(y) for y in bob]
         return per_cell, per_cell
+    if form == "one-element":
+        per_cell = [np.array([measured_variance(y)]) for y in bob]
+        return per_cell, per_cell
     per_cell = [subblock_variances(y, 20) for y in bob]
+    if form == "sub-blocks":
+        return per_cell, per_cell
     return per_cell, [block_variances(y, 20) for y in bob]
 
 
@@ -122,35 +132,42 @@ def _statistics_configs(ens, k_max, shrink):
     ]
 
 
-@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
-def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, mode):
+@pytest.mark.parametrize("form", ["replicated", "blockwise", "one-element", "sub-blocks"])
+def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, form):
     ens, _, bob = _dataset()
     plans = _plans()
     floor = 1.0 + PARAMS.electronic_noise
     bob[1] *= 0.5       # variance below the 1 + nu_el floor
     bob[2][:] = 0.0     # zero variance: below the floor too
-    per_cell, per_channel = _statistics_inputs(bob, mode)
-    if mode == "replicated":
+    per_cell, per_channel = _statistics_inputs(bob, form)
+    if form == "replicated":
         per_cell[3] = per_channel[3] = floor - 0.5e-6   # within the floor grace: g < 0
+    elif form == "one-element":
+        per_cell[3] = per_channel[3] = np.array([floor - 0.5e-6])
     else:
         # a mean above the floor with every sampled entry below it: g < 0;
-        # the cell takes this one as per-entry variances (sub-blocks of width 1)
+        # both sides take this one as per-entry variances (sub-blocks of width 1)
         low = np.full(m, 50.0)
         low[plans[3].indices] = floor - 0.01
         per_cell[3] = per_channel[3] = low
     configs = _statistics_configs(ens, 1, shrink=True)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
+    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
     single = [
-        estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, mode=mode, index=i)
+        estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, index=i)
         for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
     ]
     assert_identical(cell, single)
+    if form == "one-element":
+        # the same value as a scalar gives the same bits
+        scalars = [float(v[0]) for v in per_cell]
+        assert_identical(cell, fit_cell_statistics(scalars, PARAMS, plans, omp=configs))
     assert cell[1].flags == cell[2].flags == (FLAG_BELOW_FLOOR,)
     assert cell[3].flags == (FLAG_UNESTIMABLE,)
     assert all(e.flags == () for e in cell[4:] + cell[:1])
     for i in (0, 4, 5, 6):
         rows = plans[i].indices
-        r_s = np.broadcast_to(per_channel[i], (m,))[rows] - floor
+        v = np.atleast_1d(per_channel[i])
+        r_s = np.repeat(v, m // v.size)[rows] - floor
         delta = math.sqrt(rows.size) * configs[i].noise_scale
         reference = oracles.scalar_statistics_estimate(r_s, 4.0, 0.6, delta, shrink=True)
         assert_scalar_reference(cell[i], reference)
@@ -204,7 +221,7 @@ def test_multi_atom_statistics_cell_matches_reference(chunk_rows, k_max, mode, s
     bob[3] *= 0.5       # variance below the 1 + nu_el floor: no OMP solve
     per_cell, per_channel = _statistics_inputs(bob, mode)
     configs = _statistics_configs(ens, k_max, shrink)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
+    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
     reference = [
         oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode=mode, index=i)
         for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
@@ -232,7 +249,7 @@ def test_multi_atom_rank_deficient_support_matches_reference(route):
         ]
     else:
         per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=omp, mode="blockwise")
+        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=omp)
         reference = [
             oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, omp, mode="blockwise", index=i)
             for i, (v, p) in enumerate(zip(per_channel, plans))
@@ -259,8 +276,8 @@ def test_cell_mixing_one_and_three_atom_configs(chunk_rows, route):
         ]
     else:
         per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode="blockwise")
-        one_atom = fit_cell_statistics(per_cell, PARAMS, plans, mode="blockwise")
+        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
+        one_atom = fit_cell_statistics(per_cell, PARAMS, plans)
         reference = [
             oracles.multi_atom_statistics_estimate(
                 per_channel[i], PARAMS, m, plans[i], configs[i], mode="blockwise", index=i
@@ -282,7 +299,7 @@ def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
     assert {p.sample_count for p in plans} == {120}
     per_cell, per_channel = _statistics_inputs(bob, mode)
     configs = _statistics_configs(ens, 3, shrink=True)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs, mode=mode)
+    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
     reference = [
         oracles.multi_atom_statistics_estimate(v, PARAMS, n, p, c, mode=mode, index=i)
         for i, (v, n, p, c) in enumerate(zip(per_channel, lengths, plans, configs))
@@ -319,7 +336,7 @@ def test_cell_rejects_mixed_inputs():
     with pytest.raises(ValueError, match="one entry per sub-channel"):
         fit_cell_variables(alice[:-1], bob, plans, PARAMS)
     with pytest.raises(ValueError, match="divides the block length"):
-        fit_cell_statistics([np.ones(7)] * M, PARAMS, plans, mode="blockwise")
+        fit_cell_statistics([np.ones(7)] * M, PARAMS, plans)
 
 
 def test_zero_weights_are_degenerate_whatever_delta():
@@ -371,11 +388,11 @@ def test_statistics_reject_non_finite_variances(bad, k_max):
     vector = np.full(m, 3.0)
     vector[9] = bad
     with pytest.raises(ValueError, match="^measured must be finite"):
-        estimate_subchannel_statistics(vector, PARAMS, m, plan, omp=omp, mode="blockwise")
+        estimate_subchannel_statistics(vector, PARAMS, m, plan, omp=omp)
     plans = _plans()
     with pytest.raises(ValueError, match=r"^measured\[5\] must be finite"):
         fit_cell_statistics([3.0] * 5 + [bad, 3.0], PARAMS, plans)
     blocks = [np.full(20, 3.0) for _ in range(M)]
     blocks[0][3] = bad
     with pytest.raises(ValueError, match=r"^measured\[0\] must be finite"):
-        fit_cell_statistics(blocks, PARAMS, plans, mode="blockwise")
+        fit_cell_statistics(blocks, PARAMS, plans)

@@ -116,6 +116,23 @@ def test_csv_blank_optional_columns_are_unused(tmp_path):
     assert eps is None and p is None
 
 
+@pytest.mark.parametrize(
+    "table, row, text",
+    [
+        # repeated, missing and out-of-order indices used to load as 0, 1, 2
+        ("index,T\n1,0.5\n1,0.4\n7,0.3\n", 1, "'1'"),
+        ("index,T\n0,0.5\n2,0.4\n1,0.3\n", 2, "'2'"),
+        ("index,T\n0,0.5\n1.5,0.4\n", 2, "'1.5'"),
+        ("index,T\n0,0.5\n,0.4\n", 2, "''"),
+    ],
+)
+def test_csv_index_must_count_rows(tmp_path, table, row, text):
+    path = tmp_path / "ens.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError, match=f"ens.csv: row {row}, column 'index': expected {row - 1},.* got {text}"):
+        read_transmittance_csv(path)
+
+
 def test_experiment_scale_ensemble():
     ens = build_ensemble(np.full(100, 0.3), block_length=10_000)
     assert ens.count == 100

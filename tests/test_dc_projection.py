@@ -13,6 +13,7 @@ from csqkd.estimators import (
     estimate_subchannel_statistics,
     estimate_subchannel_variables,
     measured_variance,
+    subblock_variances,
 )
 from csqkd.sensing import (
     OmpConfig,
@@ -73,18 +74,20 @@ def test_variables_route_matches_omp(fraction, zero_noise):
         assert est.t_hat == pytest.approx(0.5, abs=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
+@pytest.mark.parametrize("form", ["replicated", "blockwise", "sub-blocks"])
 @pytest.mark.parametrize("fraction", [0.1, 1.0])
-def test_statistics_route_matches_omp_with_shrink(mode, fraction):
+def test_statistics_route_matches_omp_with_shrink(form, fraction):
+    # the variance of the block, its per-entry sub-block variances, or the
+    # 20 sub-block variances themselves
     t, eps, m = 0.5, 0.05, 2000
     ens = build_ensemble([t], excess_noise=eps, block_length=m)
     ds = simulate_block(ens, PARAMS, seed=17)
-    if mode == "replicated":
+    if form == "replicated":
         measured = measured_variance(ds.bob[0])
         r_y = np.full(m, measured)
     else:
-        measured = block_variances(ds.bob[0], 20)
-        r_y = measured
+        r_y = block_variances(ds.bob[0], 20)
+        measured = r_y if form == "blockwise" else subblock_variances(ds.bob[0], 20)
     plan = make_sampling_plan(m, fraction, seed=3)
     rows = plan.indices
     eta = PARAMS.detector_efficiency
@@ -94,7 +97,7 @@ def test_statistics_route_matches_omp_with_shrink(mode, fraction):
     weights = np.full(m, PARAMS.modulation_variance)
     ref_gain = _assert_parity(weights, rows, r_vy[rows], delta=delta, shrink=True)
     cfg = OmpConfig(noise_scale=scale, shrink_to_delta=True)
-    est = estimate_subchannel_statistics(measured, PARAMS, m, plan, omp=cfg, mode=mode)
+    est = estimate_subchannel_statistics(measured, PARAMS, m, plan, omp=cfg)
     assert est.t_hat == pytest.approx(ref_gain / eta, rel=TOL)
 
 
@@ -106,9 +109,7 @@ def test_statistics_zero_noise_matches_omp():
     plan = make_sampling_plan(1024, 0.3, seed=2)
     weights = np.full(1024, params.modulation_variance)
     ref_gain = _assert_parity(weights, plan.indices, measured[plan.indices])
-    est = estimate_subchannel_statistics(
-        measured, params, 1024, plan, mode="blockwise", noise_floor=0.0
-    )
+    est = estimate_subchannel_statistics(measured, params, 1024, plan, noise_floor=0.0)
     assert est.t_hat == pytest.approx(ref_gain / params.detector_efficiency, rel=TOL)
 
 
@@ -197,7 +198,7 @@ def test_low_snr_blockwise_statistics_gives_dc_estimate():
     support, _, _ = _omp_reference(weights, plan.indices, r_vy[plan.indices])
     assert support != [0]
     cfg = OmpConfig(noise_scale=PARAMS.detector_efficiency * t * eps, shrink_to_delta=True)
-    est = estimate_subchannel_statistics(measured, PARAMS, m, plan, omp=cfg, mode="blockwise")
+    est = estimate_subchannel_statistics(measured, PARAMS, m, plan, omp=cfg)
     assert est.usable
     assert 0.5 * t < est.t_hat < 2.0 * t
 

@@ -112,9 +112,7 @@ def test_blockwise_unbiased_over_seeds():
     for seed in range(100):
         ds = simulate_block(ens, params, seed=4000 + seed)
         variances = block_variances(ds.bob[0], n_blocks=100)
-        est = estimate_subchannel_statistics(
-            variances, params, 10_000, plan, omp=cfg, mode="blockwise"
-        )
+        est = estimate_subchannel_statistics(variances, params, 10_000, plan, omp=cfg)
         t_hats.append(est.t_hat)
     t_hats = np.array(t_hats)
     stderr = t_hats.std(ddof=1) / math.sqrt(t_hats.size)
@@ -225,10 +223,3 @@ def test_aggregate_excludes_flagged_and_renormalizes():
     assert agg.eps_mean == pytest.approx(0.02, abs=1e-15)
     with pytest.raises(ValueError, match="flagged"):
         aggregate_estimates([_estimate(0, 0.0, math.nan, flags=(FLAG_BELOW_FLOOR,))])
-
-
-def test_clamped_views():
-    est = _estimate(0, 1.2, -0.05)
-    assert est.t_hat_clamped == 1.0
-    assert est.eps_hat_clamped == 0.0
-    assert est.t_hat == 1.2 and est.eps_hat == -0.05
