@@ -13,7 +13,10 @@ true and estimated channel summaries.  Output is plot-ready CSV:
 
 plus a ``run.json`` manifest carrying the echoed config and its hash so any
 row can be reproduced exactly.  All randomness derives from the configured
-seeds, so reruns are byte-identical.
+seeds, so reruns are byte-identical.  The sampling plans of a (seed,
+distance, fraction < 1) cell are drawn in sub-channel order from one
+generator seeded ``(seed, distance index, index in the sorted fractions)``;
+fraction 1 keeps every row and draws nothing.
 
 Estimator policy: the statistics estimator runs the one-atom closed-form DC
 projection with the residual constraint active at the model-exact
@@ -460,13 +463,10 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                 else:
                     measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
             for f_idx, fraction in enumerate(fractions):
-                # fraction 1 keeps every row without a draw, so it needs no seed
+                # fraction 1 keeps every row without a draw, so it needs no generator
+                rng = np.random.default_rng((seed, d_idx, f_idx)) if fraction < 1 else 0
                 plans = [
-                    make_sampling_plan(
-                        ensemble.channels[i].block_length,
-                        fraction,
-                        seed=_derived_seed(seed, d_idx, f_idx, i) if fraction < 1 else 0,
-                    )
+                    make_sampling_plan(ensemble.channels[i].block_length, fraction, rng)
                     for i in range(ensemble.count)
                 ]
                 for estimator in config.estimator_names:

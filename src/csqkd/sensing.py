@@ -81,11 +81,17 @@ class SamplingPlan:
         return int(self.indices.size)
 
 
-def make_sampling_plan(m: int, fraction: float, seed: int) -> SamplingPlan:
+def make_sampling_plan(
+    m: int, fraction: float, seed: int | np.random.Generator
+) -> SamplingPlan:
     """Choose max(1, round(fraction * m)) distinct indices from 0..m-1.
 
-    fraction = 1 keeps every index (identity selection).  Deterministic for a
-    fixed seed.  The draw skips the generator's final shuffle, which the
+    fraction = 1 keeps every index (identity selection) and draws nothing.
+    ``seed`` is an int, which seeds a fresh generator, or a ``Generator``,
+    which the draw advances: successive calls on one generator give
+    independent uniform subsets, and a sweep draws every plan of a cell from
+    one generator in sub-channel order.  Deterministic for a fixed seed or
+    generator state.  The draw skips the generator's final shuffle, which the
     sorted index set does not see.
     """
     if m < 1:
@@ -171,13 +177,16 @@ class RowSampledIdftOperator:
         """
         return _hermitian_completion(self.half_gram_by_offset(), self.n_coefficients)
 
-    def gram_column(self, k: int) -> np.ndarray:
+    def gram_column(self, k: int, entries: np.ndarray | None = None) -> np.ndarray:
         """A^H a_k without a transform: entry j is g[(k - j) mod m].
 
-        g is :meth:`gram_by_offset`, computed once per operator.
+        g is :meth:`gram_by_offset`, computed once per operator.  ``entries``
+        gathers only those j, without building the length-m column.
         """
         if self._gram is None:
             self._gram = self.gram_by_offset()
+        if entries is not None:
+            return self._gram[(k - np.asarray(entries)) % self.n_coefficients]
         k %= self.n_coefficients
         # j = 0..k reads g[k], ..., g[0]; j = k+1..m-1 reads g[m-1], ..., g[k+1]
         return np.concatenate((self._gram[k::-1], self._gram[: k : -1]))
@@ -238,7 +247,8 @@ def omp_solve(
     Gram columns of the support (corr = corr0 - sum_s c_s A^H a_s; Rubinstein,
     Zibulevsky & Elad, Technion CS-2008-08), and the refit solves the |S|x|S|
     normal equations G_SS c = corr0[S] by a progressively grown Cholesky
-    factor, whose new pivot doubles as the rank test.  The residual
+    factor, whose new pivot doubles as the rank test; its new row reads only
+    the |S| support entries of the new atom's Gram column.  The residual
     y - sum_s c_s a_s is still formed explicitly for the stop rule, the
     ``shrink_to_delta`` factor and the reported norms.
 
@@ -297,7 +307,7 @@ def omp_solve(
         n = len(support)
         if n == chol.shape[0]:
             chol = np.pad(chol, (0, n))
-        gram_row = op.gram_column(k)[support] if support else np.empty(0, dtype=np.complex128)
+        gram_row = op.gram_column(k, support) if support else np.empty(0, dtype=np.complex128)
         w = _forward_substitute(chol[:n, :n], gram_row)
         diag = norms[k] ** 2
         pivot = diag - float(np.vdot(w, w).real)

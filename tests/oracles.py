@@ -118,9 +118,10 @@ class DenseOperator:
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.matrix, axis=0)
 
-    def gram_column(self, k: int) -> np.ndarray:
-        """Column k of the Gram matrix, A^H a_k."""
-        return self.adjoint(self.column(k))
+    def gram_column(self, k: int, entries: np.ndarray | None = None) -> np.ndarray:
+        """Column k of the Gram matrix, A^H a_k, or its ``entries`` only."""
+        column = self.adjoint(self.column(k))
+        return column if entries is None else column[entries]
 
     def dense(self) -> np.ndarray:
         return self.matrix

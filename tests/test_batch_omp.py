@@ -192,6 +192,26 @@ def test_batch_omp_budget_one_adjoint_one_gram(monkeypatch):
     assert calls["gram_by_offset"] <= 1
 
 
+def test_batch_omp_builds_full_gram_columns_only_for_correlation_updates(monkeypatch):
+    # a k_max = 5 solve updates its correlations with 1 + 2 + 3 + 4 full Gram
+    # columns; the Cholesky step reads only the new atom's entries at the
+    # support, so it builds no length-m column
+    full = []
+    original = RowSampledIdftOperator.gram_column
+
+    def counted(self, k, entries=None):
+        if entries is None:
+            full.append(k)
+        return original(self, k, entries)
+
+    monkeypatch.setattr(RowSampledIdftOperator, "gram_column", counted)
+    rng, op = _idft_case(2000, 0.4, "symbols", seed=5)
+    y = op.column(0).real * 3.0 + rng.normal(0, 1.0, op.n_measurements)
+    sol = omp_solve(op, y, k_max=5)
+    assert sol.support.size == 5
+    assert len(full) == 1 + 2 + 3 + 4
+
+
 def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
     # one adjoint and one Gram transform per estimate, both real; no
     # complex transform and no synthesis of h

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from csqkd import harness
 from csqkd.channel import DETECTIONS, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
@@ -387,14 +388,16 @@ def test_write_csv_templates_match_value_formatter(tmp_path):
 
 
 def test_sweep_without_usable_estimate_writes_nan_rows(tmp_path):
-    # at 100 km every estimate of this cell is unestimable; the sweep must
-    # still finish and write every row of the grid
+    # at 100 km the one sub-channel of this 8-symbol block is unestimable
+    # (its fitted gain is <= 0); fraction 1 draws no plan, so the repro does
+    # not depend on the plan stream.  The sweep must still finish and write
+    # every row of the grid
     config = dataclasses.replace(
         preset_config("desk"),
         distances_km=(100.0,),
         subchannels=1,
-        block_length=256,
-        fractions=(0.02,),
+        block_length=8,
+        fractions=(1.0,),
         seeds=(2,),
         estimators="variables",
         out_dir=str(tmp_path),
@@ -410,11 +413,71 @@ def test_sweep_without_usable_estimate_writes_nan_rows(tmp_path):
             assert row.source == "estimated-variables"
             assert all(math.isnan(v) for v in values)
     (mse,) = report.mse_rows
-    assert (mse.fraction, mse.estimator) == (0.02, "variables")
+    assert (mse.fraction, mse.estimator) == (1.0, "variables")
     assert math.isnan(mse.mse_t) and math.isnan(mse.mse_eps)
     files = write_reports(report, tmp_path)
-    assert files["mse"].read_text().splitlines()[1] == "100,0.02,variables,1,nan,nan"
+    assert files["mse"].read_text().splitlines()[1] == "100,1,variables,1,nan,nan"
     assert files["keyrate"].read_text().count(",nan,nan,nan\n") == len(config.detections)
+
+
+def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
+    # every plan of a (seed, distance, fraction < 1) cell comes, in
+    # sub-channel order, from one generator seeded (seed, d_idx, f_idx), where
+    # f_idx counts the sorted fractions; fraction 1 draws nothing
+    config = dataclasses.replace(
+        FAST,
+        distances_km=(2.0, 6.0),
+        subchannels=3,
+        block_length=64,
+        fractions=(0.3, 0.1, 1.0),
+        seeds=(4, 9),
+        estimators="variables",
+    )
+    make_plan = harness.make_sampling_plan
+    default_rng = np.random.default_rng
+    calls, built = [], {}
+
+    def recorded_plan(m, fraction, seed):
+        plan = make_plan(m, fraction, seed)
+        calls.append((m, fraction, seed, plan.indices))
+        return plan
+
+    def recorded_rng(seed=None):
+        rng = default_rng(seed)
+        if isinstance(seed, tuple):
+            assert seed not in built
+            built[seed] = rng
+        return rng
+
+    monkeypatch.setattr(harness, "make_sampling_plan", recorded_plan)
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    run_sweep(config)
+    monkeypatch.undo()
+
+    fractions = sorted(config.fractions)
+    cells = [
+        (seed, d_idx, f_idx)
+        for d_idx in range(len(config.distances_km))
+        for seed in config.seeds
+        for f_idx, fraction in enumerate(fractions)
+        if fraction < 1
+    ]
+    assert list(built) == cells
+    calls = iter(calls)
+    for d_idx in range(len(config.distances_km)):
+        for seed in config.seeds:
+            for f_idx, fraction in enumerate(fractions):
+                cell = (seed, d_idx, f_idx)
+                reference = default_rng(cell)
+                for _ in range(config.subchannels):
+                    m, f, source, indices = next(calls)
+                    assert (m, f) == (config.block_length, fraction)
+                    if fraction == 1:
+                        assert np.array_equal(indices, np.arange(m))
+                        continue
+                    assert source is built[cell]
+                    assert np.array_equal(indices, make_plan(m, fraction, reference).indices)
+    assert next(calls, None) is None
 
 
 def test_golden_config_runs_deterministically(tmp_path):

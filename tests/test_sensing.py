@@ -136,8 +136,11 @@ def test_real_gram_and_mip_match_dense(m):
     j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     # entry (j, k) is <theta_j, theta_k> = g[(k - j) mod m]
     assert np.max(np.abs(gram - g[(k - j) % m])) <= 1e-12 * g[0].real
+    entries = [m - 1, 0, 5, 2]
     for col in (0, 1, m // 2, m - 1):
         assert np.max(np.abs(op.gram_column(col) - gram[:, col])) <= 1e-12 * g[0].real
+        # OMP's Cholesky step gathers a Gram column at the support only
+        assert np.array_equal(op.gram_column(col, entries), op.gram_column(col)[entries])
     for normalize in (False, True):
         fast = mutual_incoherence(op, normalize=normalize)
         slow = oracles.mutual_incoherence_dense(dense, normalize=normalize)
