@@ -334,19 +334,28 @@ def simulate_block(
     generation may run in any order (or in parallel) with identical output.
     ``zero_noise`` forces z = 0; it exists for exact-recovery testing and has
     no physical counterpart (real data always carries the vacuum unit).
+
+    The blocks are views of one buffer, so a dataset is allocated and freed
+    in one piece: a sweep that frees one seed's data before simulating the
+    next leaves no run of freed blocks at the top of the heap for the
+    allocator to trim and fault back in under later temporaries.
     """
     children = np.random.SeedSequence(seed).spawn(ensemble.count)
     std_x = math.sqrt(params.modulation_variance)
+    ends = np.cumsum([sub.block_length for sub in ensemble.channels]).tolist()
+    buffer = np.empty((2, ends[-1]))
     alice: list[np.ndarray] = []
     bob: list[np.ndarray] = []
-    for sub, child in zip(ensemble.channels, children):
+    for sub, child, end in zip(ensemble.channels, children, ends):
         rng = np.random.default_rng(child)
-        x = rng.normal(0.0, std_x, sub.block_length)
+        x = buffer[0, end - sub.block_length : end]
+        y = buffer[1, end - sub.block_length : end]
+        x[:] = rng.normal(0.0, std_x, sub.block_length)
         if zero_noise:
             z = np.zeros(sub.block_length)
         else:
             z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
-        y = attenuate(x, sub.transmittance, params.detector_efficiency) + z
+        np.add(attenuate(x, sub.transmittance, params.detector_efficiency), z, out=y)
         alice.append(x)
         bob.append(y)
     return QuadratureDataset(alice=tuple(alice), bob=tuple(bob), zero_noise=zero_noise)

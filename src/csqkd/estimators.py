@@ -24,8 +24,9 @@ evaluate the projection for every sub-channel of one (seed, fraction) cell,
 gathering the sampled rows of a few sub-channels at a time under
 :data:`CHUNK_BYTES` per work array, and the per-sub-channel estimators are
 their one-channel case.  A sub-channel whose config has a larger budget is
-then refitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the
-row-sampled IDFT operator, and :func:`transfer_moments` reads mean(h) =
+fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the row-sampled
+IDFT operator instead, its row taking only w_s.w_s and y_s.y_s from the
+chunk pass, and :func:`transfer_moments` reads mean(h) =
 Re(s_0)/sqrt(m) and ||Im h|| off the sparse coefficients s without
 synthesizing h.  A support without the DC column has mean(h) = 0 exactly, so
 such an estimate is flagged both ``off_dc_support`` and
@@ -60,6 +61,7 @@ from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
+    _row_dots,
     dc_project,
     omp_solve,
 )
@@ -190,6 +192,36 @@ def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[flo
     return float(s[0].real) / math.sqrt(m), imag_norm
 
 
+def _dc_fit(
+    weights: np.ndarray,
+    measurement: np.ndarray,
+    delta: np.ndarray,
+    shrink: np.ndarray,
+    refit: np.ndarray,
+) -> tuple[DcProjection, np.ndarray]:
+    """:func:`dc_project` of a chunk, except on the rows that OMP refits.
+
+    A row marked in ``refit`` whose column is not zero gets only w_s.w_s and
+    y_s.y_s (gain and residual 0, for :func:`_omp_refit` to fill); every
+    other row gets its projection, with the bits dc_project gives it in the
+    whole chunk.  Returns the fits and the rows left to refit.
+    """
+    if not refit.any():
+        return dc_project(weights, measurement, delta, shrink), refit
+    n = measurement.shape[0]
+    ww = _row_dots(weights, weights) if weights.ndim == 2 else np.full(n, weights @ weights)
+    fit = DcProjection(np.zeros(n), np.zeros(n), ww == 0, ww, _row_dots(measurement, measurement))
+    refit = refit & ~fit.degenerate
+    keep = ~refit
+    if keep.any():
+        part = dc_project(
+            weights[keep] if weights.ndim == 2 else weights, measurement[keep], delta[keep], shrink[keep]
+        )
+        fit.gain[keep] = part.gain
+        fit.residual_norm[keep] = part.residual_norm
+    return fit, refit
+
+
 def _omp_refit(
     fit: DcProjection,
     todo: np.ndarray,
@@ -269,11 +301,10 @@ def _fit_variables(
         for j, i in enumerate(range(chunk.start, chunk.stop)):
             x_blocks[i].take(plans[i].indices, out=x_s[j])
             y_blocks[i].take(plans[i].indices, out=y_s[j])
-        fit = dc_project(x_s, y_s, delta[chunk], shrink[chunk])
         # a zero column has nothing to refit
+        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], multi_atom[chunk])
         imag_norm, off_dc = _omp_refit(
-            fit, multi_atom[chunk] & ~fit.degenerate, chunk.start,
-            x_blocks.__getitem__, y_s, plans, configs, delta,
+            fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, configs, delta,
         )
         t_hat, eps_hat, unestimable = _variables_plug_in(fit.gain, fit.ww, fit.yy, m_s, eta, floor)
         estimates += _estimates(
@@ -441,9 +472,9 @@ def _fit_statistics(
                 v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
         r_s -= floor
         low = below[chunk]
-        fit = dc_project(weights, r_s, delta[chunk], shrink[chunk])
+        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], multi_atom[chunk] & ~low)
         imag_norm, off_dc = _omp_refit(
-            fit, multi_atom[chunk] & ~low, chunk.start,
+            fit, refit, chunk.start,
             lambda i: np.full(plans[i].length, v_a), r_s, plans, configs, delta,
         )
         t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, r_s.sum(axis=1), m_s, eta, v_a)

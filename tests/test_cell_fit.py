@@ -289,6 +289,45 @@ def test_cell_mixing_one_and_three_atom_configs(chunk_rows, route):
     assert _flagged(cell, FLAG_OFF_DC) == {2, 6}
 
 
+@pytest.mark.parametrize("route", ["variables", "statistics"])
+def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch):
+    # a row that OMP refits gets only its sums of squares from the cell fit:
+    # dc_project sees the one-atom rows and the multi-atom rows that OMP
+    # skips (a zero Alice column, a variance below the floor), and no row
+    # that omp_solve solves
+    ens, alice, bob = _low_snr_dataset()
+    plans = _plans()
+    multi = (0, 2, 3, 6)
+    configs = [OmpConfig(k_max=3 if i in multi else 1) for i in range(M)]
+    # one multi-atom row that OMP skips: sub-channel 0 (zero Alice column)
+    # or 3 (variance below the floor)
+    if route == "variables":
+        alice[0][:] = 0.0
+        fit = lambda: fit_cell_variables(alice, bob, plans, PARAMS, omp=configs)  # noqa: E731
+    else:
+        bob[3] *= 0.5
+        per_cell, _ = _statistics_inputs(bob, "blockwise")
+        fit = lambda: fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)  # noqa: E731
+    expected = fit()
+    projected, solved = [], []
+    project, solve = estimators.dc_project, estimators.omp_solve
+
+    def spy_project(weights, measurement, *args):
+        projected.extend(row.copy() for row in measurement)
+        return project(weights, measurement, *args)
+
+    def spy_solve(op, measurement, **kwargs):
+        solved.append(np.array(measurement, copy=True))
+        return solve(op, measurement, **kwargs)
+
+    monkeypatch.setattr(estimators, "dc_project", spy_project)
+    monkeypatch.setattr(estimators, "omp_solve", spy_solve)
+    assert_identical(fit(), expected)
+    assert len(solved) == len(multi) - 1
+    assert len(projected) == M - len(solved)
+    assert not any(np.array_equal(a, b) for a in projected for b in solved)
+
+
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
 def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
     # blocks of 400 and 200 sampled at 120 rows each: each OMP operator

@@ -211,6 +211,25 @@ def test_simulation_bitwise_deterministic():
     assert all(len(x) == len(y) for x, y in zip(a.alice, a.bob))
 
 
+def test_simulation_blocks_view_one_buffer_with_per_block_draws():
+    # a dataset is one allocation; each block keeps the bits of its own
+    # child seed's draws, at sub-channels of unequal length
+    params = ProtocolParams()
+    ens = build_ensemble([0.5, 0.2, 0.8], excess_noise=0.02, block_length=[64, 33, 100])
+    ds = simulate_block(ens, params, seed=5)
+    base = ds.alice[0].base
+    assert base is not None and base.size == 2 * (64 + 33 + 100)
+    assert all(block.base is base for block in ds.alice + ds.bob)
+    children = np.random.SeedSequence(5).spawn(ens.count)
+    for sub, child, x, y in zip(ens.channels, children, ds.alice, ds.bob):
+        rng = np.random.default_rng(child)
+        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), sub.block_length)
+        z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
+        y_ref = attenuate(x_ref, sub.transmittance, params.detector_efficiency) + z
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+
+
 def test_subchannel_seeds_independent_of_count():
     # each sub-channel draws from its own child seed, so a channel's block
     # does not depend on how many channels follow it (parallel == serial)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,30 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
                     assert source is built[cell]
                     assert np.array_equal(indices, make_plan(m, fraction, reference).indices)
     assert next(calls, None) is None
+
+
+def test_sweep_holds_one_seeds_blocks(monkeypatch):
+    # simulate_block for the next seed, and for a new distance's first seed,
+    # finds the blocks of the seed before it freed
+    config = dataclasses.replace(FAST, distances_km=(2.0, 6.0), seeds=(1, 2, 3))
+    simulate = harness.simulate_block
+    previous = []
+    checked = []
+
+    def recorded(*args, **kwargs):
+        checked.append([ref() is None for ref in previous])
+        dataset = simulate(*args, **kwargs)
+        blocks = (*dataset.alice, *dataset.bob)
+        previous[:] = [weakref.ref(a) for block in blocks for a in (block, block.base) if a is not None]
+        return dataset
+
+    monkeypatch.setattr(harness, "simulate_block", recorded)
+    run_sweep(config)
+    assert len(checked) == 2 * 3
+    assert checked[0] == []
+    for dead in checked[1:]:
+        assert len(dead) >= 2 * config.subchannels
+        assert all(dead)
 
 
 def test_golden_config_runs_deterministically(tmp_path):

@@ -167,6 +167,61 @@ def test_column_is_direct_phase_formula_bit_for_bit(m):
         assert np.array_equal(op.column(k), expected)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _one_row_adjoint(weights, rows, r):
+    # the adjoint as its own one-row norm="ortho" transform
+    m = weights.size
+    scattered = np.zeros(m)
+    scattered[rows] = weights[rows] * r
+    half = np.fft.rfft(scattered, norm="ortho")
+    return np.concatenate((half, np.conj(half[m - half.size : 0 : -1])))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["weights", "zero-weights"])
+@pytest.mark.parametrize("fraction", [0.1, 0.4, 1.0])
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 2000, 10_000])
+def test_paired_adjoint_and_cached_gram_are_one_row_transforms_bit_for_bit(
+    m, fraction, zeros, monkeypatch
+):
+    # the first real adjoint shares one two-row transform with the Gram:
+    # both keep the bits of their own one-row transforms
+    rng = np.random.default_rng(m + int(10 * fraction))
+    weights = rng.normal(0, 2.0, m)
+    if zeros:
+        weights[rng.choice(m, m // 3 + 1, replace=False)] = 0.0
+    rows = make_sampling_plan(m, fraction, seed=m).indices
+    r = rng.normal(size=rows.size)
+    op = RowSampledIdftOperator(weights, rows)
+    expected = _one_row_adjoint(weights, rows, r)
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    assert _same_bits(op.adjoint(r), expected)
+    assert shapes == [(2, m)]
+    # the Gram is cached: its columns take no further transform
+    cached = [op.gram_column(k) for k in (0, 1, m - 1)]
+    assert shapes == [(2, m)]
+    monkeypatch.undo()
+    fresh = RowSampledIdftOperator(weights, rows)
+    gram = fresh.gram_by_offset()
+    w2 = np.zeros(m)
+    w2[rows] = weights[rows] ** 2
+    assert _same_bits(gram[: m // 2 + 1], np.conj(np.fft.rfft(w2)) / m)
+    for k, column in zip((0, 1, m - 1), cached):
+        assert _same_bits(column, fresh.gram_column(k))
+    # a later adjoint, with the Gram cached, is a one-row transform
+    assert _same_bits(op.adjoint(2.0 * r), _one_row_adjoint(weights, rows, 2.0 * r))
+
+
 def test_full_fraction_operator_is_unsampled_system():
     rng = np.random.default_rng(3)
     m = 64
@@ -391,3 +446,44 @@ def test_mip_guards():
         mutual_incoherence(RowSampledIdftOperator(np.ones(1), np.arange(1)))
     with pytest.raises(ValueError, match="zero column norms"):
         mutual_incoherence(RowSampledIdftOperator(np.zeros(8), np.arange(8)), normalize=True)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("m", [64, 2000])
+def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch):
+    # the harness passes a sub-channel's two models in one call, whose Gram
+    # transforms run as one two-row call; each value equals its single call
+    rng = np.random.default_rng(m)
+    rows = make_sampling_plan(m, 0.4, seed=2).indices
+    ops = [
+        RowSampledIdftOperator(rng.normal(0, 2.0, m), rows),
+        RowSampledIdftOperator(np.full(m, 4.0), rows),
+        RowSampledIdftOperator(rng.normal(0, 1.0, m), make_sampling_plan(m, 0.1, seed=3).indices),
+    ]
+    single = [mutual_incoherence(op, normalize=normalize) for op in ops]
+    assert all(type(value) is float for value in single)
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    pair = mutual_incoherence(ops[0], ops[1], normalize=normalize)
+    assert shapes == [(2, m)]
+    assert pair == tuple(single[:2])
+    # an odd count runs its last operator as a one-row stack
+    assert mutual_incoherence(*ops, normalize=normalize) == tuple(single)
+    assert shapes[1:] == [(2, m), (1, m)]
+
+
+def test_mip_of_several_operators_needs_one_block_length():
+    ops = [
+        RowSampledIdftOperator(np.ones(64), np.arange(0, 64, 2)),
+        RowSampledIdftOperator(np.ones(32), np.arange(0, 32, 2)),
+    ]
+    with pytest.raises(ValueError, match="one block length"):
+        mutual_incoherence(*ops)
+    with pytest.raises(ValueError, match="at least one operator"):
+        mutual_incoherence()
