@@ -61,6 +61,7 @@ from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
+    _norm,
     _row_dots,
     dc_project,
     omp_solve,
@@ -186,9 +187,10 @@ def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[flo
     """
     s = np.asarray(coefficients, dtype=np.complex128)
     m = s.size
-    support = np.asarray(support, dtype=np.int64)
-    touched = np.union1d(support, (-support) % m)
-    imag_norm = 0.5 * float(np.linalg.norm(s[touched] - np.conj(s[(-touched) % m])))
+    # at most 2|S| indices: a set sorts them faster than np.union1d
+    support = np.asarray(support, dtype=np.int64).tolist()
+    touched = np.array(sorted({*support, *((-k) % m for k in support)}), dtype=np.int64)
+    imag_norm = 0.5 * _norm(s[touched] - np.conj(s[(-touched) % m]))
     return float(s[0].real) / math.sqrt(m), imag_norm
 
 

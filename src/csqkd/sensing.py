@@ -26,13 +26,15 @@ stack of fits at once; OMP serves larger atom budgets.  :func:`omp_solve` is
 Batch-OMP: one adjoint A^H y, correlations updated through Gram columns
 A^H a_k (circular shifts of one transform), and small normal-equation
 refits, so a solve runs two transforms, in one two-row call, and no dense
-least squares.
+least squares.  A solve reads the one column norm as a scalar, updates its
+correlations in place and extends its forward solve by one step per atom.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -74,7 +76,7 @@ def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> np.ndarray:
     m = ops[0].n_coefficients
     w2 = np.zeros((len(ops), m))
     for row, op in zip(w2, ops):
-        row[op.rows] = op.weights[op.rows] ** 2
+        row[op.rows] = op.sampled_weights**2
     half = np.empty((len(ops), m // 2 + 1), dtype=np.complex128)
     for i in range(0, len(ops), 2):
         np.fft.rfft(w2[i : i + 2], out=half[i : i + 2])
@@ -133,7 +135,8 @@ def make_sampling_plan(
         indices = np.arange(m, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        indices = np.sort(rng.choice(m, size=m_s, replace=False, shuffle=False)).astype(np.int64)
+        indices = rng.choice(m, size=m_s, replace=False, shuffle=False).astype(np.int64, copy=False)
+        indices.sort()
     return SamplingPlan(length=m, indices=indices)
 
 
@@ -152,22 +155,26 @@ class RowSampledIdftOperator:
             raise ValueError("weights must be a 1-d array")
         if rows.ndim != 1 or rows.size == 0:
             raise ValueError("rows must be a non-empty 1-d index array")
-        if rows.min() < 0 or rows.max() >= weights.size:
-            raise ValueError("row indices out of range")
         # plans are sorted, so a strictly increasing test settles uniqueness
-        # in O(n); only unsorted rows pay for np.unique
-        if not np.all(rows[1:] > rows[:-1]) and np.unique(rows).size != rows.size:
+        # in O(n) and puts the range at the ends; only unsorted rows pay more
+        increasing = bool((rows[1:] > rows[:-1]).all())
+        low, high = (rows[0], rows[-1]) if increasing else (rows.min(), rows.max())
+        if low < 0 or high >= weights.size:
+            raise ValueError("row indices out of range")
+        if not increasing and np.unique(rows).size != rows.size:
             raise ValueError("row indices must be unique")
         self.weights = weights
         self.rows = rows
         self.n_coefficients = weights.size
         self.n_measurements = rows.size
+        #: w[rows], gathered once
+        self.sampled_weights = weights[rows]
         self._gram: np.ndarray | None = None
         self._column_scale: np.ndarray | None = None
 
     def apply(self, coefficients: np.ndarray) -> np.ndarray:
         h = unitary_idft(np.asarray(coefficients, dtype=np.complex128))
-        return self.weights[self.rows] * h[self.rows]
+        return self.sampled_weights * h[self.rows]
 
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
         """A^H r; a real r takes a real transform and Hermitian completion.
@@ -176,19 +183,20 @@ class RowSampledIdftOperator:
         transform with the scattered squared weights: row 0 scaled by
         1/sqrt(m) is the ``norm="ortho"`` adjoint and row 1 gives
         :meth:`gram_by_offset`, both bit for bit, and the Gram is cached for
-        :meth:`gram_column`.
+        :meth:`gram_column` and :meth:`subtract_gram_column`.
         """
         measurement = np.asarray(measurement)
         m = self.n_coefficients
         real = not np.iscomplexobj(measurement)
         paired = real and self._gram is None
         scattered = np.zeros((1 + paired, m), dtype=np.result_type(measurement, float))
-        scattered[0, self.rows] = self.weights[self.rows] * measurement
+        # a row view scatters in about half the time of a 2-d index
+        scattered[0][self.rows] = self.sampled_weights * measurement
         if not real:
             return unitary_dft(scattered[0])
         if not paired:
             return _hermitian_completion(np.fft.rfft(scattered[0], norm="ortho"), m)
-        scattered[1, self.rows] = self.weights[self.rows] ** 2
+        scattered[1][self.rows] = self.sampled_weights**2
         transform = np.fft.rfft(scattered)
         self._gram = _hermitian_completion(_gram_from_transform(transform[1], m), m)
         adjoint = transform[0]
@@ -198,15 +206,19 @@ class RowSampledIdftOperator:
     def column(self, k: int) -> np.ndarray:
         m = self.n_coefficients
         if self._column_scale is None:
-            self._column_scale = self.weights[self.rows] / math.sqrt(m)
+            self._column_scale = self.sampled_weights / math.sqrt(m)
+        if k % m == 0:
+            # the DC column gathers only the root 1, which scales exactly
+            return self._column_scale.astype(np.complex128)
         # reducing r*k mod m in integers indexes the phase j*2*pi/m in [0, 2*pi)
         col = _unit_roots(m)[(self.rows * (k % m)) % m]
         col *= self._column_scale
         return col
 
-    def column_norms(self) -> np.ndarray:
-        value = np.linalg.norm(self.weights[self.rows]) / math.sqrt(self.n_coefficients)
-        return np.full(self.n_coefficients, value)
+    def column_norms(self) -> np.float64:
+        """The one norm ||w[rows]|| / sqrt(m) that every column has."""
+        w = self.sampled_weights
+        return np.sqrt(w.dot(w)) / math.sqrt(self.n_coefficients)
 
     def half_gram_by_offset(self) -> np.ndarray:
         """Entries d = 0..m//2 of :meth:`gram_by_offset`, one real transform."""
@@ -222,19 +234,26 @@ class RowSampledIdftOperator:
         """
         return _hermitian_completion(self.half_gram_by_offset(), self.n_coefficients)
 
-    def gram_column(self, k: int, entries: np.ndarray | None = None) -> np.ndarray:
-        """A^H a_k without a transform: entry j is g[(k - j) mod m].
+    def gram_column(self, k: int, entries: np.ndarray) -> np.ndarray:
+        """Entries j of A^H a_k without a transform: g[(k - j) mod m].
 
-        g is :meth:`gram_by_offset`, computed once per operator.  ``entries``
-        gathers only those j, without building the length-m column.
+        g is :meth:`gram_by_offset`, computed once per operator.
         """
         if self._gram is None:
             self._gram = self.gram_by_offset()
-        if entries is not None:
-            return self._gram[(k - np.asarray(entries)) % self.n_coefficients]
+        return self._gram[(k - np.asarray(entries)) % self.n_coefficients]
+
+    def subtract_gram_column(self, out: np.ndarray, k: int, c: complex) -> None:
+        """out -= c A^H a_k in place, without building the column.
+
+        Entries j = 0..k read g[k], ..., g[0] and j = k+1..m-1 read
+        g[m-1], ..., g[k+1]: two reversed slices of the cached Gram.
+        """
+        if self._gram is None:
+            self._gram = self.gram_by_offset()
         k %= self.n_coefficients
-        # j = 0..k reads g[k], ..., g[0]; j = k+1..m-1 reads g[m-1], ..., g[k+1]
-        return np.concatenate((self._gram[k::-1], self._gram[: k : -1]))
+        out[: k + 1] -= self._gram[k::-1] * c
+        out[k + 1 :] -= self._gram[:k:-1] * c
 
     def dense(self) -> np.ndarray:
         """The explicit m_s x m matrix, for small-m checks."""
@@ -260,6 +279,12 @@ class OmpConfig:
     k_max: int = 1
     noise_scale: float | None = None
     shrink_to_delta: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+            raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        if self.noise_scale is not None and not 0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 @dataclass
@@ -293,7 +318,10 @@ def omp_solve(
     Zibulevsky & Elad, Technion CS-2008-08), and the refit solves the |S|x|S|
     normal equations G_SS c = corr0[S] by a progressively grown Cholesky
     factor, whose new pivot doubles as the rank test; its new row reads only
-    the |S| support entries of the new atom's Gram column.  The residual
+    the |S| support entries of the new atom's Gram column and takes the
+    forward solve L z = corr0[S] one step further.  The updates run in place
+    (``op.subtract_gram_column``).  ``op.column_norms()`` gives one scalar
+    or one norm per column; a zero column is never selected.  The residual
     y - sum_s c_s a_s is still formed explicitly for the stop rule, the
     ``shrink_to_delta`` factor and the reported norms.
 
@@ -312,42 +340,42 @@ def omp_solve(
         )
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be finite and >= 0")
 
-    norms = op.column_norms()
-    unusable = np.flatnonzero(norms <= 0)
-    norms = np.where(norms > 0, norms, 1.0)
+    norm = op.column_norms()  # one scalar when every column has the same norm
+    norms = np.broadcast_to(norm, op.n_coefficients)
+    # a zero column correlates 0 with every residual: an infinite divisor
+    # scores it 0, and a best score of 0 ends the solve
+    divisor = np.where(norm > 0, norm, np.inf)
     corr0 = op.adjoint(y)
+    corr = np.empty_like(corr0)
+    scores = np.empty(op.n_coefficients)
     support: list[int] = []
     columns: list[np.ndarray] = []
     chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
+    # forward-substituted corr0[S]: the refit's triangular solve L z = corr0[S]
+    z = np.zeros(chol.shape[0], dtype=np.complex128)
     coef = np.empty(0, dtype=np.complex128)
     fitted = np.zeros_like(y)
     residual = y
-    history = [float(np.linalg.norm(residual))]
+    history = [_norm(residual)]
     degenerate = False
 
     while len(support) < k_max and history[-1] > delta:
-        corr = corr0
         if support:
-            # a Gram column is a cheap rotation of one cached transform, so
-            # each is rebuilt per use and scaled in place rather than held
-            # across iterations: fewer length-m arrays alive at once
-            corr = corr0.copy()
+            np.copyto(corr, corr0)
             for c, s in zip(coef, support):
-                update = op.gram_column(s)
-                update *= c
-                corr -= update
-        scores = _scores(corr, norms, unusable, support)
-        k = int(np.argmax(scores))
+                op.subtract_gram_column(corr, s, c)
+        _scores(corr if support else corr0, divisor, support, scores)
+        k = int(scores.argmax())
         # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
         if support and scores[k] <= ROUNDOFF_SCALE * (
             history[0] + float(np.abs(coef) @ norms[support])
         ):
             # the update may have cancelled to roundoff; confirm on the residual
-            scores = _scores(op.adjoint(residual), norms, unusable, support)
-            k = int(np.argmax(scores))
+            _scores(op.adjoint(residual), divisor, support, scores)
+            k = int(scores.argmax())
         if scores[k] <= 0:
             break
         # grow the Cholesky factor of G_SS by G_{S,k}, the new atom's Gram
@@ -355,6 +383,7 @@ def omp_solve(
         n = len(support)
         if n == chol.shape[0]:
             chol = np.pad(chol, (0, n))
+            z = np.pad(z, (0, n))
         gram_row = op.gram_column(k, support) if support else np.empty(0, dtype=np.complex128)
         w = _forward_substitute(chol[:n, :n], gram_row)
         diag = norms[k] ** 2
@@ -364,17 +393,19 @@ def omp_solve(
             break
         chol[n, :n] = w.conj()
         chol[n, n] = math.sqrt(pivot)
+        # the new row of L takes z one forward-substitution step further
+        z[n] = (corr0[k] - chol[n, :n] @ z[:n]) / chol[n, n]
         support.append(k)
         columns.append(op.column(k))
-        coef = _cholesky_solve(chol[: n + 1, : n + 1], corr0[support])
+        coef = _back_substitute(chol[: n + 1, : n + 1], z[: n + 1])
         fitted = coef[0] * columns[0]
         for c, column in zip(coef[1:], columns[1:]):
             fitted += c * column
         residual = y - fitted
-        history.append(float(np.linalg.norm(residual)))
+        history.append(_norm(residual))
 
     if shrink_to_delta and delta > 0 and support:
-        fitted_norm = float(np.linalg.norm(fitted))
+        fitted_norm = _norm(fitted)
         if fitted_norm > 0:
             factor = max(0.0, 1.0 - delta / fitted_norm)
             coef = coef * factor
@@ -386,21 +417,25 @@ def omp_solve(
     return SparseCoefficients(
         coefficients=full,
         support=np.asarray(support, dtype=np.int64),
-        residual_norm=float(np.linalg.norm(residual)),
+        residual_norm=_norm(residual),
         residual_history=history,
         degenerate_support=degenerate,
     )
 
 
-def _scores(
-    corr: np.ndarray, norms: np.ndarray, unusable: np.ndarray, support: list[int]
-) -> np.ndarray:
-    """Normalized correlation magnitudes; -1 marks zero columns and the support."""
-    scores = np.abs(corr)
-    scores /= norms
-    scores[unusable] = -1.0
-    scores[support] = -1.0
-    return scores
+def _norm(v: np.ndarray) -> float:
+    """||v||, with the arithmetic of ``np.linalg.norm`` for a 1-d array."""
+    if v.dtype.kind == "c":
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
+
+
+def _scores(corr: np.ndarray, divisor, support: list[int], out: np.ndarray) -> None:
+    """Normalized correlation magnitudes into ``out``; -1 marks the support."""
+    np.abs(corr, out=out)
+    out /= divisor
+    if support:
+        out[support] = -1.0
 
 
 def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,11 +446,10 @@ def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^H) c = b given the small lower Cholesky factor L."""
-    z = _forward_substitute(lower, b)
-    c = np.empty(b.size, dtype=np.complex128)
-    for i in range(b.size - 1, -1, -1):
+def _back_substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve L^H c = z given the small lower Cholesky factor L."""
+    c = np.empty(z.size, dtype=np.complex128)
+    for i in range(z.size - 1, -1, -1):
         c[i] = (z[i] - lower[i + 1 :, i].conj() @ c[i + 1 :]) / lower[i, i]
     return c
 
@@ -463,8 +497,8 @@ def dc_project(
     if y.ndim != 2 or w.shape not in (y.shape, y.shape[1:]):
         raise ValueError("measurement must be 2-d rows, weights one row each or one shared row")
     delta = np.asarray(delta, dtype=float)
-    if (delta < 0).any():
-        raise ValueError("delta must be >= 0")
+    if delta.size and not 0 <= delta.min() <= delta.max() < math.inf:
+        raise ValueError("delta must be finite and >= 0")
     ww = _row_dots(w, w) if w.ndim == 2 else np.full(y.shape[0], w @ w)
     yy = _row_dots(y, y)
     degenerate = ww == 0

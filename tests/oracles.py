@@ -11,10 +11,13 @@ beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|),
 and the per-value CSV field formatter that the report writer's row templates
 replaced.
 
-The exception is the pair of multi-atom per-sub-channel estimators, kept as
-they were written before the cell fit served every atom budget: they reuse
-the package's Batch-OMP solver, plug-ins and input checks, and pin the cell
-fit's multi-atom rows to one OMP solve per sub-channel bit for bit.
+The exceptions pin the package's code to an earlier form of itself, bit for
+bit.  :func:`batch_omp_frozen` is Batch-OMP as written before it kept its
+work in place, driven by the package's operators.  The pair of multi-atom
+per-sub-channel estimators are kept as they were written before the cell fit
+served every atom budget: they reuse the package's Batch-OMP solver,
+plug-ins and input checks, and pin the cell fit's multi-atom rows to one OMP
+solve per sub-channel.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 
 import numpy as np
 
+from csqkd import sensing
 from csqkd.channel import ProtocolParams
 from csqkd.estimators import (
     FLAG_BELOW_FLOOR,
@@ -95,8 +99,9 @@ class DenseOperator:
     """Explicit-matrix test double with the sensing-operator interface.
 
     :func:`csqkd.sensing.omp_solve` reads only ``n_coefficients``,
-    ``n_measurements``, ``adjoint``, ``column``, ``column_norms`` and
-    ``gram_column``, so a generic matrix can drive it.
+    ``n_measurements``, ``adjoint``, ``column``, ``column_norms``,
+    ``gram_column`` and ``subtract_gram_column``, so a generic matrix can
+    drive it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -118,10 +123,13 @@ class DenseOperator:
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.matrix, axis=0)
 
-    def gram_column(self, k: int, entries: np.ndarray | None = None) -> np.ndarray:
-        """Column k of the Gram matrix, A^H a_k, or its ``entries`` only."""
-        column = self.adjoint(self.column(k))
-        return column if entries is None else column[entries]
+    def gram_column(self, k: int, entries: np.ndarray) -> np.ndarray:
+        """Entries ``entries`` of column k of the Gram matrix, A^H a_k."""
+        return self.adjoint(self.column(k))[entries]
+
+    def subtract_gram_column(self, out: np.ndarray, k: int, c: complex) -> None:
+        """out -= c A^H a_k in place."""
+        out -= self.adjoint(self.column(k)) * c
 
     def dense(self) -> np.ndarray:
         return self.matrix
@@ -238,6 +246,121 @@ def omp_reference(
         residual_history=history,
         degenerate_support=degenerate,
     )
+
+
+def batch_omp_frozen(
+    op,
+    measurement: np.ndarray,
+    k_max: int = 1,
+    delta: float = 0.0,
+    shrink_to_delta: bool = False,
+) -> SparseCoefficients:
+    """Batch-OMP as :func:`csqkd.sensing.omp_solve` was written with a
+    length-m norm array, a full Gram column per correlation update and a
+    fresh triangular solve per refit; the solver must match it bit for bit.
+    A scalar ``column_norms`` is spread to every column."""
+    y = np.ravel(measurement)
+    y = y.astype(np.result_type(y, float), copy=False)
+    if y.size != op.n_measurements:
+        raise ValueError(
+            f"measurement length {y.size} does not match operator ({op.n_measurements})"
+        )
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+
+    norms = np.broadcast_to(op.column_norms(), op.n_coefficients)
+    unusable = np.flatnonzero(norms <= 0)
+    norms = np.where(norms > 0, norms, 1.0)
+    corr0 = op.adjoint(y)
+    support: list[int] = []
+    columns: list[np.ndarray] = []
+    chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
+    coef = np.empty(0, dtype=np.complex128)
+    fitted = np.zeros_like(y)
+    residual = y
+    history = [float(np.linalg.norm(residual))]
+    degenerate = False
+
+    while len(support) < k_max and history[-1] > delta:
+        corr = corr0
+        if support:
+            corr = corr0.copy()
+            for c, s in zip(coef, support):
+                update = op.gram_column(s, np.arange(op.n_coefficients))
+                update *= c
+                corr -= update
+        scores = _frozen_scores(corr, norms, unusable, support)
+        k = int(np.argmax(scores))
+        if support and scores[k] <= sensing.ROUNDOFF_SCALE * (
+            history[0] + float(np.abs(coef) @ norms[support])
+        ):
+            scores = _frozen_scores(op.adjoint(residual), norms, unusable, support)
+            k = int(np.argmax(scores))
+        if scores[k] <= 0:
+            break
+        n = len(support)
+        if n == chol.shape[0]:
+            chol = np.pad(chol, (0, n))
+        gram_row = op.gram_column(k, support) if support else np.empty(0, dtype=np.complex128)
+        w = _frozen_forward_substitute(chol[:n, :n], gram_row)
+        diag = norms[k] ** 2
+        pivot = diag - float(np.vdot(w, w).real)
+        if pivot <= sensing.PIVOT_TOLERANCE * diag:
+            degenerate = True
+            break
+        chol[n, :n] = w.conj()
+        chol[n, n] = math.sqrt(pivot)
+        support.append(k)
+        columns.append(op.column(k))
+        coef = _frozen_cholesky_solve(chol[: n + 1, : n + 1], corr0[support])
+        fitted = coef[0] * columns[0]
+        for c, column in zip(coef[1:], columns[1:]):
+            fitted += c * column
+        residual = y - fitted
+        history.append(float(np.linalg.norm(residual)))
+
+    if shrink_to_delta and delta > 0 and support:
+        fitted_norm = float(np.linalg.norm(fitted))
+        if fitted_norm > 0:
+            factor = max(0.0, 1.0 - delta / fitted_norm)
+            coef = coef * factor
+            residual = y - factor * fitted
+
+    full = np.zeros(op.n_coefficients, dtype=np.complex128)
+    if support:
+        full[np.asarray(support)] = coef
+    return SparseCoefficients(
+        coefficients=full,
+        support=np.asarray(support, dtype=np.int64),
+        residual_norm=float(np.linalg.norm(residual)),
+        residual_history=history,
+        degenerate_support=degenerate,
+    )
+
+
+def _frozen_scores(corr, norms, unusable, support):
+    scores = np.abs(corr)
+    scores /= norms
+    scores[unusable] = -1.0
+    scores[support] = -1.0
+    return scores
+
+
+def _frozen_forward_substitute(lower, b):
+    z = np.empty(b.size, dtype=np.complex128)
+    for i in range(b.size):
+        z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
+    return z
+
+
+def _frozen_cholesky_solve(lower, b):
+    z = _frozen_forward_substitute(lower, b)
+    c = np.empty(b.size, dtype=np.complex128)
+    for i in range(b.size - 1, -1, -1):
+        c[i] = (z[i] - lower[i + 1 :, i].conj() @ c[i + 1 :]) / lower[i, i]
+    return c
 
 
 def csv_field(value) -> str:

@@ -163,6 +163,138 @@ def test_parallel_columns_degenerate_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
+# bit-for-bit parity with the solver as written before its in-place work
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(make_op, y, **kwargs):
+    """omp_solve on a fresh operator gives the frozen solver's bits exactly."""
+    got = omp_solve(make_op(), y, **kwargs)
+    ref = oracles.batch_omp_frozen(make_op(), y, **kwargs)
+    assert got.support.tolist() == ref.support.tolist()
+    assert got.coefficients.tobytes() == ref.coefficients.tobytes()
+    assert np.array(got.residual_history).tobytes() == np.array(ref.residual_history).tobytes()
+    assert np.float64(got.residual_norm).tobytes() == np.float64(ref.residual_norm).tobytes()
+    assert got.degenerate_support == ref.degenerate_support
+    return got
+
+
+def _fresh_idft(m, fraction, weights, seed):
+    rng, op = _idft_case(m, fraction, weights, seed)
+    return rng, op, lambda: RowSampledIdftOperator(op.weights, op.rows)
+
+
+@pytest.mark.parametrize("data", ["real", "complex"])
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("weights", ["symbols", "constant"])
+@pytest.mark.parametrize("fraction", [0.1, 0.4, 1.0])
+def test_bits_match_frozen_solver(fraction, weights, k_max, data):
+    rng, op, make_op = _fresh_idft(2000, fraction, weights, seed=int(100 * fraction) + k_max)
+    truth = np.zeros(2000, dtype=complex)
+    truth[[0, 17]] = [0.4 * np.sqrt(2000), 0.1 - 0.2j]
+    y = op.apply(truth) + rng.normal(0, 1.0, op.n_measurements)
+    if data == "real":
+        y = y.real
+    sol = _assert_same_bits(make_op, y, k_max=k_max)
+    assert sol.support.size == k_max
+
+
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("share", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("data", ["real", "complex"])
+def test_bits_match_frozen_solver_with_delta(data, share, shrink):
+    rng, op, make_op = _fresh_idft(2000, 0.4, "symbols", seed=7)
+    truth = np.zeros(2000, dtype=complex)
+    truth[[0, 13, 400]] = [9.0, 2.0 - 1.0j, 0.7j]
+    y = op.apply(truth) + rng.normal(0, 0.5, op.n_measurements)
+    if data == "real":
+        y = y.real
+    delta = share * float(np.linalg.norm(y))
+    _assert_same_bits(make_op, y, k_max=6, delta=delta, shrink_to_delta=shrink)
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+@pytest.mark.parametrize("k_max", [1, 2, 3, 5, 8])
+def test_dense_bits_match_frozen_solver(k_max, zero_column):
+    rng = np.random.default_rng(60 + k_max)
+    matrix = rng.normal(size=(40, 120)) + 1j * rng.normal(size=(40, 120))
+    if zero_column:
+        matrix[:, 50] = 0.0
+    y = matrix[:, [3, 50]] @ np.array([2.0, -1.0j]) + 0.1 * rng.normal(size=40)
+    delta = 0.3 * float(np.linalg.norm(y)) if k_max == 8 else 0.0
+    _assert_same_bits(lambda: DenseOperator(matrix), y, k_max=k_max, delta=delta, shrink_to_delta=True)
+
+
+@pytest.mark.parametrize("m", [63, 64, 2000])
+def test_mirror_tie_bits_match_frozen_solver(m):
+    rng, op, make_op = _fresh_idft(m, 0.4, "symbols", seed=m)
+    k = int(rng.integers(1, (m - 1) // 2))
+    truth = np.zeros(m, dtype=complex)
+    truth[k] = 3.0 * np.sqrt(m)
+    y = op.apply(truth).real + rng.normal(0, 0.1, op.n_measurements)
+    sol = _assert_same_bits(make_op, y, k_max=3)
+    assert sol.support.tolist()[:2] == [k, m - k]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_deficient_bits_match_frozen_solver(seed):
+    rng, op, make_op = _fresh_idft(64, 0.1, "symbols", seed=seed)
+    y = rng.normal(size=op.n_measurements) + 1j * rng.normal(size=op.n_measurements)
+    sol = _assert_same_bits(make_op, y, k_max=8)
+    assert sol.degenerate_support
+
+
+def test_roundoff_confirmation_bits_match_frozen_solver(monkeypatch):
+    # after an exact three-atom fit the updated correlations are roundoff, so
+    # the fourth atom is chosen from an explicit adjoint of the residual
+    rng, op, make_op = _fresh_idft(256, 0.5, "symbols", seed=3)
+    truth = np.zeros(256, dtype=complex)
+    truth[[0, 21, 90]] = [6.0, 2.0 + 1.0j, -1.5j]
+    y = op.apply(truth)
+    calls = []
+    original = RowSampledIdftOperator.adjoint
+
+    def counted(self, r):
+        calls.append(r.size)
+        return original(self, r)
+
+    monkeypatch.setattr(RowSampledIdftOperator, "adjoint", counted)
+    omp_solve(make_op(), y, k_max=5)
+    # the first adjoint, then at least one confirmation on the residual
+    assert len(calls) >= 2
+    sol = _assert_same_bits(make_op, y, k_max=5)
+    assert sol.support.size >= 4
+    _assert_same_bits(
+        lambda: DenseOperator(np.array([[1.0, 1.0], [0.0, 1e-17]])), np.array([2.0, 1.0]), k_max=2
+    )
+
+
+# ---------------------------------------------------------------------------
+# zero columns
+# ---------------------------------------------------------------------------
+
+def test_all_zero_weights_give_empty_support_without_flag():
+    op = RowSampledIdftOperator(np.zeros(500), make_sampling_plan(500, 0.4, seed=1).indices)
+    y = np.random.default_rng(1).normal(size=op.n_measurements)
+    sol = omp_solve(op, y, k_max=3)
+    assert sol.support.size == 0
+    assert not sol.degenerate_support
+    assert sol.residual_norm == pytest.approx(np.linalg.norm(y), rel=1e-15)
+    assert not np.any(sol.coefficients)
+
+
+def test_dense_zero_column_is_never_selected():
+    # y lies along the zero column's neighbours; every other column is usable
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(12, 30))
+    matrix[:, 0] = 0.0
+    y = rng.normal(size=12)
+    sol = omp_solve(DenseOperator(matrix), y, k_max=12)
+    assert 0 not in sol.support.tolist()
+    assert sol.support.size >= 11
+    assert np.all(np.isfinite(sol.coefficients))
+
+
+# ---------------------------------------------------------------------------
 # transform budget
 # ---------------------------------------------------------------------------
 
@@ -192,24 +324,31 @@ def test_batch_omp_budget_one_adjoint_one_gram(monkeypatch):
     assert calls["gram_by_offset"] <= 1
 
 
-def test_batch_omp_builds_full_gram_columns_only_for_correlation_updates(monkeypatch):
-    # a k_max = 5 solve updates its correlations with 1 + 2 + 3 + 4 full Gram
-    # columns; the Cholesky step reads only the new atom's entries at the
-    # support, so it builds no length-m column
-    full = []
-    original = RowSampledIdftOperator.gram_column
+def test_batch_omp_updates_correlations_in_place_and_builds_no_gram_column(monkeypatch):
+    # a k_max = 5 solve updates its correlations in place from 1 + 2 + 3 + 4
+    # Gram columns; the Cholesky step reads only the new atom's entries at
+    # the support, so no length-m Gram column is built at all
+    updates = []
+    gathered = []
+    original_update = RowSampledIdftOperator.subtract_gram_column
+    original_column = RowSampledIdftOperator.gram_column
 
-    def counted(self, k, entries=None):
-        if entries is None:
-            full.append(k)
-        return original(self, k, entries)
+    def counted_update(self, out, k, c):
+        updates.append(k)
+        return original_update(self, out, k, c)
 
-    monkeypatch.setattr(RowSampledIdftOperator, "gram_column", counted)
+    def counted_column(self, k, entries):
+        gathered.append(len(entries))
+        return original_column(self, k, entries)
+
+    monkeypatch.setattr(RowSampledIdftOperator, "subtract_gram_column", counted_update)
+    monkeypatch.setattr(RowSampledIdftOperator, "gram_column", counted_column)
     rng, op = _idft_case(2000, 0.4, "symbols", seed=5)
     y = op.column(0).real * 3.0 + rng.normal(0, 1.0, op.n_measurements)
     sol = omp_solve(op, y, k_max=5)
     assert sol.support.size == 5
-    assert len(full) == 1 + 2 + 3 + 4
+    assert len(updates) == 1 + 2 + 3 + 4
+    assert gathered == [1, 2, 3, 4]
 
 
 def test_multi_atom_estimate_runs_two_transforms(monkeypatch):

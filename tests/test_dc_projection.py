@@ -165,6 +165,16 @@ def test_dc_project_validation():
         dc_project(np.ones(3), np.ones((2, 3)), delta=np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dc_project_rejects_a_delta_that_is_not_finite(bad):
+    # a NaN delta fitted no atom and an infinite one stopped every fit: both
+    # used to pass as an unestimable row with T_hat = 0
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        dc_project(np.ones(3), np.ones((1, 3)), delta=bad)
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        dc_project(np.ones(3), np.ones((2, 3)), delta=np.array([0.0, bad]))
+
+
 def test_single_atom_budget_never_runs_omp(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the one-atom budget must not build an operator or run OMP")

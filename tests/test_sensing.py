@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from csqkd.sensing import (
+    OmpConfig,
     RowSampledIdftOperator,
     make_sampling_plan,
     mutual_incoherence,
@@ -138,9 +139,14 @@ def test_real_gram_and_mip_match_dense(m):
     assert np.max(np.abs(gram - g[(k - j) % m])) <= 1e-12 * g[0].real
     entries = [m - 1, 0, 5, 2]
     for col in (0, 1, m // 2, m - 1):
-        assert np.max(np.abs(op.gram_column(col) - gram[:, col])) <= 1e-12 * g[0].real
+        full = op.gram_column(col, np.arange(m))
+        assert np.max(np.abs(full - gram[:, col])) <= 1e-12 * g[0].real
         # OMP's Cholesky step gathers a Gram column at the support only
-        assert np.array_equal(op.gram_column(col, entries), op.gram_column(col)[entries])
+        assert np.array_equal(op.gram_column(col, entries), full[entries])
+        # its correlation updates subtract the column in place
+        out = np.ones(m, dtype=complex)
+        op.subtract_gram_column(out, col, 2.0 - 1.0j)
+        assert np.max(np.abs(out - (1.0 - (2.0 - 1.0j) * gram[:, col]))) <= 1e-12 * g[0].real
     for normalize in (False, True):
         fast = mutual_incoherence(op, normalize=normalize)
         slow = oracles.mutual_incoherence_dense(dense, normalize=normalize)
@@ -165,6 +171,25 @@ def test_column_is_direct_phase_formula_bit_for_bit(m):
         # a caller writing into a column leaves the shared table intact
         col[:] = 0
         assert np.array_equal(op.column(k), expected)
+
+
+@pytest.mark.parametrize("m", [1, 97, 10_000])
+def test_dc_column_and_shared_norm_keep_their_bits(m):
+    # column 0 skips the unit-root gather: the root there is exactly 1, so
+    # scaling the weights alone gives the gathered column's bits, signed
+    # zeros included; the one shared column norm has np.linalg.norm's bits
+    rng = np.random.default_rng(m)
+    weights = rng.normal(0, 2.0, m)
+    weights[::7] = 0.0
+    weights[3::7] = -0.0
+    rows = make_sampling_plan(m, 0.3, seed=4).indices
+    op = RowSampledIdftOperator(weights, rows)
+    gathered = np.ones(rows.size, dtype=complex)
+    gathered *= weights[rows] / math.sqrt(m)
+    for k in (0, m, -m):
+        assert _same_bits(op.column(k), gathered)
+    assert _same_bits(op.column_norms(), np.linalg.norm(weights[rows]) / math.sqrt(m))
+    assert _same_bits(op.sampled_weights, weights[rows])
 
 
 def _same_bits(a, b):
@@ -208,7 +233,7 @@ def test_paired_adjoint_and_cached_gram_are_one_row_transforms_bit_for_bit(
     assert _same_bits(op.adjoint(r), expected)
     assert shapes == [(2, m)]
     # the Gram is cached: its columns take no further transform
-    cached = [op.gram_column(k) for k in (0, 1, m - 1)]
+    cached = [op.gram_column(k, np.arange(m)) for k in (0, 1, m - 1)]
     assert shapes == [(2, m)]
     monkeypatch.undo()
     fresh = RowSampledIdftOperator(weights, rows)
@@ -217,7 +242,7 @@ def test_paired_adjoint_and_cached_gram_are_one_row_transforms_bit_for_bit(
     w2[rows] = weights[rows] ** 2
     assert _same_bits(gram[: m // 2 + 1], np.conj(np.fft.rfft(w2)) / m)
     for k, column in zip((0, 1, m - 1), cached):
-        assert _same_bits(column, fresh.gram_column(k))
+        assert _same_bits(column, fresh.gram_column(k, np.arange(m)))
     # a later adjoint, with the Gram cached, is a one-row transform
     assert _same_bits(op.adjoint(2.0 * r), _one_row_adjoint(weights, rows, 2.0 * r))
 
@@ -238,8 +263,10 @@ def test_operator_input_validation():
         RowSampledIdftOperator(np.ones(4), np.array([2, 0, 2]))
     # unsorted distinct rows stay valid
     assert RowSampledIdftOperator(np.ones(4), np.array([3, 0, 2])).n_measurements == 3
-    with pytest.raises(ValueError, match="out of range"):
-        RowSampledIdftOperator(np.ones(4), np.array([4]))
+    # sorted rows are bounded by their ends, unsorted ones by min and max
+    for rows in ([4], [-1, 2], [0, 4], [3, -1, 2], [4, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            RowSampledIdftOperator(np.ones(4), np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +353,34 @@ def test_omp_validation():
         omp_solve(op, np.ones(4), delta=-1.0)
     with pytest.raises(ValueError, match="measurement length"):
         omp_solve(op, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_omp_rejects_a_delta_that_is_not_finite_and_nonnegative(bad):
+    # a NaN or infinite delta used to stop or run the fit silently
+    op = DenseOperator(np.eye(4))
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        omp_solve(op, np.ones(4), delta=bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k_max": 0}, "k_max must be an integer >= 1"),
+        ({"k_max": -3}, "k_max must be an integer >= 1"),
+        ({"k_max": 2.5}, "k_max must be an integer >= 1"),
+        ({"noise_scale": math.nan}, "noise_scale must be finite and >= 0"),
+        ({"noise_scale": math.inf}, "noise_scale must be finite and >= 0"),
+        ({"noise_scale": -0.1}, "noise_scale must be finite and >= 0"),
+    ],
+)
+def test_omp_config_rejects_bad_budget_and_tolerance(kwargs, message):
+    # each used to fit or fail mid-fit: k_max = 0 as one atom, k_max = 2.5
+    # with a TypeError in the solver, a NaN or infinite scale as an
+    # unestimable row, a negative one as "delta must be >= 0"
+    with pytest.raises(ValueError, match=message):
+        OmpConfig(**kwargs)
+    assert OmpConfig(k_max=np.int64(3), noise_scale=0.0).noise_scale == 0.0
 
 
 def test_omp_shrink_to_delta_active_constraint():
