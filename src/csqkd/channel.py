@@ -317,9 +317,11 @@ class QuadratureDataset:
     zero_noise: bool = False
 
 
-def attenuate(x: np.ndarray, transmittance: float, detector_efficiency: float) -> np.ndarray:
-    """Apply the noiseless channel map sqrt(eta*T) * x."""
-    return math.sqrt(detector_efficiency * transmittance) * np.asarray(x, dtype=float)
+def attenuate(
+    x: np.ndarray, transmittance: float, detector_efficiency: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Apply the noiseless channel map sqrt(eta*T) * x, into ``out`` if given."""
+    return np.multiply(np.asarray(x, dtype=float), math.sqrt(detector_efficiency * transmittance), out=out)
 
 
 def simulate_block(
@@ -342,20 +344,30 @@ def simulate_block(
     """
     children = np.random.SeedSequence(seed).spawn(ensemble.count)
     std_x = math.sqrt(params.modulation_variance)
-    ends = np.cumsum([sub.block_length for sub in ensemble.channels]).tolist()
+    lengths = [sub.block_length for sub in ensemble.channels]
+    ends = np.cumsum(lengths).tolist()
     buffer = np.empty((2, ends[-1]))
+    # sqrt(eta*T) * x of one block at a time: the dataset's one temporary
+    scratch = np.empty(max(lengths))
     alice: list[np.ndarray] = []
     bob: list[np.ndarray] = []
     for sub, child, end in zip(ensemble.channels, children, ends):
         rng = np.random.default_rng(child)
         x = buffer[0, end - sub.block_length : end]
         y = buffer[1, end - sub.block_length : end]
-        x[:] = rng.normal(0.0, std_x, sub.block_length)
+        signal = scratch[: sub.block_length]
+        # in place, with the bits of rng.normal(0.0, scale, n) = 0.0 + scale * z
+        rng.standard_normal(out=x)
+        x *= std_x
+        x += 0.0
+        attenuate(x, sub.transmittance, params.detector_efficiency, out=signal)
         if zero_noise:
-            z = np.zeros(sub.block_length)
+            y[:] = 0.0
         else:
-            z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
-        np.add(attenuate(x, sub.transmittance, params.detector_efficiency), z, out=y)
+            rng.standard_normal(out=y)
+            y *= math.sqrt(noise_variance(sub, params))
+            y += 0.0
+        y += signal
         alice.append(x)
         bob.append(y)
     return QuadratureDataset(alice=tuple(alice), bob=tuple(bob), zero_noise=zero_noise)

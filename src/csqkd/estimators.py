@@ -18,12 +18,14 @@ Two routes are provided:
 With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
 is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
-(variables) or g/eta (statistics).  :func:`fit_cell_variables` and
-:func:`fit_cell_statistics` are the one implementation of each route: they
-evaluate the projection for every sub-channel of one (seed, fraction) cell,
-gathering the sampled rows of a few sub-channels at a time under
-:data:`CHUNK_BYTES` per work array, and the per-sub-channel estimators are
-their one-channel case.  A sub-channel whose config has a larger budget is
+(variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables`` and
+``_fit_statistics``, is the implementation of each: it evaluates the
+projection for every sub-channel of one (seed, fraction) cell, gathering the
+sampled rows of a few sub-channels at a time under :data:`CHUNK_BYTES` per
+work array, and returns the estimates as the columns of a :class:`CellFit`.
+:func:`fit_cell_variables` and :func:`fit_cell_statistics` validate their
+inputs and build records from those columns, and the per-sub-channel
+estimators are their one-channel case.  A sub-channel whose config has a larger budget is
 fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the row-sampled
 IDFT operator instead, its row taking only w_s.w_s and y_s.y_s from the
 chunk pass, and :func:`transfer_moments` reads mean(h) =
@@ -118,10 +120,19 @@ class AggregateEstimate:
         return max(self.eps_mean, 0.0)
 
 
-def _resolve_delta(omp: OmpConfig, sample_count: int, slack: float) -> float:
-    if omp.noise_scale is not None:
-        return slack * math.sqrt(sample_count) * omp.noise_scale
-    return 0.0
+@dataclass(frozen=True)
+class CellFit:
+    """The estimates of a cell's sub-channels as columns; row i is sub-channel i."""
+
+    t_hat: np.ndarray
+    eps_hat: np.ndarray
+    residual: np.ndarray
+    sample_count: np.ndarray
+    imag_norm: np.ndarray
+    #: each row's flags joined by ";", "" for none
+    flags: list[str]
+    #: rows without an excluding flag
+    usable: np.ndarray
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -131,11 +142,19 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, with a finite sum of squares")
 
 
-def _cell_configs(omp: OmpConfig | Sequence[OmpConfig], count: int) -> list[OmpConfig]:
+def _solver_columns(
+    omp: OmpConfig | Sequence[OmpConfig], count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``k_max``, ``noise_scale`` (0 for none) and ``shrink_to_delta`` of one
+    config for all ``count`` sub-channels or one each."""
     configs = [omp] * count if isinstance(omp, OmpConfig) else list(omp)
     if len(configs) != count:
         raise ValueError(f"expected {count} solver configs, got {len(configs)}")
-    return configs
+    return (
+        np.array([c.k_max for c in configs], dtype=np.int64),
+        np.array([0.0 if c.noise_scale is None else c.noise_scale for c in configs]),
+        np.array([c.shrink_to_delta for c in configs], dtype=bool),
+    )
 
 
 def _cell_sample_count(plans: Sequence[SamplingPlan]) -> int:
@@ -153,26 +172,31 @@ def _chunks(count: int, m_s: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _estimates(
-    first: int,
+def _cell_fit(
     t_hat: np.ndarray,
     eps_hat: np.ndarray,
     residual: np.ndarray,
     sample_count: np.ndarray,
     imag_norm: np.ndarray,
     flags: Sequence[tuple[str, np.ndarray]],
-) -> list[SubChannelEstimate]:
-    """One estimate per row; ``flags`` pairs a flag with the rows that carry it."""
-    names = [name for name, _ in flags]
-    rows = zip(*(mask.tolist() for _, mask in flags))
-    flag_rows = [tuple(n for n, on in zip(names, row) if on) if any(row) else () for row in rows]
-    columns = (t_hat, eps_hat, residual, sample_count, imag_norm)
+) -> CellFit:
+    """The columns of a cell; ``flags`` pairs each flag, in order, with the rows that carry it."""
+    joined = [""] * t_hat.size
+    for j in np.flatnonzero(np.logical_or.reduce([mask for _, mask in flags])).tolist():
+        joined[j] = ";".join(name for name, mask in flags if mask[j])
+    excluded = np.logical_or.reduce([mask for name, mask in flags if name in EXCLUDING_FLAGS])
+    return CellFit(t_hat, eps_hat, residual, sample_count, imag_norm, joined, ~excluded)
+
+
+def _records(fit: CellFit, first: int = 0) -> list[SubChannelEstimate]:
+    """One estimate per row of ``fit``, indexed from ``first``."""
+    columns = (fit.t_hat, fit.eps_hat, fit.residual, fit.sample_count, fit.imag_norm)
     return [
         SubChannelEstimate(
-            index=first + j, t_hat=t, eps_hat=e, residual_norm=r, sample_count=n, flags=f,
-            imag_norm=h,
+            index=first + j, t_hat=t, eps_hat=e, residual_norm=r, sample_count=n,
+            flags=tuple(f.split(";")) if f else (), imag_norm=h,
         )
-        for j, (t, e, r, n, h, f) in enumerate(zip(*(c.tolist() for c in columns), flag_rows))
+        for j, (t, e, r, n, h, f) in enumerate(zip(*(c.tolist() for c in columns), fit.flags))
     ]
 
 
@@ -231,13 +255,15 @@ def _omp_refit(
     weights: Callable[[int], np.ndarray],
     measurement: np.ndarray,
     plans: Sequence[SamplingPlan],
-    configs: Sequence[OmpConfig],
+    k_max: np.ndarray,
     delta: np.ndarray,
+    shrink: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refit by Batch-OMP the chunk rows marked in ``todo``, in place.
 
     Row j of the chunk is sub-channel i = ``start + j``: ``measurement[j]``
-    through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``.
+    through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``,
+    solved with ``k_max[i]``, ``delta[i]`` and ``shrink[i]``.
     Its gain becomes mean(h), read off the coefficients, and its residual
     norm and degenerate flag in ``fit`` are overwritten.  Returns the chunk's
     imaginary-residue norms and the rows whose support misses the DC column.
@@ -249,9 +275,9 @@ def _omp_refit(
         solution = omp_solve(
             RowSampledIdftOperator(weights(i), plans[i].indices),
             measurement[j],
-            k_max=configs[i].k_max,
+            k_max=int(k_max[i]),
             delta=float(delta[i]),
-            shrink_to_delta=configs[i].shrink_to_delta,
+            shrink_to_delta=bool(shrink[i]),
         )
         fit.gain[j], imag_norm[j] = transfer_moments(solution.coefficients, solution.support)
         fit.residual_norm[j] = solution.residual_norm
@@ -281,22 +307,23 @@ def _fit_variables(
     y_blocks: Sequence[np.ndarray],
     plans: Sequence[SamplingPlan],
     params: ProtocolParams,
-    configs: Sequence[OmpConfig],
-    noise_floor: float | None,
-    first: int = 0,
-) -> list[SubChannelEstimate]:
-    """The variables fit of validated blocks, chunk by chunk."""
+    k_max: np.ndarray,
+    noise_scale: np.ndarray,
+    shrink: np.ndarray,
+    noise_floor: float | None = None,
+) -> CellFit:
+    """The variables fit of validated blocks, chunk by chunk; ``k_max``,
+    ``noise_scale`` (0 for none) and ``shrink`` hold each sub-channel's
+    solver settings, as :func:`_solver_columns` gives them."""
     count = len(plans)
     m_s = _cell_sample_count(plans)
     eta = params.detector_efficiency
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = np.array([_resolve_delta(c, m_s, slack=1.1) for c in configs])
-    shrink = np.array([c.shrink_to_delta for c in configs])
-    multi_atom = np.array([c.k_max > 1 for c in configs])
+    delta = 1.1 * math.sqrt(m_s) * noise_scale
     chunks = _chunks(count, m_s)
     x_work = np.empty((chunks[0].stop, m_s))
     y_work = np.empty_like(x_work)
-    estimates: list[SubChannelEstimate] = []
+    parts = []
     for chunk in chunks:
         x_s = x_work[: chunk.stop - chunk.start]
         y_s = y_work[: x_s.shape[0]]
@@ -304,32 +331,31 @@ def _fit_variables(
             x_blocks[i].take(plans[i].indices, out=x_s[j])
             y_blocks[i].take(plans[i].indices, out=y_s[j])
         # a zero column has nothing to refit
-        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], multi_atom[chunk])
+        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], k_max[chunk] > 1)
         imag_norm, off_dc = _omp_refit(
-            fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, configs, delta,
+            fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink,
         )
-        t_hat, eps_hat, unestimable = _variables_plug_in(fit.gain, fit.ww, fit.yy, m_s, eta, floor)
-        estimates += _estimates(
-            first + chunk.start,
-            t_hat,
-            eps_hat,
-            fit.residual_norm,
-            np.count_nonzero(x_s, axis=1),
-            imag_norm,
-            ((FLAG_DEGENERATE, fit.degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
-        )
-    return estimates
+        parts.append((*fit, imag_norm, off_dc, np.count_nonzero(x_s, axis=1)))
+    gain, residual, degenerate, ww, yy, imag_norm, off_dc, sample_count = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    t_hat, eps_hat, unestimable = _variables_plug_in(gain, ww, yy, m_s, eta, floor)
+    return _cell_fit(
+        t_hat, eps_hat, residual, sample_count, imag_norm,
+        ((FLAG_DEGENERATE, degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
+    )
 
 
 def _variables_inputs(
-    x_block, y_block, plan: SamplingPlan, x_name: str = "x_block", y_name: str = "y_block"
+    x_block, y_block, length: int, x_name: str = "x_block", y_name: str = "y_block"
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Finite 1-d float blocks of the ``length`` that the plans cover."""
     x = np.asarray(x_block, dtype=float)
     y = np.asarray(y_block, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"{x_name} and {y_name} must be 1-d arrays of equal length")
-    if plan.length != x.size:
-        raise ValueError(f"plan covers length {plan.length}, {x_name} has {x.size}")
+    if length != x.size:
+        raise ValueError(f"plan covers length {length}, {x_name} has {x.size}")
     _require_finite(x_name, x)
     _require_finite(y_name, y)
     return x, y
@@ -351,16 +377,15 @@ def fit_cell_variables(
     The result equals :func:`estimate_subchannel_variables` per sub-channel
     bit for bit.
     """
-    configs = _cell_configs(omp, len(plans))
+    solver = _solver_columns(omp, len(plans))
     if not len(x_blocks) == len(y_blocks) == len(plans):
         raise ValueError("x_blocks, y_blocks and plans must have one entry per sub-channel")
     blocks = [
-        _variables_inputs(x, y, plan, f"x_blocks[{i}]", f"y_blocks[{i}]")
+        _variables_inputs(x, y, plan.length, f"x_blocks[{i}]", f"y_blocks[{i}]")
         for i, (x, y, plan) in enumerate(zip(x_blocks, y_blocks, plans))
     ]
-    return _fit_variables(
-        [x for x, _ in blocks], [y for _, y in blocks], plans, params, configs, noise_floor
-    )
+    xs, ys = [x for x, _ in blocks], [y for _, y in blocks]
+    return _records(_fit_variables(xs, ys, plans, params, *solver, noise_floor))
 
 
 def estimate_subchannel_variables(
@@ -390,8 +415,9 @@ def estimate_subchannel_variables(
             plug-in; defaults to 1 + nu_el.  Pass 0.0 for data generated in
             zero-noise mode, which carries no vacuum unit.
     """
-    x, y = _variables_inputs(x_block, y_block, plan)
-    return _fit_variables([x], [y], [plan], params, [omp], noise_floor, first=index)[0]
+    x, y = _variables_inputs(x_block, y_block, plan.length)
+    fit = _fit_variables([x], [y], [plan], params, *_solver_columns(omp, 1), noise_floor)
+    return _records(fit, first=index)[0]
 
 
 def measured_variance(y_block: np.ndarray) -> float:
@@ -444,25 +470,25 @@ def _fit_statistics(
     measured: Sequence,
     params: ProtocolParams,
     plans: Sequence[SamplingPlan],
-    configs: Sequence[OmpConfig],
-    noise_floor: float | None,
-    first: int = 0,
-) -> list[SubChannelEstimate]:
-    """The statistics fit of validated variances, chunk by chunk."""
+    k_max: np.ndarray,
+    noise_scale: np.ndarray,
+    shrink: np.ndarray,
+    noise_floor: float | None = None,
+) -> CellFit:
+    """The statistics fit of validated variances, chunk by chunk; the solver
+    settings are those of :func:`_fit_variables`."""
     count = len(plans)
     m_s = _cell_sample_count(plans)
     eta = params.detector_efficiency
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = np.array([_resolve_delta(c, m_s, slack=1.0) for c in configs])
-    shrink = np.array([c.shrink_to_delta for c in configs])
-    multi_atom = np.array([c.k_max > 1 for c in configs])
+    delta = math.sqrt(m_s) * noise_scale
     v_b = np.array([v if isinstance(v, float) else float(v.mean()) for v in measured])
     below = v_b <= floor - FLOOR_TOLERANCE
     weights = np.full(m_s, v_a)
     chunks = _chunks(count, m_s)
     work = np.empty((chunks[0].stop, m_s))
-    estimates: list[SubChannelEstimate] = []
+    parts = []
     for chunk in chunks:
         r_s = work[: chunk.stop - chunk.start]
         # a scalar fills its row; sub-block variances are read at the rows
@@ -473,31 +499,29 @@ def _fit_statistics(
             if not isinstance(v, float):
                 v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
         r_s -= floor
-        low = below[chunk]
-        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], multi_atom[chunk] & ~low)
+        refit = (k_max[chunk] > 1) & ~below[chunk]
+        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], refit)
         imag_norm, off_dc = _omp_refit(
             fit, refit, chunk.start,
-            lambda i: np.full(plans[i].length, v_a), r_s, plans, configs, delta,
+            lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
         )
-        t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, r_s.sum(axis=1), m_s, eta, v_a)
-        t_hat[low] = 0.0
-        eps_hat[low] = math.nan
-        residual = np.where(low, 0.0, fit.residual_norm)
-        estimates += _estimates(
-            first + chunk.start,
-            t_hat,
-            eps_hat,
-            residual,
-            np.full(t_hat.shape, m_s),
-            imag_norm,
-            (
-                (FLAG_BELOW_FLOOR, low),
-                (FLAG_DEGENERATE, fit.degenerate & ~low),
-                (FLAG_OFF_DC, off_dc),
-                (FLAG_UNESTIMABLE, unestimable & ~low),
-            ),
-        )
-    return estimates
+        parts.append((fit.gain, fit.residual_norm, fit.degenerate, imag_norm, off_dc, r_s.sum(axis=1)))
+    gain, residual, degenerate, imag_norm, off_dc, sums = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    t_hat, eps_hat, unestimable = _statistics_plug_in(gain, sums, m_s, eta, v_a)
+    t_hat[below] = 0.0
+    eps_hat[below] = math.nan
+    residual[below] = 0.0
+    return _cell_fit(
+        t_hat, eps_hat, residual, np.full(count, m_s), imag_norm,
+        (
+            (FLAG_BELOW_FLOOR, below),
+            (FLAG_DEGENERATE, degenerate & ~below),
+            (FLAG_OFF_DC, off_dc),
+            (FLAG_UNESTIMABLE, unestimable & ~below),
+        ),
+    )
 
 
 def _statistics_input(measured, length: int, name: str = "measured") -> float | np.ndarray:
@@ -538,14 +562,14 @@ def fit_cell_statistics(
     any ``k_max``.  The result equals :func:`estimate_subchannel_statistics`
     per sub-channel bit for bit.
     """
-    configs = _cell_configs(omp, len(plans))
+    solver = _solver_columns(omp, len(plans))
     if len(measured) != len(plans):
         raise ValueError("measured and plans must have one entry per sub-channel")
     values = [
         _statistics_input(v, plan.length, f"measured[{i}]")
         for i, (v, plan) in enumerate(zip(measured, plans))
     ]
-    return _fit_statistics(values, params, plans, configs, noise_floor)
+    return _records(_fit_statistics(values, params, plans, *solver, noise_floor))
 
 
 def estimate_subchannel_statistics(
@@ -584,15 +608,17 @@ def estimate_subchannel_statistics(
     if plan.length != block_length:
         raise ValueError(f"plan covers length {plan.length}, expected {block_length}")
     value = _statistics_input(measured, block_length)
-    return _fit_statistics([value], params, [plan], [omp], noise_floor, first=index)[0]
+    fit = _fit_statistics([value], params, [plan], *_solver_columns(omp, 1), noise_floor)
+    return _records(fit, first=index)[0]
 
 
 def aggregate_estimates(
-    estimates: Sequence[SubChannelEstimate],
+    estimates: Sequence[SubChannelEstimate] | CellFit,
     probabilities: Sequence[float] | None = None,
 ) -> AggregateEstimate:
     """Probability-weighted means over the usable estimates.
 
+    ``estimates`` is a list of estimates or the columns of a cell fit.
     Flagged (unestimable, below-floor or off-DC) entries are excluded and the
     weights renormalized; the exclusion count is returned.  Raw values feed the T and
     eps means; sqrt(T) floors the transmittance at zero but applies no upper
@@ -600,15 +626,20 @@ def aggregate_estimates(
     transmittance, while the Jensen ordering <sqrt(T)>^2 <= <T> already holds
     for any nonnegative values).
     """
-    if not estimates:
+    if isinstance(estimates, CellFit):
+        t, eps, usable = estimates.t_hat, estimates.eps_hat, estimates.usable
+    else:
+        t = np.array([e.t_hat for e in estimates])
+        eps = np.array([e.eps_hat for e in estimates])
+        usable = np.array([e.usable for e in estimates], dtype=bool)
+    if not t.size:
         raise ValueError("no estimates to aggregate")
     if probabilities is None:
-        p = np.full(len(estimates), 1.0 / len(estimates))
+        p = np.full(t.size, 1.0 / t.size)
     else:
         p = np.asarray(probabilities, dtype=float)
-        if p.shape != (len(estimates),):
-            raise ValueError(f"expected {len(estimates)} probabilities, got shape {p.shape}")
-    usable = np.array([e.usable for e in estimates])
+        if p.shape != t.shape:
+            raise ValueError(f"expected {t.size} probabilities, got shape {p.shape}")
     excluded = int((~usable).sum())
     if not usable.any():
         raise ValueError("all estimates are flagged; nothing to aggregate")
@@ -617,11 +648,10 @@ def aggregate_estimates(
     if total <= 0:
         raise ValueError("usable estimates carry zero total probability")
     weights = weights / total
-    t = np.array([e.t_hat for e in estimates])[usable]
-    eps = np.array([e.eps_hat for e in estimates])[usable]
+    t = t[usable]
     return AggregateEstimate(
         t_mean=float(weights @ t),
         sqrt_t_mean=float(weights @ np.sqrt(np.maximum(t, 0.0))),
-        eps_mean=float(weights @ eps),
+        eps_mean=float(weights @ eps[usable]),
         excluded=excluded,
     )

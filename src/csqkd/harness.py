@@ -23,11 +23,11 @@ projection with the residual constraint active at the model-exact
 disturbance scale (eta*T_i*eps_i, known here because the harness owns the
 simulation ground truth); the variable-based estimator uses the configured
 ``k_max``: the closed-form DC projection at 1, for which the stop tolerance
-is immaterial, and OMP above it.  Each (seed, fraction, estimator) cell is one
-call into the cell fit over all sub-channels
-(:func:`~csqkd.estimators.fit_cell_variables`,
-:func:`~csqkd.estimators.fit_cell_statistics`), whatever the atom budget.
-Measured variances are taken once per seed.  The coherence diagnostic builds
+is immaterial, and OMP above it.  A seed's blocks and measured variances are
+taken and validated once, and each (seed, fraction, estimator) cell is one
+call into the route's cell fit over all sub-channels, whatever the atom
+budget; the rows, the MSE inputs and the key-rate aggregate are read off the
+columns it returns.  The coherence diagnostic builds
 the row-sampled IDFT operator of each model and passes a sub-channel's
 operators to one :func:`~csqkd.sensing.mutual_incoherence` call, which runs
 their Gram transforms as one two-row call.
@@ -54,6 +54,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +66,6 @@ from . import __version__
 from .channel import (
     DETECTIONS,
     ProtocolParams,
-    QuadratureDataset,
     SubChannelEnsemble,
     build_ensemble,
     ensemble_from_csv,
@@ -78,17 +78,18 @@ from .channel import (
 # call them
 from .estimators import (  # noqa: F401
     AggregateEstimate,
-    SubChannelEstimate,
+    _fit_statistics,
+    _fit_variables,
+    _statistics_input,
+    _variables_inputs,
     aggregate_estimates,
     block_variances,
     estimate_subchannel_statistics,
     estimate_subchannel_variables,
-    fit_cell_statistics,
-    fit_cell_variables,
     measured_variance,
     subblock_variances,
 )
-from .sensing import OmpConfig, RowSampledIdftOperator, make_sampling_plan, mutual_incoherence
+from .sensing import RowSampledIdftOperator, make_sampling_plan, mutual_incoherence
 from .security import secret_key_rate, summary_from_means
 
 ESTIMATOR_CHOICES = ("variables", "statistics", "both")
@@ -123,14 +124,23 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        # variance_blocks is read, and bounded below, in blockwise mode only
+        for key, value, least in (
+            ("ensemble.subchannels", self.subchannels, 1),
+            ("ensemble.block_length", self.block_length, 2),
+            ("ensemble.sampler_seed", self.sampler_seed, 0),
+            ("estimation.variance_blocks", self.variance_blocks, None),
+            ("estimation.k_max", self.k_max, 1),
+            *(("estimation.seeds entries", s, 0) for s in self.seeds),
+        ):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
         if self.source not in SOURCE_CHOICES:
             raise ValueError(f"ensemble.source must be one of {SOURCE_CHOICES}, got {self.source!r}")
         if self.source == "file" and not self.ensemble_file:
             raise ValueError("ensemble.file is required when ensemble.source = file")
-        if self.subchannels < 1:
-            raise ValueError(f"ensemble.subchannels must be >= 1, got {self.subchannels}")
-        if self.block_length < 2:
-            raise ValueError(f"ensemble.block_length must be >= 2, got {self.block_length}")
         if self.source == "sampler" and not self.distances_km:
             raise ValueError("ensemble.distances_km must not be empty when ensemble.source = sampler")
         for key, value in (
@@ -148,12 +158,6 @@ class ExperimentConfig:
                 raise ValueError(f"estimation.fractions entries must be in (0, 1], got {f}")
         if not self.seeds:
             raise ValueError("estimation.seeds must not be empty")
-        for key, value in (
-            ("ensemble.sampler_seed", self.sampler_seed),
-            *(("estimation.seeds entries", s) for s in self.seeds),
-        ):
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
         for key, values in (
             ("ensemble.distances_km", self.distances_km),
             ("estimation.fractions", self.fractions),
@@ -180,8 +184,6 @@ class ExperimentConfig:
                 f"estimation.variance_blocks must divide ensemble.block_length = {self.block_length} "
                 f"into sub-blocks of at least 2 samples, got {self.variance_blocks}"
             )
-        if self.k_max < 1:
-            raise ValueError(f"estimation.k_max must be >= 1, got {self.k_max}")
         if not self.detections:
             raise ValueError("security.detections must not be empty")
         for d in self.detections:
@@ -416,23 +418,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
-def _cell_estimates(
-    estimator: str,
-    dataset: QuadratureDataset,
-    measured: list,
-    plans: list,
-    config: ExperimentConfig,
-    statistics_configs: list[OmpConfig],
-) -> list[SubChannelEstimate]:
-    """Estimates of every sub-channel of one (seed, fraction, estimator) cell."""
-    params = config.protocol
-    if estimator == "statistics":
-        return fit_cell_statistics(measured, params, plans, omp=statistics_configs)
-    return fit_cell_variables(
-        dataset.alice, dataset.bob, plans, params, OmpConfig(k_max=config.k_max)
-    )
-
-
 def _sweep_seed(
     report: RunReport,
     config: ExperimentConfig,
@@ -440,59 +425,65 @@ def _sweep_seed(
     d_idx: int,
     distance: float,
     seed: int,
-    statistics_configs: list[OmpConfig],
-    per_cell: dict[tuple[float, str], list[tuple[np.ndarray, np.ndarray]]],
+    solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]],
     keyrate_aggregates: dict[str, AggregateEstimate | None],
 ) -> None:
     """Simulate one seed's blocks at one distance and fit every cell of it.
 
     Appends the estimate rows (and at the first seed the coherence rows) to
-    ``report``, the usable (estimate, truth) pairs to ``per_cell`` and, in
-    the key-rate cell, the aggregates to ``keyrate_aggregates``.  The blocks,
-    variances, plans and estimates are locals of this frame, so they are
-    freed when it returns, before the next seed's blocks are simulated.
+    ``report``, the usable (T_hat, eps_hat, T, eps) columns to ``per_cell``
+    and, in the key-rate cell, the aggregates to ``keyrate_aggregates``.  The
+    blocks and variances are validated once; each (fraction, estimator) cell
+    is one call into the route's cell fit with that route's ``solvers``
+    settings, and the columns it returns become the rows.  The blocks,
+    variances, plans and fits are locals of this frame, so they are freed
+    when it returns, before the next seed's blocks are simulated.
     """
     params = config.protocol
     fractions = sorted(config.fractions)
-    t_true = ensemble.transmittances.tolist()
-    eps_true = ensemble.excess_noises.tolist()
+    lengths = [sub.block_length for sub in ensemble.channels]
+    t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
+    rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
     dataset = simulate_block(ensemble, params, seed=_derived_seed(seed, d_idx))
-    measured: list = []
+    if "variables" in config.estimator_names:
+        alice, bob = zip(*(
+            _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
+            for i, (x, y, n) in enumerate(zip(dataset.alice, dataset.bob, lengths))
+        ))
     if "statistics" in config.estimator_names:
-        if config.variance_mode == "replicated":
-            measured = [measured_variance(y) for y in dataset.bob]
-        else:
-            measured = [subblock_variances(y, config.variance_blocks) for y in dataset.bob]
+        replicated = config.variance_mode == "replicated"
+        measured = [
+            _statistics_input(
+                measured_variance(y) if replicated else subblock_variances(y, config.variance_blocks),
+                n,
+                f"measured[{i}]",
+            )
+            for i, (y, n) in enumerate(zip(dataset.bob, lengths))
+        ]
     for f_idx, fraction in enumerate(fractions):
         # fraction 1 keeps every row without a draw, so it needs no generator
         rng = np.random.default_rng((seed, d_idx, f_idx)) if fraction < 1 else 0
-        plans = [
-            make_sampling_plan(ensemble.channels[i].block_length, fraction, rng)
-            for i in range(ensemble.count)
-        ]
+        plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
         for estimator in config.estimator_names:
-            estimates = _cell_estimates(
-                estimator, dataset, measured, plans, config, statistics_configs
-            )
+            if estimator == "statistics":
+                fit = _fit_statistics(measured, params, plans, *solvers[estimator])
+            else:
+                fit = _fit_variables(alice, bob, plans, params, *solvers[estimator])
             report.estimate_rows.extend(
-                EstimateRow(
-                    distance, i, fraction, seed, estimator, t_true[i], est.t_hat,
-                    eps_true[i], est.eps_hat, est.residual_norm, ";".join(est.flags),
+                EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
+                for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
+                    zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(),
+                        fit.residual.tolist(), fit.flags)
                 )
-                for i, est in enumerate(estimates)
             )
-            usable = [e for e in estimates if e.usable]
-            cell = per_cell.setdefault((fraction, estimator), [])
-            if usable:
-                cell.append(
-                    (
-                        np.array([(e.t_hat, e.eps_hat) for e in usable]),
-                        np.array([(t_true[e.index], eps_true[e.index]) for e in usable]),
-                    )
-                )
+            usable = fit.usable
+            per_cell.setdefault((fraction, estimator), []).append(
+                (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
+            )
             if seed == config.seeds[0] and fraction == fractions[-1]:
                 keyrate_aggregates[estimator] = (
-                    aggregate_estimates(estimates, ensemble.probabilities) if usable else None
+                    aggregate_estimates(fit, ensemble.probabilities) if usable.any() else None
                 )
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
@@ -503,7 +494,7 @@ def _sweep_seed(
                     RowSampledIdftOperator(
                         dataset.alice[i]
                         if estimator == "variables"
-                        else np.full(ensemble.channels[i].block_length, params.modulation_variance),
+                        else np.full(lengths[i], params.modulation_variance),
                         plans[i].indices,
                     )
                     for estimator in config.estimator_names
@@ -525,33 +516,32 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
-        # the statistics fit keeps its residual bound at the model-exact
+        count = ensemble.count
+        # (k_max, noise_scale, shrink_to_delta) per sub-channel: the
+        # statistics fit keeps its residual bound at the model-exact
         # disturbance scale eta*T_i*eps_i of each sub-channel
-        statistics_configs = [
-            OmpConfig(
-                k_max=1,
-                noise_scale=params.detector_efficiency * sub.transmittance * sub.excess_noise,
-                shrink_to_delta=True,
-            )
-            for sub in ensemble.channels
-        ]
-
+        solvers = {
+            "variables": (np.full(count, config.k_max), np.zeros(count), np.zeros(count, dtype=bool)),
+            "statistics": (
+                np.ones(count, dtype=np.int64),
+                params.detector_efficiency * ensemble.transmittances * ensemble.excess_noises,
+                np.ones(count, dtype=bool),
+            ),
+        }
         keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
-        per_cell: dict[tuple[float, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+        per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
         for seed in config.seeds:
             _sweep_seed(
-                report, config, ensemble, d_idx, distance, seed, statistics_configs,
-                per_cell, keyrate_aggregates,
+                report, config, ensemble, d_idx, distance, seed, solvers, per_cell, keyrate_aggregates
             )
 
-        for (fraction, estimator), pairs in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        for (fraction, estimator), columns in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             # a cell with no usable estimate over all seeds keeps its row, as NaN
             mse_t = mse_eps = math.nan
-            if pairs:
-                hat = np.vstack([p[0] for p in pairs])
-                true = np.vstack([p[1] for p in pairs])
-                mse_t = compute_mse(hat[:, 0], true[:, 0])
-                mse_eps = compute_mse(hat[:, 1], true[:, 1])
+            t_hat, eps_hat, t_true, eps_true = (np.concatenate(c) for c in zip(*columns))
+            if t_hat.size:
+                mse_t = compute_mse(t_hat, t_true)
+                mse_eps = compute_mse(eps_hat, eps_true)
             report.mse_rows.append(
                 MseRow(
                     distance=distance,

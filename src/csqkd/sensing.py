@@ -84,9 +84,15 @@ def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> np.ndarray:
 
 
 def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
-    """Gram entries g[d] = conj(rfft(w^2)[d]) / m, in place."""
+    """Gram entries g[d] = conj(rfft(w^2)[d]) / m, in place.
+
+    numpy divides a complex entry by m as (re + im*0) * (1/m) and
+    (im - re*0) * (1/m); scaling the float view by 1/m keeps those bits,
+    apart from the sign of a zero, several times faster.
+    """
     np.conj(transform, out=transform)
-    transform /= m
+    parts = transform.view(np.float64)
+    parts *= 1 / m
     return transform
 
 

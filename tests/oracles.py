@@ -36,7 +36,6 @@ from csqkd.estimators import (
     FLAG_UNESTIMABLE,
     FLOOR_TOLERANCE,
     SubChannelEstimate,
-    _resolve_delta,
     _statistics_input,
     _statistics_plug_in,
     _variables_inputs,
@@ -443,6 +442,13 @@ def _omp_gain(
     return gain, solution.residual_norm, imag_norm, flags
 
 
+def _resolve_delta(omp: OmpConfig, sample_count: int, slack: float) -> float:
+    """The scalar stop tolerance slack * sqrt(m_s) * noise_scale, 0 without a scale."""
+    if omp.noise_scale is not None:
+        return slack * math.sqrt(sample_count) * omp.noise_scale
+    return 0.0
+
+
 def multi_atom_variables_estimate(
     x_block: np.ndarray,
     y_block: np.ndarray,
@@ -454,7 +460,7 @@ def multi_atom_variables_estimate(
 ) -> SubChannelEstimate:
     """The ``k_max > 1`` body of ``estimate_subchannel_variables``: one
     sub-channel, its own OMP solve, its own plug-in and flag assembly."""
-    x, y = _variables_inputs(x_block, y_block, plan)
+    x, y = _variables_inputs(x_block, y_block, plan.length)
     rows = plan.indices
     m_s = rows.size
     x_s = x[rows]

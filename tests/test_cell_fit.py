@@ -346,6 +346,43 @@ def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
     assert_identical(cell, reference)
 
 
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("route", ["variables", "statistics"])
+def test_cell_records_are_the_core_columns(chunk_rows, route, k_max):
+    # fit_cell_* builds its records from the columns of the one cell-fit
+    # core, which the sweep calls with its solver settings as arrays
+    ens, alice, bob = _low_snr_dataset()
+    plans = _plans()
+    if route == "variables":
+        alice[1][:] = 0.0   # degenerate and unestimable
+        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=OmpConfig(k_max=k_max, noise_scale=0.3))
+        fit = estimators._fit_variables(
+            alice, bob, plans, PARAMS, np.full(M, k_max), np.full(M, 0.3), np.zeros(M, dtype=bool)
+        )
+    else:
+        bob[3] *= 0.5       # below the floor
+        per_cell, _ = _statistics_inputs(bob, "blockwise")
+        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=_statistics_configs(ens, k_max, shrink=True))
+        noise_scale = PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
+        fit = estimators._fit_statistics(
+            per_cell, PARAMS, plans, np.full(M, k_max), noise_scale, np.ones(M, dtype=bool)
+        )
+    assert [e.index for e in cell] == list(range(M))
+    for column, field in (
+        ("t_hat", "t_hat"), ("eps_hat", "eps_hat"), ("residual", "residual_norm"), ("imag_norm", "imag_norm"),
+    ):
+        assert getattr(fit, column).tobytes() == np.array([getattr(e, field) for e in cell]).tobytes(), column
+    assert fit.sample_count.tolist() == [e.sample_count for e in cell]
+    assert fit.flags == [";".join(e.flags) for e in cell]
+    assert fit.usable.dtype == bool and fit.usable.tolist() == [e.usable for e in cell]
+    assert not fit.usable.all() and fit.usable.any()
+    if k_max == 3:
+        assert any(FLAG_OFF_DC in e.flags for e in cell)
+    # the key-rate aggregate reads the columns as it reads the records
+    p = np.linspace(1.0, 2.0, M) / np.linspace(1.0, 2.0, M).sum()
+    assert estimators.aggregate_estimates(fit, p) == estimators.aggregate_estimates(cell, p)
+
+
 @pytest.mark.parametrize("gain", [14.530216986498635, 8.415343471753795e-05, 0.00105462862336806])
 def test_transmittance_squares_the_gain_with_python_float_power(gain):
     # g**2 of a Python float (libm pow) and numpy's square can differ in the

@@ -230,6 +230,28 @@ def test_simulation_blocks_view_one_buffer_with_per_block_draws():
         assert y.tobytes() == y_ref.tobytes()
 
 
+@pytest.mark.parametrize("zero_noise", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_simulation_draws_in_place_with_the_normal_formula_bits(seed, zero_noise):
+    # the blocks are drawn into the dataset buffer, and keep the bits of
+    # x = rng.normal(0, sqrt(V_A)) and y = sqrt(eta*T) x + z, z = rng.normal
+    # (0, sqrt(noise variance)) or zeros
+    params = ProtocolParams()
+    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4], excess_noise=0.03, block_length=[257, 64, 1000, 33])
+    ds = simulate_block(ens, params, seed=seed, zero_noise=zero_noise)
+    children = np.random.SeedSequence(seed).spawn(ens.count)
+    for sub, child, x, y in zip(ens.channels, children, ds.alice, ds.bob):
+        rng = np.random.default_rng(child)
+        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), sub.block_length)
+        if zero_noise:
+            z = np.zeros(sub.block_length)
+        else:
+            z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
+        y_ref = attenuate(x_ref, sub.transmittance, params.detector_efficiency) + z
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+
+
 def test_subchannel_seeds_independent_of_count():
     # each sub-channel draws from its own child seed, so a channel's block
     # does not depend on how many channels follow it (parallel == serial)

@@ -1,7 +1,9 @@
 """Config ingestion, sweep reporting, CSV schemas, and the CLI."""
 
+import collections
 import dataclasses
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from csqkd import harness
+from csqkd import estimators, harness
 from csqkd.channel import DETECTIONS, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
@@ -234,6 +236,28 @@ def test_bad_variance_blocks_rejected(blocks):
         dataclasses.replace(FAST, variance_mode="blockwise", variance_blocks=blocks)
     # replicated mode never reads variance_blocks
     assert dataclasses.replace(FAST, variance_blocks=blocks).variance_blocks == blocks
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("k_max", 2.5, "estimation.k_max"),
+        ("block_length", 100.5, "ensemble.block_length"),
+        ("subchannels", 5.0, "ensemble.subchannels"),
+        ("subchannels", "5", "ensemble.subchannels"),
+        ("variance_blocks", 4.0, "estimation.variance_blocks"),
+        ("sampler_seed", 7.5, "ensemble.sampler_seed"),
+        ("seeds", (1, 2.5), "estimation.seeds entries"),
+    ],
+)
+def test_non_integer_config_keys_rejected(field, value, key):
+    # k_max = 2.5 used to fail only after the first dataset was simulated,
+    # and block_length = 100.5 ran as 100 while run.json recorded 100.5
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be an integer, got "):
+        dataclasses.replace(FAST, **{field: value})
+    # a numpy integer is an integer
+    three = (np.int64(3),) if field == "seeds" else np.int64(3)
+    assert getattr(dataclasses.replace(FAST, **{field: three}), field) == three
 
 
 _VALUES = st.one_of(
@@ -479,6 +503,42 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
                     assert source is built[cell]
                     assert np.array_equal(indices, make_plan(m, fraction, reference).indices)
     assert next(calls, None) is None
+
+
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, variance_mode):
+    # three fractions fit every block three times per route, from blocks and
+    # variances validated once per (distance, seed)
+    config = dataclasses.replace(
+        FAST,
+        distances_km=(2.0, 6.0),
+        fractions=(0.1, 0.4, 1.0),
+        variance_mode=variance_mode,
+        variance_blocks=16,
+    )
+    finite_checks, variance_inputs = collections.Counter(), collections.Counter()
+    require_finite, statistics_input = estimators._require_finite, estimators._statistics_input
+
+    def recorded_finite(name, values):
+        finite_checks[name] += 1
+        return require_finite(name, values)
+
+    def recorded_input(measured, length, name="measured"):
+        variance_inputs[name] += 1
+        return statistics_input(measured, length, name)
+
+    monkeypatch.setattr(estimators, "_require_finite", recorded_finite)
+    # not raising: a sweep that no longer calls it fails the count below
+    monkeypatch.setattr(harness, "_statistics_input", recorded_input, raising=False)
+    report = run_sweep(config)
+    runs = len(config.distances_km) * len(config.seeds)
+    assert len(report.estimate_rows) == runs * len(config.fractions) * 2 * config.subchannels
+    blocks = [f"{name}[{i}]" for i in range(config.subchannels) for name in ("x_blocks", "y_blocks")]
+    variances = [f"measured[{i}]" for i in range(config.subchannels)]
+    # a scalar variance is checked without _require_finite
+    arrays = variances if variance_mode == "blockwise" else []
+    assert finite_checks == {name: runs for name in blocks + arrays}
+    assert variance_inputs == {name: runs for name in variances}
 
 
 def test_sweep_holds_one_seeds_blocks(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from csqkd.sensing import (
     OmpConfig,
     RowSampledIdftOperator,
+    _gram_from_transform,
     make_sampling_plan,
     mutual_incoherence,
     omp_solve,
@@ -197,6 +198,40 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _scaled_conj(transform, m):
+    """conj(transform) with its real and imaginary parts each multiplied by 1/m."""
+    return (np.conj(transform).view(np.float64) * (1 / m)).view(np.complex128)
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 2000, 10_000])
+def test_gram_scaling_matches_complex_division_up_to_the_sign_of_zero(m):
+    # numpy divides by m + 0j as (re + im*0) * (1/m), (im - re*0) * (1/m):
+    # multiplying the float view by 1/m gives the same bits except where
+    # that turns a -0 part into +0
+    rng = np.random.default_rng(m)
+    transforms = [np.fft.rfft(rng.normal(0, 2.0, (4, m)) ** 2)]
+    transforms.append(np.fft.rfft(rng.normal(size=(4, m))) * (rng.random((4, m // 2 + 1)) < 0.5))
+    signed = np.array([complex(a, b) for a in (0.0, -0.0, 3.5, -3.5) for b in (0.0, -0.0, 1.25, -1.25)])
+    transforms.append(np.resize(signed, (4, m // 2 + 1)))
+    for transform in transforms:
+        divided = np.conj(transform) / m
+        gram = _gram_from_transform(transform.copy(), m)
+        assert _same_bits(gram, _scaled_conj(transform, m))
+        parts, reference = gram.view(np.float64), divided.view(np.float64)
+        assert np.array_equal(parts, reference)
+        nonzero = parts != 0
+        assert _same_bits(parts[nonzero], reference[nonzero])
+        # a zero keeps the sign of conj(transform)
+        zero = ~nonzero
+        assert np.array_equal(np.signbit(parts[zero]), np.signbit(np.conj(transform).view(np.float64)[zero]))
+    # the forms do differ: conj(-3.5 + 0j) / m has imaginary part +0, not -0
+    assert not _same_bits(_gram_from_transform(signed.copy(), m), np.conj(signed) / m)
+    # the in-place form also scales one row of a two-row transform
+    pair = np.fft.rfft(rng.normal(size=(2, m)))
+    expected = _scaled_conj(pair[1], m)
+    assert _same_bits(_gram_from_transform(pair[1], m), expected) and _same_bits(pair[1], expected)
+
+
 def _one_row_adjoint(weights, rows, r):
     # the adjoint as its own one-row norm="ortho" transform
     m = weights.size
@@ -240,7 +275,7 @@ def test_paired_adjoint_and_cached_gram_are_one_row_transforms_bit_for_bit(
     gram = fresh.gram_by_offset()
     w2 = np.zeros(m)
     w2[rows] = weights[rows] ** 2
-    assert _same_bits(gram[: m // 2 + 1], np.conj(np.fft.rfft(w2)) / m)
+    assert _same_bits(gram[: m // 2 + 1], _scaled_conj(np.fft.rfft(w2), m))
     for k, column in zip((0, 1, m - 1), cached):
         assert _same_bits(column, fresh.gram_column(k, np.arange(m)))
     # a later adjoint, with the Gram cached, is a one-row transform
