@@ -329,30 +329,44 @@ def simulate_block(
     params: ProtocolParams,
     seed: int,
     zero_noise: bool = False,
+    subchannels: range | None = None,
 ) -> QuadratureDataset:
-    """Generate one quadrature dataset for every sub-channel.
+    """Generate one quadrature dataset for every sub-channel, or for the
+    sub-channels in ``subchannels``, in its order.
 
-    Each sub-channel draws from an independent child seed of ``seed``, so
-    generation may run in any order (or in parallel) with identical output.
-    ``zero_noise`` forces z = 0; it exists for exact-recovery testing and has
-    no physical counterpart (real data always carries the vacuum unit).
+    Sub-channel i draws from child i of ``SeedSequence(seed)``, the one that
+    ``spawn(M)`` gives it.  The child is built directly, from the seed's
+    entropy and the spawn key (i,), so a range draws exactly the blocks the
+    whole dataset holds for its sub-channels, and generation may run in any
+    order (or in parallel) with identical output.  ``zero_noise`` forces
+    z = 0; it exists for exact-recovery testing and has no physical
+    counterpart (real data always carries the vacuum unit).
 
-    The blocks are views of one buffer, so a dataset is allocated and freed
-    in one piece: a sweep that frees one seed's data before simulating the
-    next leaves no run of freed blocks at the top of the heap for the
-    allocator to trim and fault back in under later temporaries.
+    The blocks of one call are views of one buffer, so a dataset is
+    allocated and freed in one piece: a sweep that frees one group's data
+    before simulating the next leaves no run of freed blocks at the top of
+    the heap for the allocator to trim and fault back in under later
+    temporaries.
     """
-    children = np.random.SeedSequence(seed).spawn(ensemble.count)
+    indices = range(ensemble.count) if subchannels is None else subchannels
+    if not indices or min(indices) < 0 or max(indices) >= ensemble.count:
+        raise ValueError(
+            f"subchannels must be a non-empty range within 0..{ensemble.count - 1}, got {subchannels!r}"
+        )
+    root = np.random.SeedSequence(seed)
     std_x = math.sqrt(params.modulation_variance)
-    lengths = [sub.block_length for sub in ensemble.channels]
+    channels = [ensemble.channels[i] for i in indices]
+    lengths = [sub.block_length for sub in channels]
     ends = np.cumsum(lengths).tolist()
     buffer = np.empty((2, ends[-1]))
     # sqrt(eta*T) * x of one block at a time: the dataset's one temporary
     scratch = np.empty(max(lengths))
     alice: list[np.ndarray] = []
     bob: list[np.ndarray] = []
-    for sub, child, end in zip(ensemble.channels, children, ends):
-        rng = np.random.default_rng(child)
+    for i, sub, end in zip(indices, channels, ends):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size)
+        )
         x = buffer[0, end - sub.block_length : end]
         y = buffer[1, end - sub.block_length : end]
         signal = scratch[: sub.block_length]

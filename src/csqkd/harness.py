@@ -23,18 +23,24 @@ projection with the residual constraint active at the model-exact
 disturbance scale (eta*T_i*eps_i, known here because the harness owns the
 simulation ground truth); the variable-based estimator uses the configured
 ``k_max``: the closed-form DC projection at 1, for which the stop tolerance
-is immaterial, and OMP above it.  A seed's blocks and measured variances are
-taken and validated once, and each (seed, fraction, estimator) cell is one
-call into the route's cell fit over all sub-channels, whatever the atom
-budget; the rows, the MSE inputs and the key-rate aggregate are read off the
-columns it returns.  The coherence diagnostic builds
-the row-sampled IDFT operator of each model and passes a sub-channel's
-operators to one :func:`~csqkd.sensing.mutual_incoherence` call, which runs
-their Gram transforms as one two-row call.
+is immaterial, and OMP above it.  Each (seed, fraction, estimator) cell is
+fitted in two steps, whatever the atom budget: the route's row pass
+(gather, DC projection, OMP refits) runs once per group of sub-channels, and
+its finish (plug-ins, flags) runs once on all of them; the rows, the MSE
+inputs and the key-rate aggregate are read off the columns it returns.  The
+coherence diagnostic builds the row-sampled IDFT operator of each model and
+passes a sub-channel's operators to one
+:func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
+transforms as one two-row call.
 
-A sweep holds one seed's data at a time: each (distance, seed) runs in its
-own frame, so its blocks, variances, plans and estimates are freed before
-the next seed's blocks, or the next distance's, are simulated.
+A sweep holds one group of sub-channels at a time: each (distance, seed)
+simulates, validates, plans and fits the consecutive groups whose (x, y)
+blocks fit :data:`~csqkd.estimators.GROUP_BYTES` one after another, each in
+its own frame, so a group's blocks, variances and plans are freed before
+the next group's blocks are simulated.  A seed that fits the budget is one
+group.  The plan generator of each (seed, distance, fraction < 1) cell lives
+across its groups, and the rows are written after the last group, so the
+output does not depend on the budget.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -78,10 +84,14 @@ from .channel import (
 # call them
 from .estimators import (  # noqa: F401
     AggregateEstimate,
-    _fit_statistics,
-    _fit_variables,
+    _RowPass,
+    _groups,
+    _statistics_finish,
     _statistics_input,
+    _statistics_rows,
+    _variables_finish,
     _variables_inputs,
+    _variables_rows,
     aggregate_estimates,
     block_variances,
     estimate_subchannel_statistics,
@@ -418,6 +428,73 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+def _sweep_group(
+    config: ExperimentConfig,
+    params: ProtocolParams,
+    ensemble: SubChannelEnsemble,
+    group: range,
+    seed: int,
+    rngs: list[np.random.Generator | int],
+    solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    passes: dict[tuple[int, str], list[_RowPass]],
+    mips: list[list[tuple[float, ...]]] | None,
+) -> None:
+    """Simulate one group of sub-channels and run every cell's row pass on it.
+
+    The group's blocks and measured variances are validated once; at each
+    fraction its plans are drawn from that fraction's generator in ``rngs``
+    (0 for fraction 1, which draws nothing), and each estimator's row pass
+    over them is appended to ``passes[fraction index, estimator]``.  With
+    ``mips`` the group's coherence values are appended to its fraction's
+    list.  The blocks, variances and plans are locals of this frame, so they
+    are freed when it returns, before the next group is simulated.
+    """
+    lengths = [ensemble.channels[i].block_length for i in group]
+    settings = {
+        estimator: [column[group.start : group.stop] for column in solvers[estimator]]
+        for estimator in config.estimator_names
+    }
+    dataset = simulate_block(ensemble, params, seed=seed, subchannels=group)
+    if "variables" in config.estimator_names:
+        alice, bob = zip(*(
+            _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
+            for i, x, y, n in zip(group, dataset.alice, dataset.bob, lengths)
+        ))
+    if "statistics" in config.estimator_names:
+        replicated = config.variance_mode == "replicated"
+        measured = [
+            _statistics_input(
+                measured_variance(y) if replicated else subblock_variances(y, config.variance_blocks),
+                n,
+                f"measured[{i}]",
+            )
+            for i, y, n in zip(group, dataset.bob, lengths)
+        ]
+    for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
+        plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
+        for estimator in config.estimator_names:
+            if estimator == "statistics":
+                rows = _statistics_rows(measured, params, plans, *settings[estimator])
+            else:
+                rows = _variables_rows(alice, bob, plans, *settings[estimator])
+            passes[f_idx, estimator].append(rows)
+        # coherence diagnostics, once per (fraction, channel, model): one call
+        # per sub-channel takes the operators of all its models
+        if mips is not None:
+            for j, n in enumerate(lengths):
+                ops = [
+                    RowSampledIdftOperator(
+                        dataset.alice[j]
+                        if estimator == "variables"
+                        else np.full(n, params.modulation_variance),
+                        plans[j].indices,
+                    )
+                    for estimator in config.estimator_names
+                ]
+                values = mutual_incoherence(*ops)
+                mips[f_idx].append(values if len(ops) > 1 else (values,))
+
+
 def _sweep_seed(
     report: RunReport,
     config: ExperimentConfig,
@@ -429,47 +506,39 @@ def _sweep_seed(
     per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]],
     keyrate_aggregates: dict[str, AggregateEstimate | None],
 ) -> None:
-    """Simulate one seed's blocks at one distance and fit every cell of it.
+    """Fit every cell of one seed at one distance, one group of sub-channels
+    at a time.
 
-    Appends the estimate rows (and at the first seed the coherence rows) to
-    ``report``, the usable (T_hat, eps_hat, T, eps) columns to ``per_cell``
-    and, in the key-rate cell, the aggregates to ``keyrate_aggregates``.  The
-    blocks and variances are validated once; each (fraction, estimator) cell
-    is one call into the route's cell fit with that route's ``solvers``
-    settings, and the columns it returns become the rows.  The blocks,
-    variances, plans and fits are locals of this frame, so they are freed
-    when it returns, before the next seed's blocks are simulated.
+    :func:`_sweep_group` takes the consecutive groups whose blocks fit
+    :data:`~csqkd.estimators.GROUP_BYTES`, each freed before the next is
+    simulated, and runs the row passes with each route's ``solvers``
+    settings; each (fraction < 1) plan generator lives across the groups, so
+    the plans are drawn in sub-channel order as in one pass.  After the last
+    group each (fraction, estimator) cell is finished once from its row
+    passes, and its columns become the estimate rows appended to ``report``
+    (and at the first seed the coherence rows), the usable (T_hat, eps_hat,
+    T, eps) columns appended to ``per_cell`` and, in the key-rate cell, the
+    aggregates put in ``keyrate_aggregates``.
     """
     params = config.protocol
     fractions = sorted(config.fractions)
-    lengths = [sub.block_length for sub in ensemble.channels]
+    first_seed = seed == config.seeds[0]
+    # fraction 1 keeps every row without a draw, so it needs no generator
+    rngs = [np.random.default_rng((seed, d_idx, f_idx)) if f < 1 else 0 for f_idx, f in enumerate(fractions)]
+    passes = {(f_idx, e): [] for f_idx in range(len(fractions)) for e in config.estimator_names}
+    mips = [[] for _ in fractions] if first_seed else None
+    sim_seed = _derived_seed(seed, d_idx)
+    for group in _groups([sub.block_length for sub in ensemble.channels]):
+        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, passes, mips)
+
     t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
     rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
-    dataset = simulate_block(ensemble, params, seed=_derived_seed(seed, d_idx))
-    if "variables" in config.estimator_names:
-        alice, bob = zip(*(
-            _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
-            for i, (x, y, n) in enumerate(zip(dataset.alice, dataset.bob, lengths))
-        ))
-    if "statistics" in config.estimator_names:
-        replicated = config.variance_mode == "replicated"
-        measured = [
-            _statistics_input(
-                measured_variance(y) if replicated else subblock_variances(y, config.variance_blocks),
-                n,
-                f"measured[{i}]",
-            )
-            for i, (y, n) in enumerate(zip(dataset.bob, lengths))
-        ]
     for f_idx, fraction in enumerate(fractions):
-        # fraction 1 keeps every row without a draw, so it needs no generator
-        rng = np.random.default_rng((seed, d_idx, f_idx)) if fraction < 1 else 0
-        plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
         for estimator in config.estimator_names:
             if estimator == "statistics":
-                fit = _fit_statistics(measured, params, plans, *solvers[estimator])
+                fit = _statistics_finish(passes[f_idx, estimator], params)
             else:
-                fit = _fit_variables(alice, bob, plans, params, *solvers[estimator])
+                fit = _variables_finish(passes[f_idx, estimator], params)
             report.estimate_rows.extend(
                 EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
                 for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
@@ -481,30 +550,15 @@ def _sweep_seed(
             per_cell.setdefault((fraction, estimator), []).append(
                 (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
             )
-            if seed == config.seeds[0] and fraction == fractions[-1]:
+            if first_seed and fraction == fractions[-1]:
                 keyrate_aggregates[estimator] = (
                     aggregate_estimates(fit, ensemble.probabilities) if usable.any() else None
                 )
-        # coherence diagnostics, once per (fraction, channel, model): one call
-        # per sub-channel takes the operators of all its models
-        if seed == config.seeds[0]:
-            mips = []
-            for i in range(ensemble.count):
-                ops = [
-                    RowSampledIdftOperator(
-                        dataset.alice[i]
-                        if estimator == "variables"
-                        else np.full(lengths[i], params.modulation_variance),
-                        plans[i].indices,
-                    )
-                    for estimator in config.estimator_names
-                ]
-                values = mutual_incoherence(*ops)
-                mips.append(values if len(ops) > 1 else (values,))
+        if mips is not None:
             for e_idx, estimator in enumerate(config.estimator_names):
                 report.mip_rows.extend(
-                    MipRow(distance, i, fraction, estimator, mips[i][e_idx], False)
-                    for i in range(ensemble.count)
+                    MipRow(distance, i, fraction, estimator, values[e_idx], False)
+                    for i, values in enumerate(mips[f_idx])
                 )
 
 

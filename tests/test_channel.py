@@ -262,6 +262,34 @@ def test_subchannel_seeds_independent_of_count():
     assert np.array_equal(one.bob[0], two.bob[0])
 
 
+@pytest.mark.parametrize("zero_noise", [False, True])
+@pytest.mark.parametrize("subchannels", [range(0, 1), range(1, 4), range(2, 5), range(5), range(4, 0, -2)])
+def test_simulation_of_a_range_is_the_full_datasets_blocks(subchannels, zero_noise):
+    # a range draws each of its sub-channels from the child spawn(M) gives
+    # it, so its blocks are the full dataset's bit for bit, in the range's
+    # order, as views of one buffer of its own
+    params = ProtocolParams()
+    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4, 0.7], excess_noise=0.03, block_length=[257, 64, 1000, 33, 90])
+    full = simulate_block(ens, params, seed=12, zero_noise=zero_noise)
+    part = simulate_block(ens, params, seed=12, zero_noise=zero_noise, subchannels=subchannels)
+    assert len(part.alice) == len(part.bob) == len(subchannels)
+    base = part.alice[0].base
+    assert base is not None and base is not full.alice[0].base
+    assert base.size == 2 * sum(ens.channels[i].block_length for i in subchannels)
+    assert all(block.base is base for block in part.alice + part.bob)
+    for i, x, y in zip(subchannels, part.alice, part.bob):
+        assert x.tobytes() == full.alice[i].tobytes()
+        assert y.tobytes() == full.bob[i].tobytes()
+    assert part.zero_noise == zero_noise
+
+
+@pytest.mark.parametrize("subchannels", [range(0), range(2, 2), range(-1, 2), range(3, 6), range(5, 6)])
+def test_simulation_rejects_a_range_outside_the_ensemble(subchannels):
+    ens = build_ensemble([0.5, 0.6, 0.7, 0.8, 0.9], block_length=16)
+    with pytest.raises(ValueError, match="subchannels"):
+        simulate_block(ens, ProtocolParams(), seed=1, subchannels=subchannels)
+
+
 def test_zero_noise_shares_alice_draws():
     params = ProtocolParams()
     ens = build_ensemble([0.5], block_length=128)

@@ -565,6 +565,58 @@ def test_sweep_holds_one_seeds_blocks(monkeypatch):
         assert all(dead)
 
 
+def test_sweep_holds_one_group_of_blocks(monkeypatch):
+    # with the budget at two sub-channels of m = 4096, a seed of five is
+    # three groups, and simulate_block for each group finds the blocks of
+    # the group before it freed, across seeds and distances too
+    config = dataclasses.replace(FAST, block_length=4096, distances_km=(2.0, 6.0), seeds=(1, 2, 3))
+    monkeypatch.setattr(estimators, "GROUP_BYTES", 2 * 16 * 4096)
+    simulate = harness.simulate_block
+    previous = []
+    checked = []
+
+    def recorded(*args, **kwargs):
+        checked.append((kwargs["subchannels"], [ref() is None for ref in previous]))
+        dataset = simulate(*args, **kwargs)
+        blocks = (*dataset.alice, *dataset.bob)
+        previous[:] = [weakref.ref(a) for block in blocks for a in (block, block.base) if a is not None]
+        return dataset
+
+    monkeypatch.setattr(harness, "simulate_block", recorded)
+    run_sweep(config)
+    groups = [range(0, 2), range(2, 4), range(4, 5)]
+    assert [g for g, _ in checked] == groups * 2 * 3
+    assert checked[0][1] == []
+    for (_, dead), (before, _) in zip(checked[1:], checked):
+        assert len(dead) >= 2 * len(before)
+        assert all(dead)
+
+
+@pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, variance_mode, k_max, estimator):
+    # one sub-channel per group gives the bytes of the whole seed in one
+    # group: plans, rows, MSE, the key-rate cell at the first seed and the
+    # coherence rows, at a low-SNR distance and at fraction 1
+    config = dataclasses.replace(
+        FAST, distances_km=(2.0, 40.0), fractions=(1.0, 0.25, 0.5), seeds=(3, 1, 2),
+        variance_mode=variance_mode, variance_blocks=16, k_max=k_max, estimators=estimator,
+    )
+    lengths = [config.block_length] * config.subchannels
+    assert len(estimators._groups(lengths)) == 1
+    one = write_reports(run_sweep(config), tmp_path / "one")
+    monkeypatch.setattr(estimators, "GROUP_BYTES", 1)
+    assert len(estimators._groups(lengths)) == config.subchannels
+    calls = []
+    simulate = harness.simulate_block
+    monkeypatch.setattr(harness, "simulate_block", lambda *a, **k: calls.append(k) or simulate(*a, **k))
+    streamed = write_reports(run_sweep(config), tmp_path / "streamed")
+    assert len(calls) == 2 * 3 * config.subchannels
+    for name in ("estimates", "mse", "keyrate", "mip"):
+        assert streamed[name].read_bytes() == one[name].read_bytes(), name
+
+
 def test_golden_config_runs_deterministically(tmp_path):
     config = dataclasses.replace(load_config(GOLDEN), out_dir=str(tmp_path / "a"))
     first = write_reports(run_sweep(config), config.out_dir)
