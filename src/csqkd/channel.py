@@ -291,6 +291,8 @@ def sample_lognormal_transmittances(
     if count < 1:
         raise ValueError("count must be >= 1")
     mean_t = math.exp(-attenuation_per_km * distance_km)
+    if mean_t == 0:
+        raise ValueError(f"mean transmittance underflows to 0 at distance_km = {distance_km}")
     mu = math.log(mean_t) - 0.5 * sigma_log**2
     rng = np.random.default_rng(seed)
     out = np.empty(count)

@@ -18,19 +18,16 @@ Two routes are provided:
 With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
 is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
-(variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables`` and
-``_fit_statistics``, is the implementation of each, in two steps.  The row
-pass (``_variables_rows``, ``_statistics_rows``) evaluates the projection for
-consecutive sub-channels of one (seed, fraction) cell, gathering the sampled
-rows of a few sub-channels at a time under :data:`CHUNK_BYTES` per work
-array; a sweep runs it once per group of sub-channels it holds (see
-:data:`GROUP_BYTES`).  The finish (``_variables_finish``,
-``_statistics_finish``) runs once per cell on the row passes of all its
-sub-channels, in order: the plug-ins and flags, elementwise, so the bits do
-not depend on the groups, and the estimates as the columns of a
-:class:`CellFit`.  :func:`fit_cell_variables` and
-:func:`fit_cell_statistics` validate their inputs and build records from the
-columns of one row pass and its finish, and the per-sub-channel estimators
+(variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
+and ``_fit_statistics``, is the implementation of each: it evaluates the
+projection for consecutive sub-channels of one (seed, fraction) cell,
+gathering the sampled rows of a few sub-channels at a time under
+:data:`CHUNK_BYTES` per work array, and returns the estimates as the columns
+of a :class:`CellFit`.  Each sub-channel is fitted on its own and the
+plug-ins and flags are elementwise, so the fit of consecutive sub-channels
+equals the fits of any split of them joined in order, bit for bit.
+:func:`fit_cell_variables` and :func:`fit_cell_statistics` validate their
+inputs and build records from those columns, and the per-sub-channel estimators
 are their one-channel case.  A sub-channel whose config has a larger budget is
 fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the row-sampled
 IDFT operator instead, its row taking only w_s.w_s and y_s.y_s from the
@@ -86,18 +83,6 @@ EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR, FLAG_OFF_DC})
 
 #: Bytes of sampled rows that one chunk of a cell fit gathers per work array.
 CHUNK_BYTES = 64 * 1024
-
-#: Bytes of the (x, y) blocks of the group of sub-channels that a sweep holds
-#: at a time: 13 sub-channels at m = 10^4.  Freeing the first group's buffer
-#: raises glibc's heap trim threshold to twice its size, above the heap top
-#: that a group's buffer and temporaries leave; at 1 MiB they passed it, and
-#: the top was trimmed and faulted back in group after group.  It stays below
-#: the 4 MiB from which numpy asks for huge pages.
-GROUP_BYTES = 2 * 1024 * 1024
-
-#: A row pass over consecutive sub-channels of a cell: the sample count and
-#: one tuple of columns per chunk.
-_RowPass = tuple[int, list[tuple[np.ndarray, ...]]]
 
 #: Grace below the 1 + nu_el floor before a variance is flagged.
 FLOOR_TOLERANCE = 1e-6
@@ -188,20 +173,6 @@ def _chunks(count: int, m_s: int) -> list[slice]:
     """Consecutive sub-channel ranges whose sampled rows fit CHUNK_BYTES per array."""
     step = max(1, CHUNK_BYTES // (8 * m_s))
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
-
-
-def _groups(lengths: Sequence[int]) -> list[range]:
-    """Consecutive sub-channel ranges whose (x, y) blocks, 16 bytes a
-    sample, fit GROUP_BYTES; a larger block is a group of its own."""
-    groups = []
-    start = size = 0
-    for i, n in enumerate(lengths):
-        if i > start and size + 16 * n > GROUP_BYTES:
-            groups.append(range(start, i))
-            start, size = i, 0
-        size += 16 * n
-    groups.append(range(start, len(lengths)))
-    return groups
 
 
 def _cell_fit(
@@ -334,20 +305,21 @@ def _variables_plug_in(
     return t_hat, eps_hat, ~ok
 
 
-def _variables_rows(
+def _fit_variables(
     x_blocks: Sequence[np.ndarray],
     y_blocks: Sequence[np.ndarray],
     plans: Sequence[SamplingPlan],
+    params: ProtocolParams,
     k_max: np.ndarray,
     noise_scale: np.ndarray,
     shrink: np.ndarray,
-) -> _RowPass:
-    """The row pass of a variables fit over validated blocks, for
-    :func:`_variables_finish`: the sampled rows gathered chunk by chunk, their
-    DC projections and their OMP refits.  ``k_max``, ``noise_scale`` (0 for
-    none) and ``shrink`` hold each sub-channel's solver settings, as
-    :func:`_solver_columns` gives them."""
+    noise_floor: float | None = None,
+) -> CellFit:
+    """The variables fit of validated blocks, chunk by chunk; ``k_max``,
+    ``noise_scale`` (0 for none) and ``shrink`` hold each sub-channel's
+    solver settings, as :func:`_solver_columns` gives them."""
     m_s = _cell_sample_count(plans)
+    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = 1.1 * math.sqrt(m_s) * noise_scale
     chunks = _chunks(len(plans), m_s)
     x_work = np.empty((chunks[0].stop, m_s))
@@ -365,46 +337,14 @@ def _variables_rows(
             fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink,
         )
         parts.append((*fit, imag_norm, off_dc, np.count_nonzero(x_s, axis=1)))
-    return m_s, parts
-
-
-def _joined(passes: Sequence[_RowPass]) -> tuple[int, list[np.ndarray]]:
-    """The sample count and the whole columns of a cell's row passes, taken in order."""
-    counts = {m_s for m_s, _ in passes}
-    if len(counts) != 1:
-        raise ValueError("the plans of a cell must share one sample count")
-    chunks = (part for _, parts in passes for part in parts)
-    return counts.pop(), [np.concatenate(column) for column in zip(*chunks)]
-
-
-def _variables_finish(
-    passes: Sequence[_RowPass], params: ProtocolParams, noise_floor: float | None = None
-) -> CellFit:
-    """The plug-ins and flags of a variables cell, once, from the row passes
-    of its sub-channels in order."""
-    m_s, (gain, residual, degenerate, ww, yy, imag_norm, off_dc, sample_count) = _joined(passes)
-    eta = params.detector_efficiency
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    t_hat, eps_hat, unestimable = _variables_plug_in(gain, ww, yy, m_s, eta, floor)
+    gain, residual, degenerate, ww, yy, imag_norm, off_dc, sample_count = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    t_hat, eps_hat, unestimable = _variables_plug_in(gain, ww, yy, m_s, params.detector_efficiency, floor)
     return _cell_fit(
         t_hat, eps_hat, residual, sample_count, imag_norm,
         ((FLAG_DEGENERATE, degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
     )
-
-
-def _fit_variables(
-    x_blocks: Sequence[np.ndarray],
-    y_blocks: Sequence[np.ndarray],
-    plans: Sequence[SamplingPlan],
-    params: ProtocolParams,
-    k_max: np.ndarray,
-    noise_scale: np.ndarray,
-    shrink: np.ndarray,
-    noise_floor: float | None = None,
-) -> CellFit:
-    """The variables fit of validated blocks: one row pass and its finish."""
-    passes = [_variables_rows(x_blocks, y_blocks, plans, k_max, noise_scale, shrink)]
-    return _variables_finish(passes, params, noise_floor)
 
 
 def _variables_inputs(
@@ -527,7 +467,7 @@ def _statistics_plug_in(
     return t_hat, eps_hat, unestimable
 
 
-def _statistics_rows(
+def _fit_statistics(
     measured: Sequence,
     params: ProtocolParams,
     plans: Sequence[SamplingPlan],
@@ -535,10 +475,9 @@ def _statistics_rows(
     noise_scale: np.ndarray,
     shrink: np.ndarray,
     noise_floor: float | None = None,
-) -> _RowPass:
-    """The row pass of a statistics fit over validated variances, chunk by
-    chunk; the solver settings and the result are those of
-    :func:`_variables_rows`, for :func:`_statistics_finish`."""
+) -> CellFit:
+    """The statistics fit of validated variances, chunk by chunk; the solver
+    settings are those of :func:`_fit_variables`."""
     m_s = _cell_sample_count(plans)
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
@@ -565,19 +504,11 @@ def _statistics_rows(
             fit, refit, chunk.start,
             lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
         )
-        parts.append(
-            (fit.gain, fit.residual_norm, fit.degenerate, imag_norm, off_dc, r_s.sum(axis=1), below[chunk])
-        )
-    return m_s, parts
-
-
-def _statistics_finish(passes: Sequence[_RowPass], params: ProtocolParams) -> CellFit:
-    """The plug-ins and flags of a statistics cell, once, from the row passes
-    of its sub-channels in order."""
-    m_s, (gain, residual, degenerate, imag_norm, off_dc, sums, below) = _joined(passes)
-    t_hat, eps_hat, unestimable = _statistics_plug_in(
-        gain, sums, m_s, params.detector_efficiency, params.modulation_variance
+        parts.append((fit.gain, fit.residual_norm, fit.degenerate, imag_norm, off_dc, r_s.sum(axis=1)))
+    gain, residual, degenerate, imag_norm, off_dc, sums = (
+        np.concatenate(column) for column in zip(*parts)
     )
+    t_hat, eps_hat, unestimable = _statistics_plug_in(gain, sums, m_s, params.detector_efficiency, v_a)
     t_hat[below] = 0.0
     eps_hat[below] = math.nan
     residual[below] = 0.0
@@ -590,20 +521,6 @@ def _statistics_finish(passes: Sequence[_RowPass], params: ProtocolParams) -> Ce
             (FLAG_UNESTIMABLE, unestimable & ~below),
         ),
     )
-
-
-def _fit_statistics(
-    measured: Sequence,
-    params: ProtocolParams,
-    plans: Sequence[SamplingPlan],
-    k_max: np.ndarray,
-    noise_scale: np.ndarray,
-    shrink: np.ndarray,
-    noise_floor: float | None = None,
-) -> CellFit:
-    """The statistics fit of validated variances: one row pass and its finish."""
-    passes = [_statistics_rows(measured, params, plans, k_max, noise_scale, shrink, noise_floor)]
-    return _statistics_finish(passes, params)
 
 
 def _statistics_input(measured, length: int, name: str = "measured") -> float | np.ndarray:

@@ -24,10 +24,9 @@ disturbance scale (eta*T_i*eps_i, known here because the harness owns the
 simulation ground truth); the variable-based estimator uses the configured
 ``k_max``: the closed-form DC projection at 1, for which the stop tolerance
 is immaterial, and OMP above it.  Each (seed, fraction, estimator) cell is
-fitted in two steps, whatever the atom budget: the route's row pass
-(gather, DC projection, OMP refits) runs once per group of sub-channels, and
-its finish (plug-ins, flags) runs once on all of them; the rows, the MSE
-inputs and the key-rate aggregate are read off the columns it returns.  The
+fitted by the route's cell fit, whatever the atom budget, one group of
+sub-channels at a time; the rows, the MSE inputs and the key-rate aggregate
+are read off the group fits' columns, joined in sub-channel order.  The
 coherence diagnostic builds the row-sampled IDFT operator of each model and
 passes a sub-channel's operators to one
 :func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
@@ -35,18 +34,19 @@ transforms as one two-row call.
 
 A sweep holds one group of sub-channels at a time: each (distance, seed)
 simulates, validates, plans and fits the consecutive groups whose (x, y)
-blocks fit :data:`~csqkd.estimators.GROUP_BYTES` one after another, each in
-its own frame, so a group's blocks, variances and plans are freed before
-the next group's blocks are simulated.  A seed that fits the budget is one
-group.  The plan generator of each (seed, distance, fraction < 1) cell lives
-across its groups, and the rows are written after the last group, so the
-output does not depend on the budget.
+blocks fit :data:`GROUP_BYTES` one after another, each in its own frame, so
+a group's blocks, variances and plans are freed before the next group's
+blocks are simulated.  A seed that fits the budget is one group.  The plan
+generator of each (seed, distance, fraction < 1) cell lives across its
+groups, and each sub-channel is fitted on its own, so the output does not
+depend on the budget.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
-the key-rate cell (largest fraction, first seed) gets NaN key-rate columns,
-so every grid writes the same row counts.  Each table is written with one
-``%`` template per row type: ``%.12g`` for float fields, ``%s`` otherwise.
+the key-rate cell (largest fraction, first seed), or only usable estimates of
+probability 0, gets NaN key-rate columns, so every grid writes the same row
+counts.  Each table is written with one ``%`` template per row type:
+``%.12g`` for float fields, ``%s`` otherwise.
 
 Configs are validated on construction, so a bad grid fails before any
 simulation starts.
@@ -84,14 +84,11 @@ from .channel import (
 # call them
 from .estimators import (  # noqa: F401
     AggregateEstimate,
-    _RowPass,
-    _groups,
-    _statistics_finish,
+    CellFit,
+    _fit_statistics,
+    _fit_variables,
     _statistics_input,
-    _statistics_rows,
-    _variables_finish,
     _variables_inputs,
-    _variables_rows,
     aggregate_estimates,
     block_variances,
     estimate_subchannel_statistics,
@@ -105,6 +102,14 @@ from .security import secret_key_rate, summary_from_means
 ESTIMATOR_CHOICES = ("variables", "statistics", "both")
 SOURCE_CHOICES = ("sampler", "file")
 VARIANCE_MODE_CHOICES = ("replicated", "blockwise")
+
+#: Bytes of the (x, y) blocks of the group of sub-channels that a sweep holds
+#: at a time: 13 sub-channels at m = 10^4.  Freeing the first group's buffer
+#: raises glibc's heap trim threshold to twice its size, above the heap top
+#: that a group's buffer and temporaries leave; at 1 MiB they passed it, and
+#: the top was trimmed and faulted back in group after group.  It stays below
+#: the 4 MiB from which numpy asks for huge pages.
+GROUP_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,9 @@ class ExperimentConfig:
         ):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        for d in self.distances_km if self.source == "sampler" else ():
+            if math.exp(-self.attenuation_per_km * d) == 0:
+                raise ValueError(f"ensemble.distances_km entry {d} gives a mean transmittance of 0")
         if not self.fractions:
             raise ValueError("estimation.fractions must not be empty")
         for f in self.fractions:
@@ -428,6 +436,31 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
+def _groups(lengths: Sequence[int]) -> list[range]:
+    """Consecutive sub-channel ranges whose (x, y) blocks, 16 bytes a
+    sample, fit GROUP_BYTES; a larger block is a group of its own."""
+    groups = []
+    start = size = 0
+    for i, n in enumerate(lengths):
+        if i > start and size + 16 * n > GROUP_BYTES:
+            groups.append(range(start, i))
+            start, size = i, 0
+        size += 16 * n
+    groups.append(range(start, len(lengths)))
+    return groups
+
+
+def _joined(fits: Sequence[CellFit]) -> CellFit:
+    """The fit of a cell from the fits of its consecutive groups, in order."""
+    if len(fits) == 1:
+        return fits[0]
+    return CellFit(**{
+        name: [flag for fit in fits for flag in fit.flags] if name == "flags"
+        else np.concatenate([getattr(fit, name) for fit in fits])
+        for name in vars(fits[0])
+    })
+
+
 def _sweep_group(
     config: ExperimentConfig,
     params: ProtocolParams,
@@ -436,15 +469,15 @@ def _sweep_group(
     seed: int,
     rngs: list[np.random.Generator | int],
     solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    passes: dict[tuple[int, str], list[_RowPass]],
+    fits: dict[tuple[int, str], list[CellFit]],
     mips: list[list[tuple[float, ...]]] | None,
 ) -> None:
-    """Simulate one group of sub-channels and run every cell's row pass on it.
+    """Simulate one group of sub-channels and fit every cell on it.
 
     The group's blocks and measured variances are validated once; at each
     fraction its plans are drawn from that fraction's generator in ``rngs``
-    (0 for fraction 1, which draws nothing), and each estimator's row pass
-    over them is appended to ``passes[fraction index, estimator]``.  With
+    (0 for fraction 1, which draws nothing), and each estimator's fit of
+    them is appended to ``fits[fraction index, estimator]``.  With
     ``mips`` the group's coherence values are appended to its fraction's
     list.  The blocks, variances and plans are locals of this frame, so they
     are freed when it returns, before the next group is simulated.
@@ -474,10 +507,10 @@ def _sweep_group(
         plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
         for estimator in config.estimator_names:
             if estimator == "statistics":
-                rows = _statistics_rows(measured, params, plans, *settings[estimator])
+                fit = _fit_statistics(measured, params, plans, *settings[estimator])
             else:
-                rows = _variables_rows(alice, bob, plans, *settings[estimator])
-            passes[f_idx, estimator].append(rows)
+                fit = _fit_variables(alice, bob, plans, params, *settings[estimator])
+            fits[f_idx, estimator].append(fit)
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
         if mips is not None:
@@ -510,35 +543,31 @@ def _sweep_seed(
     at a time.
 
     :func:`_sweep_group` takes the consecutive groups whose blocks fit
-    :data:`~csqkd.estimators.GROUP_BYTES`, each freed before the next is
-    simulated, and runs the row passes with each route's ``solvers``
-    settings; each (fraction < 1) plan generator lives across the groups, so
-    the plans are drawn in sub-channel order as in one pass.  After the last
-    group each (fraction, estimator) cell is finished once from its row
-    passes, and its columns become the estimate rows appended to ``report``
-    (and at the first seed the coherence rows), the usable (T_hat, eps_hat,
-    T, eps) columns appended to ``per_cell`` and, in the key-rate cell, the
-    aggregates put in ``keyrate_aggregates``.
+    :data:`GROUP_BYTES`, each freed before the next is simulated, and fits
+    them with each route's ``solvers`` settings; each (fraction < 1) plan
+    generator lives across the groups, so the plans are drawn in sub-channel
+    order as in one pass.  After the last group the fits of each (fraction,
+    estimator) cell are joined in order, and the columns become the estimate
+    rows appended to ``report`` (and at the first seed the coherence rows),
+    the usable (T_hat, eps_hat, T, eps) columns appended to ``per_cell`` and,
+    in the key-rate cell, the aggregates put in ``keyrate_aggregates``.
     """
     params = config.protocol
     fractions = sorted(config.fractions)
     first_seed = seed == config.seeds[0]
     # fraction 1 keeps every row without a draw, so it needs no generator
     rngs = [np.random.default_rng((seed, d_idx, f_idx)) if f < 1 else 0 for f_idx, f in enumerate(fractions)]
-    passes = {(f_idx, e): [] for f_idx in range(len(fractions)) for e in config.estimator_names}
+    fits = {(f_idx, e): [] for f_idx in range(len(fractions)) for e in config.estimator_names}
     mips = [[] for _ in fractions] if first_seed else None
     sim_seed = _derived_seed(seed, d_idx)
     for group in _groups([sub.block_length for sub in ensemble.channels]):
-        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, passes, mips)
+        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, fits, mips)
 
     t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
     rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
     for f_idx, fraction in enumerate(fractions):
         for estimator in config.estimator_names:
-            if estimator == "statistics":
-                fit = _statistics_finish(passes[f_idx, estimator], params)
-            else:
-                fit = _variables_finish(passes[f_idx, estimator], params)
+            fit = _joined(fits[f_idx, estimator])
             report.estimate_rows.extend(
                 EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
                 for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
@@ -551,9 +580,9 @@ def _sweep_seed(
                 (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
             )
             if first_seed and fraction == fractions[-1]:
-                keyrate_aggregates[estimator] = (
-                    aggregate_estimates(fit, ensemble.probabilities) if usable.any() else None
-                )
+                # usable estimates of total probability 0 are none to aggregate
+                p = ensemble.probabilities
+                keyrate_aggregates[estimator] = aggregate_estimates(fit, p) if p[usable].sum() > 0 else None
         if mips is not None:
             for e_idx, estimator in enumerate(config.estimator_names):
                 report.mip_rows.extend(

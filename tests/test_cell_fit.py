@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import csqkd.estimators as estimators
+import csqkd.harness as harness
 from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import (
     FLAG_BELOW_FLOOR,
@@ -387,46 +388,33 @@ def test_cell_records_are_the_core_columns(chunk_rows, route, k_max):
 @pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("route", ["variables", "statistics"])
 def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, groups):
-    # the sweep runs a cell's row pass one group of sub-channels at a time
-    # and finishes the cell once; the columns are the one-pass fit's bits
+    # the sweep fits a cell one group of sub-channels at a time and joins
+    # the group fits in order; the columns are the one-fit bits
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     k = np.full(M, k_max)
     if route == "variables":
         alice[1][:] = 0.0
         solver = (k, np.full(M, 0.3), np.zeros(M, dtype=bool))
-        whole = estimators._fit_variables(alice, bob, plans, PARAMS, *solver)
-        passes = [
-            estimators._variables_rows(alice[a:b], bob[a:b], plans[a:b], *(c[a:b] for c in solver))
-            for a, b in groups
-        ]
-        split = estimators._variables_finish(passes, PARAMS)
+
+        def fit(a, b):
+            columns = (c[a:b] for c in solver)
+            return estimators._fit_variables(alice[a:b], bob[a:b], plans[a:b], PARAMS, *columns)
     else:
         bob[3] *= 0.5
         per_cell, _ = _statistics_inputs(bob, "blockwise")
         noise_scale = PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
         solver = (k, noise_scale, np.ones(M, dtype=bool))
-        whole = estimators._fit_statistics(per_cell, PARAMS, plans, *solver)
-        passes = [
-            estimators._statistics_rows(per_cell[a:b], PARAMS, plans[a:b], *(c[a:b] for c in solver))
-            for a, b in groups
-        ]
-        split = estimators._statistics_finish(passes, PARAMS)
+
+        def fit(a, b):
+            columns = (c[a:b] for c in solver)
+            return estimators._fit_statistics(per_cell[a:b], PARAMS, plans[a:b], *columns)
+    whole = fit(0, M)
+    split = harness._joined([fit(a, b) for a, b in groups])
     for column in ("t_hat", "eps_hat", "residual", "sample_count", "imag_norm", "usable"):
         assert getattr(split, column).tobytes() == getattr(whole, column).tobytes(), column
     assert split.flags == whole.flags
     assert not whole.usable.all() and whole.usable.any()
-
-
-def test_cell_finish_rejects_passes_of_two_sample_counts():
-    _, alice, bob = _dataset()
-    solver = (np.ones(2, dtype=np.int64), np.zeros(2), np.zeros(2, dtype=bool))
-    passes = [
-        estimators._variables_rows(alice[:2], bob[:2], [make_sampling_plan(m, f, seed=1)] * 2, *solver)
-        for f in (0.3, 0.5)
-    ]
-    with pytest.raises(ValueError, match="share one sample count"):
-        estimators._variables_finish(passes, PARAMS)
 
 
 @pytest.mark.parametrize("gain", [14.530216986498635, 8.415343471753795e-05, 0.00105462862336806])
@@ -451,9 +439,9 @@ def test_chunks_fit_the_byte_budget():
 def test_groups_fit_the_byte_budget():
     # consecutive ranges over every sub-channel; a group's (x, y) blocks fit
     # GROUP_BYTES, and only a block larger than that is a group of its own
-    budget = estimators.GROUP_BYTES
+    budget = harness.GROUP_BYTES
     for lengths in ([10_000] * 50, [2000] * 20, [budget // 16] * 3, [budget] * 2, [30, 9000, budget, 7, 64]):
-        groups = estimators._groups(lengths)
+        groups = harness._groups(lengths)
         assert [i for g in groups for i in g] == list(range(len(lengths)))
         for g in groups:
             assert g.step == 1
@@ -461,8 +449,8 @@ def test_groups_fit_the_byte_budget():
             assert size <= budget or len(g) == 1
         for g, after in zip(groups, groups[1:]):
             assert 16 * sum(lengths[i] for i in (*g, after[0])) > budget
-    assert [len(g) for g in estimators._groups([10_000] * 50)] == [13, 13, 13, 11]
-    assert len(estimators._groups([2000] * 20)) == 1
+    assert [len(g) for g in harness._groups([10_000] * 50)] == [13, 13, 13, 11]
+    assert len(harness._groups([2000] * 20)) == 1
 
 
 def test_cell_rejects_mixed_inputs():

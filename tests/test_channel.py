@@ -159,6 +159,13 @@ def test_lognormal_sampler_deterministic():
     assert np.all((a > 0) & (a <= 1.0))
 
 
+def test_lognormal_sampler_rejects_an_underflowing_mean():
+    # exp(-0.15 * 4966) is still a subnormal float; at 4968 km it is 0
+    assert sample_lognormal_transmittances(3, 4966.0, seed=1).size == 3
+    with pytest.raises(ValueError, match="distance_km = 4968.0"):
+        sample_lognormal_transmittances(3, 4968.0, seed=1)
+
+
 def test_identity_channel_zero_noise():
     params = ProtocolParams(detector_efficiency=1.0, electronic_noise=0.0)
     ens = build_ensemble([1.0], excess_noise=0.0, block_length=256)
