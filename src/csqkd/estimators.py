@@ -21,9 +21,14 @@ is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
 (variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
 and ``_fit_statistics``, is the implementation of each: it evaluates the
 projection for consecutive sub-channels of one (seed, fraction) cell,
-gathering the sampled rows of a few sub-channels at a time under
-:data:`CHUNK_BYTES` per work array, and returns the estimates as the columns
-of a :class:`CellFit`.  Each sub-channel is fitted on its own and the
+gathering the sampled rows of a few sub-channels at a time, under
+:data:`CHUNK_BYTES` per array, into the two rows of a work area, and returns
+the estimates as the columns of a :class:`CellFit`.  The projection forms
+its residual in place in the gathered measurement rows, with g w in the
+gathered Alice rows or, for the statistics route's shared weights, in the
+second row.  A sweep allocates one work area (``_work_area``) and passes it
+to every cell fit, so only a chunk that mixes projected and refitted rows
+copies rows out of it.  Each sub-channel is fitted on its own and the
 plug-ins and flags are elementwise, so the fit of consecutive sub-channels
 equals the fits of any split of them joined in order, bit for bit.
 :func:`fit_cell_variables` and :func:`fit_cell_statistics` validate their
@@ -66,9 +71,9 @@ from .sensing import (
     OmpConfig,
     RowSampledIdftOperator,
     SamplingPlan,
+    _dc_project,
     _norm,
     _row_dots,
-    dc_project,
     omp_solve,
 )
 
@@ -82,7 +87,7 @@ FLAG_OFF_DC = "off_dc_support"
 EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR, FLAG_OFF_DC})
 
 #: Bytes of sampled rows that one chunk of a cell fit gathers per work array.
-CHUNK_BYTES = 64 * 1024
+CHUNK_BYTES = 128 * 1024
 
 #: Grace below the 1 + nu_el floor before a variance is flagged.
 FLOOR_TOLERANCE = 1e-6
@@ -175,6 +180,18 @@ def _chunks(count: int, m_s: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def _work_area(block_length: int) -> np.ndarray:
+    """Two float rows that hold the sampled rows of any chunk of a cell whose
+    blocks have at most ``block_length`` samples, for ``work`` of the fits."""
+    return np.empty((2, max(CHUNK_BYTES // 8, block_length)))
+
+
+def _chunk_rows(work: np.ndarray, chunk: slice, m_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (chunk size, m_s) views at the start of the two rows of ``work``."""
+    n = chunk.stop - chunk.start
+    return work[0, : n * m_s].reshape(n, m_s), work[1, : n * m_s].reshape(n, m_s)
+
+
 def _cell_fit(
     t_hat: np.ndarray,
     eps_hat: np.ndarray,
@@ -227,24 +244,32 @@ def _dc_fit(
     delta: np.ndarray,
     shrink: np.ndarray,
     refit: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[DcProjection, np.ndarray]:
-    """:func:`dc_project` of a chunk, except on the rows that OMP refits.
+    """:func:`~csqkd.sensing.dc_project` of a chunk, except on the rows that
+    OMP refits.
 
     A row marked in ``refit`` whose column is not zero gets only w_s.w_s and
     y_s.y_s (gain and residual 0, for :func:`_omp_refit` to fill); every
     other row gets its projection, with the bits dc_project gives it in the
-    whole chunk.  Returns the fits and the rows left to refit.
+    whole chunk.  Returns the fits and the rows left to refit.  With no row
+    to refit the residual is formed in place in ``measurement``, with
+    ``scratch`` (``weights`` or an array of the chunk's shape) for g w;
+    otherwise ``measurement`` is kept for the refits, and the projected rows
+    are copied out of it.
     """
     if not refit.any():
-        return dc_project(weights, measurement, delta, shrink), refit
+        return _dc_project(weights, measurement, delta, shrink, scratch), refit
     n = measurement.shape[0]
     ww = _row_dots(weights, weights) if weights.ndim == 2 else np.full(n, weights @ weights)
     fit = DcProjection(np.zeros(n), np.zeros(n), ww == 0, ww, _row_dots(measurement, measurement))
     refit = refit & ~fit.degenerate
     keep = ~refit
     if keep.any():
-        part = dc_project(
-            weights[keep] if weights.ndim == 2 else weights, measurement[keep], delta[keep], shrink[keep]
+        rows = measurement[keep]
+        part = _dc_project(
+            weights[keep] if weights.ndim == 2 else weights, rows, delta[keep], shrink[keep],
+            scratch[: rows.shape[0]],
         )
         fit.gain[keep] = part.gain
         fit.residual_norm[keep] = part.residual_norm
@@ -261,18 +286,19 @@ def _omp_refit(
     k_max: np.ndarray,
     delta: np.ndarray,
     shrink: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    imag_norm: np.ndarray,
+    off_dc: np.ndarray,
+) -> None:
     """Refit by Batch-OMP the chunk rows marked in ``todo``, in place.
 
     Row j of the chunk is sub-channel i = ``start + j``: ``measurement[j]``
     through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``,
     solved with ``k_max[i]``, ``delta[i]`` and ``shrink[i]``.
     Its gain becomes mean(h), read off the coefficients, and its residual
-    norm and degenerate flag in ``fit`` are overwritten.  Returns the chunk's
-    imaginary-residue norms and the rows whose support misses the DC column.
+    norm and degenerate flag in ``fit`` are overwritten; the cell columns
+    ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
+    whether its support misses the DC column.
     """
-    imag_norm = np.zeros(todo.size)
-    off_dc = np.zeros(todo.size, dtype=bool)
     for j in np.flatnonzero(todo).tolist():
         i = start + j
         solution = omp_solve(
@@ -282,11 +308,10 @@ def _omp_refit(
             delta=float(delta[i]),
             shrink_to_delta=bool(shrink[i]),
         )
-        fit.gain[j], imag_norm[j] = transfer_moments(solution.coefficients, solution.support)
+        fit.gain[j], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
         fit.residual_norm[j] = solution.residual_norm
         fit.degenerate[j] = solution.degenerate_support
-        off_dc[j] = solution.support.size > 0 and not np.any(solution.support == 0)
-    return imag_norm, off_dc
+        off_dc[i] = solution.support.size > 0 and not np.any(solution.support == 0)
 
 
 def _variables_plug_in(
@@ -314,32 +339,36 @@ def _fit_variables(
     noise_scale: np.ndarray,
     shrink: np.ndarray,
     noise_floor: float | None = None,
+    work: np.ndarray | None = None,
 ) -> CellFit:
     """The variables fit of validated blocks, chunk by chunk; ``k_max``,
     ``noise_scale`` (0 for none) and ``shrink`` hold each sub-channel's
-    solver settings, as :func:`_solver_columns` gives them."""
+    solver settings, as :func:`_solver_columns` gives them.  Each chunk's
+    sampled rows are gathered into ``work`` (:func:`_work_area`; by default
+    a fresh one of the first chunk's size), which is overwritten."""
     m_s = _cell_sample_count(plans)
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = 1.1 * math.sqrt(m_s) * noise_scale
     chunks = _chunks(len(plans), m_s)
-    x_work = np.empty((chunks[0].stop, m_s))
-    y_work = np.empty_like(x_work)
+    if work is None:
+        work = np.empty((2, chunks[0].stop * m_s))
+    imag_norm, off_dc = np.zeros(len(plans)), np.zeros(len(plans), dtype=bool)
     parts = []
     for chunk in chunks:
-        x_s = x_work[: chunk.stop - chunk.start]
-        y_s = y_work[: x_s.shape[0]]
+        x_s, y_s = _chunk_rows(work, chunk, m_s)
         for j, i in enumerate(range(chunk.start, chunk.stop)):
             x_blocks[i].take(plans[i].indices, out=x_s[j])
             y_blocks[i].take(plans[i].indices, out=y_s[j])
-        # a zero column has nothing to refit
-        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], k_max[chunk] > 1)
-        imag_norm, off_dc = _omp_refit(
-            fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink,
-        )
-        parts.append((*fit, imag_norm, off_dc, np.count_nonzero(x_s, axis=1)))
-    gain, residual, degenerate, ww, yy, imag_norm, off_dc, sample_count = (
-        np.concatenate(column) for column in zip(*parts)
-    )
+        sample_count = np.count_nonzero(x_s, axis=1)
+        # a zero column has nothing to refit; x_s is the g w scratch
+        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], k_max[chunk] > 1, x_s)
+        if refit.any():
+            _omp_refit(
+                fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink,
+                imag_norm, off_dc,
+            )
+        parts.append((*fit, sample_count))
+    gain, residual, degenerate, ww, yy, sample_count = (np.concatenate(column) for column in zip(*parts))
     t_hat, eps_hat, unestimable = _variables_plug_in(gain, ww, yy, m_s, params.detector_efficiency, floor)
     return _cell_fit(
         t_hat, eps_hat, residual, sample_count, imag_norm,
@@ -475,9 +504,10 @@ def _fit_statistics(
     noise_scale: np.ndarray,
     shrink: np.ndarray,
     noise_floor: float | None = None,
+    work: np.ndarray | None = None,
 ) -> CellFit:
     """The statistics fit of validated variances, chunk by chunk; the solver
-    settings are those of :func:`_fit_variables`."""
+    settings and ``work`` are those of :func:`_fit_variables`."""
     m_s = _cell_sample_count(plans)
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
@@ -486,10 +516,12 @@ def _fit_statistics(
     below = v_b <= floor - FLOOR_TOLERANCE
     weights = np.full(m_s, v_a)
     chunks = _chunks(len(plans), m_s)
-    work = np.empty((chunks[0].stop, m_s))
+    if work is None:
+        work = np.empty((2, chunks[0].stop * m_s))
+    imag_norm, off_dc = np.zeros(len(plans)), np.zeros(len(plans), dtype=bool)
     parts = []
     for chunk in chunks:
-        r_s = work[: chunk.stop - chunk.start]
+        r_s, scratch = _chunk_rows(work, chunk, m_s)
         # a scalar fills its row; sub-block variances are read at the rows
         # each covers, r_y[rows] without forming the length-m vector r_y
         r_s[:] = v_b[chunk, None]
@@ -498,16 +530,17 @@ def _fit_statistics(
             if not isinstance(v, float):
                 v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
         r_s -= floor
+        sums = r_s.sum(axis=1)
         refit = (k_max[chunk] > 1) & ~below[chunk]
-        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], refit)
-        imag_norm, off_dc = _omp_refit(
-            fit, refit, chunk.start,
-            lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
-        )
-        parts.append((fit.gain, fit.residual_norm, fit.degenerate, imag_norm, off_dc, r_s.sum(axis=1)))
-    gain, residual, degenerate, imag_norm, off_dc, sums = (
-        np.concatenate(column) for column in zip(*parts)
-    )
+        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], refit, scratch)
+        if refit.any():
+            _omp_refit(
+                fit, refit, chunk.start,
+                lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
+                imag_norm, off_dc,
+            )
+        parts.append((fit.gain, fit.residual_norm, fit.degenerate, sums))
+    gain, residual, degenerate, sums = (np.concatenate(column) for column in zip(*parts))
     t_hat, eps_hat, unestimable = _statistics_plug_in(gain, sums, m_s, params.detector_efficiency, v_a)
     t_hat[below] = 0.0
     eps_hat[below] = math.nan

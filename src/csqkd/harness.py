@@ -39,7 +39,10 @@ a group's blocks, variances and plans are freed before the next group's
 blocks are simulated.  A seed that fits the budget is one group.  The plan
 generator of each (seed, distance, fraction < 1) cell lives across its
 groups, and each sub-channel is fitted on its own, so the output does not
-depend on the budget.
+depend on the budget.  Every cell fit of the sweep gathers its sampled rows
+into one work area, which :func:`run_sweep` allocates before the first
+distance and frees when it returns, so no fit allocates chunk-sized arrays
+of its own.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -89,6 +92,7 @@ from .estimators import (  # noqa: F401
     _fit_variables,
     _statistics_input,
     _variables_inputs,
+    _work_area,
     aggregate_estimates,
     block_variances,
     estimate_subchannel_statistics,
@@ -471,15 +475,16 @@ def _sweep_group(
     solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     fits: dict[tuple[int, str], list[CellFit]],
     mips: list[list[tuple[float, ...]]] | None,
+    work: np.ndarray,
 ) -> None:
     """Simulate one group of sub-channels and fit every cell on it.
 
     The group's blocks and measured variances are validated once; at each
     fraction its plans are drawn from that fraction's generator in ``rngs``
     (0 for fraction 1, which draws nothing), and each estimator's fit of
-    them is appended to ``fits[fraction index, estimator]``.  With
-    ``mips`` the group's coherence values are appended to its fraction's
-    list.  The blocks, variances and plans are locals of this frame, so they
+    them, gathered in the sweep's ``work`` area, is appended to
+    ``fits[fraction index, estimator]``.  With ``mips`` the group's coherence
+    values are appended to its fraction's list.  The blocks, variances and plans are locals of this frame, so they
     are freed when it returns, before the next group is simulated.
     """
     lengths = [ensemble.channels[i].block_length for i in group]
@@ -507,9 +512,9 @@ def _sweep_group(
         plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
         for estimator in config.estimator_names:
             if estimator == "statistics":
-                fit = _fit_statistics(measured, params, plans, *settings[estimator])
+                fit = _fit_statistics(measured, params, plans, *settings[estimator], work=work)
             else:
-                fit = _fit_variables(alice, bob, plans, params, *settings[estimator])
+                fit = _fit_variables(alice, bob, plans, params, *settings[estimator], work=work)
             fits[f_idx, estimator].append(fit)
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
@@ -538,15 +543,16 @@ def _sweep_seed(
     solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]],
     keyrate_aggregates: dict[str, AggregateEstimate | None],
+    work: np.ndarray,
 ) -> None:
     """Fit every cell of one seed at one distance, one group of sub-channels
     at a time.
 
     :func:`_sweep_group` takes the consecutive groups whose blocks fit
     :data:`GROUP_BYTES`, each freed before the next is simulated, and fits
-    them with each route's ``solvers`` settings; each (fraction < 1) plan
-    generator lives across the groups, so the plans are drawn in sub-channel
-    order as in one pass.  After the last group the fits of each (fraction,
+    them with each route's ``solvers`` settings in the ``work`` area; each
+    (fraction < 1) plan generator lives across the groups, so the plans are
+    drawn in sub-channel order as in one pass.  After the last group the fits of each (fraction,
     estimator) cell are joined in order, and the columns become the estimate
     rows appended to ``report`` (and at the first seed the coherence rows),
     the usable (T_hat, eps_hat, T, eps) columns appended to ``per_cell`` and,
@@ -561,7 +567,7 @@ def _sweep_seed(
     mips = [[] for _ in fractions] if first_seed else None
     sim_seed = _derived_seed(seed, d_idx)
     for group in _groups([sub.block_length for sub in ensemble.channels]):
-        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, fits, mips)
+        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, fits, mips, work)
 
     t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
     rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
@@ -595,6 +601,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     """Execute the full experiment grid described by ``config``."""
     report = RunReport(config=config, config_hash=config_hash(config))
     params = config.protocol
+    # every cell fit of the sweep gathers its sampled rows here
+    work = _work_area(config.block_length)
 
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
@@ -615,7 +623,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
         for seed in config.seeds:
             _sweep_seed(
-                report, config, ensemble, d_idx, distance, seed, solvers, per_cell, keyrate_aggregates
+                report, config, ensemble, d_idx, distance, seed, solvers, per_cell, keyrate_aggregates, work
             )
 
         for (fraction, estimator), columns in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):

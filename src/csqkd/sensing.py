@@ -498,13 +498,29 @@ def dc_project(
     factor max(0, 1 - delta / ||g w_s||).  A zero column (w_s.w_s = 0) is
     reported as a degenerate support with g = 0, whatever ``delta`` is.
     """
-    y = np.asarray(measurement, dtype=float)
+    y = np.array(measurement, dtype=float)
     w = np.asarray(weights, dtype=float)
     if y.ndim != 2 or w.shape not in (y.shape, y.shape[1:]):
         raise ValueError("measurement must be 2-d rows, weights one row each or one shared row")
     delta = np.asarray(delta, dtype=float)
     if delta.size and not 0 <= delta.min() <= delta.max() < math.inf:
         raise ValueError("delta must be finite and >= 0")
+    # y is a copy, so the residual may be formed in it
+    return _dc_project(w, y, delta, shrink_to_delta, np.empty_like(y))
+
+
+def _dc_project(
+    w: np.ndarray,
+    y: np.ndarray,
+    delta: np.ndarray,
+    shrink_to_delta: bool | np.ndarray,
+    scratch: np.ndarray,
+) -> DcProjection:
+    """:func:`dc_project` of validated float rows, without a temporary of
+    their size: the residual y - g w is formed in place in ``y``, with g w in
+    ``scratch``, an array of y's shape that may be ``w`` itself.  Both are
+    overwritten; every sum over ``w`` and ``y`` is taken first.
+    """
     ww = _row_dots(w, w) if w.ndim == 2 else np.full(y.shape[0], w @ w)
     yy = _row_dots(y, y)
     degenerate = ww == 0
@@ -517,8 +533,9 @@ def dc_project(
         shrink = shrink & fit & (delta > 0) & (fitted_norm > 0)
         ratio = np.divide(delta, fitted_norm, out=np.zeros(y.shape[0]), where=shrink)
         gain *= np.where(shrink, np.maximum(0.0, 1.0 - ratio), 1.0)
-    residual = y - gain[:, None] * w
-    return DcProjection(gain, np.sqrt(_row_dots(residual, residual)), degenerate, ww, yy)
+    np.multiply(gain[:, None], w, out=scratch)
+    y -= scratch
+    return DcProjection(gain, np.sqrt(_row_dots(y, y)), degenerate, ww, yy)
 
 
 def mutual_incoherence(

@@ -2,6 +2,7 @@
 multi-atom rows, with the per-sub-channel bodies they replaced; chunking,
 degenerate rows, and rejection of non-finite inputs."""
 
+import dataclasses
 import math
 import struct
 
@@ -293,9 +294,9 @@ def test_cell_mixing_one_and_three_atom_configs(chunk_rows, route):
 @pytest.mark.parametrize("route", ["variables", "statistics"])
 def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch):
     # a row that OMP refits gets only its sums of squares from the cell fit:
-    # dc_project sees the one-atom rows and the multi-atom rows that OMP
-    # skips (a zero Alice column, a variance below the floor), and no row
-    # that omp_solve solves
+    # the projection (sensing._dc_project, which dc_project also runs) sees
+    # the one-atom rows and the multi-atom rows that OMP skips (a zero Alice
+    # column, a variance below the floor), and no row that omp_solve solves
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     multi = (0, 2, 3, 6)
@@ -311,7 +312,7 @@ def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch
         fit = lambda: fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)  # noqa: E731
     expected = fit()
     projected, solved = [], []
-    project, solve = estimators.dc_project, estimators.omp_solve
+    project, solve = estimators._dc_project, estimators.omp_solve
 
     def spy_project(weights, measurement, *args):
         projected.extend(row.copy() for row in measurement)
@@ -321,7 +322,7 @@ def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch
         solved.append(np.array(measurement, copy=True))
         return solve(op, measurement, **kwargs)
 
-    monkeypatch.setattr(estimators, "dc_project", spy_project)
+    monkeypatch.setattr(estimators, "_dc_project", spy_project)
     monkeypatch.setattr(estimators, "omp_solve", spy_solve)
     assert_identical(fit(), expected)
     assert len(solved) == len(multi) - 1
@@ -415,6 +416,47 @@ def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, grou
         assert getattr(split, column).tobytes() == getattr(whole, column).tobytes(), column
     assert split.flags == whole.flags
     assert not whole.usable.all() and whole.usable.any()
+
+
+@pytest.mark.parametrize("k_max", [(1,), (3,), (1, 3, 3)], ids=["k1", "k3", "mixed"])
+@pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
+def test_reused_work_area_gives_the_per_channel_bits(chunk_rows, inputs, k_max):
+    # cells of three sample counts fitted one after another in one work area,
+    # NaN-filled before the first: no row of the fill or of an earlier cell
+    # leaks into a fit, and the OMP rows of a chunk that mixes projected and
+    # refitted rows read their measurement before any in-place residual; the
+    # per-sub-channel estimates, one-row chunks, are the reference
+    ens, alice, bob = _low_snr_dataset()
+    ks = [k_max[i % len(k_max)] for i in range(M)]
+    if inputs == "variables":
+        alice[1][:] = 0.0   # a zero column: projected even where k_max is 3
+        configs = [OmpConfig(k_max=k, noise_scale=0.3) for k in ks]
+    else:
+        bob[3] *= 0.5       # below the floor: neither projected nor refitted
+        measured, _ = _statistics_inputs(bob, inputs)
+        configs = [
+            dataclasses.replace(c, k_max=k) for c, k in zip(_statistics_configs(ens, 1, shrink=True), ks)
+        ]
+    solver = estimators._solver_columns(configs, M)
+    work = estimators._work_area(m)
+    work.fill(np.nan)
+    for fraction in (0.3, 0.6, 0.1):
+        plans = _plans(fraction=fraction)
+        if inputs == "variables":
+            fit = estimators._fit_variables(alice, bob, plans, PARAMS, *solver, work=work)
+            single = [
+                estimate_subchannel_variables(alice[i], bob[i], plans[i], PARAMS, configs[i], index=i)
+                for i in range(M)
+            ]
+        else:
+            fit = estimators._fit_statistics(measured, PARAMS, plans, *solver, work=work)
+            single = [
+                estimate_subchannel_statistics(measured[i], PARAMS, m, plans[i], configs[i], index=i)
+                for i in range(M)
+            ]
+        assert_identical(estimators._records(fit), single)
+        assert fit.usable.any() and not fit.usable.all()
+    assert not np.isnan(work[0, : M * _plans(fraction=0.1)[0].sample_count]).any()
 
 
 @pytest.mark.parametrize("gain", [14.530216986498635, 8.415343471753795e-05, 0.00105462862336806])

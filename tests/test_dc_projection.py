@@ -152,6 +152,19 @@ def test_zero_weights_are_degenerate():
     assert fit.residual_norm[0] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("shared", [False, True])
+def test_dc_project_leaves_its_inputs_unchanged(shared):
+    # the residual is formed in place in a copy of the measurement, never in
+    # the caller's rows or weights
+    w = np.array([1.0, 2.0, -1.0]) if shared else np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
+    y = np.array([[2.0, 1.0, 0.5], [1.0, -2.0, 4.0]])
+    w_before, y_before = w.copy(), y.copy()
+    fit = dc_project(w, y)
+    assert np.array_equal(w, w_before) and np.array_equal(y, y_before)
+    residual = y - fit.gain[:, None] * w
+    assert fit.residual_norm.tobytes() == np.sqrt((residual[:, None, :] @ residual[:, :, None])[:, 0, 0]).tobytes()
+
+
 def test_dc_project_validation():
     with pytest.raises(ValueError, match="2-d rows"):
         dc_project(np.ones(3), np.ones((1, 4)))

@@ -618,6 +618,86 @@ def test_sweep_holds_one_group_of_blocks(monkeypatch):
         assert all(dead)
 
 
+def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
+    # three groups of two sub-channels, three fractions, two seeds and both
+    # routes: the sweep allocates one work area and passes it to every cell
+    # fit, every projection forms its residual in it, and no array
+    # constructor in estimators makes a float array of a chunk's rows
+    config = dataclasses.replace(
+        FAST, subchannels=6, block_length=4096, fractions=(0.25, 0.5, 1.0), seeds=(1, 2)
+    )
+    monkeypatch.setattr(harness, "GROUP_BYTES", 2 * 16 * 4096)
+    assert len(harness._groups([config.block_length] * config.subchannels)) == 3
+    areas, fits, projections, made = [], [], [], []
+    work_area, project = harness._work_area, estimators._dc_project
+
+    def recorded_area(*args):
+        areas.append(work_area(*args))
+        return areas[-1]
+
+    def recorded_project(weights, measurement, delta, shrink, scratch):
+        projections.append((measurement, scratch))
+        return project(weights, measurement, delta, shrink, scratch)
+
+    class Constructors:
+        # numpy, with its array constructors recording each float array's size
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("array", "empty", "empty_like", "full", "full_like", "ones", "zeros", "zeros_like"):
+                return attr
+
+            def construct(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                made.append(out.size if out.dtype.kind == "f" else 0)
+                return out
+            return construct
+
+    def recorded(fit):
+        def run(*args, **kwargs):
+            plans = args[2]
+            chunk = estimators._chunks(len(plans), plans[0].sample_count)[0]
+            del made[:]
+            result = fit(*args, **kwargs)
+            fits.append((kwargs.get("work"), max(made), (chunk.stop - chunk.start) * plans[0].sample_count))
+            return result
+        return run
+
+    monkeypatch.setattr(harness, "_work_area", recorded_area)
+    monkeypatch.setattr(harness, "_fit_variables", recorded(harness._fit_variables))
+    monkeypatch.setattr(harness, "_fit_statistics", recorded(harness._fit_statistics))
+    monkeypatch.setattr(estimators, "_dc_project", recorded_project)
+    monkeypatch.setattr(estimators, "np", Constructors())
+    run_sweep(config)
+    assert len(areas) == 1
+    assert len(fits) == 3 * 3 * 2 * 2
+    assert all(work is areas[0] for work, _, _ in fits)
+    # every chunk holds its group's two sub-channels, at m_s 1024, 2048, 4096
+    assert sorted({chunk for _, _, chunk in fits}) == [2 * 1024, 2 * 2048, 2 * 4096]
+    assert [(largest, chunk) for _, largest, chunk in fits if largest >= chunk] == []
+    assert len(projections) == len(fits)
+    for measurement, scratch in projections:
+        assert np.shares_memory(measurement, areas[0]) and np.shares_memory(scratch, areas[0])
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_one_row_chunks_write_the_default_chunk_csvs(tmp_path, monkeypatch, variance_mode, k_max):
+    # the sweep's work area holds several sub-channels' rows per chunk under
+    # the default budget and one under a budget of one sample; the bytes
+    # agree, at a low-SNR distance and at fraction 1
+    config = dataclasses.replace(
+        FAST, distances_km=(2.0, 40.0), fractions=(1.0, 0.25, 0.5), seeds=(3, 1, 2),
+        variance_mode=variance_mode, variance_blocks=16, k_max=k_max,
+    )
+    assert len(estimators._chunks(config.subchannels, config.block_length)) == 1
+    default = write_reports(run_sweep(config), tmp_path / "default")
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 8)
+    assert len(estimators._chunks(config.subchannels, 1)) == config.subchannels
+    one_row = write_reports(run_sweep(config), tmp_path / "one-row")
+    for name in ("estimates", "mse", "keyrate", "mip"):
+        assert one_row[name].read_bytes() == default[name].read_bytes(), name
+
+
 @pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
 @pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
