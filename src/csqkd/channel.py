@@ -169,7 +169,7 @@ def build_ensemble(
     bad = np.flatnonzero((t <= 0) | (t > 1))
     if bad.size:
         raise ValueError(
-            f"transmittance out of (0, 1] at index {int(bad[0])}: {t[bad[0]]!r}"
+            f"transmittance out of (0, 1] at index {int(bad[0])}: {float(t[bad[0]])!r}"
         )
     count = t.size
     eps = np.broadcast_to(np.asarray(excess_noise, dtype=float), (count,))
@@ -263,14 +263,21 @@ def ensemble_from_csv(
     excess_noise: float = 0.01,
     block_length: int = 10_000,
 ) -> SubChannelEnsemble:
-    """Build an ensemble from a CSV file; file columns override the defaults."""
+    """Build an ensemble from a CSV file; file columns override the defaults.
+
+    Every ``ValueError``, from reading the table or building the ensemble of
+    its values, names the file.
+    """
     t, eps, p = read_transmittance_csv(path)
-    return build_ensemble(
-        t,
-        excess_noise=eps if eps is not None else excess_noise,
-        block_length=block_length,
-        probabilities=p,
-    )
+    try:
+        return build_ensemble(
+            t,
+            excess_noise=eps if eps is not None else excess_noise,
+            block_length=block_length,
+            probabilities=p,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def sample_lognormal_transmittances(
@@ -396,13 +403,3 @@ def ensemble_means(ensemble: SubChannelEnsemble) -> tuple[float, float, float]:
     eps = ensemble.excess_noises
     return float(p @ t), float(p @ np.sqrt(t)), float(p @ eps)
 
-
-def dataset_to_csv(dataset: QuadratureDataset, path: str | Path) -> None:
-    """Dump a dataset as ``i,j,x,y`` rows for audit."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "x", "y"])
-        for i, (x, y) in enumerate(zip(dataset.alice, dataset.bob)):
-            for j in range(len(x)):
-                writer.writerow([i, j, format(x[j], ".12g"), format(y[j], ".12g")])

@@ -19,28 +19,27 @@ With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
 is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
 (variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
-and ``_fit_statistics``, is the implementation of each: it evaluates the
-projection for consecutive sub-channels of one (seed, fraction) cell,
-gathering the sampled rows of a few sub-channels at a time, under
-:data:`CHUNK_BYTES` per array, into the two rows of a work area, and returns
-the estimates as the columns of a :class:`CellFit`.  The projection forms
-its residual in place in the gathered measurement rows, with g w in the
-gathered Alice rows or, for the statistics route's shared weights, in the
-second row.  A sweep allocates one work area (``_work_area``) and passes it
-to every cell fit, so only a chunk that mixes projected and refitted rows
-copies rows out of it.  Each sub-channel is fitted on its own and the
-plug-ins and flags are elementwise, so the fit of consecutive sub-channels
-equals the fits of any split of them joined in order, bit for bit.
-:func:`fit_cell_variables` and :func:`fit_cell_statistics` validate their
-inputs and build records from those columns, and the per-sub-channel estimators
-are their one-channel case.  A sub-channel whose config has a larger budget is
-fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`) over the row-sampled
-IDFT operator instead, its row taking only w_s.w_s and y_s.y_s from the
-chunk pass, and :func:`transfer_moments` reads mean(h) =
-Re(s_0)/sqrt(m) and ||Im h|| off the sparse coefficients s without
-synthesizing h.  A support without the DC column has mean(h) = 0 exactly, so
-such an estimate is flagged both ``off_dc_support`` and
-``unestimable_transmittance`` and is excluded from aggregation.
+and ``_fit_statistics``, is the implementation of each: it fits consecutive
+sub-channels of one (seed, fraction) cell with one atom budget and one
+``shrink_to_delta``, gathering the sampled rows of a few sub-channels at a
+time, under :data:`CHUNK_BYTES` per array, into the two rows of a work area,
+and returns the estimates as the columns of a :class:`CellFit`.  The
+projection forms its residual in place in the gathered measurement rows,
+with g w in the gathered Alice rows or, for the statistics route's shared
+weights, in the second row.  A sweep allocates one work area
+(``_work_area``) and passes it to every cell fit.  Each sub-channel is
+fitted on its own and the plug-ins and flags are elementwise, so the fit of
+consecutive sub-channels equals the fits of any split of them joined in
+order, bit for bit, and the per-sub-channel estimators are its one-channel
+case.  With a larger budget each row is fitted by Batch-OMP
+(:func:`~csqkd.sensing.omp_solve`) over the row-sampled IDFT operator
+instead, except a zero Alice column or a variance below the floor, which
+keeps gain 0 and residual ||y_s||, the projection of a zero column; and
+:func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and ||Im h|| off
+the sparse coefficients s without synthesizing h.  A support without the DC
+column has mean(h) = 0 exactly, so such an estimate is flagged both
+``off_dc_support`` and ``unestimable_transmittance`` and is excluded from
+aggregation.
 
 Every sampled row is used: a zero Alice symbol adds nothing to the
 least-squares sums, and its Bob symbol still enters the excess-noise plug-in.
@@ -150,21 +149,6 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, with a finite sum of squares")
 
 
-def _solver_columns(
-    omp: OmpConfig | Sequence[OmpConfig], count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``k_max``, ``noise_scale`` (0 for none) and ``shrink_to_delta`` of one
-    config for all ``count`` sub-channels or one each."""
-    configs = [omp] * count if isinstance(omp, OmpConfig) else list(omp)
-    if len(configs) != count:
-        raise ValueError(f"expected {count} solver configs, got {len(configs)}")
-    return (
-        np.array([c.k_max for c in configs], dtype=np.int64),
-        np.array([0.0 if c.noise_scale is None else c.noise_scale for c in configs]),
-        np.array([c.shrink_to_delta for c in configs], dtype=bool),
-    )
-
-
 def _cell_sample_count(plans: Sequence[SamplingPlan]) -> int:
     if not plans:
         raise ValueError("a cell needs at least one sub-channel")
@@ -242,38 +226,25 @@ def _dc_fit(
     weights: np.ndarray,
     measurement: np.ndarray,
     delta: np.ndarray,
-    shrink: np.ndarray,
-    refit: np.ndarray,
+    shrink: bool,
+    k_max: int,
     scratch: np.ndarray,
-) -> tuple[DcProjection, np.ndarray]:
-    """:func:`~csqkd.sensing.dc_project` of a chunk, except on the rows that
-    OMP refits.
+) -> DcProjection:
+    """The one-atom fits of a chunk, or at a larger budget the sums OMP starts from.
 
-    A row marked in ``refit`` whose column is not zero gets only w_s.w_s and
-    y_s.y_s (gain and residual 0, for :func:`_omp_refit` to fill); every
-    other row gets its projection, with the bits dc_project gives it in the
-    whole chunk.  Returns the fits and the rows left to refit.  With no row
-    to refit the residual is formed in place in ``measurement``, with
-    ``scratch`` (``weights`` or an array of the chunk's shape) for g w;
-    otherwise ``measurement`` is kept for the refits, and the projected rows
-    are copied out of it.
+    At ``k_max = 1`` this is :func:`~csqkd.sensing.dc_project`, with the
+    residual formed in place in ``measurement`` and ``scratch`` (``weights``
+    or an array of the chunk's shape) for g w.  Otherwise ``measurement`` is
+    kept for :func:`_omp_refit`, and every row gets w_s.w_s, y_s.y_s, gain 0
+    and residual ||y_s||: the projection of a zero column, which the rows
+    that OMP solves overwrite.
     """
-    if not refit.any():
-        return _dc_project(weights, measurement, delta, shrink, scratch), refit
+    if k_max == 1:
+        return _dc_project(weights, measurement, delta, shrink, scratch)
     n = measurement.shape[0]
     ww = _row_dots(weights, weights) if weights.ndim == 2 else np.full(n, weights @ weights)
-    fit = DcProjection(np.zeros(n), np.zeros(n), ww == 0, ww, _row_dots(measurement, measurement))
-    refit = refit & ~fit.degenerate
-    keep = ~refit
-    if keep.any():
-        rows = measurement[keep]
-        part = _dc_project(
-            weights[keep] if weights.ndim == 2 else weights, rows, delta[keep], shrink[keep],
-            scratch[: rows.shape[0]],
-        )
-        fit.gain[keep] = part.gain
-        fit.residual_norm[keep] = part.residual_norm
-    return fit, refit
+    yy = _row_dots(measurement, measurement)
+    return DcProjection(np.zeros(n), np.sqrt(yy), ww == 0, ww, yy)
 
 
 def _omp_refit(
@@ -283,9 +254,9 @@ def _omp_refit(
     weights: Callable[[int], np.ndarray],
     measurement: np.ndarray,
     plans: Sequence[SamplingPlan],
-    k_max: np.ndarray,
+    k_max: int,
     delta: np.ndarray,
-    shrink: np.ndarray,
+    shrink: bool,
     imag_norm: np.ndarray,
     off_dc: np.ndarray,
 ) -> None:
@@ -293,7 +264,7 @@ def _omp_refit(
 
     Row j of the chunk is sub-channel i = ``start + j``: ``measurement[j]``
     through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``,
-    solved with ``k_max[i]``, ``delta[i]`` and ``shrink[i]``.
+    solved with ``k_max``, ``delta[i]`` and ``shrink``.
     Its gain becomes mean(h), read off the coefficients, and its residual
     norm and degenerate flag in ``fit`` are overwritten; the cell columns
     ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
@@ -304,9 +275,9 @@ def _omp_refit(
         solution = omp_solve(
             RowSampledIdftOperator(weights(i), plans[i].indices),
             measurement[j],
-            k_max=int(k_max[i]),
+            k_max=k_max,
             delta=float(delta[i]),
-            shrink_to_delta=bool(shrink[i]),
+            shrink_to_delta=shrink,
         )
         fit.gain[j], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
         fit.residual_norm[j] = solution.residual_norm
@@ -335,20 +306,20 @@ def _fit_variables(
     y_blocks: Sequence[np.ndarray],
     plans: Sequence[SamplingPlan],
     params: ProtocolParams,
-    k_max: np.ndarray,
-    noise_scale: np.ndarray,
-    shrink: np.ndarray,
+    k_max: int,
+    noise_scale: float | np.ndarray,
+    shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
-    """The variables fit of validated blocks, chunk by chunk; ``k_max``,
-    ``noise_scale`` (0 for none) and ``shrink`` hold each sub-channel's
-    solver settings, as :func:`_solver_columns` gives them.  Each chunk's
-    sampled rows are gathered into ``work`` (:func:`_work_area`; by default
-    a fresh one of the first chunk's size), which is overwritten."""
+    """The variables fit of validated blocks, chunk by chunk, with the atom
+    budget ``k_max`` and ``shrink`` (``shrink_to_delta``) of every
+    sub-channel and ``noise_scale`` (0 for none) for all or one each.  Each
+    chunk's sampled rows are gathered into ``work`` (:func:`_work_area`; by
+    default a fresh one of the first chunk's size), which is overwritten."""
     m_s = _cell_sample_count(plans)
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = 1.1 * math.sqrt(m_s) * noise_scale
+    delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, len(plans))
     chunks = _chunks(len(plans), m_s)
     if work is None:
         work = np.empty((2, chunks[0].stop * m_s))
@@ -360,12 +331,13 @@ def _fit_variables(
             x_blocks[i].take(plans[i].indices, out=x_s[j])
             y_blocks[i].take(plans[i].indices, out=y_s[j])
         sample_count = np.count_nonzero(x_s, axis=1)
-        # a zero column has nothing to refit; x_s is the g w scratch
-        fit, refit = _dc_fit(x_s, y_s, delta[chunk], shrink[chunk], k_max[chunk] > 1, x_s)
-        if refit.any():
+        # x_s is the g w scratch
+        fit = _dc_fit(x_s, y_s, delta[chunk], shrink, k_max, x_s)
+        if k_max > 1:
+            # a zero column has nothing to refit
             _omp_refit(
-                fit, refit, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink,
-                imag_norm, off_dc,
+                fit, ~fit.degenerate, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta,
+                shrink, imag_norm, off_dc,
             )
         parts.append((*fit, sample_count))
     gain, residual, degenerate, ww, yy, sample_count = (np.concatenate(column) for column in zip(*parts))
@@ -391,33 +363,6 @@ def _variables_inputs(
     return x, y
 
 
-def fit_cell_variables(
-    x_blocks: Sequence[np.ndarray],
-    y_blocks: Sequence[np.ndarray],
-    plans: Sequence[SamplingPlan],
-    params: ProtocolParams,
-    omp: OmpConfig | Sequence[OmpConfig] = OmpConfig(),
-    noise_floor: float | None = None,
-) -> list[SubChannelEstimate]:
-    """Variables estimates of every sub-channel of one (seed, fraction) cell.
-
-    Sub-channel i reads ``x_blocks[i]`` and ``y_blocks[i]`` at ``plans[i]``,
-    whose sample counts must agree, and its estimate has index i.  ``omp``
-    holds one config for all sub-channels or one each, of any ``k_max``.
-    The result equals :func:`estimate_subchannel_variables` per sub-channel
-    bit for bit.
-    """
-    solver = _solver_columns(omp, len(plans))
-    if not len(x_blocks) == len(y_blocks) == len(plans):
-        raise ValueError("x_blocks, y_blocks and plans must have one entry per sub-channel")
-    blocks = [
-        _variables_inputs(x, y, plan.length, f"x_blocks[{i}]", f"y_blocks[{i}]")
-        for i, (x, y, plan) in enumerate(zip(x_blocks, y_blocks, plans))
-    ]
-    xs, ys = [x for x, _ in blocks], [y for _, y in blocks]
-    return _records(_fit_variables(xs, ys, plans, params, *solver, noise_floor))
-
-
 def estimate_subchannel_variables(
     x_block: np.ndarray,
     y_block: np.ndarray,
@@ -437,16 +382,18 @@ def estimate_subchannel_variables(
             constant-per-sub-channel transfer vector, whose analysis transform
             is one DC impulse, and is fitted in closed form (T_hat =
             (x_s.y_s / x_s.x_s)^2 / eta); a larger one runs OMP.  Either way
-            the estimate is the one-channel case of
-            :func:`fit_cell_variables`.  The stop tolerance, when derived from
-            ``noise_scale``, is 1.1 * sqrt(m_s) * noise_scale (the residual of
-            the true solution concentrates near sqrt(m_s) * sigma).
+            the estimate is the one-channel case of the cell fit.  The stop
+            tolerance, when derived from ``noise_scale``, is 1.1 * sqrt(m_s)
+            * noise_scale (the residual of the true solution concentrates
+            near sqrt(m_s) * sigma).
         noise_floor: constant subtracted per sampled entry in the excess-noise
             plug-in; defaults to 1 + nu_el.  Pass 0.0 for data generated in
             zero-noise mode, which carries no vacuum unit.
     """
     x, y = _variables_inputs(x_block, y_block, plan.length)
-    fit = _fit_variables([x], [y], [plan], params, *_solver_columns(omp, 1), noise_floor)
+    fit = _fit_variables(
+        [x], [y], [plan], params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, noise_floor
+    )
     return _records(fit, first=index)[0]
 
 
@@ -500,9 +447,9 @@ def _fit_statistics(
     measured: Sequence,
     params: ProtocolParams,
     plans: Sequence[SamplingPlan],
-    k_max: np.ndarray,
-    noise_scale: np.ndarray,
-    shrink: np.ndarray,
+    k_max: int,
+    noise_scale: float | np.ndarray,
+    shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
@@ -511,7 +458,7 @@ def _fit_statistics(
     m_s = _cell_sample_count(plans)
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = math.sqrt(m_s) * noise_scale
+    delta = np.broadcast_to(math.sqrt(m_s) * noise_scale, len(plans))
     v_b = np.array([v if isinstance(v, float) else float(v.mean()) for v in measured])
     below = v_b <= floor - FLOOR_TOLERANCE
     weights = np.full(m_s, v_a)
@@ -531,11 +478,10 @@ def _fit_statistics(
                 v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
         r_s -= floor
         sums = r_s.sum(axis=1)
-        refit = (k_max[chunk] > 1) & ~below[chunk]
-        fit, refit = _dc_fit(weights, r_s, delta[chunk], shrink[chunk], refit, scratch)
-        if refit.any():
+        fit = _dc_fit(weights, r_s, delta[chunk], shrink, k_max, scratch)
+        if k_max > 1:
             _omp_refit(
-                fit, refit, chunk.start,
+                fit, ~below[chunk], chunk.start,
                 lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
                 imag_norm, off_dc,
             )
@@ -575,35 +521,6 @@ def _statistics_input(measured, length: int, name: str = "measured") -> float | 
     return r_y
 
 
-def fit_cell_statistics(
-    measured: Sequence,
-    params: ProtocolParams,
-    plans: Sequence[SamplingPlan],
-    omp: OmpConfig | Sequence[OmpConfig] = OmpConfig(),
-    noise_floor: float | None = None,
-) -> list[SubChannelEstimate]:
-    """Statistics estimates of every sub-channel of one (seed, fraction) cell.
-
-    ``measured[i]`` is sub-channel i's measured variance: a scalar for the
-    whole block, or a 1-d array holding the variances of equal contiguous
-    sub-blocks of it, in any count that divides ``plans[i].length``; a
-    per-entry vector is the case of width-1 sub-blocks.  The sampled entries
-    are read off the sub-block variances without forming a length-m vector,
-    and the below-floor test reads their mean.  The plans' sample counts must
-    agree, and ``omp`` holds one config for all sub-channels or one each, of
-    any ``k_max``.  The result equals :func:`estimate_subchannel_statistics`
-    per sub-channel bit for bit.
-    """
-    solver = _solver_columns(omp, len(plans))
-    if len(measured) != len(plans):
-        raise ValueError("measured and plans must have one entry per sub-channel")
-    values = [
-        _statistics_input(v, plan.length, f"measured[{i}]")
-        for i, (v, plan) in enumerate(zip(measured, plans))
-    ]
-    return _records(_fit_statistics(values, params, plans, *solver, noise_floor))
-
-
 def estimate_subchannel_statistics(
     measured: float | np.ndarray,
     params: ProtocolParams,
@@ -628,10 +545,9 @@ def estimate_subchannel_statistics(
         omp: solver configuration; the default single-atom budget is the
             closed-form DC projection (T_hat = g/eta with g the least-squares
             gain of the sampled floor-removed variances on V_A), and a larger
-            one runs OMP, both as the one-channel case of
-            :func:`fit_cell_statistics`.  The derived
-            stop tolerance is sqrt(m_s) * noise_scale with no slack: the
-            in-model disturbance (eta*T*eps per entry) is deterministic, and
+            one runs OMP, both as the one-channel case of the cell fit.  The
+            derived stop tolerance is sqrt(m_s) * noise_scale with no slack:
+            the in-model disturbance (eta*T*eps per entry) is deterministic, and
             keeping the residual constraint active via ``shrink_to_delta``
             separates it from the transmittance part exactly.
         noise_floor: constant removed per entry before sensing; defaults to
@@ -640,7 +556,9 @@ def estimate_subchannel_statistics(
     if plan.length != block_length:
         raise ValueError(f"plan covers length {plan.length}, expected {block_length}")
     value = _statistics_input(measured, block_length)
-    fit = _fit_statistics([value], params, [plan], *_solver_columns(omp, 1), noise_floor)
+    fit = _fit_statistics(
+        [value], params, [plan], omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, noise_floor
+    )
     return _records(fit, first=index)[0]
 
 

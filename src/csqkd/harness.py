@@ -21,9 +21,10 @@ fraction 1 keeps every row and draws nothing.
 Estimator policy: the statistics estimator runs the one-atom closed-form DC
 projection with the residual constraint active at the model-exact
 disturbance scale (eta*T_i*eps_i, known here because the harness owns the
-simulation ground truth); the variable-based estimator uses the configured
-``k_max``: the closed-form DC projection at 1, for which the stop tolerance
-is immaterial, and OMP above it.  Each (seed, fraction, estimator) cell is
+simulation ground truth; ``run_sweep`` reads it into ``noise_oracle``, the
+one truth array the fits take); the variable-based estimator uses the
+configured ``k_max`` without a noise scale: the closed-form DC projection
+at 1 and OMP above it.  Each (seed, fraction, estimator) cell is
 fitted by the route's cell fit, whatever the atom budget, one group of
 sub-channels at a time; the rows, the MSE inputs and the key-rate aggregate
 are read off the group fits' columns, joined in sub-channel order.  The
@@ -472,7 +473,7 @@ def _sweep_group(
     group: range,
     seed: int,
     rngs: list[np.random.Generator | int],
-    solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    noise_oracle: np.ndarray,
     fits: dict[tuple[int, str], list[CellFit]],
     mips: list[list[tuple[float, ...]]] | None,
     work: np.ndarray,
@@ -483,15 +484,15 @@ def _sweep_group(
     fraction its plans are drawn from that fraction's generator in ``rngs``
     (0 for fraction 1, which draws nothing), and each estimator's fit of
     them, gathered in the sweep's ``work`` area, is appended to
-    ``fits[fraction index, estimator]``.  With ``mips`` the group's coherence
-    values are appended to its fraction's list.  The blocks, variances and plans are locals of this frame, so they
-    are freed when it returns, before the next group is simulated.
+    ``fits[fraction index, estimator]``.  The variables fit runs at the
+    configured ``k_max``, and the one-atom statistics fit at the group's
+    slice of ``noise_oracle``.  With ``mips`` the group's coherence values
+    are appended to its fraction's list.  The blocks, variances and plans
+    are locals of this frame, so they are freed when it returns, before the
+    next group is simulated.
     """
     lengths = [ensemble.channels[i].block_length for i in group]
-    settings = {
-        estimator: [column[group.start : group.stop] for column in solvers[estimator]]
-        for estimator in config.estimator_names
-    }
+    noise_scale = noise_oracle[group.start : group.stop]
     dataset = simulate_block(ensemble, params, seed=seed, subchannels=group)
     if "variables" in config.estimator_names:
         alice, bob = zip(*(
@@ -512,9 +513,9 @@ def _sweep_group(
         plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
         for estimator in config.estimator_names:
             if estimator == "statistics":
-                fit = _fit_statistics(measured, params, plans, *settings[estimator], work=work)
+                fit = _fit_statistics(measured, params, plans, 1, noise_scale, True, work=work)
             else:
-                fit = _fit_variables(alice, bob, plans, params, *settings[estimator], work=work)
+                fit = _fit_variables(alice, bob, plans, params, config.k_max, 0.0, False, work=work)
             fits[f_idx, estimator].append(fit)
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
@@ -540,7 +541,7 @@ def _sweep_seed(
     d_idx: int,
     distance: float,
     seed: int,
-    solvers: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
+    noise_oracle: np.ndarray,
     per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]],
     keyrate_aggregates: dict[str, AggregateEstimate | None],
     work: np.ndarray,
@@ -550,13 +551,14 @@ def _sweep_seed(
 
     :func:`_sweep_group` takes the consecutive groups whose blocks fit
     :data:`GROUP_BYTES`, each freed before the next is simulated, and fits
-    them with each route's ``solvers`` settings in the ``work`` area; each
-    (fraction < 1) plan generator lives across the groups, so the plans are
-    drawn in sub-channel order as in one pass.  After the last group the fits of each (fraction,
-    estimator) cell are joined in order, and the columns become the estimate
-    rows appended to ``report`` (and at the first seed the coherence rows),
-    the usable (T_hat, eps_hat, T, eps) columns appended to ``per_cell`` and,
-    in the key-rate cell, the aggregates put in ``keyrate_aggregates``.
+    them in the ``work`` area, the statistics route at ``noise_oracle``;
+    each (fraction < 1) plan generator lives across the groups, so the
+    plans are drawn in sub-channel order as in one pass.  After the last
+    group the fits of each (fraction, estimator) cell are joined in order,
+    and the columns become the estimate rows appended to ``report`` (and at
+    the first seed the coherence rows), the usable (T_hat, eps_hat, T, eps)
+    columns appended to ``per_cell`` and, in the key-rate cell, the
+    aggregates put in ``keyrate_aggregates``.
     """
     params = config.protocol
     fractions = sorted(config.fractions)
@@ -567,7 +569,7 @@ def _sweep_seed(
     mips = [[] for _ in fractions] if first_seed else None
     sim_seed = _derived_seed(seed, d_idx)
     for group in _groups([sub.block_length for sub in ensemble.channels]):
-        _sweep_group(config, params, ensemble, group, sim_seed, rngs, solvers, fits, mips, work)
+        _sweep_group(config, params, ensemble, group, sim_seed, rngs, noise_oracle, fits, mips, work)
 
     t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
     rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
@@ -607,23 +609,15 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
-        count = ensemble.count
-        # (k_max, noise_scale, shrink_to_delta) per sub-channel: the
-        # statistics fit keeps its residual bound at the model-exact
-        # disturbance scale eta*T_i*eps_i of each sub-channel
-        solvers = {
-            "variables": (np.full(count, config.k_max), np.zeros(count), np.zeros(count, dtype=bool)),
-            "statistics": (
-                np.ones(count, dtype=np.int64),
-                params.detector_efficiency * ensemble.transmittances * ensemble.excess_noises,
-                np.ones(count, dtype=bool),
-            ),
-        }
+        # the statistics fit keeps its residual bound at the model-exact
+        # disturbance scale eta*T_i*eps_i of each sub-channel, read off the truth
+        noise_oracle = params.detector_efficiency * ensemble.transmittances * ensemble.excess_noises
         keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
         for seed in config.seeds:
             _sweep_seed(
-                report, config, ensemble, d_idx, distance, seed, solvers, per_cell, keyrate_aggregates, work
+                report, config, ensemble, d_idx, distance, seed, noise_oracle, per_cell, keyrate_aggregates,
+                work,
             )
 
         for (fraction, estimator), columns in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):

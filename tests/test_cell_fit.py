@@ -1,8 +1,9 @@
-"""Cell fits: bit parity with the per-sub-channel estimators and, for
-multi-atom rows, with the per-sub-channel bodies they replaced; chunking,
-degenerate rows, and rejection of non-finite inputs."""
+"""Cell fits, run as the sweep runs them (``estimators._fit_*`` with one atom
+budget and one ``shrink_to_delta`` per cell): bit parity with the
+per-sub-channel estimators and, for multi-atom rows, with the per-sub-channel
+bodies they replaced; chunking, degenerate rows, and rejection of non-finite
+inputs."""
 
-import dataclasses
 import math
 import struct
 
@@ -20,8 +21,6 @@ from csqkd.estimators import (
     block_variances,
     estimate_subchannel_statistics,
     estimate_subchannel_variables,
-    fit_cell_statistics,
-    fit_cell_variables,
     measured_variance,
     subblock_variances,
 )
@@ -55,6 +54,28 @@ def assert_scalar_reference(estimate, reference):
     )
 
 
+def fit_variables(alice, bob, plans, omp=OmpConfig(), params=PARAMS, work=None):
+    """The records of the sweep's variables fit at ``omp``'s settings."""
+    fit = estimators._fit_variables(
+        alice, bob, plans, params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, work=work
+    )
+    return estimators._records(fit)
+
+
+def _noise_scale(ens):
+    """eta*T_i*eps_i of each sub-channel, the statistics noise scale of the sweep."""
+    return PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
+
+
+def fit_statistics(measured, plans, ens=None, k_max=1, work=None):
+    """The records of the sweep's statistics fit at ``k_max``: with ``ens``
+    at each sub-channel's noise scale and ``shrink_to_delta``, as
+    :func:`_statistics_configs` gives them one each; without, at neither."""
+    noise_scale = 0.0 if ens is None else _noise_scale(ens)
+    fit = estimators._fit_statistics(measured, PARAMS, plans, k_max, noise_scale, ens is not None, work=work)
+    return estimators._records(fit)
+
+
 def _dataset(seed=3):
     t = np.linspace(0.2, 0.9, M)
     ens = build_ensemble(t, excess_noise=0.02, block_length=m)
@@ -85,7 +106,7 @@ def test_variables_cell_matches_per_channel_bit_for_bit(chunk_rows, shrink):
     alice[3][plans[3].indices[:2]] = 1e-12  # near-zero sampled Alice symbols
     alice[4][plans[4].indices[5]] = 0.0     # one zero weight
     omp = OmpConfig(noise_scale=0.3, shrink_to_delta=True) if shrink else OmpConfig()
-    cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=omp)
+    cell = fit_variables(alice, bob, plans, omp)
     single = [
         estimate_subchannel_variables(x, y, p, PARAMS, omp=omp, index=i)
         for i, (x, y, p) in enumerate(zip(alice, bob, plans))
@@ -153,7 +174,7 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, form):
         low[plans[3].indices] = floor - 0.01
         per_cell[3] = per_channel[3] = low
     configs = _statistics_configs(ens, 1, shrink=True)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
+    cell = fit_statistics(per_cell, plans, ens)
     single = [
         estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, index=i)
         for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
@@ -162,7 +183,7 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, form):
     if form == "one-element":
         # the same value as a scalar gives the same bits
         scalars = [float(v[0]) for v in per_cell]
-        assert_identical(cell, fit_cell_statistics(scalars, PARAMS, plans, omp=configs))
+        assert_identical(cell, fit_statistics(scalars, plans, ens))
     assert cell[1].flags == cell[2].flags == (FLAG_BELOW_FLOOR,)
     assert cell[3].flags == (FLAG_UNESTIMABLE,)
     assert all(e.flags == () for e in cell[4:] + cell[:1])
@@ -201,7 +222,7 @@ def test_multi_atom_variables_cell_matches_reference(chunk_rows, k_max, shrink):
     alice[1][:] = 0.0   # all-zero Alice block: no OMP solve
     bob[5] = -bob[5]    # sign-flipped channel: negative DC coefficient
     omp = OmpConfig(k_max=k_max, noise_scale=0.3, shrink_to_delta=shrink)
-    cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=omp)
+    cell = fit_variables(alice, bob, plans, omp)
     reference = [
         oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
         for i, (x, y, p) in enumerate(zip(alice, bob, plans))
@@ -223,7 +244,7 @@ def test_multi_atom_statistics_cell_matches_reference(chunk_rows, k_max, mode, s
     bob[3] *= 0.5       # variance below the 1 + nu_el floor: no OMP solve
     per_cell, per_channel = _statistics_inputs(bob, mode)
     configs = _statistics_configs(ens, k_max, shrink)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
+    cell = fit_statistics(per_cell, plans, ens if shrink else None, k_max)
     reference = [
         oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode=mode, index=i)
         for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
@@ -244,14 +265,14 @@ def test_multi_atom_rank_deficient_support_matches_reference(route):
     plans = _plans(fraction=3 / m)
     omp = OmpConfig(k_max=4)
     if route == "variables":
-        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=omp)
+        cell = fit_variables(alice, bob, plans, omp)
         reference = [
             oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
             for i, (x, y, p) in enumerate(zip(alice, bob, plans))
         ]
     else:
         per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=omp)
+        cell = fit_statistics(per_cell, plans, k_max=4)
         reference = [
             oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, omp, mode="blockwise", index=i)
             for i, (v, p) in enumerate(zip(per_channel, plans))
@@ -263,54 +284,32 @@ def test_multi_atom_rank_deficient_support_matches_reference(route):
 
 
 @pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_cell_mixing_one_and_three_atom_configs(chunk_rows, route):
-    # rows 2 and 3 run OMP and fall into different chunks of 3
-    ens, alice, bob = _low_snr_dataset()
-    plans = _plans()
-    three = (2, 3, 6)
-    configs = [OmpConfig(k_max=3 if i in three else 1) for i in range(M)]
-    if route == "variables":
-        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=configs)
-        one_atom = fit_cell_variables(alice, bob, plans, PARAMS)
-        reference = [
-            oracles.multi_atom_variables_estimate(alice[i], bob[i], plans[i], PARAMS, configs[i], index=i)
-            for i in three
-        ]
-    else:
-        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
-        one_atom = fit_cell_statistics(per_cell, PARAMS, plans)
-        reference = [
-            oracles.multi_atom_statistics_estimate(
-                per_channel[i], PARAMS, m, plans[i], configs[i], mode="blockwise", index=i
-            )
-            for i in three
-        ]
-    assert_identical([cell[i] for i in three], reference)
-    assert_identical([e for e in cell if e.index not in three], [e for e in one_atom if e.index not in three])
-    assert _flagged(cell, FLAG_OFF_DC) == {2, 6}
-
-
-@pytest.mark.parametrize("route", ["variables", "statistics"])
 def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch):
-    # a row that OMP refits gets only its sums of squares from the cell fit:
-    # the projection (sensing._dc_project, which dc_project also runs) sees
-    # the one-atom rows and the multi-atom rows that OMP skips (a zero Alice
-    # column, a variance below the floor), and no row that omp_solve solves
+    # at k_max = 3 the projection (sensing._dc_project, which dc_project also
+    # runs) sees no row, and omp_solve every row but those it skips: a zero
+    # Alice column (sub-channel 0) or a variance below the floor (sub-channel
+    # 3), which keeps gain 0 and residual ||y_s||, the projection of a zero
+    # column; the per-sub-channel bodies give every row's bits
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
-    multi = (0, 2, 3, 6)
-    configs = [OmpConfig(k_max=3 if i in multi else 1) for i in range(M)]
-    # one multi-atom row that OMP skips: sub-channel 0 (zero Alice column)
-    # or 3 (variance below the floor)
     if route == "variables":
+        skipped, flags = 0, (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
         alice[0][:] = 0.0
-        fit = lambda: fit_cell_variables(alice, bob, plans, PARAMS, omp=configs)  # noqa: E731
+        omp = OmpConfig(k_max=3, noise_scale=0.3)
+        fit = lambda: fit_variables(alice, bob, plans, omp)  # noqa: E731
+        reference = [
+            oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
+            for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+        ]
     else:
+        skipped, flags = 3, (FLAG_BELOW_FLOOR,)
         bob[3] *= 0.5
-        per_cell, _ = _statistics_inputs(bob, "blockwise")
-        fit = lambda: fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)  # noqa: E731
-    expected = fit()
+        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
+        fit = lambda: fit_statistics(per_cell, plans, ens, k_max=3)  # noqa: E731
+        reference = [
+            oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode="blockwise", index=i)
+            for i, (v, p, c) in enumerate(zip(per_channel, plans, _statistics_configs(ens, 3, shrink=True)))
+        ]
     projected, solved = [], []
     project, solve = estimators._dc_project, estimators.omp_solve
 
@@ -324,10 +323,12 @@ def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch
 
     monkeypatch.setattr(estimators, "_dc_project", spy_project)
     monkeypatch.setattr(estimators, "omp_solve", spy_solve)
-    assert_identical(fit(), expected)
-    assert len(solved) == len(multi) - 1
-    assert len(projected) == M - len(solved)
-    assert not any(np.array_equal(a, b) for a in projected for b in solved)
+    cell = fit()
+    assert_identical(cell, reference)
+    assert cell[skipped].flags == flags and cell[skipped].imag_norm == 0.0
+    assert projected == []
+    # below the floor: sub-channel 3, and the lowest transmittances by chance
+    assert len(solved) == M - len(_flagged(cell, flags[0]))
 
 
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
@@ -340,7 +341,7 @@ def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
     assert {p.sample_count for p in plans} == {120}
     per_cell, per_channel = _statistics_inputs(bob, mode)
     configs = _statistics_configs(ens, 3, shrink=True)
-    cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=configs)
+    cell = fit_statistics(per_cell, plans, ens, k_max=3)
     reference = [
         oracles.multi_atom_statistics_estimate(v, PARAMS, n, p, c, mode=mode, index=i)
         for i, (v, n, p, c) in enumerate(zip(per_channel, lengths, plans, configs))
@@ -351,25 +352,26 @@ def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
 @pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("route", ["variables", "statistics"])
 def test_cell_records_are_the_core_columns(chunk_rows, route, k_max):
-    # fit_cell_* builds its records from the columns of the one cell-fit
-    # core, which the sweep calls with its solver settings as arrays
+    # row i of the cell fit's columns is the record of sub-channel i that the
+    # per-sub-channel estimator builds from its one-channel fit
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     if route == "variables":
         alice[1][:] = 0.0   # degenerate and unestimable
-        cell = fit_cell_variables(alice, bob, plans, PARAMS, omp=OmpConfig(k_max=k_max, noise_scale=0.3))
-        fit = estimators._fit_variables(
-            alice, bob, plans, PARAMS, np.full(M, k_max), np.full(M, 0.3), np.zeros(M, dtype=bool)
-        )
+        omp = OmpConfig(k_max=k_max, noise_scale=0.3)
+        fit = estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.3, False)
+        cell = [
+            estimate_subchannel_variables(x, y, p, PARAMS, omp, index=i)
+            for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+        ]
     else:
         bob[3] *= 0.5       # below the floor
         per_cell, _ = _statistics_inputs(bob, "blockwise")
-        cell = fit_cell_statistics(per_cell, PARAMS, plans, omp=_statistics_configs(ens, k_max, shrink=True))
-        noise_scale = PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
-        fit = estimators._fit_statistics(
-            per_cell, PARAMS, plans, np.full(M, k_max), noise_scale, np.ones(M, dtype=bool)
-        )
-    assert [e.index for e in cell] == list(range(M))
+        fit = estimators._fit_statistics(per_cell, PARAMS, plans, k_max, _noise_scale(ens), True)
+        cell = [
+            estimate_subchannel_statistics(v, PARAMS, m, p, c, index=i)
+            for i, (v, p, c) in enumerate(zip(per_cell, plans, _statistics_configs(ens, k_max, shrink=True)))
+        ]
     for column, field in (
         ("t_hat", "t_hat"), ("eps_hat", "eps_hat"), ("residual", "residual_norm"), ("imag_norm", "imag_norm"),
     ):
@@ -393,23 +395,20 @@ def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, grou
     # the group fits in order; the columns are the one-fit bits
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
-    k = np.full(M, k_max)
     if route == "variables":
         alice[1][:] = 0.0
-        solver = (k, np.full(M, 0.3), np.zeros(M, dtype=bool))
 
         def fit(a, b):
-            columns = (c[a:b] for c in solver)
-            return estimators._fit_variables(alice[a:b], bob[a:b], plans[a:b], PARAMS, *columns)
+            return estimators._fit_variables(alice[a:b], bob[a:b], plans[a:b], PARAMS, k_max, 0.3, False)
     else:
         bob[3] *= 0.5
         per_cell, _ = _statistics_inputs(bob, "blockwise")
-        noise_scale = PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
-        solver = (k, noise_scale, np.ones(M, dtype=bool))
+        noise_scale = _noise_scale(ens)
 
         def fit(a, b):
-            columns = (c[a:b] for c in solver)
-            return estimators._fit_statistics(per_cell[a:b], PARAMS, plans[a:b], *columns)
+            return estimators._fit_statistics(
+                per_cell[a:b], PARAMS, plans[a:b], k_max, noise_scale[a:b], True
+            )
     whole = fit(0, M)
     split = harness._joined([fit(a, b) for a, b in groups])
     for column in ("t_hat", "eps_hat", "residual", "sample_count", "imag_norm", "usable"):
@@ -418,44 +417,41 @@ def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, grou
     assert not whole.usable.all() and whole.usable.any()
 
 
-@pytest.mark.parametrize("k_max", [(1,), (3,), (1, 3, 3)], ids=["k1", "k3", "mixed"])
+@pytest.mark.parametrize("k_max", [(1,), (3,), (3, 1, 3)], ids=["k1", "k3", "mixed"])
 @pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
 def test_reused_work_area_gives_the_per_channel_bits(chunk_rows, inputs, k_max):
     # cells of three sample counts fitted one after another in one work area,
-    # NaN-filled before the first: no row of the fill or of an earlier cell
-    # leaks into a fit, and the OMP rows of a chunk that mixes projected and
-    # refitted rows read their measurement before any in-place residual; the
+    # NaN-filled before the first, at the atom budgets in k_max in turn
+    # ("mixed": OMP, projection, OMP): no row of the fill or of an earlier
+    # cell leaks into a fit, and an OMP cell reads its measurement rows as
+    # gathered, after a projected cell formed its residuals in the area; the
     # per-sub-channel estimates, one-row chunks, are the reference
     ens, alice, bob = _low_snr_dataset()
-    ks = [k_max[i % len(k_max)] for i in range(M)]
     if inputs == "variables":
-        alice[1][:] = 0.0   # a zero column: projected even where k_max is 3
-        configs = [OmpConfig(k_max=k, noise_scale=0.3) for k in ks]
+        alice[1][:] = 0.0   # a zero column: neither projected nor solved where k_max is 3
     else:
-        bob[3] *= 0.5       # below the floor: neither projected nor refitted
+        bob[3] *= 0.5       # below the floor: not solved where k_max is 3
         measured, _ = _statistics_inputs(bob, inputs)
-        configs = [
-            dataclasses.replace(c, k_max=k) for c, k in zip(_statistics_configs(ens, 1, shrink=True), ks)
-        ]
-    solver = estimators._solver_columns(configs, M)
     work = estimators._work_area(m)
     work.fill(np.nan)
-    for fraction in (0.3, 0.6, 0.1):
+    for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
+        k = k_max[c_idx % len(k_max)]
         plans = _plans(fraction=fraction)
         if inputs == "variables":
-            fit = estimators._fit_variables(alice, bob, plans, PARAMS, *solver, work=work)
+            omp = OmpConfig(k_max=k, noise_scale=0.3)
+            cell = fit_variables(alice, bob, plans, omp, work=work)
             single = [
-                estimate_subchannel_variables(alice[i], bob[i], plans[i], PARAMS, configs[i], index=i)
+                estimate_subchannel_variables(alice[i], bob[i], plans[i], PARAMS, omp, index=i)
                 for i in range(M)
             ]
         else:
-            fit = estimators._fit_statistics(measured, PARAMS, plans, *solver, work=work)
+            cell = fit_statistics(measured, plans, ens, k, work=work)
             single = [
-                estimate_subchannel_statistics(measured[i], PARAMS, m, plans[i], configs[i], index=i)
-                for i in range(M)
+                estimate_subchannel_statistics(measured[i], PARAMS, m, plans[i], c, index=i)
+                for i, c in enumerate(_statistics_configs(ens, k, shrink=True))
             ]
-        assert_identical(estimators._records(fit), single)
-        assert fit.usable.any() and not fit.usable.all()
+        assert_identical(cell, single)
+        assert any(e.usable for e in cell) and not all(e.usable for e in cell)
     assert not np.isnan(work[0, : M * _plans(fraction=0.1)[0].sample_count]).any()
 
 
@@ -466,7 +462,7 @@ def test_transmittance_squares_the_gain_with_python_float_power(gain):
     params = ProtocolParams(detector_efficiency=1.0, electronic_noise=0.0)
     x, y = np.ones(2), np.full(2, gain)
     plan = make_sampling_plan(2, 1.0, seed=0)
-    (est,) = fit_cell_variables([x], [y], [plan], params)
+    (est,) = fit_variables([x], [y], [plan], params=params)
     assert _bits(est.t_hat) == _bits(gain**2)
 
 
@@ -496,16 +492,16 @@ def test_groups_fit_the_byte_budget():
 
 
 def test_cell_rejects_mixed_inputs():
+    # the plans of a cell share one sample count, and the sweep's validator
+    # takes sub-block variances only in a count that divides the block
     _, alice, bob = _dataset()
-    plans = _plans()
+    plans = _plans()[:-1] + [make_sampling_plan(m, 0.5, seed=1)]
     with pytest.raises(ValueError, match="share one sample count"):
-        fit_cell_variables(alice, bob, plans[:-1] + [make_sampling_plan(m, 0.5, seed=1)], PARAMS)
-    with pytest.raises(ValueError, match="solver configs"):
-        fit_cell_statistics([4.0] * M, PARAMS, plans, omp=[OmpConfig()] * (M - 1))
-    with pytest.raises(ValueError, match="one entry per sub-channel"):
-        fit_cell_variables(alice[:-1], bob, plans, PARAMS)
-    with pytest.raises(ValueError, match="divides the block length"):
-        fit_cell_statistics([np.ones(7)] * M, PARAMS, plans)
+        fit_variables(alice, bob, plans)
+    with pytest.raises(ValueError, match="share one sample count"):
+        fit_statistics([4.0] * M, plans)
+    with pytest.raises(ValueError, match=r"^measured\[2\] must be a scalar .* divides the block length"):
+        estimators._statistics_input(np.ones(7), m, "measured[2]")
 
 
 def test_zero_weights_are_degenerate_whatever_delta():
@@ -535,21 +531,39 @@ def test_variables_reject_non_finite_blocks(bad, k_max):
             estimate_subchannel_variables(x, y, plan, PARAMS, omp=omp)
 
 
+def _poisoned_sweep(monkeypatch, estimators_, variance_mode, poison):
+    """A one-cell sweep of the M sub-channels whose simulated blocks
+    ``poison(alice, bob)`` edits before the sweep validates them."""
+    simulate = harness.simulate_block
+
+    def poisoned(*args, **kwargs):
+        dataset = simulate(*args, **kwargs)
+        poison(dataset.alice, dataset.bob)
+        return dataset
+
+    monkeypatch.setattr(harness, "simulate_block", poisoned)
+    config = harness.ExperimentConfig(
+        distances_km=(5.0,), subchannels=M, block_length=m, fractions=(FRACTION,), seeds=(1,),
+        estimators=estimators_, variance_mode=variance_mode, variance_blocks=20,
+    )
+    return lambda: harness.run_sweep(config)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_cell_variables_reject_non_finite_blocks(bad):
-    _, alice, bob = _dataset()
-    bob[4][11] = bad
+def test_cell_variables_reject_non_finite_blocks(bad, monkeypatch):
+    # the sweep validates a group's blocks before it fits them, naming the
+    # sub-channel's block
+    sweep = _poisoned_sweep(monkeypatch, "variables", "replicated", lambda a, b: b[4].__setitem__(11, bad))
     with pytest.raises(ValueError, match=r"^y_blocks\[4\] must be finite"):
-        fit_cell_variables(alice, bob, _plans(), PARAMS)
-    _, alice, bob = _dataset()
-    alice[2][0] = bad
+        sweep()
+    sweep = _poisoned_sweep(monkeypatch, "variables", "replicated", lambda a, b: a[2].__setitem__(0, bad))
     with pytest.raises(ValueError, match=r"^x_blocks\[2\] must be finite"):
-        fit_cell_variables(alice, bob, _plans(), PARAMS)
+        sweep()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("k_max", [1, 2])
-def test_statistics_reject_non_finite_variances(bad, k_max):
+def test_statistics_reject_non_finite_variances(bad, k_max, monkeypatch):
     plan = make_sampling_plan(m, 0.5, seed=1)
     omp = OmpConfig(k_max=k_max)
     with pytest.raises(ValueError, match="^measured must be finite"):
@@ -558,10 +572,10 @@ def test_statistics_reject_non_finite_variances(bad, k_max):
     vector[9] = bad
     with pytest.raises(ValueError, match="^measured must be finite"):
         estimate_subchannel_statistics(vector, PARAMS, m, plan, omp=omp)
-    plans = _plans()
+    # the sweep validates a group's measured variances before it fits them
+    sweep = _poisoned_sweep(monkeypatch, "statistics", "replicated", lambda a, b: b[5].__setitem__(9, bad))
     with pytest.raises(ValueError, match=r"^measured\[5\] must be finite"):
-        fit_cell_statistics([3.0] * 5 + [bad, 3.0], PARAMS, plans)
-    blocks = [np.full(20, 3.0) for _ in range(M)]
-    blocks[0][3] = bad
+        sweep()
+    sweep = _poisoned_sweep(monkeypatch, "statistics", "blockwise", lambda a, b: b[0].__setitem__(3, bad))
     with pytest.raises(ValueError, match=r"^measured\[0\] must be finite"):
-        fit_cell_statistics(blocks, PARAMS, plans)
+        sweep()

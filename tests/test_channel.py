@@ -10,7 +10,6 @@ from csqkd.channel import (
     ProtocolParams,
     SubChannel,
     build_ensemble,
-    dataset_to_csv,
     ensemble_from_csv,
     ensemble_means,
     attenuate,
@@ -335,13 +334,3 @@ def test_jensen_gap(ts):
     if max(ts) - min(ts) > 1e-6:
         assert sqrt_t_mean**2 < t_mean
 
-
-def test_dataset_dump(tmp_path):
-    params = ProtocolParams()
-    ens = build_ensemble([0.5], block_length=4)
-    ds = simulate_block(ens, params, seed=1)
-    path = tmp_path / "dump.csv"
-    dataset_to_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,x,y"
-    assert len(lines) == 5

@@ -751,15 +751,12 @@ def test_benchmark_trace_targets_resolve():
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_sweep_and_simulate(tmp_path, capsys):
+def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli_main(["sweep", "--config", str(GOLDEN), "--out", str(out)])
     assert rc == 0
     for name in ("estimates.csv", "mse.csv", "keyrate.csv", "mip.csv", "run.json"):
         assert (out / name).exists()
-    rc = cli_main(["simulate", "--config", str(GOLDEN), "--out", str(tmp_path / "sim"), "--seed", "4"])
-    assert rc == 0
-    assert (tmp_path / "sim" / "dataset_2km.csv").exists()
     capsys.readouterr()
 
 
@@ -793,11 +790,17 @@ def test_cli_bad_config_fails_before_the_sweep(tmp_path, capsys, monkeypatch, te
 
 
 @pytest.mark.parametrize(
-    "rows, column",
-    [("0,0.5,0.07,0.5\n1,0.4,,0.5\n", "'epsilon': blank"), ("0,0.5,nan,0.5\n", "'epsilon': expected")],
-    ids=["partly-filled", "nan"],
+    "rows, message",
+    [
+        ("0,0.5,0.07,0.5\n1,0.4,,0.5\n", "row 2, column 'epsilon': blank"),
+        ("0,0.5,nan,0.5\n", "row 1, column 'epsilon': expected"),
+        ("", "ensemble must contain at least one sub-channel"),
+        ("0,0.5,0.07,0.5\n1,1.5,0.07,0.5\n", "transmittance out of (0, 1] at index 1: 1.5\n"),
+        ("0,0.5,0.07,0.2\n1,0.4,0.07,0.2\n", "sub-channel probabilities must sum to 1 (got 0.4)"),
+    ],
+    ids=["partly-filled", "nan", "header-only", "transmittance-above-one", "probabilities-sum-below-one"],
 )
-def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, column):
+def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, message):
     # the error names the file before any simulation, and no output is written
     (tmp_path / "ens.csv").write_text("index,T,epsilon,p\n" + rows)
     cfg = tmp_path / "run.cfg"
@@ -808,7 +811,7 @@ def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, column):
     rc = cli_main(["sweep", "--config", str(cfg)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "ens.csv: row" in err and column in err
+    assert err.startswith(f"error: {tmp_path / 'ens.csv'}: {message}")
     assert not (tmp_path / "out").exists()
 
 
