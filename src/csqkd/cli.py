@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from .harness import ExperimentConfig, load_config, preset_config, run_sweep, write_reports
 
@@ -37,8 +38,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="N", help="replace the seed list with N")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an output directory that could not be made, before any work:
+    the path or its nearest existing ancestor is not a directory."""
+    for path in (Path(out_dir), *Path(out_dir).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"output directory {out_dir}: {path} is not a directory")
+            return
+
+
 def cmd_sweep(config: ExperimentConfig) -> int:
     """run the full grid; write the four CSVs and run.json"""
+    _check_out_dir(config.out_dir)
     report = run_sweep(config)
     for path in write_reports(report, config.out_dir).values():
         print(path)

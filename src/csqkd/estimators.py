@@ -282,7 +282,7 @@ def _omp_refit(
         fit.gain[j], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
         fit.residual_norm[j] = solution.residual_norm
         fit.degenerate[j] = solution.degenerate_support
-        off_dc[i] = solution.support.size > 0 and not np.any(solution.support == 0)
+        off_dc[i] = solution.support.size > 0 and 0 not in solution.support.tolist()
 
 
 def _variables_plug_in(

@@ -349,9 +349,15 @@ def write_config(config: ExperimentConfig, path: str | Path | None = None) -> st
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the serialized config with the output directory blanked:
-    where results are written does not change them."""
-    text = write_config(dataclasses.replace(config, out_dir=""))
+    """Hash of the serialized config with the output directory blanked and a
+    file ensemble's path replaced by the SHA-256 of its bytes: where results
+    are written, or where the ensemble is read from, does not change them,
+    and an edited ensemble file does."""
+    keyed = dataclasses.replace(config, out_dir="")
+    if config.source == "file":
+        digest = hashlib.sha256(Path(config.ensemble_file).read_bytes()).hexdigest()
+        keyed = dataclasses.replace(keyed, ensemble_file=f"sha256:{digest}")
+    text = write_config(keyed)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

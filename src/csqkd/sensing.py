@@ -26,8 +26,12 @@ stack of fits at once; OMP serves larger atom budgets.  :func:`omp_solve` is
 Batch-OMP: one adjoint A^H y, correlations updated through Gram columns
 A^H a_k (circular shifts of one transform), and small normal-equation
 refits, so a solve runs two transforms, in one two-row call, and no dense
-least squares.  A solve reads the one column norm as a scalar, updates its
-correlations in place and extends its forward solve by one step per atom.
+least squares.  Beside the transforms, a solve's cost is its length-m
+passes: correlation updates, scores, columns and refits.  It reads the one
+column norm as a scalar, updates its correlations in place, extends its
+forward solve by one step per atom, and scores a real measurement's first
+atom on offsets 0..m//2 only, where the Hermitian adjoint puts the
+lowest-index maximum.
 """
 
 from __future__ import annotations
@@ -217,7 +221,9 @@ class RowSampledIdftOperator:
             # the DC column gathers only the root 1, which scales exactly
             return self._column_scale.astype(np.complex128)
         # reducing r*k mod m in integers indexes the phase j*2*pi/m in [0, 2*pi)
-        col = _unit_roots(m)[(self.rows * (k % m)) % m]
+        phase = self.rows * (k % m)
+        phase %= m
+        col = _unit_roots(m).take(phase)
         col *= self._column_scale
         return col
 
@@ -333,7 +339,8 @@ def omp_solve(
 
     Real data stays real, so the adjoint runs a real transform; its
     correlations with columns k and m - k are then exact conjugates, and of
-    such a tie the lower index is selected.  The two transforms of a solve,
+    such a tie the lower index is selected, so the first atom is chosen from
+    offsets 0..m//2 alone.  The two transforms of a solve,
     the adjoint and the Gram, run as one two-row real transform (see
     :meth:`RowSampledIdftOperator.adjoint`); a roundoff confirmation adds a
     one-row adjoint.
@@ -349,73 +356,83 @@ def omp_solve(
     if not 0 <= delta < math.inf:
         raise ValueError("delta must be finite and >= 0")
 
+    m = op.n_coefficients
     norm = op.column_norms()  # one scalar when every column has the same norm
-    norms = np.broadcast_to(norm, op.n_coefficients)
+    per_column = np.ndim(norm) > 0
     # a zero column correlates 0 with every residual: an infinite divisor
     # scores it 0, and a best score of 0 ends the solve
-    divisor = np.where(norm > 0, norm, np.inf)
+    if per_column:
+        divisor = np.where(norm > 0, norm, np.inf)
+    else:
+        divisor = float(norm) if norm > 0 else math.inf
     corr0 = op.adjoint(y)
+    # a real measurement has a Hermitian adjoint, |corr0[k]| == |corr0[m-k]|
+    # bit for bit, so the first atom's lowest-index maximum lies at k <= m//2
+    hermitian = y.dtype.kind == "f" and isinstance(op, RowSampledIdftOperator)
+    first_offsets = m // 2 + 1 if hermitian else m
     corr = np.empty_like(corr0)
-    scores = np.empty(op.n_coefficients)
+    scores = np.empty(m)
     support: list[int] = []
     columns: list[np.ndarray] = []
     chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
     # forward-substituted corr0[S]: the refit's triangular solve L z = corr0[S]
     z = np.zeros(chol.shape[0], dtype=np.complex128)
-    coef = np.empty(0, dtype=np.complex128)
-    fitted = np.zeros_like(y)
-    residual = y
-    history = [_norm(residual)]
+    history = [_norm(y)]
     degenerate = False
 
     while len(support) < k_max and history[-1] > delta:
-        if support:
+        n = len(support)
+        if n:
             np.copyto(corr, corr0)
             for c, s in zip(coef, support):
                 op.subtract_gram_column(corr, s, c)
-        _scores(corr if support else corr0, divisor, support, scores)
-        k = int(scores.argmax())
-        # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
-        if support and scores[k] <= ROUNDOFF_SCALE * (
-            history[0] + float(np.abs(coef) @ norms[support])
-        ):
-            # the update may have cancelled to roundoff; confirm on the residual
-            _scores(op.adjoint(residual), divisor, support, scores)
+            _scores(corr, divisor, support, scores)
             k = int(scores.argmax())
+            # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
+            support_norms = norm[support] if per_column else np.full(n, norm)
+            if scores[k] <= ROUNDOFF_SCALE * (history[0] + float(np.abs(coef) @ support_norms)):
+                # the update may have cancelled to roundoff; confirm on the residual
+                _scores(op.adjoint(residual), divisor, support, scores)
+                k = int(scores.argmax())
+        else:
+            _scores(corr0[:first_offsets], divisor, support, scores[:first_offsets])
+            k = int(scores[:first_offsets].argmax())
         if scores[k] <= 0:
             break
-        # grow the Cholesky factor of G_SS by G_{S,k}, the new atom's Gram
-        # column read at the support
-        n = len(support)
+        diag = (norm[k] if per_column else norm) ** 2
         if n == chol.shape[0]:
             chol = np.pad(chol, (0, n))
             z = np.pad(z, (0, n))
-        gram_row = op.gram_column(k, support) if support else np.empty(0, dtype=np.complex128)
-        w = _forward_substitute(chol[:n, :n], gram_row)
-        diag = norms[k] ** 2
-        pivot = diag - float(np.vdot(w, w).real)
+        pivot = diag
+        if n:
+            # grow the Cholesky factor of G_SS by G_{S,k}, the new atom's Gram
+            # column read at the support (a degenerate pivot leaves row n unread)
+            w = _forward_substitute(chol[:n, :n], op.gram_column(k, support))
+            pivot = diag - float(np.vdot(w, w).real)
+            np.conj(w, out=chol[n, :n])
         if pivot <= PIVOT_TOLERANCE * diag:
             degenerate = True
             break
-        chol[n, :n] = w.conj()
         chol[n, n] = math.sqrt(pivot)
-        # the new row of L takes z one forward-substitution step further
-        z[n] = (corr0[k] - chol[n, :n] @ z[:n]) / chol[n, n]
+        # the new row of L takes z one forward-substitution step further; the
+        # first atom's dot is empty, and corr0[k] - 0j is corr0[k] bit for bit
+        z[n] = (corr0[k] - chol[n, :n] @ z[:n] if n else corr0[k]) / chol[n, n]
+        coef = _back_substitute(chol[: n + 1, : n + 1], z[: n + 1])
         support.append(k)
         columns.append(op.column(k))
-        coef = _back_substitute(chol[: n + 1, : n + 1], z[: n + 1])
         fitted = coef[0] * columns[0]
         for c, column in zip(coef[1:], columns[1:]):
             fitted += c * column
         residual = y - fitted
         history.append(_norm(residual))
 
+    residual_norm = history[-1]
     if shrink_to_delta and delta > 0 and support:
         fitted_norm = _norm(fitted)
         if fitted_norm > 0:
             factor = max(0.0, 1.0 - delta / fitted_norm)
             coef = coef * factor
-            residual = y - factor * fitted
+            residual_norm = _norm(y - factor * fitted)
 
     full = np.zeros(op.n_coefficients, dtype=np.complex128)
     if support:
@@ -423,7 +440,7 @@ def omp_solve(
     return SparseCoefficients(
         coefficients=full,
         support=np.asarray(support, dtype=np.int64),
-        residual_norm=_norm(residual),
+        residual_norm=residual_norm,
         residual_history=history,
         degenerate_support=degenerate,
     )
@@ -447,7 +464,9 @@ def _scores(corr: np.ndarray, divisor, support: list[int], out: np.ndarray) -> N
 def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve lower @ z = b for a small lower-triangular matrix."""
     z = np.empty(b.size, dtype=np.complex128)
-    for i in range(b.size):
+    # the first row's dot is empty: b[0] - 0j is b[0]
+    z[0] = b[0] / lower[0, 0]
+    for i in range(1, b.size):
         z[i] = (b[i] - lower[i, :i] @ z[:i]) / lower[i, i]
     return z
 
@@ -455,7 +474,9 @@ def _forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _back_substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Solve L^H c = z given the small lower Cholesky factor L."""
     c = np.empty(z.size, dtype=np.complex128)
-    for i in range(z.size - 1, -1, -1):
+    # the last row's dot is empty: z[-1] - 0j is z[-1]
+    c[-1] = z[-1] / lower[-1, -1]
+    for i in range(z.size - 2, -1, -1):
         c[i] = (z[i] - lower[i + 1 :, i].conj() @ c[i + 1 :]) / lower[i, i]
     return c
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import csqkd.estimators as estimators
+import csqkd.sensing as sensing
 from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import estimate_subchannel_variables, transfer_moments
 from csqkd.sensing import (
@@ -233,6 +234,74 @@ def test_mirror_tie_bits_match_frozen_solver(m):
     y = op.apply(truth).real + rng.normal(0, 0.1, op.n_measurements)
     sol = _assert_same_bits(make_op, y, k_max=3)
     assert sol.support.tolist()[:2] == [k, m - k]
+
+
+def _scored_lengths(monkeypatch):
+    """The number of offsets each ``_scores`` call of omp_solve fills, in order."""
+    lengths = []
+    original = sensing._scores
+
+    def spy(corr, divisor, support, out):
+        lengths.append(out.size)
+        return original(corr, divisor, support, out)
+
+    monkeypatch.setattr(sensing, "_scores", spy)
+    return lengths
+
+
+def _mirror_pair_measurement(op, rng, k):
+    """Real data along column k alone: half of it lies along column m - k."""
+    truth = np.zeros(op.n_coefficients, dtype=complex)
+    truth[k] = 3.0 * np.sqrt(op.n_coefficients)
+    return op.apply(truth).real + rng.normal(0, 0.1, op.n_measurements)
+
+
+@pytest.mark.parametrize("m", [64, 2000])
+def test_nyquist_first_atom_bits_match_frozen_solver(m, monkeypatch):
+    # the Nyquist offset m/2 is its own mirror and the last entry of the half
+    # spectrum that real data's first atom is scored on
+    rng, op, make_op = _fresh_idft(m, 0.4, "symbols", seed=m + 1)
+    y = _mirror_pair_measurement(op, rng, m // 2)
+    lengths = _scored_lengths(monkeypatch)
+    sol = _assert_same_bits(make_op, y, k_max=3)
+    assert lengths[0] == m // 2 + 1
+    assert lengths[1:] == [m] * (len(lengths) - 1)
+    assert sol.support[0] == m // 2
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["(m-1)/2", "(m+1)/2"])
+@pytest.mark.parametrize("m", [63, 2001])
+def test_odd_middle_first_atom_bits_match_frozen_solver(m, offset, monkeypatch):
+    # (m-1)/2 ends the half spectrum and (m+1)/2, its mirror, lies past it:
+    # either way real data ties them and the first atom is (m-1)/2
+    rng, op, make_op = _fresh_idft(m, 0.4, "symbols", seed=m + offset)
+    y = _mirror_pair_measurement(op, rng, (m - 1) // 2 + offset)
+    lengths = _scored_lengths(monkeypatch)
+    sol = _assert_same_bits(make_op, y, k_max=3)
+    assert lengths[0] == (m + 1) // 2
+    assert sol.support.tolist()[:2] == [(m - 1) // 2, (m + 1) // 2]
+
+
+@pytest.mark.parametrize("case", ["complex-idft", "dense"])
+def test_first_atom_without_a_hermitian_adjoint_scores_every_offset(case, monkeypatch):
+    # complex data, or an operator whose adjoint has no mirror symmetry, keeps
+    # full scoring; the planted atom lies past m//2, where a half would miss it
+    rng = np.random.default_rng(41)
+    if case == "complex-idft":
+        m, k = 64, 45
+        rng, op, make_op = _fresh_idft(m, 0.4, "symbols", seed=41)
+        truth = np.zeros(m, dtype=complex)
+        truth[k] = (2.0 - 1.0j) * np.sqrt(m)
+        y = op.apply(truth) + rng.normal(0, 0.1, op.n_measurements)
+    else:
+        m, k = 120, 100
+        matrix = rng.normal(size=(40, m))
+        y = 3.0 * matrix[:, k] + 0.1 * rng.normal(size=40)
+        make_op = lambda: DenseOperator(matrix)  # noqa: E731
+    lengths = _scored_lengths(monkeypatch)
+    sol = _assert_same_bits(make_op, y, k_max=3)
+    assert lengths == [m] * len(lengths)
+    assert sol.support[0] == k
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -306,6 +306,27 @@ def test_config_hash_ignores_output_directory():
     assert "directory = run/a" in write_config(a)
 
 
+def test_config_hash_of_the_sampler_configs_is_pinned():
+    assert config_hash(preset_config("desk")) == "b8558706024a0da2"
+    assert config_hash(load_config(GOLDEN)) == "0ef21589e5f3dbec"
+
+
+def test_config_hash_of_a_file_ensemble_follows_its_bytes_not_its_path(tmp_path):
+    text = "index,T,epsilon,p\n0,0.5,0.02,0.3\n1,0.2,0.01,0.7\n"
+    copies = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "ens.csv").write_text(text)
+        (tmp_path / name / "run.cfg").write_text("[ensemble]\nsource = file\nfile = ens.csv\n")
+        copies.append(load_config(tmp_path / name / "run.cfg"))
+    a, b = copies
+    assert a.ensemble_file != b.ensemble_file
+    assert config_hash(a) == config_hash(b)
+    # one changed byte in place, under an unchanged config
+    (tmp_path / "b" / "ens.csv").write_text(text.replace("0,0.5,", "0,0.6,"))
+    assert config_hash(b) != config_hash(a)
+
+
 def test_preset_validation():
     assert preset_config("desk").subchannels == 20
     assert preset_config("paper").block_length == 10_000
@@ -813,6 +834,25 @@ def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, message):
     assert rc == 2
     assert err.startswith(f"error: {tmp_path / 'ens.csv'}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "below-a-file"])
+def test_cli_sweep_rejects_an_output_path_through_a_file_before_the_sweep(
+    tmp_path, capsys, monkeypatch, under
+):
+    def refuse(config):
+        raise AssertionError("the sweep started on an unusable output path")
+
+    monkeypatch.setattr("csqkd.cli.run_sweep", refuse)
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    out = blocker / "run" / "deeper" if under else blocker
+    rc = cli_main(["sweep", "--config", str(GOLDEN), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: output directory {out}: {blocker} is not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert blocker.read_text() == "x"
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
