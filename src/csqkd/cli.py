@@ -40,7 +40,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _check_out_dir(out_dir: str) -> None:
     """Refuse an output directory that could not be made, before any work:
-    the path or its nearest existing ancestor is not a directory."""
+    the path is empty (it would name the working directory), or it or its
+    nearest existing ancestor is not a directory."""
+    if not out_dir:
+        raise ValueError("output directory must not be empty")
     for path in (Path(out_dir), *Path(out_dir).parents):
         if path.exists():
             if not path.is_dir():

@@ -18,26 +18,35 @@ distance, fraction < 1) cell are drawn in sub-channel order from one
 generator seeded ``(seed, distance index, index in the sorted fractions)``;
 fraction 1 keeps every row and draws nothing.
 
-Estimator policy: the statistics estimator runs the one-atom closed-form DC
-projection with the residual constraint active at the model-exact
-disturbance scale (eta*T_i*eps_i, known here because the harness owns the
-simulation ground truth; ``run_sweep`` reads it into ``noise_oracle``, the
-one truth array the fits take); the variable-based estimator uses the
-configured ``k_max`` without a noise scale: the closed-form DC projection
-at 1 and OMP above it.  Each (seed, fraction, estimator) cell is
-fitted by the route's cell fit, whatever the atom budget, one group of
-sub-channels at a time; the rows, the MSE inputs and the key-rate aggregate
-are read off the group fits' columns, joined in sub-channel order.  The
-coherence diagnostic builds the row-sampled IDFT operator of each model and
-passes a sub-channel's operators to one
+A sweep runs each (distance, seed) in three stages, one group of
+sub-channels at a time:
+
+- simulate: :func:`run_sweep` draws a group's (x, y) blocks from the
+  distance's ensemble with ``simulate_block(..., subchannels=group)``;
+- estimate: :func:`_fit_group` takes those blocks, never the ensemble,
+  validates them, draws the group's plans and returns the fit of each
+  (fraction, estimator) cell and, at the first seed, its coherence values;
+- score: after the last group, ``run_sweep`` joins each cell's group fits
+  in sub-channel order and reads the estimate rows, the MSE inputs and, at
+  the first seed, the key-rate aggregate off the columns, next to the
+  truth.
+
+The variable-based estimator runs at the configured ``k_max`` without a
+noise scale: the closed-form DC projection at 1 and OMP above it.  The
+statistics estimator runs the one-atom projection with the residual
+constraint active at the model-exact disturbance scale eta*T_i*eps_i,
+known here because the harness owns the simulation ground truth:
+``run_sweep`` reads it into ``noise_oracle`` and passes each group its
+slice as ``noise_scale``, the one truth array that estimation reads.  The
+coherence diagnostic builds the row-sampled IDFT operator of each model
+and passes a sub-channel's operators to one
 :func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
 transforms as one two-row call.
 
-A sweep holds one group of sub-channels at a time: each (distance, seed)
-simulates, validates, plans and fits the consecutive groups whose (x, y)
-blocks fit :data:`GROUP_BYTES` one after another, each in its own frame, so
-a group's blocks, variances and plans are freed before the next group's
-blocks are simulated.  A seed that fits the budget is one group.  The plan
+The groups are the consecutive sub-channels whose blocks fit
+:data:`GROUP_BYTES`; a group's blocks live only in its estimation call, so
+they, its variances and its plans are freed before the next group's blocks
+are simulated.  A seed that fits the budget is one group.  The plan
 generator of each (seed, distance, fraction < 1) cell lives across its
 groups, and each sub-channel is fitted on its own, so the output does not
 depend on the budget.  Every cell fit of the sweep gathers its sampled rows
@@ -76,6 +85,7 @@ from . import __version__
 from .channel import (
     DETECTIONS,
     ProtocolParams,
+    QuadratureDataset,
     SubChannelEnsemble,
     build_ensemble,
     ensemble_from_csv,
@@ -316,6 +326,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig(**values)
+    if not config.out_dir:
+        # Path("") is the working directory, whose files the sweep would overwrite
+        raise ValueError(f"{path}: output.directory must not be empty")
     if config.source == "file":
         target = Path(config.ensemble_file)
         if not target.is_absolute():
@@ -472,38 +485,34 @@ def _joined(fits: Sequence[CellFit]) -> CellFit:
     })
 
 
-def _sweep_group(
+def _fit_group(
     config: ExperimentConfig,
-    params: ProtocolParams,
-    ensemble: SubChannelEnsemble,
     group: range,
-    seed: int,
+    dataset: QuadratureDataset,
     rngs: list[np.random.Generator | int],
-    noise_oracle: np.ndarray,
-    fits: dict[tuple[int, str], list[CellFit]],
-    mips: list[list[tuple[float, ...]]] | None,
+    noise_scale: np.ndarray,
     work: np.ndarray,
-) -> None:
-    """Simulate one group of sub-channels and fit every cell on it.
+    coherence: bool,
+) -> tuple[dict[tuple[int, str], CellFit], list[list[tuple[float, ...]]] | None]:
+    """Estimate every cell of one simulated group of sub-channels from its
+    blocks and the public protocol, never from the ensemble.
 
-    The group's blocks and measured variances are validated once; at each
-    fraction its plans are drawn from that fraction's generator in ``rngs``
-    (0 for fraction 1, which draws nothing), and each estimator's fit of
-    them, gathered in the sweep's ``work`` area, is appended to
-    ``fits[fraction index, estimator]``.  The variables fit runs at the
-    configured ``k_max``, and the one-atom statistics fit at the group's
-    slice of ``noise_oracle``.  With ``mips`` the group's coherence values
-    are appended to its fraction's list.  The blocks, variances and plans
-    are locals of this frame, so they are freed when it returns, before the
-    next group is simulated.
+    ``dataset`` holds the blocks of the sub-channels in ``group``, which
+    validation errors name by their absolute index.  The blocks and measured
+    variances are validated once; at each fraction the plans are drawn from
+    that fraction's generator in ``rngs`` (0 for fraction 1, which draws
+    nothing) and fitted in the sweep's ``work`` area, the variables route at
+    the configured ``k_max`` and the one-atom statistics route at
+    ``noise_scale``, the one array of the group's truth that estimation
+    reads.  Returns the fit of each (fraction index, estimator) and, with
+    ``coherence``, the coherence values of each sub-channel per fraction.
     """
-    lengths = [ensemble.channels[i].block_length for i in group]
-    noise_scale = noise_oracle[group.start : group.stop]
-    dataset = simulate_block(ensemble, params, seed=seed, subchannels=group)
+    params = config.protocol
+    n = config.block_length
     if "variables" in config.estimator_names:
         alice, bob = zip(*(
             _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
-            for i, x, y, n in zip(group, dataset.alice, dataset.bob, lengths)
+            for i, x, y in zip(group, dataset.alice, dataset.bob)
         ))
     if "statistics" in config.estimator_names:
         replicated = config.variance_mode == "replicated"
@@ -513,126 +522,110 @@ def _sweep_group(
                 n,
                 f"measured[{i}]",
             )
-            for i, y, n in zip(group, dataset.bob, lengths)
+            for i, y in zip(group, dataset.bob)
         ]
+    fits = {}
+    mips = [] if coherence else None
     for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
-        plans = [make_sampling_plan(n, fraction, rng) for n in lengths]
+        plans = [make_sampling_plan(n, fraction, rng) for _ in group]
         for estimator in config.estimator_names:
             if estimator == "statistics":
-                fit = _fit_statistics(measured, params, plans, 1, noise_scale, True, work=work)
+                fits[f_idx, estimator] = _fit_statistics(measured, params, plans, 1, noise_scale, True, work=work)
             else:
-                fit = _fit_variables(alice, bob, plans, params, config.k_max, 0.0, False, work=work)
-            fits[f_idx, estimator].append(fit)
+                fits[f_idx, estimator] = _fit_variables(
+                    alice, bob, plans, params, config.k_max, 0.0, False, work=work
+                )
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
-        if mips is not None:
-            for j, n in enumerate(lengths):
+        if coherence:
+            values = []
+            for j, plan in enumerate(plans):
                 ops = [
                     RowSampledIdftOperator(
                         dataset.alice[j]
                         if estimator == "variables"
                         else np.full(n, params.modulation_variance),
-                        plans[j].indices,
+                        plan.indices,
                     )
                     for estimator in config.estimator_names
                 ]
-                values = mutual_incoherence(*ops)
-                mips[f_idx].append(values if len(ops) > 1 else (values,))
-
-
-def _sweep_seed(
-    report: RunReport,
-    config: ExperimentConfig,
-    ensemble: SubChannelEnsemble,
-    d_idx: int,
-    distance: float,
-    seed: int,
-    noise_oracle: np.ndarray,
-    per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]],
-    keyrate_aggregates: dict[str, AggregateEstimate | None],
-    work: np.ndarray,
-) -> None:
-    """Fit every cell of one seed at one distance, one group of sub-channels
-    at a time.
-
-    :func:`_sweep_group` takes the consecutive groups whose blocks fit
-    :data:`GROUP_BYTES`, each freed before the next is simulated, and fits
-    them in the ``work`` area, the statistics route at ``noise_oracle``;
-    each (fraction < 1) plan generator lives across the groups, so the
-    plans are drawn in sub-channel order as in one pass.  After the last
-    group the fits of each (fraction, estimator) cell are joined in order,
-    and the columns become the estimate rows appended to ``report`` (and at
-    the first seed the coherence rows), the usable (T_hat, eps_hat, T, eps)
-    columns appended to ``per_cell`` and, in the key-rate cell, the
-    aggregates put in ``keyrate_aggregates``.
-    """
-    params = config.protocol
-    fractions = sorted(config.fractions)
-    first_seed = seed == config.seeds[0]
-    # fraction 1 keeps every row without a draw, so it needs no generator
-    rngs = [np.random.default_rng((seed, d_idx, f_idx)) if f < 1 else 0 for f_idx, f in enumerate(fractions)]
-    fits = {(f_idx, e): [] for f_idx in range(len(fractions)) for e in config.estimator_names}
-    mips = [[] for _ in fractions] if first_seed else None
-    sim_seed = _derived_seed(seed, d_idx)
-    for group in _groups([sub.block_length for sub in ensemble.channels]):
-        _sweep_group(config, params, ensemble, group, sim_seed, rngs, noise_oracle, fits, mips, work)
-
-    t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
-    rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
-    for f_idx, fraction in enumerate(fractions):
-        for estimator in config.estimator_names:
-            fit = _joined(fits[f_idx, estimator])
-            report.estimate_rows.extend(
-                EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
-                for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
-                    zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(),
-                        fit.residual.tolist(), fit.flags)
-                )
-            )
-            usable = fit.usable
-            per_cell.setdefault((fraction, estimator), []).append(
-                (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
-            )
-            if first_seed and fraction == fractions[-1]:
-                # usable estimates of total probability 0 are none to aggregate
-                p = ensemble.probabilities
-                keyrate_aggregates[estimator] = aggregate_estimates(fit, p) if p[usable].sum() > 0 else None
-        if mips is not None:
-            for e_idx, estimator in enumerate(config.estimator_names):
-                report.mip_rows.extend(
-                    MipRow(distance, i, fraction, estimator, values[e_idx], False)
-                    for i, values in enumerate(mips[f_idx])
-                )
+                mip = mutual_incoherence(*ops)
+                values.append(mip if len(ops) > 1 else (mip,))
+            mips.append(values)
+    return fits, mips
 
 
 def run_sweep(config: ExperimentConfig) -> RunReport:
     """Execute the full experiment grid described by ``config``."""
     report = RunReport(config=config, config_hash=config_hash(config))
     params = config.protocol
+    fractions = sorted(config.fractions)
     # every cell fit of the sweep gathers its sampled rows here
     work = _work_area(config.block_length)
 
     for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
         ensemble = _ensemble_for(config, d_idx)
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
+        t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
+        rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
         # the statistics fit keeps its residual bound at the model-exact
         # disturbance scale eta*T_i*eps_i of each sub-channel, read off the truth
-        noise_oracle = params.detector_efficiency * ensemble.transmittances * ensemble.excess_noises
+        noise_oracle = params.detector_efficiency * t_true * eps_true
+        groups = _groups([sub.block_length for sub in ensemble.channels])
         keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
         for seed in config.seeds:
-            _sweep_seed(
-                report, config, ensemble, d_idx, distance, seed, noise_oracle, per_cell, keyrate_aggregates,
-                work,
-            )
+            first_seed = seed == config.seeds[0]
+            # fraction 1 keeps every row without a draw, so it needs no generator
+            rngs = [np.random.default_rng((seed, d_idx, f_idx)) if f < 1 else 0 for f_idx, f in enumerate(fractions)]
+            sim_seed = _derived_seed(seed, d_idx)
+            # a group's blocks live only in its estimation call, so they are
+            # freed before the next group is simulated
+            results = [
+                _fit_group(
+                    config, group, simulate_block(ensemble, params, seed=sim_seed, subchannels=group),
+                    rngs, noise_oracle[group.start : group.stop], work, first_seed,
+                )
+                for group in groups
+            ]
+
+            # score: the cell's group fits joined in order, against the truth
+            for f_idx, fraction in enumerate(fractions):
+                for estimator in config.estimator_names:
+                    fit = _joined([fits[f_idx, estimator] for fits, _ in results])
+                    report.estimate_rows.extend(
+                        EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
+                        for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
+                            zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(),
+                                fit.residual.tolist(), fit.flags)
+                        )
+                    )
+                    usable = fit.usable
+                    per_cell.setdefault((fraction, estimator), []).append(
+                        (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
+                    )
+                    if first_seed and fraction == fractions[-1]:
+                        # usable estimates of total probability 0 are none to aggregate
+                        p = ensemble.probabilities
+                        keyrate_aggregates[estimator] = aggregate_estimates(fit, p) if p[usable].sum() > 0 else None
+                if first_seed:
+                    values = [v for _, mips in results for v in mips[f_idx]]
+                    for e_idx, estimator in enumerate(config.estimator_names):
+                        report.mip_rows.extend(
+                            MipRow(distance, i, fraction, estimator, v[e_idx], False) for i, v in enumerate(values)
+                        )
+            # freed before the next seed is simulated: left alive under its
+            # group buffers, a seed's fits and generators raised a
+            # lowsnr-blockwise sweep's peak RSS by about 0.5 MiB
+            del results, fit, usable, rngs
 
         for (fraction, estimator), columns in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             # a cell with no usable estimate over all seeds keeps its row, as NaN
             mse_t = mse_eps = math.nan
-            t_hat, eps_hat, t_true, eps_true = (np.concatenate(c) for c in zip(*columns))
+            t_hat, eps_hat, t, eps = (np.concatenate(c) for c in zip(*columns))
             if t_hat.size:
-                mse_t = compute_mse(t_hat, t_true)
-                mse_eps = compute_mse(eps_hat, eps_true)
+                mse_t = compute_mse(t_hat, t)
+                mse_eps = compute_mse(eps_hat, eps)
             report.mse_rows.append(
                 MseRow(
                     distance=distance,

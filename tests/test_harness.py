@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import importlib.util
+import inspect
 import math
 import re
 import weakref
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csqkd import estimators, harness
-from csqkd.channel import DETECTIONS, ensemble_means
+from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannel, SubChannelEnsemble, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
     EstimateRow,
@@ -744,6 +745,55 @@ def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, varianc
         assert streamed[name].read_bytes() == one[name].read_bytes(), name
 
 
+def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scale(monkeypatch):
+    # _fit_group admits no ensemble; in a golden sweep of three groups per
+    # seed, each call receives the dataset that simulate_block returned for
+    # its group, and its one truth-derived array is noise_scale, the group's
+    # eta*T*eps bit for bit
+    parameters = inspect.signature(harness._fit_group).parameters
+    assert list(parameters) == ["config", "group", "dataset", "rngs", "noise_scale", "work", "coherence"]
+    assert not [p for p in parameters.values() if "SubChannel" in str(p.annotation)]
+    config = load_config(GOLDEN)
+    monkeypatch.setattr(harness, "GROUP_BYTES", 2 * 16 * config.block_length)
+    simulate, fit_group, work_area = harness.simulate_block, harness._fit_group, harness._work_area
+    simulated, areas, calls = [], [], []
+
+    def recorded_simulate(ensemble, params, **kwargs):
+        simulated.append((ensemble, kwargs["subchannels"], simulate(ensemble, params, **kwargs)))
+        return simulated[-1][2]
+
+    def recorded_area(*args):
+        areas.append(work_area(*args))
+        return areas[-1]
+
+    def recorded_fit(*args):
+        calls.append((simulated[-1], args))
+        return fit_group(*args)
+
+    monkeypatch.setattr(harness, "simulate_block", recorded_simulate)
+    monkeypatch.setattr(harness, "_work_area", recorded_area)
+    monkeypatch.setattr(harness, "_fit_group", recorded_fit)
+    run_sweep(config)
+
+    groups = [range(0, 2), range(2, 4), range(4, 6)]
+    assert len(calls) == len(config.distances_km) * len(config.seeds) * len(groups)
+    eta = config.protocol.detector_efficiency
+    for k, ((ensemble, subchannels, dataset), args) in enumerate(calls):
+        given, group, data, rngs, noise_scale, work, coherence = args
+        assert isinstance(ensemble, SubChannelEnsemble)
+        assert given is config
+        assert group == subchannels == groups[k % len(groups)]
+        assert data is dataset and type(data) is QuadratureDataset
+        assert all(isinstance(r, np.random.Generator) or r == 0 for r in rngs)
+        assert work is areas[0]
+        assert coherence is (k % (len(config.seeds) * len(groups)) < len(groups))
+        truth = (eta * ensemble.transmittances * ensemble.excess_noises)[group.start : group.stop]
+        assert noise_scale.dtype == truth.dtype and noise_scale.tobytes() == truth.tobytes()
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 and arrays[0] is noise_scale and arrays[1] is work
+        assert not [a for a in (*args, *vars(data).values()) if isinstance(a, (SubChannelEnsemble, SubChannel))]
+
+
 def test_golden_config_runs_deterministically(tmp_path):
     config = dataclasses.replace(load_config(GOLDEN), out_dir=str(tmp_path / "a"))
     first = write_reports(run_sweep(config), config.out_dir)
@@ -853,6 +903,26 @@ def test_cli_sweep_rejects_an_output_path_through_a_file_before_the_sweep(
     assert err.startswith(f"error: output directory {out}: {blocker} is not a directory")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
     assert blocker.read_text() == "x"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_sweep_rejects_an_empty_output_directory_before_the_sweep(tmp_path, capsys, monkeypatch, source):
+    # an empty directory is the working directory, whose files a sweep would
+    # overwrite; both spellings exit 2 and write nothing there
+    def refuse(config):
+        raise AssertionError("the sweep started on an empty output directory")
+
+    monkeypatch.setattr("csqkd.cli.run_sweep", refuse)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(GOLDEN.read_text().replace("directory = out", "directory ="))
+    argv = ["--config", str(GOLDEN), "--out", ""] if source == "flag" else ["--config", str(cfg)]
+    rc = cli_main(["sweep", *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    expected = "output directory must" if source == "flag" else f"{cfg}: output.directory must"
+    assert err.startswith(f"error: {expected} not be empty")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
