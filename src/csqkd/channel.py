@@ -140,10 +140,6 @@ class SubChannelEnsemble:
     def probabilities(self) -> np.ndarray:
         return np.array([c.probability for c in self.channels])
 
-    @property
-    def block_lengths(self) -> np.ndarray:
-        return np.array([c.block_length for c in self.channels], dtype=np.int64)
-
 
 def build_ensemble(
     transmittances: Sequence[float],
@@ -323,7 +319,6 @@ class QuadratureDataset:
 
     alice: tuple[np.ndarray, ...]
     bob: tuple[np.ndarray, ...]
-    zero_noise: bool = False
 
 
 def attenuate(
@@ -393,7 +388,7 @@ def simulate_block(
         y += signal
         alice.append(x)
         bob.append(y)
-    return QuadratureDataset(alice=tuple(alice), bob=tuple(bob), zero_noise=zero_noise)
+    return QuadratureDataset(alice=tuple(alice), bob=tuple(bob))
 
 
 def ensemble_means(ensemble: SubChannelEnsemble) -> tuple[float, float, float]:

@@ -9,14 +9,14 @@ true and estimated channel summaries.  Output is plot-ready CSV:
     estimates.csv  distance,subchannel,fraction,seed,estimator,T_true,T_hat,eps_true,eps_hat,residual,flags
     mse.csv        distance,fraction,estimator,seeds,MSE_T,MSE_eps
     keyrate.csv    distance,detection,source,I_AB,chi_BE,K
-    mip.csv        distance,subchannel,fraction,model,mip,subsampled
+    mip.csv        distance,subchannel,fraction,model,mip
 
-plus a ``run.json`` manifest carrying the echoed config and its hash so any
-row can be reproduced exactly.  All randomness derives from the configured
-seeds, so reruns are byte-identical.  The sampling plans of a (seed,
-distance, fraction < 1) cell are drawn in sub-channel order from one
-generator seeded ``(seed, distance index, index in the sorted fractions)``;
-fraction 1 keeps every row and draws nothing.
+plus a ``run.json`` manifest carrying the CSV schema version, the echoed
+config and its hash so any row can be reproduced exactly.  All randomness
+derives from the configured seeds, so reruns are byte-identical.  The
+sampling plans of a (seed, distance, fraction < 1) cell are drawn in
+sub-channel order from one generator seeded ``(seed, distance index, index
+in the sorted fractions)``; fraction 1 keeps every row and draws nothing.
 
 A sweep runs each (distance, seed) in three stages, one group of
 sub-channels at a time:
@@ -36,8 +36,9 @@ noise scale: the closed-form DC projection at 1 and OMP above it.  The
 statistics estimator runs the one-atom projection with the residual
 constraint active at the model-exact disturbance scale eta*T_i*eps_i,
 known here because the harness owns the simulation ground truth:
-``run_sweep`` reads it into ``noise_oracle`` and passes each group its
-slice as ``noise_scale``, the one truth array that estimation reads.  The
+``run_sweep`` reads it into ``noise_oracle`` and passes each group a copy
+of its slice as ``noise_scale``, the one truth array that estimation reads
+(a view would carry the whole distance's array in its ``base``).  The
 coherence diagnostic builds the row-sampled IDFT operator of each model
 and passes a sub-channel's operators to one
 :func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
@@ -425,7 +426,6 @@ class MipRow:
     fraction: float
     model: str
     mip: float
-    subsampled: bool
 
 
 @dataclass
@@ -584,7 +584,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             results = [
                 _fit_group(
                     config, group, simulate_block(ensemble, params, seed=sim_seed, subchannels=group),
-                    rngs, noise_oracle[group.start : group.stop], work, first_seed,
+                    rngs, noise_oracle[group.start : group.stop].copy(), work, first_seed,
                 )
                 for group in groups
             ]
@@ -612,7 +612,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                     values = [v for _, mips in results for v in mips[f_idx]]
                     for e_idx, estimator in enumerate(config.estimator_names):
                         report.mip_rows.extend(
-                            MipRow(distance, i, fraction, estimator, v[e_idx], False) for i, v in enumerate(values)
+                            MipRow(distance, i, fraction, estimator, v[e_idx]) for i, v in enumerate(values)
                         )
             # freed before the next seed is simulated: left alive under its
             # group buffers, a seed's fits and generators raised a
@@ -717,11 +717,14 @@ def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     )
     _write_csv(
         files["mip"],
-        ["distance", "subchannel", "fraction", "model", "mip", "subsampled"],
+        ["distance", "subchannel", "fraction", "model", "mip"],
         MipRow,
         report.mip_rows,
     )
     manifest = {
+        # the version of the CSV set's columns, raised with any header change;
+        # a manifest without it is schema 1
+        "schema": 2,
         "config_hash": report.config_hash,
         "package_version": __version__,
         "config": {f.name: getattr(report.config, f.name) for f in dataclasses.fields(report.config)},

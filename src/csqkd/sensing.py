@@ -232,10 +232,6 @@ class RowSampledIdftOperator:
         w = self.sampled_weights
         return np.sqrt(w.dot(w)) / math.sqrt(self.n_coefficients)
 
-    def half_gram_by_offset(self) -> np.ndarray:
-        """Entries d = 0..m//2 of :meth:`gram_by_offset`, one real transform."""
-        return _half_grams([self])[0]
-
     def gram_by_offset(self) -> np.ndarray:
         """Column Gram as a function of index offset d = (j - k) mod m.
 
@@ -244,7 +240,7 @@ class RowSampledIdftOperator:
         weights are real, so g[m - d] = conj(g[d]) and a real transform of
         half the work gives all of g.
         """
-        return _hermitian_completion(self.half_gram_by_offset(), self.n_coefficients)
+        return _hermitian_completion(_half_grams([self])[0], self.n_coefficients)
 
     def gram_column(self, k: int, entries: np.ndarray) -> np.ndarray:
         """Entries j of A^H a_k without a transform: g[(k - j) mod m].

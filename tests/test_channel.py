@@ -135,7 +135,7 @@ def test_csv_index_must_count_rows(tmp_path, table, row, text):
 def test_experiment_scale_ensemble():
     ens = build_ensemble(np.full(100, 0.3), block_length=10_000)
     assert ens.count == 100
-    assert int(ens.block_lengths.sum()) == 1_000_000
+    assert sum(c.block_length for c in ens.channels) == 1_000_000
 
 
 def test_build_ensemble_rejections():
@@ -286,7 +286,6 @@ def test_simulation_of_a_range_is_the_full_datasets_blocks(subchannels, zero_noi
     for i, x, y in zip(subchannels, part.alice, part.bob):
         assert x.tobytes() == full.alice[i].tobytes()
         assert y.tobytes() == full.bob[i].tobytes()
-    assert part.zero_noise == zero_noise
 
 
 @pytest.mark.parametrize("subchannels", [range(0), range(2, 2), range(-1, 2), range(3, 6), range(5, 6)])
@@ -297,12 +296,16 @@ def test_simulation_rejects_a_range_outside_the_ensemble(subchannels):
 
 
 def test_zero_noise_shares_alice_draws():
+    # zero noise keeps Alice's draws, and Bob's block is then the noiseless
+    # channel map of them bit for bit, which the noisy block is not
     params = ProtocolParams()
     ens = build_ensemble([0.5], block_length=128)
     noisy = simulate_block(ens, params, seed=4)
     clean = simulate_block(ens, params, seed=4, zero_noise=True)
     assert np.array_equal(noisy.alice[0], clean.alice[0])
-    assert clean.zero_noise and not noisy.zero_noise
+    signal = attenuate(clean.alice[0], 0.5, params.detector_efficiency)
+    assert clean.bob[0].tobytes() == signal.tobytes()
+    assert not np.array_equal(noisy.bob[0], signal)
 
 
 def test_ensemble_means_single_channel():

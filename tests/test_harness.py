@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import importlib.util
 import inspect
+import json
 import math
 import re
 import weakref
@@ -385,7 +386,7 @@ def test_mip_rows_structure(fast_report):
     for row in fast_report.mip_rows:
         assert row.model in ("variables", "statistics")
         assert row.mip >= 0.0
-        assert row.subsampled is False
+    assert [f.name for f in dataclasses.fields(MipRow)] == ["distance", "subchannel", "fraction", "model", "mip"]
 
 
 def test_variable_mse_fraction_band():
@@ -411,8 +412,17 @@ def test_written_files_and_headers(tmp_path, fast_report):
     )
     assert files["mse"].read_text().splitlines()[0] == "distance,fraction,estimator,seeds,MSE_T,MSE_eps"
     assert files["keyrate"].read_text().splitlines()[0] == "distance,detection,source,I_AB,chi_BE,K"
-    assert files["mip"].read_text().splitlines()[0] == "distance,subchannel,fraction,model,mip,subsampled"
+    assert files["mip"].read_text().splitlines()[0] == "distance,subchannel,fraction,model,mip"
     assert files["manifest"].exists()
+
+
+def test_manifest_carries_the_csv_schema_version(tmp_path, fast_report):
+    # schema 2: mip.csv without the subsampled column; a manifest without the
+    # field is schema 1
+    manifest = json.loads(write_reports(fast_report, tmp_path)["manifest"].read_text())
+    assert manifest["schema"] == 2
+    assert list(manifest) == ["schema", "config_hash", "package_version", "config"]
+    assert manifest["config_hash"] == fast_report.config_hash
 
 
 def test_write_csv_templates_match_value_formatter(tmp_path):
@@ -423,7 +433,7 @@ def test_write_csv_templates_match_value_formatter(tmp_path):
                        for i, v in enumerate(odd)]),
         (MseRow, [MseRow(v, 1.0, "statistics", 16, v, math.nan) for v in odd]),
         (KeyrateRow, [KeyrateRow(100.0, "homodyne", "estimated-variables", v, v, v) for v in odd]),
-        (MipRow, [MipRow(v, 3, 0.4, "variables", v, flag) for v in odd for flag in (False, True)]),
+        (MipRow, [MipRow(v, 3, 0.4, model, v) for v in odd for model in ("variables", "statistics")]),
     ]
     for row_type, rows in tables:
         path = tmp_path / f"{row_type.__name__}.csv"
@@ -789,6 +799,8 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
         assert coherence is (k % (len(config.seeds) * len(groups)) < len(groups))
         truth = (eta * ensemble.transmittances * ensemble.excess_noises)[group.start : group.stop]
         assert noise_scale.dtype == truth.dtype and noise_scale.tobytes() == truth.tobytes()
+        # an owned copy: a view would carry the distance's whole array in its base
+        assert noise_scale.base is None
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         assert len(arrays) == 2 and arrays[0] is noise_scale and arrays[1] is work
         assert not [a for a in (*args, *vars(data).values()) if isinstance(a, (SubChannelEnsemble, SubChannel))]
