@@ -9,15 +9,19 @@ relation
     y = sqrt(eta * T_i) * x + z,    z ~ N(0, sigma_i^2),
     sigma_i^2 = 1 + eta * T_i * eps_i + nu_el,
 
-in shot-noise units (vacuum variance = 1 throughout this package).  This
-module holds the protocol/channel containers, synthetic data generation,
-and the probability-weighted ensemble means fed to the security analysis.
+in shot-noise units (vacuum variance = 1 throughout this package).  Every
+sub-channel carries a block of the same m symbols, and sub-channel i is
+occupied with probability p_i.  This module holds the protocol constants,
+the ensemble (T_i, eps_i and p_i as arrays, and m), synthetic data
+generation, and the probability-weighted ensemble means fed to the security
+analysis.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -72,79 +76,68 @@ class ProtocolParams:
         return self.modulation_variance + 1.0
 
 
-@dataclass(frozen=True)
-class SubChannel:
-    """One stable slice of the fluctuating link."""
+def noise_variance(transmittance: float, excess_noise: float, params: ProtocolParams) -> float:
+    """Variance of the additive noise z: 1 + eta*T*eps + nu_el."""
+    return 1.0 + params.detector_efficiency * transmittance * excess_noise + params.electronic_noise
 
-    index: int
-    transmittance: float
-    excess_noise: float
-    probability: float
+
+#: (field, entry name, test of a good entry, the range it names) of each per-sub-channel array
+_FIELDS = (
+    ("transmittances", "transmittance", lambda a: (a > 0) & (a <= 1), "(0, 1]"),
+    ("excess_noises", "excess_noise", lambda a: np.isfinite(a) & (a >= 0), "[0, inf)"),
+    ("probabilities", "probability", lambda a: (a >= 0) & (a <= 1), "[0, 1]"),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class SubChannelEnsemble:
+    """M sub-channels as three read-only arrays, T_i, eps_i and the
+    occupation probabilities p_i, and the protocol block length that every
+    sub-channel shares.
+
+    The constructor copies the arrays and validates them once.  A ValueError
+    names the field, and for an out-of-range entry its index and value: T
+    outside (0, 1], eps not finite and >= 0, p outside [0, 1], probabilities
+    not summing to 1, an array that is not of shape (M,) with M >= 1, or a
+    block length below 1.
+    """
+
+    transmittances: np.ndarray
+    excess_noises: np.ndarray
+    probabilities: np.ndarray
     block_length: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.transmittance <= 1:
-            raise ValueError(
-                f"sub-channel {self.index}: transmittance must be in (0, 1], got {self.transmittance}"
-            )
-        if not (math.isfinite(self.excess_noise) and self.excess_noise >= 0):
-            raise ValueError(
-                f"sub-channel {self.index}: excess_noise must be finite and >= 0, "
-                f"got {self.excess_noise}"
-            )
-        if not 0 <= self.probability <= 1:
-            raise ValueError(
-                f"sub-channel {self.index}: probability must be in [0, 1], got {self.probability}"
-            )
-        if self.block_length < 1:
-            raise ValueError(
-                f"sub-channel {self.index}: block_length must be >= 1, got {self.block_length}"
-            )
-
-
-def noise_variance(sub: SubChannel, params: ProtocolParams) -> float:
-    """Variance of the additive noise z: 1 + eta*T*eps + nu_el."""
-    return (
-        1.0
-        + params.detector_efficiency * sub.transmittance * sub.excess_noise
-        + params.electronic_noise
-    )
-
-
-@dataclass(frozen=True)
-class SubChannelEnsemble:
-    """Ordered collection of sub-channels with occupation probabilities."""
-
-    channels: tuple[SubChannel, ...]
-
-    def __post_init__(self) -> None:
-        if not self.channels:
+        shape = np.shape(self.transmittances)
+        if len(shape) != 1:
+            raise ValueError(f"transmittances must have shape (M,), got shape {shape}")
+        if shape == (0,):
             raise ValueError("ensemble must contain at least one sub-channel")
-        total = sum(c.probability for c in self.channels)
+        for name, entry, good, bounds in _FIELDS:
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != shape:
+                raise ValueError(f"{name} must have shape {shape} like transmittances, got shape {values.shape}")
+            bad = np.flatnonzero(~good(values))
+            if bad.size:
+                raise ValueError(f"{entry} out of {bounds} at index {int(bad[0])}: {float(values[bad[0]])!r}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"sub-channel probabilities must sum to 1 (got {total!r})")
+        if not isinstance(self.block_length, numbers.Integral) or self.block_length < 1:
+            raise ValueError(f"block_length must be an integer >= 1, got {self.block_length!r}")
+        object.__setattr__(self, "block_length", int(self.block_length))
 
     @property
     def count(self) -> int:
-        return len(self.channels)
-
-    @property
-    def transmittances(self) -> np.ndarray:
-        return np.array([c.transmittance for c in self.channels])
-
-    @property
-    def excess_noises(self) -> np.ndarray:
-        return np.array([c.excess_noise for c in self.channels])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([c.probability for c in self.channels])
+        return self.transmittances.size
 
 
 def build_ensemble(
     transmittances: Sequence[float],
     excess_noise: float | Sequence[float] = 0.01,
-    block_length: int | Sequence[int] = 10_000,
+    block_length: int = 10_000,
     probabilities: Sequence[float] | None = None,
 ) -> SubChannelEnsemble:
     """Assemble a sub-channel ensemble from transmittance values.
@@ -152,41 +145,20 @@ def build_ensemble(
     Args:
         transmittances: one value in (0, 1] per sub-channel.
         excess_noise: shared value, or one per sub-channel.
-        block_length: shared symbol count per sub-channel, or one each.
-        probabilities: occupation probabilities; default p_i = m_i / sum(m_j).
+        block_length: the symbol count of every sub-channel's block.
+        probabilities: occupation probabilities; default p_i = 1/M.
 
     Raises:
-        ValueError: empty input, or an out-of-range entry (the message names
-            its index).
+        ValueError: as :class:`SubChannelEnsemble` raises it.
     """
     t = np.asarray(transmittances, dtype=float)
-    if t.size == 0:
-        raise ValueError("ensemble must contain at least one sub-channel")
-    bad = np.flatnonzero((t <= 0) | (t > 1))
-    if bad.size:
-        raise ValueError(
-            f"transmittance out of (0, 1] at index {int(bad[0])}: {float(t[bad[0]])!r}"
-        )
-    count = t.size
-    eps = np.broadcast_to(np.asarray(excess_noise, dtype=float), (count,))
-    lengths = np.broadcast_to(np.asarray(block_length, dtype=np.int64), (count,))
-    if probabilities is None:
-        p = lengths / float(lengths.sum())
-    else:
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (count,):
-            raise ValueError(f"expected {count} probabilities, got shape {p.shape}")
-    channels = tuple(
-        SubChannel(
-            index=i,
-            transmittance=float(t[i]),
-            excess_noise=float(eps[i]),
-            probability=float(p[i]),
-            block_length=int(lengths[i]),
-        )
-        for i in range(count)
+    eps = np.asarray(excess_noise, dtype=float)
+    return SubChannelEnsemble(
+        transmittances=t,
+        excess_noises=np.full(t.shape, eps) if eps.ndim == 0 else eps,
+        probabilities=np.full(t.shape, 1.0) / t.size if probabilities is None else probabilities,
+        block_length=block_length,
     )
-    return SubChannelEnsemble(channels)
 
 
 def _csv_number(path: Path, row: int, column: str, text: str | None) -> float | None:
@@ -346,11 +318,11 @@ def simulate_block(
     z = 0; it exists for exact-recovery testing and has no physical
     counterpart (real data always carries the vacuum unit).
 
-    The blocks of one call are views of one buffer, so a dataset is
-    allocated and freed in one piece: a sweep that frees one group's data
-    before simulating the next leaves no run of freed blocks at the top of
-    the heap for the allocator to trim and fault back in under later
-    temporaries.
+    The blocks of one call are the rows of one (2, M_g, m) buffer, Alice's
+    in its first plane and Bob's in its second, so a dataset is allocated
+    and freed in one piece: a sweep that frees one group's data before
+    simulating the next leaves no run of freed blocks at the top of the heap
+    for the allocator to trim and fault back in under later temporaries.
     """
     indices = range(ensemble.count) if subchannels is None else subchannels
     if not indices or min(indices) < 0 or max(indices) >= ensemble.count:
@@ -359,36 +331,27 @@ def simulate_block(
         )
     root = np.random.SeedSequence(seed)
     std_x = math.sqrt(params.modulation_variance)
-    channels = [ensemble.channels[i] for i in indices]
-    lengths = [sub.block_length for sub in channels]
-    ends = np.cumsum(lengths).tolist()
-    buffer = np.empty((2, ends[-1]))
+    t, eps = ensemble.transmittances.tolist(), ensemble.excess_noises.tolist()
+    buffer = np.empty((2, len(indices), ensemble.block_length))
     # sqrt(eta*T) * x of one block at a time: the dataset's one temporary
-    scratch = np.empty(max(lengths))
-    alice: list[np.ndarray] = []
-    bob: list[np.ndarray] = []
-    for i, sub, end in zip(indices, channels, ends):
+    signal = np.empty(ensemble.block_length)
+    for i, x, y in zip(indices, buffer[0], buffer[1]):
         rng = np.random.default_rng(
             np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size)
         )
-        x = buffer[0, end - sub.block_length : end]
-        y = buffer[1, end - sub.block_length : end]
-        signal = scratch[: sub.block_length]
         # in place, with the bits of rng.normal(0.0, scale, n) = 0.0 + scale * z
         rng.standard_normal(out=x)
         x *= std_x
         x += 0.0
-        attenuate(x, sub.transmittance, params.detector_efficiency, out=signal)
+        attenuate(x, t[i], params.detector_efficiency, out=signal)
         if zero_noise:
             y[:] = 0.0
         else:
             rng.standard_normal(out=y)
-            y *= math.sqrt(noise_variance(sub, params))
+            y *= math.sqrt(noise_variance(t[i], eps[i], params))
             y += 0.0
         y += signal
-        alice.append(x)
-        bob.append(y)
-    return QuadratureDataset(alice=tuple(alice), bob=tuple(bob))
+    return QuadratureDataset(alice=tuple(buffer[0]), bob=tuple(buffer[1]))
 
 
 def ensemble_means(ensemble: SubChannelEnsemble) -> tuple[float, float, float]:

@@ -460,18 +460,11 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(parts)).generate_state(1)[0])
 
 
-def _groups(lengths: Sequence[int]) -> list[range]:
-    """Consecutive sub-channel ranges whose (x, y) blocks, 16 bytes a
-    sample, fit GROUP_BYTES; a larger block is a group of its own."""
-    groups = []
-    start = size = 0
-    for i, n in enumerate(lengths):
-        if i > start and size + 16 * n > GROUP_BYTES:
-            groups.append(range(start, i))
-            start, size = i, 0
-        size += 16 * n
-    groups.append(range(start, len(lengths)))
-    return groups
+def _groups(count: int, block_length: int) -> list[range]:
+    """Consecutive ranges over ``count`` sub-channels whose (x, y) blocks,
+    16 bytes a sample, fit GROUP_BYTES; a larger block is a group of its own."""
+    size = max(1, GROUP_BYTES // (16 * block_length))
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _joined(fits: Sequence[CellFit]) -> CellFit:
@@ -571,7 +564,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
         # the statistics fit keeps its residual bound at the model-exact
         # disturbance scale eta*T_i*eps_i of each sub-channel, read off the truth
         noise_oracle = params.detector_efficiency * t_true * eps_true
-        groups = _groups([sub.block_length for sub in ensemble.channels])
+        groups = _groups(ensemble.count, config.block_length)
         keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
         per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
         for seed in config.seeds:

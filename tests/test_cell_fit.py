@@ -149,9 +149,8 @@ def _statistics_configs(ens, k_max, shrink):
     if not shrink:
         return [OmpConfig(k_max=k_max)] * ens.count
     return [
-        OmpConfig(k_max=k_max, noise_scale=PARAMS.detector_efficiency * s.transmittance * s.excess_noise,
-                  shrink_to_delta=True)
-        for s in ens.channels
+        OmpConfig(k_max=k_max, noise_scale=PARAMS.detector_efficiency * t * eps, shrink_to_delta=True)
+        for t, eps in zip(ens.transmittances.tolist(), ens.excess_noises.tolist())
     ]
 
 
@@ -204,9 +203,9 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, form):
 LOW_SNR_T = (0.5, 0.2, 0.003, 0.9, 0.002, 0.35, 0.001)
 
 
-def _low_snr_dataset(lengths=m):
-    ens = build_ensemble(LOW_SNR_T, excess_noise=0.02, block_length=lengths)
-    ds = simulate_block(ens, PARAMS, seed=7)
+def _low_snr_dataset(length=m, subchannels=None):
+    ens = build_ensemble(LOW_SNR_T, excess_noise=0.02, block_length=length)
+    ds = simulate_block(ens, PARAMS, seed=7, subchannels=subchannels)
     return ens, [x.copy() for x in ds.alice], [y.copy() for y in ds.bob]
 
 
@@ -333,10 +332,12 @@ def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch
 
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
 def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
-    # blocks of 400 and 200 sampled at 120 rows each: each OMP operator
-    # spans its own block length
+    # blocks of 400 and 200 sampled at 120 rows each, the first four
+    # sub-channels from an ensemble of length 400 and the last three from
+    # one of length 200: each OMP operator spans its own block length
     lengths = [m] * 4 + [m // 2] * 3
-    ens, _, bob = _low_snr_dataset(lengths)
+    ens, _, bob = _low_snr_dataset(m, range(0, 4))
+    bob += _low_snr_dataset(m // 2, range(4, M))[2]
     plans = [make_sampling_plan(n, 120 / n, seed=5 + i) for i, n in enumerate(lengths)]
     assert {p.sample_count for p in plans} == {120}
     per_cell, per_channel = _statistics_inputs(bob, mode)
@@ -478,17 +479,16 @@ def test_groups_fit_the_byte_budget():
     # consecutive ranges over every sub-channel; a group's (x, y) blocks fit
     # GROUP_BYTES, and only a block larger than that is a group of its own
     budget = harness.GROUP_BYTES
-    for lengths in ([10_000] * 50, [2000] * 20, [budget // 16] * 3, [budget] * 2, [30, 9000, budget, 7, 64]):
-        groups = harness._groups(lengths)
-        assert [i for g in groups for i in g] == list(range(len(lengths)))
+    for count, n in ((50, 10_000), (20, 2000), (3, budget // 16), (4, budget // 16 + 1), (2, budget), (5, 7), (1, 64)):
+        groups = harness._groups(count, n)
+        assert [i for g in groups for i in g] == list(range(count))
         for g in groups:
             assert g.step == 1
-            size = 16 * sum(lengths[i] for i in g)
-            assert size <= budget or len(g) == 1
-        for g, after in zip(groups, groups[1:]):
-            assert 16 * sum(lengths[i] for i in (*g, after[0])) > budget
-    assert [len(g) for g in harness._groups([10_000] * 50)] == [13, 13, 13, 11]
-    assert len(harness._groups([2000] * 20)) == 1
+            assert 16 * n * len(g) <= budget or len(g) == 1
+        for g in groups[:-1]:
+            assert 16 * n * (len(g) + 1) > budget
+    assert [len(g) for g in harness._groups(50, 10_000)] == [13, 13, 13, 11]
+    assert len(harness._groups(20, 2000)) == 1
 
 
 def test_cell_rejects_mixed_inputs():

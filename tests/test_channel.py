@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from csqkd.channel import (
     ProtocolParams,
-    SubChannel,
+    SubChannelEnsemble,
     build_ensemble,
     ensemble_from_csv,
     ensemble_means,
@@ -35,16 +35,61 @@ def test_protocol_params_validation():
 
 
 def test_subchannel_validation():
-    with pytest.raises(ValueError, match="sub-channel 3"):
-        SubChannel(index=3, transmittance=0.0, excess_noise=0.0, probability=0.5, block_length=10)
-    with pytest.raises(ValueError, match="excess_noise"):
-        SubChannel(index=0, transmittance=0.5, excess_noise=-1.0, probability=0.5, block_length=10)
+    with pytest.raises(ValueError, match=r"transmittance out of \(0, 1\] at index 3: 0\.0$"):
+        build_ensemble([0.5, 0.5, 0.5, 0.0], excess_noise=0.0, block_length=10)
+    with pytest.raises(ValueError, match=r"excess_noise out of \[0, inf\) at index 0: -1\.0$"):
+        build_ensemble([0.5, 0.5], excess_noise=[-1.0, 0.0], block_length=10)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"transmittances": [0.5, math.nan, 0.5, 0.5]}, r"transmittance out of \(0, 1\] at index 1: nan$"),
+        ({"transmittances": [0.5, 0.6, 1.5, 0.8]}, r"transmittance out of \(0, 1\] at index 2: 1\.5$"),
+        ({"excess_noises": [0.0, 0.0, 0.0, -0.5]}, r"excess_noise out of \[0, inf\) at index 3: -0\.5$"),
+        ({"probabilities": [0.5, 0.5, 1.5, -1.5]}, r"probability out of \[0, 1\] at index 2: 1\.5$"),
+        ({"probabilities": [0.5, 0.5, 0.5, 0.5]}, r"probabilities must sum to 1 \(got 2\.0\)$"),
+        ({"block_length": 0}, r"block_length must be an integer >= 1, got 0$"),
+        ({"block_length": 64.0}, r"block_length must be an integer >= 1, got 64\.0$"),
+        ({"block_length": [64, 33, 100, 90]}, r"block_length must be an integer >= 1, got \[64, 33, 100, 90\]$"),
+    ],
+    ids=["T-nan", "T-above-one", "eps-negative", "p-above-one", "p-sum", "m-zero", "m-float", "m-per-sub-channel"],
+)
+def test_ensemble_validation_names_field_index_and_value(fields, message):
+    good = {
+        "transmittances": [0.5, 0.6, 0.7, 0.8],
+        "excess_noises": [0.0, 0.01, 0.0, 0.02],
+        "probabilities": [0.25, 0.25, 0.25, 0.25],
+        "block_length": 10,
+    }
+    SubChannelEnsemble(**good)
+    with pytest.raises(ValueError, match=message):
+        SubChannelEnsemble(**{**good, **fields})
+
+
+def test_ensemble_arrays_are_read_only_copies():
+    t = np.array([0.5, 0.6])
+    ens = build_ensemble(t, excess_noise=0.02, block_length=8)
+    t[0] = 0.9
+    assert ens.transmittances.tolist() == [0.5, 0.6]
+    for values in (ens.transmittances, ens.excess_noises, ens.probabilities):
+        assert values.dtype == float and values.shape == (2,)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.1
+    assert ens.excess_noises.tolist() == [0.02, 0.02]
+    assert ens.block_length == 8 and type(ens.block_length) is int
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 50, 100])
+def test_default_probabilities_are_one_over_m(count):
+    # bit-equal to m / (M * m), the block-length share they were before
+    ens = build_ensemble(np.full(count, 0.5), block_length=10_000)
+    assert ens.probabilities.tobytes() == np.full(count, 10_000 / (count * 10_000)).tobytes()
 
 
 def test_noise_variance_above_one():
     params = ProtocolParams(electronic_noise=0.05)
-    sub = SubChannel(index=0, transmittance=0.7, excess_noise=0.02, probability=1.0, block_length=8)
-    sigma2 = noise_variance(sub, params)
+    sigma2 = noise_variance(0.7, 0.02, params)
     assert sigma2 == 1.0 + 0.6 * 0.7 * 0.02 + 0.05
     assert sigma2 > 1.0
 
@@ -68,14 +113,14 @@ def test_csv_optional_columns(tmp_path):
     assert np.allclose(eps, [0.02, 0.03])
     assert np.allclose(p, [0.25, 0.75])
     ens = ensemble_from_csv(path, block_length=50)
-    assert ens.channels[1].excess_noise == 0.03
-    assert ens.channels[1].probability == 0.75
+    assert ens.excess_noises[1] == 0.03
+    assert ens.probabilities[1] == 0.75
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_subchannel_rejects_non_finite_excess_noise(bad):
-    with pytest.raises(ValueError, match="sub-channel 2: excess_noise must be finite"):
-        SubChannel(index=2, transmittance=0.5, excess_noise=bad, probability=0.5, block_length=10)
+    with pytest.raises(ValueError, match=rf"excess_noise out of \[0, inf\) at index 2: {bad!r}$"):
+        build_ensemble([0.5, 0.5, 0.5], excess_noise=[0.0, 0.0, bad], block_length=10)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +180,7 @@ def test_csv_index_must_count_rows(tmp_path, table, row, text):
 def test_experiment_scale_ensemble():
     ens = build_ensemble(np.full(100, 0.3), block_length=10_000)
     assert ens.count == 100
-    assert sum(c.block_length for c in ens.channels) == 1_000_000
+    assert ens.count * ens.block_length == 1_000_000
 
 
 def test_build_ensemble_rejections():
@@ -147,6 +192,26 @@ def test_build_ensemble_rejections():
         build_ensemble([])
     with pytest.raises(ValueError, match="sum to 1"):
         build_ensemble([0.5, 0.5], probabilities=[0.6, 0.6])
+    with pytest.raises(ValueError, match="block_length must be an integer >= 1, got -1"):
+        build_ensemble([0.5, 0.5], block_length=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # not numpy's broadcast or scalar-conversion errors, which name no argument
+        ({"excess_noise": [0.01, 0.02, 0.03]}, r"excess_noises must have shape \(2,\) like transmittances, got shape \(3,\)"),
+        ({"excess_noise": [[0.01, 0.02]]}, r"excess_noises must have shape \(2,\) like transmittances, got shape \(1, 2\)"),
+        ({"probabilities": [1.0]}, r"probabilities must have shape \(2,\) like transmittances, got shape \(1,\)"),
+        ({"probabilities": 0.5}, r"probabilities must have shape \(2,\) like transmittances, got shape \(\)"),
+        ({"transmittances": [[0.5, 0.6]]}, r"transmittances must have shape \(M,\), got shape \(1, 2\)"),
+        ({"transmittances": 0.5}, r"transmittances must have shape \(M,\), got shape \(\)"),
+    ],
+    ids=["eps-too-long", "eps-2d", "p-too-short", "p-scalar", "T-2d", "T-scalar"],
+)
+def test_build_ensemble_rejects_mis_shaped_arrays(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_ensemble(**{"transmittances": [0.5, 0.6], **kwargs})
 
 
 def test_lognormal_sampler_deterministic():
@@ -218,20 +283,22 @@ def test_simulation_bitwise_deterministic():
 
 
 def test_simulation_blocks_view_one_buffer_with_per_block_draws():
-    # a dataset is one allocation; each block keeps the bits of its own
-    # child seed's draws, at sub-channels of unequal length
+    # a dataset is one (2, M, m) allocation, Alice's blocks in the first
+    # plane; each block keeps the bits of its own child seed's draws
     params = ProtocolParams()
-    ens = build_ensemble([0.5, 0.2, 0.8], excess_noise=0.02, block_length=[64, 33, 100])
+    ens = build_ensemble([0.5, 0.2, 0.8], excess_noise=0.02, block_length=33)
     ds = simulate_block(ens, params, seed=5)
     base = ds.alice[0].base
-    assert base is not None and base.size == 2 * (64 + 33 + 100)
+    assert base is not None and base.shape == (2, 3, 33)
     assert all(block.base is base for block in ds.alice + ds.bob)
+    assert all(np.shares_memory(x, base[0, i]) and np.shares_memory(y, base[1, i])
+               for i, (x, y) in enumerate(zip(ds.alice, ds.bob)))
     children = np.random.SeedSequence(5).spawn(ens.count)
-    for sub, child, x, y in zip(ens.channels, children, ds.alice, ds.bob):
+    for t, eps, child, x, y in zip(ens.transmittances, ens.excess_noises, children, ds.alice, ds.bob):
         rng = np.random.default_rng(child)
-        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), sub.block_length)
-        z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
-        y_ref = attenuate(x_ref, sub.transmittance, params.detector_efficiency) + z
+        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), ens.block_length)
+        z = rng.normal(0.0, math.sqrt(noise_variance(float(t), float(eps), params)), ens.block_length)
+        y_ref = attenuate(x_ref, float(t), params.detector_efficiency) + z
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
 
@@ -243,17 +310,17 @@ def test_simulation_draws_in_place_with_the_normal_formula_bits(seed, zero_noise
     # x = rng.normal(0, sqrt(V_A)) and y = sqrt(eta*T) x + z, z = rng.normal
     # (0, sqrt(noise variance)) or zeros
     params = ProtocolParams()
-    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4], excess_noise=0.03, block_length=[257, 64, 1000, 33])
+    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4], excess_noise=0.03, block_length=257)
     ds = simulate_block(ens, params, seed=seed, zero_noise=zero_noise)
     children = np.random.SeedSequence(seed).spawn(ens.count)
-    for sub, child, x, y in zip(ens.channels, children, ds.alice, ds.bob):
+    for t, eps, child, x, y in zip(ens.transmittances, ens.excess_noises, children, ds.alice, ds.bob):
         rng = np.random.default_rng(child)
-        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), sub.block_length)
+        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), ens.block_length)
         if zero_noise:
-            z = np.zeros(sub.block_length)
+            z = np.zeros(ens.block_length)
         else:
-            z = rng.normal(0.0, math.sqrt(noise_variance(sub, params)), sub.block_length)
-        y_ref = attenuate(x_ref, sub.transmittance, params.detector_efficiency) + z
+            z = rng.normal(0.0, math.sqrt(noise_variance(float(t), float(eps), params)), ens.block_length)
+        y_ref = attenuate(x_ref, float(t), params.detector_efficiency) + z
         assert x.tobytes() == x_ref.tobytes()
         assert y.tobytes() == y_ref.tobytes()
 
@@ -275,13 +342,13 @@ def test_simulation_of_a_range_is_the_full_datasets_blocks(subchannels, zero_noi
     # it, so its blocks are the full dataset's bit for bit, in the range's
     # order, as views of one buffer of its own
     params = ProtocolParams()
-    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4, 0.7], excess_noise=0.03, block_length=[257, 64, 1000, 33, 90])
+    ens = build_ensemble([0.9, 0.05, 0.4, 1e-4, 0.7], excess_noise=0.03, block_length=257)
     full = simulate_block(ens, params, seed=12, zero_noise=zero_noise)
     part = simulate_block(ens, params, seed=12, zero_noise=zero_noise, subchannels=subchannels)
     assert len(part.alice) == len(part.bob) == len(subchannels)
     base = part.alice[0].base
     assert base is not None and base is not full.alice[0].base
-    assert base.size == 2 * sum(ens.channels[i].block_length for i in subchannels)
+    assert base.shape == (2, len(subchannels), ens.block_length)
     assert all(block.base is base for block in part.alice + part.bob)
     for i, x, y in zip(subchannels, part.alice, part.bob):
         assert x.tobytes() == full.alice[i].tobytes()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csqkd import estimators, harness
-from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannel, SubChannelEnsemble, ensemble_means
+from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannelEnsemble, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
     EstimateRow,
@@ -659,7 +659,7 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
         FAST, subchannels=6, block_length=4096, fractions=(0.25, 0.5, 1.0), seeds=(1, 2)
     )
     monkeypatch.setattr(harness, "GROUP_BYTES", 2 * 16 * 4096)
-    assert len(harness._groups([config.block_length] * config.subchannels)) == 3
+    assert len(harness._groups(config.subchannels, config.block_length)) == 3
     areas, fits, projections, made = [], [], [], []
     work_area, project = harness._work_area, estimators._dc_project
 
@@ -741,11 +741,10 @@ def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, varianc
         FAST, distances_km=(2.0, 40.0), fractions=(1.0, 0.25, 0.5), seeds=(3, 1, 2),
         variance_mode=variance_mode, variance_blocks=16, k_max=k_max, estimators=estimator,
     )
-    lengths = [config.block_length] * config.subchannels
-    assert len(harness._groups(lengths)) == 1
+    assert len(harness._groups(config.subchannels, config.block_length)) == 1
     one = write_reports(run_sweep(config), tmp_path / "one")
     monkeypatch.setattr(harness, "GROUP_BYTES", 1)
-    assert len(harness._groups(lengths)) == config.subchannels
+    assert len(harness._groups(config.subchannels, config.block_length)) == config.subchannels
     calls = []
     simulate = harness.simulate_block
     monkeypatch.setattr(harness, "simulate_block", lambda *a, **k: calls.append(k) or simulate(*a, **k))
@@ -803,7 +802,7 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
         assert noise_scale.base is None
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         assert len(arrays) == 2 and arrays[0] is noise_scale and arrays[1] is work
-        assert not [a for a in (*args, *vars(data).values()) if isinstance(a, (SubChannelEnsemble, SubChannel))]
+        assert not [a for a in (*args, *vars(data).values()) if isinstance(a, SubChannelEnsemble)]
 
 
 def test_golden_config_runs_deterministically(tmp_path):
@@ -879,9 +878,13 @@ def test_cli_bad_config_fails_before_the_sweep(tmp_path, capsys, monkeypatch, te
         ("0,0.5,nan,0.5\n", "row 1, column 'epsilon': expected"),
         ("", "ensemble must contain at least one sub-channel"),
         ("0,0.5,0.07,0.5\n1,1.5,0.07,0.5\n", "transmittance out of (0, 1] at index 1: 1.5\n"),
+        ("0,0.5,0.07,0.5\n1,0.4,-0.07,0.5\n", "excess_noise out of [0, inf) at index 1: -0.07\n"),
         ("0,0.5,0.07,0.2\n1,0.4,0.07,0.2\n", "sub-channel probabilities must sum to 1 (got 0.4)"),
     ],
-    ids=["partly-filled", "nan", "header-only", "transmittance-above-one", "probabilities-sum-below-one"],
+    ids=[
+        "partly-filled", "nan", "header-only", "transmittance-above-one", "epsilon-negative",
+        "probabilities-sum-below-one",
+    ],
 )
 def test_cli_sweep_rejects_bad_ensemble_file(tmp_path, capsys, rows, message):
     # the error names the file before any simulation, and no output is written
