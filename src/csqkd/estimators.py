@@ -21,13 +21,13 @@ is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
 (variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
 and ``_fit_statistics``, is the implementation of each: it fits consecutive
 sub-channels of one (seed, fraction) cell with one atom budget and one
-``shrink_to_delta``, gathering the sampled rows of a few sub-channels at a
-time, under :data:`CHUNK_BYTES` per array, into the two rows of a work area,
-and returns the estimates as the columns of a :class:`CellFit`.  The
-projection forms its residual in place in the gathered measurement rows,
-with g w in the gathered Alice rows or, for the statistics route's shared
-weights, in the second row.  A sweep allocates one work area
-(``_work_area``) and passes it to every cell fit.  Each sub-channel is
+``shrink_to_delta`` in one pass.  It gathers the sampled rows of every
+sub-channel into the starts of the two rows of a work area, fits them, and
+returns the estimates as the columns of a :class:`CellFit`.  The projection
+forms its residual in place in the gathered measurement rows, with g w in
+the gathered Alice rows or, for the statistics route's shared weights, in
+the second row.  A sweep allocates one work area (``_work_area``), the size
+of its largest cell, and passes it to every cell fit.  Each sub-channel is
 fitted on its own and the plug-ins and flags are elementwise, so the fit of
 consecutive sub-channels equals the fits of any split of them joined in
 order, bit for bit, and the per-sub-channel estimators are its one-channel
@@ -84,9 +84,6 @@ FLAG_OFF_DC = "off_dc_support"
 
 #: Flags that mark an estimate as unusable for aggregation.
 EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR, FLAG_OFF_DC})
-
-#: Bytes of sampled rows that one chunk of a cell fit gathers per work array.
-CHUNK_BYTES = 128 * 1024
 
 #: Grace below the 1 + nu_el floor before a variance is flagged.
 FLOOR_TOLERANCE = 1e-6
@@ -158,22 +155,11 @@ def _cell_sample_count(plans: Sequence[SamplingPlan]) -> int:
     return m_s
 
 
-def _chunks(count: int, m_s: int) -> list[slice]:
-    """Consecutive sub-channel ranges whose sampled rows fit CHUNK_BYTES per array."""
-    step = max(1, CHUNK_BYTES // (8 * m_s))
-    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
-
-
-def _work_area(block_length: int) -> np.ndarray:
-    """Two float rows that hold the sampled rows of any chunk of a cell whose
-    blocks have at most ``block_length`` samples, for ``work`` of the fits."""
-    return np.empty((2, max(CHUNK_BYTES // 8, block_length)))
-
-
-def _chunk_rows(work: np.ndarray, chunk: slice, m_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (chunk size, m_s) views at the start of the two rows of ``work``."""
-    n = chunk.stop - chunk.start
-    return work[0, : n * m_s].reshape(n, m_s), work[1, : n * m_s].reshape(n, m_s)
+def _work_area(subchannels: int, sample_count: int) -> np.ndarray:
+    """Two float rows, each of which holds the sampled rows of a cell of up
+    to ``subchannels`` sub-channels at up to ``sample_count`` rows each, for
+    ``work`` of the fits."""
+    return np.empty((2, subchannels * sample_count))
 
 
 def _cell_fit(
@@ -230,11 +216,11 @@ def _dc_fit(
     k_max: int,
     scratch: np.ndarray,
 ) -> DcProjection:
-    """The one-atom fits of a chunk, or at a larger budget the sums OMP starts from.
+    """The one-atom fits of a cell, or at a larger budget the sums OMP starts from.
 
     At ``k_max = 1`` this is :func:`~csqkd.sensing.dc_project`, with the
     residual formed in place in ``measurement`` and ``scratch`` (``weights``
-    or an array of the chunk's shape) for g w.  Otherwise ``measurement`` is
+    or an array of the cell's shape) for g w.  Otherwise ``measurement`` is
     kept for :func:`_omp_refit`, and every row gets w_s.w_s, y_s.y_s, gain 0
     and residual ||y_s||: the projection of a zero column, which the rows
     that OMP solves overwrite.
@@ -250,7 +236,6 @@ def _dc_fit(
 def _omp_refit(
     fit: DcProjection,
     todo: np.ndarray,
-    start: int,
     weights: Callable[[int], np.ndarray],
     measurement: np.ndarray,
     plans: Sequence[SamplingPlan],
@@ -260,28 +245,26 @@ def _omp_refit(
     imag_norm: np.ndarray,
     off_dc: np.ndarray,
 ) -> None:
-    """Refit by Batch-OMP the chunk rows marked in ``todo``, in place.
+    """Refit by Batch-OMP the rows of the cell marked in ``todo``, in place.
 
-    Row j of the chunk is sub-channel i = ``start + j``: ``measurement[j]``
-    through the row-sampled IDFT operator of ``weights(i)`` at ``plans[i]``,
-    solved with ``k_max``, ``delta[i]`` and ``shrink``.
-    Its gain becomes mean(h), read off the coefficients, and its residual
-    norm and degenerate flag in ``fit`` are overwritten; the cell columns
+    Row i is ``measurement[i]`` through the row-sampled IDFT operator of
+    ``weights(i)`` at ``plans[i]``, solved with ``k_max``, ``delta[i]`` and
+    ``shrink``.  Its gain becomes mean(h), read off the coefficients, and its
+    residual norm and degenerate flag in ``fit`` are overwritten;
     ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
     whether its support misses the DC column.
     """
-    for j in np.flatnonzero(todo).tolist():
-        i = start + j
+    for i in np.flatnonzero(todo).tolist():
         solution = omp_solve(
             RowSampledIdftOperator(weights(i), plans[i].indices),
-            measurement[j],
+            measurement[i],
             k_max=k_max,
             delta=float(delta[i]),
             shrink_to_delta=shrink,
         )
-        fit.gain[j], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
-        fit.residual_norm[j] = solution.residual_norm
-        fit.degenerate[j] = solution.degenerate_support
+        fit.gain[i], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
+        fit.residual_norm[i] = solution.residual_norm
+        fit.degenerate[i] = solution.degenerate_support
         off_dc[i] = solution.support.size > 0 and 0 not in solution.support.tolist()
 
 
@@ -312,39 +295,36 @@ def _fit_variables(
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
-    """The variables fit of validated blocks, chunk by chunk, with the atom
-    budget ``k_max`` and ``shrink`` (``shrink_to_delta``) of every
-    sub-channel and ``noise_scale`` (0 for none) for all or one each.  Each
-    chunk's sampled rows are gathered into ``work`` (:func:`_work_area`; by
-    default a fresh one of the first chunk's size), which is overwritten."""
-    m_s = _cell_sample_count(plans)
+    """The variables fit of validated blocks, with the atom budget ``k_max``
+    and ``shrink`` (``shrink_to_delta``) of every sub-channel and
+    ``noise_scale`` (0 for none) for all or one each.  The sampled rows of
+    every sub-channel are gathered at the start of the two rows of ``work``
+    (:func:`_work_area`; by default a fresh one of the cell's size), which
+    is overwritten."""
+    n, m_s = len(plans), _cell_sample_count(plans)
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, len(plans))
-    chunks = _chunks(len(plans), m_s)
+    delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, n)
     if work is None:
-        work = np.empty((2, chunks[0].stop * m_s))
-    imag_norm, off_dc = np.zeros(len(plans)), np.zeros(len(plans), dtype=bool)
-    parts = []
-    for chunk in chunks:
-        x_s, y_s = _chunk_rows(work, chunk, m_s)
-        for j, i in enumerate(range(chunk.start, chunk.stop)):
-            x_blocks[i].take(plans[i].indices, out=x_s[j])
-            y_blocks[i].take(plans[i].indices, out=y_s[j])
-        sample_count = np.count_nonzero(x_s, axis=1)
-        # x_s is the g w scratch
-        fit = _dc_fit(x_s, y_s, delta[chunk], shrink, k_max, x_s)
-        if k_max > 1:
-            # a zero column has nothing to refit
-            _omp_refit(
-                fit, ~fit.degenerate, chunk.start, x_blocks.__getitem__, y_s, plans, k_max, delta,
-                shrink, imag_norm, off_dc,
-            )
-        parts.append((*fit, sample_count))
-    gain, residual, degenerate, ww, yy, sample_count = (np.concatenate(column) for column in zip(*parts))
-    t_hat, eps_hat, unestimable = _variables_plug_in(gain, ww, yy, m_s, params.detector_efficiency, floor)
+        work = _work_area(n, m_s)
+    x_s, y_s = (row[: n * m_s].reshape(n, m_s) for row in work)
+    for i, plan in enumerate(plans):
+        x_blocks[i].take(plan.indices, out=x_s[i])
+        y_blocks[i].take(plan.indices, out=y_s[i])
+    sample_count = np.count_nonzero(x_s, axis=1)
+    imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
+    # x_s is the g w scratch
+    fit = _dc_fit(x_s, y_s, delta, shrink, k_max, x_s)
+    if k_max > 1:
+        # a zero column has nothing to refit
+        _omp_refit(
+            fit, ~fit.degenerate, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink, imag_norm, off_dc
+        )
+    t_hat, eps_hat, unestimable = _variables_plug_in(
+        fit.gain, fit.ww, fit.yy, m_s, params.detector_efficiency, floor
+    )
     return _cell_fit(
-        t_hat, eps_hat, residual, sample_count, imag_norm,
-        ((FLAG_DEGENERATE, degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
+        t_hat, eps_hat, fit.residual_norm, sample_count, imag_norm,
+        ((FLAG_DEGENERATE, fit.degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
     )
 
 
@@ -453,49 +433,41 @@ def _fit_statistics(
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
-    """The statistics fit of validated variances, chunk by chunk; the solver
-    settings and ``work`` are those of :func:`_fit_variables`."""
-    m_s = _cell_sample_count(plans)
+    """The statistics fit of validated variances; the solver settings and
+    ``work`` are those of :func:`_fit_variables`."""
+    n, m_s = len(plans), _cell_sample_count(plans)
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = np.broadcast_to(math.sqrt(m_s) * noise_scale, len(plans))
+    delta = np.broadcast_to(math.sqrt(m_s) * noise_scale, n)
     v_b = np.array([v if isinstance(v, float) else float(v.mean()) for v in measured])
     below = v_b <= floor - FLOOR_TOLERANCE
-    weights = np.full(m_s, v_a)
-    chunks = _chunks(len(plans), m_s)
     if work is None:
-        work = np.empty((2, chunks[0].stop * m_s))
-    imag_norm, off_dc = np.zeros(len(plans)), np.zeros(len(plans), dtype=bool)
-    parts = []
-    for chunk in chunks:
-        r_s, scratch = _chunk_rows(work, chunk, m_s)
-        # a scalar fills its row; sub-block variances are read at the rows
-        # each covers, r_y[rows] without forming the length-m vector r_y
-        r_s[:] = v_b[chunk, None]
-        for j, i in enumerate(range(chunk.start, chunk.stop)):
-            v = measured[i]
-            if not isinstance(v, float):
-                v.take(plans[i].indices // (plans[i].length // v.size), out=r_s[j])
-        r_s -= floor
-        sums = r_s.sum(axis=1)
-        fit = _dc_fit(weights, r_s, delta[chunk], shrink, k_max, scratch)
-        if k_max > 1:
-            _omp_refit(
-                fit, ~below[chunk], chunk.start,
-                lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
-                imag_norm, off_dc,
-            )
-        parts.append((fit.gain, fit.residual_norm, fit.degenerate, sums))
-    gain, residual, degenerate, sums = (np.concatenate(column) for column in zip(*parts))
-    t_hat, eps_hat, unestimable = _statistics_plug_in(gain, sums, m_s, params.detector_efficiency, v_a)
+        work = _work_area(n, m_s)
+    r_s, scratch = (row[: n * m_s].reshape(n, m_s) for row in work)
+    # a scalar fills its row; sub-block variances are read at the rows each
+    # covers, r_y[rows] without forming the length-m vector r_y
+    r_s[:] = v_b[:, None]
+    for i, (v, plan) in enumerate(zip(measured, plans)):
+        if not isinstance(v, float):
+            v.take(plan.indices // (plan.length // v.size), out=r_s[i])
+    r_s -= floor
+    sums = r_s.sum(axis=1)
+    imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
+    fit = _dc_fit(np.full(m_s, v_a), r_s, delta, shrink, k_max, scratch)
+    if k_max > 1:
+        _omp_refit(
+            fit, ~below, lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
+            imag_norm, off_dc,
+        )
+    t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, sums, m_s, params.detector_efficiency, v_a)
     t_hat[below] = 0.0
     eps_hat[below] = math.nan
-    residual[below] = 0.0
+    fit.residual_norm[below] = 0.0
     return _cell_fit(
-        t_hat, eps_hat, residual, np.full(gain.size, m_s), imag_norm,
+        t_hat, eps_hat, fit.residual_norm, np.full(n, m_s), imag_norm,
         (
             (FLAG_BELOW_FLOOR, below),
-            (FLAG_DEGENERATE, degenerate & ~below),
+            (FLAG_DEGENERATE, fit.degenerate & ~below),
             (FLAG_OFF_DC, off_dc),
             (FLAG_UNESTIMABLE, unestimable & ~below),
         ),

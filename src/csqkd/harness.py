@@ -50,10 +50,12 @@ they, its variances and its plans are freed before the next group's blocks
 are simulated.  A seed that fits the budget is one group.  The plan
 generator of each (seed, distance, fraction < 1) cell lives across its
 groups, and each sub-channel is fitted on its own, so the output does not
-depend on the budget.  Every cell fit of the sweep gathers its sampled rows
-into one work area, which :func:`run_sweep` allocates before the first
-distance and frees when it returns, so no fit allocates chunk-sized arrays
-of its own.
+depend on the budget.  Every cell fit of the sweep gathers all its sampled
+rows into one work area.  :func:`run_sweep` allocates it before the first
+distance, at the size of the largest cell (the first group at the largest
+fraction), and frees it when it returns; no fit allocates arrays of its
+rows.  So the budget bounds the gathered rows as well: a cell's two rows
+take at most the bytes of its group's (x, y) blocks.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -112,7 +114,7 @@ from .estimators import (  # noqa: F401
     measured_variance,
     subblock_variances,
 )
-from .sensing import RowSampledIdftOperator, make_sampling_plan, mutual_incoherence
+from .sensing import RowSampledIdftOperator, _sample_count, make_sampling_plan, mutual_incoherence
 from .security import secret_key_rate, summary_from_means
 
 ESTIMATOR_CHOICES = ("variables", "statistics", "both")
@@ -120,11 +122,13 @@ SOURCE_CHOICES = ("sampler", "file")
 VARIANCE_MODE_CHOICES = ("replicated", "blockwise")
 
 #: Bytes of the (x, y) blocks of the group of sub-channels that a sweep holds
-#: at a time: 13 sub-channels at m = 10^4.  Freeing the first group's buffer
-#: raises glibc's heap trim threshold to twice its size, above the heap top
-#: that a group's buffer and temporaries leave; at 1 MiB they passed it, and
-#: the top was trimmed and faulted back in group after group.  It stays below
-#: the 4 MiB from which numpy asks for huge pages.
+#: at a time: 13 sub-channels at m = 10^4.  Through the group it also bounds
+#: the sampled rows that every cell fit gathers, which take at most the bytes
+#: of the group's blocks.  Freeing the first group's buffer raises glibc's
+#: heap trim threshold to twice its size, above the heap top that a group's
+#: buffer and temporaries leave; at 1 MiB they passed it, and the top was
+#: trimmed and faulted back in group after group.  It stays below the 4 MiB
+#: from which numpy asks for huge pages.
 GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -553,11 +557,19 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     report = RunReport(config=config, config_hash=config_hash(config))
     params = config.protocol
     fractions = sorted(config.fractions)
-    # every cell fit of the sweep gathers its sampled rows here
-    work = _work_area(config.block_length)
+    distances = config.distances_km if config.source == "sampler" else (0.0,)
+    ensembles = [_ensemble_for(config, d_idx) for d_idx in range(len(distances))]
+    # every cell fit of the sweep gathers its sampled rows here, sized for
+    # the largest cell: the first group, of an ensemble's count (the same at
+    # every distance), at the largest fraction.  Allocated after the first
+    # distance's truth arrays instead, it raised a lowsnr-blockwise sweep
+    # loop's peak RSS by 0.9 MiB (2 vCPU, numpy 2.4.6, glibc 2.36)
+    work = _work_area(
+        len(_groups(ensembles[0].count, config.block_length)[0]),
+        _sample_count(config.block_length, fractions[-1]),
+    )
 
-    for d_idx, distance in enumerate(config.distances_km if config.source == "sampler" else (0.0,)):
-        ensemble = _ensemble_for(config, d_idx)
+    for d_idx, (distance, ensemble) in enumerate(zip(distances, ensembles)):
         t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
         t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
         rows_t, rows_eps = t_true.tolist(), eps_true.tolist()

@@ -123,6 +123,11 @@ class SamplingPlan:
         return int(self.indices.size)
 
 
+def _sample_count(m: int, fraction: float) -> int:
+    """The rows a plan of ``fraction`` keeps of m: max(1, round(fraction * m)), at most m."""
+    return min(m, max(1, int(math.floor(fraction * m + 0.5))))
+
+
 def make_sampling_plan(
     m: int, fraction: float, seed: int | np.random.Generator
 ) -> SamplingPlan:
@@ -140,8 +145,8 @@ def make_sampling_plan(
         raise ValueError("m must be >= 1")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    m_s = max(1, int(math.floor(fraction * m + 0.5)))
-    if m_s >= m:
+    m_s = _sample_count(m, fraction)
+    if m_s == m:
         indices = np.arange(m, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)

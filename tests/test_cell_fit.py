@@ -1,8 +1,8 @@
 """Cell fits, run as the sweep runs them (``estimators._fit_*`` with one atom
 budget and one ``shrink_to_delta`` per cell): bit parity with the
 per-sub-channel estimators and, for multi-atom rows, with the per-sub-channel
-bodies they replaced; chunking, degenerate rows, and rejection of non-finite
-inputs."""
+bodies they replaced; cells split as the sweep's groups split them, the work
+area, degenerate rows, and rejection of non-finite inputs."""
 
 import math
 import struct
@@ -87,18 +87,31 @@ def _plans(seed=5, fraction=FRACTION):
     return [make_sampling_plan(m, fraction, seed=seed + i) for i in range(M)]
 
 
+def _in_runs(fit, per_channel, size):
+    """``fit`` of a cell as the fits of its runs of ``size`` consecutive
+    sub-channels joined in order, as the sweep joins its groups' fits;
+    ``per_channel`` holds the positions of the per-sub-channel arguments."""
+    def run(*args, **kwargs):
+        return harness._joined([
+            fit(*(arg[a : a + size] if i in per_channel and not isinstance(arg, float) else arg
+                  for i, arg in enumerate(args)), **kwargs)
+            for a in range(0, len(args[0]), size)
+        ])
+    return run
+
+
 @pytest.fixture(params=[None, 3], ids=["default-chunk", "chunk-of-3"])
-def chunk_rows(request, monkeypatch):
-    """Run with the module's chunk budget, and with one that splits M = 7
-    sub-channels into chunks of 3, 3 and 1."""
+def split_cell(request, monkeypatch):
+    """Fit each cell whole ("default-chunk"), and as runs of 3, 3 and 1 of
+    the M = 7 sub-channels ("chunk-of-3"), each fitted on its own and joined."""
     if request.param is not None:
-        m_s = _plans()[0].sample_count
-        monkeypatch.setattr(estimators, "CHUNK_BYTES", 8 * m_s * request.param)
+        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 2, 4))):
+            monkeypatch.setattr(estimators, name, _in_runs(getattr(estimators, name), per_channel, request.param))
     return request.param
 
 
 @pytest.mark.parametrize("shrink", [False, True])
-def test_variables_cell_matches_per_channel_bit_for_bit(chunk_rows, shrink):
+def test_variables_cell_matches_per_channel_bit_for_bit(split_cell, shrink):
     _, alice, bob = _dataset()
     plans = _plans()
     alice[1][:] = 0.0                       # all-zero Alice block
@@ -155,7 +168,7 @@ def _statistics_configs(ens, k_max, shrink):
 
 
 @pytest.mark.parametrize("form", ["replicated", "blockwise", "one-element", "sub-blocks"])
-def test_statistics_cell_matches_per_channel_bit_for_bit(chunk_rows, form):
+def test_statistics_cell_matches_per_channel_bit_for_bit(split_cell, form):
     ens, _, bob = _dataset()
     plans = _plans()
     floor = 1.0 + PARAMS.electronic_noise
@@ -215,7 +228,7 @@ def _flagged(estimates, flag):
 
 @pytest.mark.parametrize("shrink", [False, True])
 @pytest.mark.parametrize("k_max", [2, 3])
-def test_multi_atom_variables_cell_matches_reference(chunk_rows, k_max, shrink):
+def test_multi_atom_variables_cell_matches_reference(split_cell, k_max, shrink):
     _, alice, bob = _low_snr_dataset()
     plans = _plans()
     alice[1][:] = 0.0   # all-zero Alice block: no OMP solve
@@ -237,7 +250,7 @@ def test_multi_atom_variables_cell_matches_reference(chunk_rows, k_max, shrink):
 @pytest.mark.parametrize("shrink", [False, True])
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
 @pytest.mark.parametrize("k_max", [2, 3])
-def test_multi_atom_statistics_cell_matches_reference(chunk_rows, k_max, mode, shrink):
+def test_multi_atom_statistics_cell_matches_reference(split_cell, k_max, mode, shrink):
     ens, _, bob = _low_snr_dataset()
     plans = _plans()
     bob[3] *= 0.5       # variance below the 1 + nu_el floor: no OMP solve
@@ -283,7 +296,7 @@ def test_multi_atom_rank_deficient_support_matches_reference(route):
 
 
 @pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch):
+def test_dc_projection_skips_rows_that_omp_refits(split_cell, route, monkeypatch):
     # at k_max = 3 the projection (sensing._dc_project, which dc_project also
     # runs) sees no row, and omp_solve every row but those it skips: a zero
     # Alice column (sub-channel 0) or a variance below the floor (sub-channel
@@ -331,7 +344,7 @@ def test_dc_projection_skips_rows_that_omp_refits(chunk_rows, route, monkeypatch
 
 
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
-def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
+def test_multi_atom_statistics_plans_of_two_lengths(split_cell, mode):
     # blocks of 400 and 200 sampled at 120 rows each, the first four
     # sub-channels from an ensemble of length 400 and the last three from
     # one of length 200: each OMP operator spans its own block length
@@ -352,7 +365,7 @@ def test_multi_atom_statistics_plans_of_two_lengths(chunk_rows, mode):
 
 @pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_cell_records_are_the_core_columns(chunk_rows, route, k_max):
+def test_cell_records_are_the_core_columns(split_cell, route, k_max):
     # row i of the cell fit's columns is the record of sub-channel i that the
     # per-sub-channel estimator builds from its one-channel fit
     ens, alice, bob = _low_snr_dataset()
@@ -391,7 +404,7 @@ def test_cell_records_are_the_core_columns(chunk_rows, route, k_max):
 @pytest.mark.parametrize("groups", [[(0, 7)], [(0, 2), (2, 3), (3, 7)], [(i, i + 1) for i in range(M)]])
 @pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, groups):
+def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, groups):
     # the sweep fits a cell one group of sub-channels at a time and joins
     # the group fits in order; the columns are the one-fit bits
     ens, alice, bob = _low_snr_dataset()
@@ -420,20 +433,21 @@ def test_row_passes_over_groups_finish_as_one_fit(chunk_rows, route, k_max, grou
 
 @pytest.mark.parametrize("k_max", [(1,), (3,), (3, 1, 3)], ids=["k1", "k3", "mixed"])
 @pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
-def test_reused_work_area_gives_the_per_channel_bits(chunk_rows, inputs, k_max):
+def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs, k_max):
     # cells of three sample counts fitted one after another in one work area,
     # NaN-filled before the first, at the atom budgets in k_max in turn
     # ("mixed": OMP, projection, OMP): no row of the fill or of an earlier
     # cell leaks into a fit, and an OMP cell reads its measurement rows as
     # gathered, after a projected cell formed its residuals in the area; the
-    # per-sub-channel estimates, one-row chunks, are the reference
+    # per-sub-channel estimates, cells of one row, are the reference.  The
+    # area holds the largest cell exactly (fraction 0.6), as the sweep's does
     ens, alice, bob = _low_snr_dataset()
     if inputs == "variables":
         alice[1][:] = 0.0   # a zero column: neither projected nor solved where k_max is 3
     else:
         bob[3] *= 0.5       # below the floor: not solved where k_max is 3
         measured, _ = _statistics_inputs(bob, inputs)
-    work = estimators._work_area(m)
+    work = estimators._work_area(M, _plans(fraction=0.6)[0].sample_count)
     work.fill(np.nan)
     for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
         k = k_max[c_idx % len(k_max)]
@@ -453,7 +467,10 @@ def test_reused_work_area_gives_the_per_channel_bits(chunk_rows, inputs, k_max):
             ]
         assert_identical(cell, single)
         assert any(e.usable for e in cell) and not all(e.usable for e in cell)
-    assert not np.isnan(work[0, : M * _plans(fraction=0.1)[0].sample_count]).any()
+    # the fraction-0.6 cell, or its largest run, gathered into the first row
+    # as far as it reaches: the whole area when the cell is fitted whole
+    reach = (split_cell or M) * _plans(fraction=0.6)[0].sample_count
+    assert not np.isnan(work[0, :reach]).any()
 
 
 @pytest.mark.parametrize("gain", [14.530216986498635, 8.415343471753795e-05, 0.00105462862336806])
@@ -465,14 +482,6 @@ def test_transmittance_squares_the_gain_with_python_float_power(gain):
     plan = make_sampling_plan(2, 1.0, seed=0)
     (est,) = fit_variables([x], [y], [plan], params=params)
     assert _bits(est.t_hat) == _bits(gain**2)
-
-
-def test_chunks_fit_the_byte_budget():
-    for m_s in (1, 200, 800, 2000, estimators.CHUNK_BYTES // 8, 10_000):
-        chunks = estimators._chunks(50, m_s)
-        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(50))
-        for c in chunks:
-            assert (c.stop - c.start) * m_s * 8 <= max(estimators.CHUNK_BYTES, m_s * 8)
 
 
 def test_groups_fit_the_byte_budget():

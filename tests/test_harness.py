@@ -652,9 +652,10 @@ def test_sweep_holds_one_group_of_blocks(monkeypatch):
 
 def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
     # three groups of two sub-channels, three fractions, two seeds and both
-    # routes: the sweep allocates one work area and passes it to every cell
-    # fit, every projection forms its residual in it, and no array
-    # constructor in estimators makes a float array of a chunk's rows
+    # routes: the sweep allocates one work area, exactly the size of its
+    # largest cell (two sub-channels at fraction 1), and passes it to every
+    # cell fit, every projection forms its residual in it, and no array
+    # constructor in estimators makes a float array of a cell's rows
     config = dataclasses.replace(
         FAST, subchannels=6, block_length=4096, fractions=(0.25, 0.5, 1.0), seeds=(1, 2)
     )
@@ -687,10 +688,9 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
     def recorded(fit):
         def run(*args, **kwargs):
             plans = args[2]
-            chunk = estimators._chunks(len(plans), plans[0].sample_count)[0]
             del made[:]
             result = fit(*args, **kwargs)
-            fits.append((kwargs.get("work"), max(made), (chunk.stop - chunk.start) * plans[0].sample_count))
+            fits.append((kwargs.get("work"), max(made), len(plans) * plans[0].sample_count))
             return result
         return run
 
@@ -701,33 +701,15 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
     monkeypatch.setattr(estimators, "np", Constructors())
     run_sweep(config)
     assert len(areas) == 1
+    assert areas[0].shape == (2, 2 * 4096)
     assert len(fits) == 3 * 3 * 2 * 2
     assert all(work is areas[0] for work, _, _ in fits)
-    # every chunk holds its group's two sub-channels, at m_s 1024, 2048, 4096
-    assert sorted({chunk for _, _, chunk in fits}) == [2 * 1024, 2 * 2048, 2 * 4096]
-    assert [(largest, chunk) for _, largest, chunk in fits if largest >= chunk] == []
+    # every cell holds its group's two sub-channels, at m_s 1024, 2048, 4096
+    assert sorted({rows for _, _, rows in fits}) == [2 * 1024, 2 * 2048, 2 * 4096]
+    assert [(largest, rows) for _, largest, rows in fits if largest >= rows] == []
     assert len(projections) == len(fits)
     for measurement, scratch in projections:
         assert np.shares_memory(measurement, areas[0]) and np.shares_memory(scratch, areas[0])
-
-
-@pytest.mark.parametrize("k_max", [1, 3])
-@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
-def test_one_row_chunks_write_the_default_chunk_csvs(tmp_path, monkeypatch, variance_mode, k_max):
-    # the sweep's work area holds several sub-channels' rows per chunk under
-    # the default budget and one under a budget of one sample; the bytes
-    # agree, at a low-SNR distance and at fraction 1
-    config = dataclasses.replace(
-        FAST, distances_km=(2.0, 40.0), fractions=(1.0, 0.25, 0.5), seeds=(3, 1, 2),
-        variance_mode=variance_mode, variance_blocks=16, k_max=k_max,
-    )
-    assert len(estimators._chunks(config.subchannels, config.block_length)) == 1
-    default = write_reports(run_sweep(config), tmp_path / "default")
-    monkeypatch.setattr(estimators, "CHUNK_BYTES", 8)
-    assert len(estimators._chunks(config.subchannels, 1)) == config.subchannels
-    one_row = write_reports(run_sweep(config), tmp_path / "one-row")
-    for name in ("estimates", "mse", "keyrate", "mip"):
-        assert one_row[name].read_bytes() == default[name].read_bytes(), name
 
 
 @pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
@@ -752,6 +734,33 @@ def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, varianc
     assert len(calls) == 2 * 3 * config.subchannels
     for name in ("estimates", "mse", "keyrate", "mip"):
         assert streamed[name].read_bytes() == one[name].read_bytes(), name
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch, k_max):
+    # a file ensemble of 7 rows, with low transmittances at rows 2, 4 and 6,
+    # under ensemble.subchannels = 2, which a file source does not read, in
+    # groups of 3, 3 and 1: the work area takes the group of 3 at fraction 1,
+    # and the CSVs are those of groups of one
+    t = (0.5, 0.2, 0.003, 0.9, 0.002, 0.35, 0.001)
+    rows = [f"{i},{t_i},0.01,{p}" for i, (t_i, p) in enumerate(zip(t, (0.1, 0.2, 0.1, 0.2, 0.1, 0.2, 0.1)))]
+    (tmp_path / "ens.csv").write_text("\n".join(["index,T,epsilon,p", *rows]) + "\n")
+    config = dataclasses.replace(
+        FAST, source="file", ensemble_file=str(tmp_path / "ens.csv"), subchannels=2,
+        fractions=(1.0, 0.25, 0.5), seeds=(3, 1), variance_mode="blockwise", variance_blocks=16, k_max=k_max,
+    )
+    monkeypatch.setattr(harness, "GROUP_BYTES", 3 * 16 * config.block_length)
+    assert [len(g) for g in harness._groups(len(rows), config.block_length)] == [3, 3, 1]
+    areas = []
+    work_area = harness._work_area
+    monkeypatch.setattr(harness, "_work_area", lambda *a: areas.append(work_area(*a)) or areas[-1])
+    grouped = write_reports(run_sweep(config), tmp_path / "grouped")
+    assert [area.shape for area in areas] == [(2, 3 * config.block_length)]
+    monkeypatch.setattr(harness, "GROUP_BYTES", 1)
+    one = write_reports(run_sweep(config), tmp_path / "one")
+    for name in ("estimates", "mse", "keyrate", "mip"):
+        assert grouped[name].read_bytes() == one[name].read_bytes(), name
+    assert one["estimates"].read_text().count("\n") == 1 + 7 * 3 * 2 * 2
 
 
 def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scale(monkeypatch):
@@ -786,6 +795,8 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
 
     groups = [range(0, 2), range(2, 4), range(4, 6)]
     assert len(calls) == len(config.distances_km) * len(config.seeds) * len(groups)
+    # the one area holds a group of two at fraction 1
+    assert [area.shape for area in areas] == [(2, 2 * config.block_length)]
     eta = config.protocol.detector_efficiency
     for k, ((ensemble, subchannels, dataset), args) in enumerate(calls):
         given, group, data, rngs, noise_scale, work, coherence = args
