@@ -540,9 +540,10 @@ def aggregate_estimates(
 ) -> AggregateEstimate:
     """Probability-weighted means over the usable estimates.
 
-    ``estimates`` is a list of estimates or the columns of a cell fit.
-    Flagged (unestimable, below-floor or off-DC) entries are excluded and the
-    weights renormalized; the exclusion count is returned.  Raw values feed the T and
+    ``estimates`` is a list of estimates or the columns of a cell fit, and
+    each of ``probabilities`` lies in [0, 1].  Flagged (unestimable,
+    below-floor or off-DC) entries are excluded and the weights
+    renormalized; the exclusion count is returned.  Raw values feed the T and
     eps means; sqrt(T) floors the transmittance at zero but applies no upper
     cap (capping individual entries at 1 would bias <sqrt(T)> low near unit
     transmittance, while the Jensen ordering <sqrt(T)>^2 <= <T> already holds
@@ -562,6 +563,9 @@ def aggregate_estimates(
         p = np.asarray(probabilities, dtype=float)
         if p.shape != t.shape:
             raise ValueError(f"expected {t.size} probabilities, got shape {p.shape}")
+        bad = np.flatnonzero(~((p >= 0) & (p <= 1)))
+        if bad.size:
+            raise ValueError(f"probability out of [0, 1] at index {int(bad[0])}: {float(p[bad[0]])!r}")
     excluded = int((~usable).sum())
     if not usable.any():
         raise ValueError("all estimates are flagged; nothing to aggregate")

@@ -4,12 +4,13 @@ A sweep walks the grid (distance label) x (sampling fraction) x (seed),
 simulates quadrature data on a fresh ensemble per distance, runs the selected
 estimators, and records per-sub-channel estimates, per-cell mean squared
 errors, sensing-matrix coherence diagnostics, and secret key rates under the
-true and estimated channel summaries.  Output is plot-ready CSV:
+true and estimated channel summaries.  Output is plot-ready CSV, one table
+per row type, whose ``header`` holds the table's columns:
 
-    estimates.csv  distance,subchannel,fraction,seed,estimator,T_true,T_hat,eps_true,eps_hat,residual,flags
-    mse.csv        distance,fraction,estimator,seeds,MSE_T,MSE_eps
-    keyrate.csv    distance,detection,source,I_AB,chi_BE,K
-    mip.csv        distance,subchannel,fraction,model,mip
+    estimates.csv  EstimateRow
+    mse.csv        MseRow
+    keyrate.csv    KeyrateRow
+    mip.csv        MipRow
 
 plus a ``run.json`` manifest carrying the CSV schema version, the echoed
 config and its hash so any row can be reproduced exactly.  All randomness
@@ -27,9 +28,9 @@ sub-channels at a time:
   validates them, draws the group's plans and returns the fit of each
   (fraction, estimator) cell and, at the first seed, its coherence values;
 - score: after the last group, ``run_sweep`` joins each cell's group fits
-  in sub-channel order and reads the estimate rows, the MSE inputs and, at
-  the first seed, the key-rate aggregate off the columns, next to the
-  truth.
+  and coherence values in sub-channel order and reads the estimate rows,
+  the MSE inputs and, at the first seed, the MIP rows and the key-rate
+  aggregate off the columns, next to the truth.
 
 The variable-based estimator runs at the configured ``k_max`` without a
 noise scale: the closed-form DC projection at 1 and OMP above it.  The
@@ -62,7 +63,7 @@ A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 the key-rate cell (largest fraction, first seed), or only usable estimates of
 probability 0, gets NaN key-rate columns, so every grid writes the same row
 counts.  Each table is written with one ``%`` template per row type:
-``%.12g`` for float fields, ``%s`` otherwise.
+``%.12g`` for float fields, ``%s`` otherwise, applied to the row tuple.
 
 Configs are validated on construction, so a bad grid fails before any
 simulation starts.
@@ -77,10 +78,9 @@ import io
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -388,8 +388,7 @@ def compute_mse(estimates: Sequence[float], truth: Sequence[float]) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-@dataclass
-class EstimateRow:
+class EstimateRow(NamedTuple):
     distance: float
     subchannel: int
     fraction: float
@@ -401,35 +400,37 @@ class EstimateRow:
     eps_hat: float
     residual: float
     flags: str
+    header = ("distance", "subchannel", "fraction", "seed", "estimator",
+              "T_true", "T_hat", "eps_true", "eps_hat", "residual", "flags")
 
 
-@dataclass
-class MseRow:
+class MseRow(NamedTuple):
     distance: float
     fraction: float
     estimator: str
     seeds: int
     mse_t: float
     mse_eps: float
+    header = ("distance", "fraction", "estimator", "seeds", "MSE_T", "MSE_eps")
 
 
-@dataclass
-class KeyrateRow:
+class KeyrateRow(NamedTuple):
     distance: float
     detection: str
     source: str
     i_ab: float
     chi_be: float
     k: float
+    header = ("distance", "detection", "source", "I_AB", "chi_BE", "K")
 
 
-@dataclass
-class MipRow:
+class MipRow(NamedTuple):
     distance: float
     subchannel: int
     fraction: float
     model: str
     mip: float
+    header = ("distance", "subchannel", "fraction", "model", "mip")
 
 
 @dataclass
@@ -490,7 +491,7 @@ def _fit_group(
     noise_scale: np.ndarray,
     work: np.ndarray,
     coherence: bool,
-) -> tuple[dict[tuple[int, str], CellFit], list[list[tuple[float, ...]]] | None]:
+) -> tuple[dict[tuple[int, str], CellFit], dict[tuple[int, str], np.ndarray]]:
     """Estimate every cell of one simulated group of sub-channels from its
     blocks and the public protocol, never from the ensemble.
 
@@ -501,8 +502,9 @@ def _fit_group(
     nothing) and fitted in the sweep's ``work`` area, the variables route at
     the configured ``k_max`` and the one-atom statistics route at
     ``noise_scale``, the one array of the group's truth that estimation
-    reads.  Returns the fit of each (fraction index, estimator) and, with
-    ``coherence``, the coherence values of each sub-channel per fraction.
+    reads.  Returns the fit of each (fraction index, estimator) and, keyed
+    the same way, the coherence values of the group's sub-channels under
+    that model: with ``coherence`` one array per cell, without it none.
     """
     params = config.protocol
     n = config.block_length
@@ -521,8 +523,7 @@ def _fit_group(
             )
             for i, y in zip(group, dataset.bob)
         ]
-    fits = {}
-    mips = [] if coherence else None
+    fits, mips = {}, {}
     for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
         plans = [make_sampling_plan(n, fraction, rng) for _ in group]
         for estimator in config.estimator_names:
@@ -535,20 +536,18 @@ def _fit_group(
         # coherence diagnostics, once per (fraction, channel, model): one call
         # per sub-channel takes the operators of all its models
         if coherence:
-            values = []
-            for j, plan in enumerate(plans):
-                ops = [
+            values = np.array([
+                mutual_incoherence(*(
                     RowSampledIdftOperator(
-                        dataset.alice[j]
-                        if estimator == "variables"
-                        else np.full(n, params.modulation_variance),
+                        dataset.alice[j] if estimator == "variables" else np.full(n, params.modulation_variance),
                         plan.indices,
                     )
                     for estimator in config.estimator_names
-                ]
-                mip = mutual_incoherence(*ops)
-                values.append(mip if len(ops) > 1 else (mip,))
-            mips.append(values)
+                ))
+                for j, plan in enumerate(plans)
+            ]).reshape(len(plans), -1)
+            for estimator, column in zip(config.estimator_names, values.T):
+                mips[f_idx, estimator] = column
     return fits, mips
 
 
@@ -597,7 +596,8 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             # score: the cell's group fits joined in order, against the truth
             for f_idx, fraction in enumerate(fractions):
                 for estimator in config.estimator_names:
-                    fit = _joined([fits[f_idx, estimator] for fits, _ in results])
+                    cell = f_idx, estimator
+                    fit = _joined([fits[cell] for fits, _ in results])
                     report.estimate_rows.extend(
                         EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
                         for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
@@ -605,6 +605,11 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                                 fit.residual.tolist(), fit.flags)
                         )
                     )
+                    if first_seed:
+                        values = np.concatenate([mips[cell] for _, mips in results]).tolist()
+                        report.mip_rows.extend(
+                            MipRow(distance, i, fraction, estimator, v) for i, v in enumerate(values)
+                        )
                     usable = fit.usable
                     per_cell.setdefault((fraction, estimator), []).append(
                         (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
@@ -613,12 +618,6 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
                         # usable estimates of total probability 0 are none to aggregate
                         p = ensemble.probabilities
                         keyrate_aggregates[estimator] = aggregate_estimates(fit, p) if p[usable].sum() > 0 else None
-                if first_seed:
-                    values = [v for _, mips in results for v in mips[f_idx]]
-                    for e_idx, estimator in enumerate(config.estimator_names):
-                        report.mip_rows.extend(
-                            MipRow(distance, i, fraction, estimator, v[e_idx]) for i, v in enumerate(values)
-                        )
             # freed before the next seed is simulated: left alive under its
             # group buffers, a seed's fits and generators raised a
             # lowsnr-blockwise sweep's peak RSS by about 0.5 MiB
@@ -631,16 +630,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             if t_hat.size:
                 mse_t = compute_mse(t_hat, t)
                 mse_eps = compute_mse(eps_hat, eps)
-            report.mse_rows.append(
-                MseRow(
-                    distance=distance,
-                    fraction=fraction,
-                    estimator=estimator,
-                    seeds=len(config.seeds),
-                    mse_t=mse_t,
-                    mse_eps=mse_eps,
-                )
-            )
+            report.mse_rows.append(MseRow(distance, fraction, estimator, len(config.seeds), mse_t, mse_eps))
 
         # key rates under true and estimated summaries; an estimator with no
         # usable estimate in the key-rate cell gets NaN rates
@@ -657,37 +647,23 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             det_params = dataclasses.replace(params, detection=detection)
             for source, summary in summaries.items():
                 if summary is None:
-                    report.keyrate_rows.append(
-                        KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan)
-                    )
+                    report.keyrate_rows.append(KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan))
                     continue
                 rate = secret_key_rate(summary, det_params)
                 report.keyrate_rows.append(
-                    KeyrateRow(
-                        distance=distance,
-                        detection=detection,
-                        source=source,
-                        i_ab=rate.i_ab,
-                        chi_be=rate.chi_be,
-                        k=rate.key_rate,
-                    )
+                    KeyrateRow(distance, detection, source, rate.i_ab, rate.chi_be, rate.key_rate)
                 )
     return report
 
 
-def _row_template(row_type: type) -> str:
-    """One ``%`` format for a row dataclass: floats as ``%.12g``, the rest as str."""
-    fields = dataclasses.fields(row_type)
-    return ",".join("%.12g" if f.type in (float, "float") else "%s" for f in fields) + "\n"
-
-
-def _write_csv(path: Path, header: Sequence[str], row_type: type, rows: Sequence) -> None:
-    """Write ``rows`` (instances of the dataclass ``row_type``) under ``header``."""
-    template = _row_template(row_type)
-    values = operator.attrgetter(*(f.name for f in dataclasses.fields(row_type)))
+def _write_csv(path: Path, row_type: type, rows: Sequence[tuple]) -> None:
+    """Write ``rows``, instances of the row type ``row_type``, under its
+    ``header``: float fields as ``%.12g``, the rest as str."""
+    types = get_type_hints(row_type)
+    template = ",".join("%.12g" if types[name] is float else "%s" for name in row_type._fields) + "\n"
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join([template % values(row) for row in rows]))
+        fh.write(",".join(row_type.header) + "\n")
+        fh.write("".join([template % row for row in rows]))
 
 
 def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
@@ -701,31 +677,10 @@ def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "mip": out / "mip.csv",
         "manifest": out / "run.json",
     }
-    _write_csv(
-        files["estimates"],
-        ["distance", "subchannel", "fraction", "seed", "estimator",
-         "T_true", "T_hat", "eps_true", "eps_hat", "residual", "flags"],
-        EstimateRow,
-        report.estimate_rows,
-    )
-    _write_csv(
-        files["mse"],
-        ["distance", "fraction", "estimator", "seeds", "MSE_T", "MSE_eps"],
-        MseRow,
-        report.mse_rows,
-    )
-    _write_csv(
-        files["keyrate"],
-        ["distance", "detection", "source", "I_AB", "chi_BE", "K"],
-        KeyrateRow,
-        report.keyrate_rows,
-    )
-    _write_csv(
-        files["mip"],
-        ["distance", "subchannel", "fraction", "model", "mip"],
-        MipRow,
-        report.mip_rows,
-    )
+    _write_csv(files["estimates"], EstimateRow, report.estimate_rows)
+    _write_csv(files["mse"], MseRow, report.mse_rows)
+    _write_csv(files["keyrate"], KeyrateRow, report.keyrate_rows)
+    _write_csv(files["mip"], MipRow, report.mip_rows)
     manifest = {
         # the version of the CSV set's columns, raised with any header change;
         # a manifest without it is schema 1

@@ -141,8 +141,8 @@ def make_sampling_plan(
     generator state.  The draw skips the generator's final shuffle, which the
     sorted index set does not see.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     m_s = _sample_count(m, fraction)

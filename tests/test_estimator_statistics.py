@@ -223,3 +223,16 @@ def test_aggregate_excludes_flagged_and_renormalizes():
     assert agg.eps_mean == pytest.approx(0.02, abs=1e-15)
     with pytest.raises(ValueError, match="flagged"):
         aggregate_estimates([_estimate(0, 0.0, math.nan, flags=(FLAG_BELOW_FLOOR,))])
+
+
+@pytest.mark.parametrize(
+    "probabilities, index, value",
+    [([-1.0, 2.0], 0, "-1.0"), ([0.5, 2.0], 1, "2.0"), ([math.nan, 1.0], 0, "nan"), ([1.0, math.inf], 1, "inf")],
+)
+def test_aggregate_rejects_probabilities_outside_unit_interval(probabilities, index, value):
+    # unchecked, [-1, 2] gave t_mean = 0.7, outside the range of the two
+    # estimates, and a NaN or infinite weight gave NaN means
+    ests = [_estimate(0, 0.5, 0.01), _estimate(1, 0.6, 0.02)]
+    with pytest.raises(ValueError, match=rf"probability out of \[0, 1\] at index {index}: {value}$"):
+        aggregate_estimates(ests, probabilities=probabilities)
+    assert aggregate_estimates(ests, probabilities=[0.0, 1.0]).t_mean == 0.6

@@ -386,7 +386,7 @@ def test_mip_rows_structure(fast_report):
     for row in fast_report.mip_rows:
         assert row.model in ("variables", "statistics")
         assert row.mip >= 0.0
-    assert [f.name for f in dataclasses.fields(MipRow)] == ["distance", "subchannel", "fraction", "model", "mip"]
+    assert MipRow._fields == ("distance", "subchannel", "fraction", "model", "mip")
 
 
 def test_variable_mse_fraction_band():
@@ -414,6 +414,10 @@ def test_written_files_and_headers(tmp_path, fast_report):
     assert files["keyrate"].read_text().splitlines()[0] == "distance,detection,source,I_AB,chi_BE,K"
     assert files["mip"].read_text().splitlines()[0] == "distance,subchannel,fraction,model,mip"
     assert files["manifest"].exists()
+    # each table's columns are declared once, on its row type: one name a field
+    for name, row_type in (("estimates", EstimateRow), ("mse", MseRow), ("keyrate", KeyrateRow), ("mip", MipRow)):
+        assert len(row_type.header) == len(row_type._fields)
+        assert files[name].read_text().splitlines()[0] == ",".join(row_type.header)
 
 
 def test_manifest_carries_the_csv_schema_version(tmp_path, fast_report):
@@ -437,14 +441,13 @@ def test_write_csv_templates_match_value_formatter(tmp_path):
     ]
     for row_type, rows in tables:
         path = tmp_path / f"{row_type.__name__}.csv"
-        header = [f.name for f in dataclasses.fields(row_type)]
-        _write_csv(path, header, row_type, rows)
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(oracles.csv_field(getattr(r, name)) for name in header) + "\n" for r in rows
+        _write_csv(path, row_type, rows)
+        expected = ",".join(row_type.header) + "\n" + "".join(
+            ",".join(oracles.csv_field(getattr(r, name)) for name in row_type._fields) + "\n" for r in rows
         )
         assert path.read_bytes() == expected.encode()
-    _write_csv(tmp_path / "empty.csv", ["a", "b"], MseRow, [])
-    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+    _write_csv(tmp_path / "empty.csv", MseRow, [])
+    assert (tmp_path / "empty.csv").read_text() == "distance,fraction,estimator,seeds,MSE_T,MSE_eps\n"
 
 
 def test_sweep_without_usable_estimate_writes_nan_rows(tmp_path):

@@ -48,6 +48,14 @@ def test_plan_determinism_and_validation():
         make_sampling_plan(8, 1.01, seed=0)
 
 
+@pytest.mark.parametrize("m", [2.5, 2000.0, True, "8", None, 0, -3])
+def test_plan_rejects_a_length_that_is_not_a_positive_integer(m):
+    # unchecked, 2.5 gave a plan of length 2.5 and 2000.0 failed inside numpy
+    with pytest.raises(ValueError, match=rf"m must be an integer >= 1, got {m!r}$"):
+        make_sampling_plan(m, 0.1, seed=0)
+    assert make_sampling_plan(np.int64(8), 0.5, seed=0).length == 8
+
+
 def test_tiny_fraction_keeps_one_index():
     plan = make_sampling_plan(100, 0.001, seed=3)
     assert plan.sample_count == 1
