@@ -99,7 +99,7 @@ class SubChannelEnsemble:
     names the field, and for an out-of-range entry its index and value: T
     outside (0, 1], eps not finite and >= 0, p outside [0, 1], probabilities
     not summing to 1, an array that is not of shape (M,) with M >= 1, or a
-    block length below 1.
+    block length that is not an integer >= 1 (a bool is not).
     """
 
     transmittances: np.ndarray
@@ -125,9 +125,10 @@ class SubChannelEnsemble:
         total = float(self.probabilities.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"sub-channel probabilities must sum to 1 (got {total!r})")
-        if not isinstance(self.block_length, numbers.Integral) or self.block_length < 1:
-            raise ValueError(f"block_length must be an integer >= 1, got {self.block_length!r}")
-        object.__setattr__(self, "block_length", int(self.block_length))
+        n = self.block_length
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"block_length must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "block_length", int(n))
 
     @property
     def count(self) -> int:

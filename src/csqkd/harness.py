@@ -80,12 +80,16 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .channel import (
+    DEFAULT_DETECTOR_EFFICIENCY,
+    DEFAULT_ELECTRONIC_NOISE,
+    DEFAULT_MODULATION_VARIANCE,
+    DEFAULT_RECONCILIATION_EFFICIENCY,
     DETECTIONS,
     ProtocolParams,
     QuadratureDataset,
@@ -132,86 +136,92 @@ VARIANCE_MODE_CHOICES = ("replicated", "blockwise")
 GROUP_BYTES = 2 * 1024 * 1024
 
 
+def _key(section: str, default: object, *, key: str | None = None, least: int | None = None):
+    """A config field, declared as ``key`` (its own name by default) under
+    ``[section]`` of the config file; an integer key is bounded below by
+    ``least``, if given."""
+    return field(default=default, metadata={"section": section, "key": key, "least": least})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, fully-defaulted description of one sweep."""
+    """Flat, fully-defaulted description of one sweep.
 
-    source: str = "sampler"
-    ensemble_file: str | None = None
-    distances_km: tuple[float, ...] = (5.0, 10.0)
-    subchannels: int = 20
-    block_length: int = 2000
-    excess_noise: float = 0.01
-    sampler_seed: int = 7
-    attenuation_per_km: float = 0.15
-    sigma_log: float = 0.3
-    fractions: tuple[float, ...] = (0.1, 0.4, 1.0)
-    seeds: tuple[int, ...] = (1, 2, 3)
-    estimators: str = "both"
-    variance_mode: str = "replicated"
-    variance_blocks: int = 100
-    k_max: int = 1
-    modulation_variance: float = 4.0
-    detector_efficiency: float = 0.6
-    electronic_noise: float = 0.05
-    reconciliation_efficiency: float = 0.95
-    detections: tuple[str, ...] = ("homodyne", "heterodyne")
-    out_dir: str = "out"
+    Each field is one config key, declared with :func:`_key`; its type picks
+    how the key's text is parsed and written (see :func:`_codec`)."""
+
+    source: str = _key("ensemble", "sampler")
+    ensemble_file: str | None = _key("ensemble", None, key="file")
+    distances_km: tuple[float, ...] = _key("ensemble", (5.0, 10.0))
+    subchannels: int = _key("ensemble", 20, least=1)
+    block_length: int = _key("ensemble", 2000, least=2)
+    excess_noise: float = _key("ensemble", 0.01)
+    sampler_seed: int = _key("ensemble", 7, least=0)
+    attenuation_per_km: float = _key("ensemble", 0.15)
+    sigma_log: float = _key("ensemble", 0.3)
+    fractions: tuple[float, ...] = _key("estimation", (0.1, 0.4, 1.0))
+    seeds: tuple[int, ...] = _key("estimation", (1, 2, 3), least=0)
+    estimators: str = _key("estimation", "both")
+    variance_mode: str = _key("estimation", "replicated")
+    # read, and bounded below, in blockwise mode only
+    variance_blocks: int = _key("estimation", 100)
+    k_max: int = _key("estimation", 1, least=1)
+    modulation_variance: float = _key("protocol", DEFAULT_MODULATION_VARIANCE)
+    detector_efficiency: float = _key("protocol", DEFAULT_DETECTOR_EFFICIENCY)
+    electronic_noise: float = _key("protocol", DEFAULT_ELECTRONIC_NOISE)
+    reconciliation_efficiency: float = _key("protocol", DEFAULT_RECONCILIATION_EFFICIENCY)
+    detections: tuple[str, ...] = _key("security", ("homodyne", "heterodyne"))
+    out_dir: str = _key("output", "out", key="directory")
 
     def __post_init__(self) -> None:
-        # variance_blocks is read, and bounded below, in blockwise mode only
-        for key, value, least in (
-            ("ensemble.subchannels", self.subchannels, 1),
-            ("ensemble.block_length", self.block_length, 2),
-            ("ensemble.sampler_seed", self.sampler_seed, 0),
-            ("estimation.variance_blocks", self.variance_blocks, None),
-            ("estimation.k_max", self.k_max, 1),
-            *(("estimation.seeds entries", s, 0) for s in self.seeds),
-        ):
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise ValueError(f"{key} must be >= {least}, got {value}")
+        k = _KEYS  # every message names a field by its config key
+        for key in k.values():
+            value = getattr(self, key.field)
+            if key.kind is int:
+                entries = [(str(key), value)]
+            elif key.kind == tuple[int, ...]:
+                entries = [(f"{key} entries", v) for v in value]
+            else:
+                continue
+            for label, v in entries:
+                # a bool is an Integral, but write_config would write it as True
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{label} must be an integer, got {v!r}")
+                if key.least is not None and v < key.least:
+                    raise ValueError(f"{label} must be >= {key.least}, got {v}")
         if self.source not in SOURCE_CHOICES:
-            raise ValueError(f"ensemble.source must be one of {SOURCE_CHOICES}, got {self.source!r}")
+            raise ValueError(f"{k['source']} must be one of {SOURCE_CHOICES}, got {self.source!r}")
         if self.source == "file" and not self.ensemble_file:
-            raise ValueError("ensemble.file is required when ensemble.source = file")
+            raise ValueError(f"{k['ensemble_file']} is required when {k['source']} = file")
         if self.source == "sampler" and not self.distances_km:
-            raise ValueError("ensemble.distances_km must not be empty when ensemble.source = sampler")
-        for key, value in (
-            ("ensemble.excess_noise", self.excess_noise),
-            ("ensemble.attenuation_per_km", self.attenuation_per_km),
-            ("ensemble.sigma_log", self.sigma_log),
-            *(("ensemble.distances_km entries", d) for d in self.distances_km),
+            raise ValueError(f"{k['distances_km']} must not be empty when {k['source']} = sampler")
+        for label, value in (
+            (k["excess_noise"], self.excess_noise),
+            (k["attenuation_per_km"], self.attenuation_per_km),
+            (k["sigma_log"], self.sigma_log),
+            *((f"{k['distances_km']} entries", d) for d in self.distances_km),
         ):
             if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+                raise ValueError(f"{label} must be finite and >= 0, got {value}")
         for d in self.distances_km if self.source == "sampler" else ():
             if math.exp(-self.attenuation_per_km * d) == 0:
-                raise ValueError(f"ensemble.distances_km entry {d} gives a mean transmittance of 0")
+                raise ValueError(f"{k['distances_km']} entry {d} gives a mean transmittance of 0")
         if not self.fractions:
-            raise ValueError("estimation.fractions must not be empty")
+            raise ValueError(f"{k['fractions']} must not be empty")
         for f in self.fractions:
             if not 0 < f <= 1:
-                raise ValueError(f"estimation.fractions entries must be in (0, 1], got {f}")
+                raise ValueError(f"{k['fractions']} entries must be in (0, 1], got {f}")
         if not self.seeds:
-            raise ValueError("estimation.seeds must not be empty")
-        for key, values in (
-            ("ensemble.distances_km", self.distances_km),
-            ("estimation.fractions", self.fractions),
-            ("estimation.seeds", self.seeds),
-            ("security.detections", self.detections),
-        ):
+            raise ValueError(f"{k['seeds']} must not be empty")
+        for name in ("distances_km", "fractions", "seeds", "detections"):
+            values = getattr(self, name)
             if len(set(values)) != len(values):
-                raise ValueError(f"{key} must not repeat entries, got {_fmt_seq(values)}")
+                raise ValueError(f"{k[name]} must not repeat entries, got {_fmt_seq(values)}")
         if self.estimators not in ESTIMATOR_CHOICES:
-            raise ValueError(
-                f"estimation.estimators must be one of {ESTIMATOR_CHOICES}, got {self.estimators!r}"
-            )
+            raise ValueError(f"{k['estimators']} must be one of {ESTIMATOR_CHOICES}, got {self.estimators!r}")
         if self.variance_mode not in VARIANCE_MODE_CHOICES:
             raise ValueError(
-                f"estimation.variance_mode must be one of {VARIANCE_MODE_CHOICES}, "
-                f"got {self.variance_mode!r}"
+                f"{k['variance_mode']} must be one of {VARIANCE_MODE_CHOICES}, got {self.variance_mode!r}"
             )
         if self.variance_mode == "blockwise" and (
             self.variance_blocks < 1
@@ -219,14 +229,14 @@ class ExperimentConfig:
             or self.block_length // self.variance_blocks < 2
         ):
             raise ValueError(
-                f"estimation.variance_blocks must divide ensemble.block_length = {self.block_length} "
+                f"{k['variance_blocks']} must divide {k['block_length']} = {self.block_length} "
                 f"into sub-blocks of at least 2 samples, got {self.variance_blocks}"
             )
         if not self.detections:
-            raise ValueError("security.detections must not be empty")
+            raise ValueError(f"{k['detections']} must not be empty")
         for d in self.detections:
             if d not in DETECTIONS:
-                raise ValueError(f"security.detections entries must be in {DETECTIONS}, got {d!r}")
+                raise ValueError(f"{k['detections']} entries must be in {DETECTIONS}, got {d!r}")
         try:
             self.protocol
         except ValueError as exc:
@@ -249,56 +259,47 @@ class ExperimentConfig:
         return (self.estimators,)
 
 
-# config file schema: section -> key -> (parser, formatter, field name)
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _strs(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
 def _fmt_seq(values: Sequence) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "ensemble": {
-        "source": (str, str, "source"),
-        "file": (str, str, "ensemble_file"),
-        "distances_km": (_floats, _fmt_seq, "distances_km"),
-        "subchannels": (int, str, "subchannels"),
-        "block_length": (int, str, "block_length"),
-        "excess_noise": (float, repr, "excess_noise"),
-        "sampler_seed": (int, str, "sampler_seed"),
-        "attenuation_per_km": (float, repr, "attenuation_per_km"),
-        "sigma_log": (float, repr, "sigma_log"),
-    },
-    "protocol": {
-        "modulation_variance": (float, repr, "modulation_variance"),
-        "detector_efficiency": (float, repr, "detector_efficiency"),
-        "electronic_noise": (float, repr, "electronic_noise"),
-        "reconciliation_efficiency": (float, repr, "reconciliation_efficiency"),
-    },
-    "estimation": {
-        "fractions": (_floats, _fmt_seq, "fractions"),
-        "seeds": (_ints, _fmt_seq, "seeds"),
-        "estimators": (str, str, "estimators"),
-        "variance_mode": (str, str, "variance_mode"),
-        "variance_blocks": (int, str, "variance_blocks"),
-        "k_max": (int, str, "k_max"),
-    },
-    "security": {
-        "detections": (_strs, _fmt_seq, "detections"),
-    },
-    "output": {
-        "directory": (str, str, "out_dir"),
-    },
+def _codec(kind: object) -> tuple[Callable[[str], object], Callable[[object], str]]:
+    """The parser and formatter of a config value of type ``kind``: a tuple is
+    a comma-separated list of its item type, a float is written by ``repr``,
+    and an optional value is read as its type."""
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return (lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())), _fmt_seq
+    kind = (get_args(kind) or (kind,))[0]
+    return kind, repr if kind is float else str
+
+
+class _Key(NamedTuple):
+    """The config key of one ``ExperimentConfig`` field; ``str`` of it is the
+    ``section.key`` that the file and every message use."""
+
+    field: str
+    section: str
+    name: str
+    kind: object
+    least: int | None
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+    def __str__(self) -> str:
+        return f"{self.section}.{self.name}"
+
+
+#: the config file's sections, in the order write_config writes them
+_SECTIONS = ("ensemble", "protocol", "estimation", "security", "output")
+_TYPES = get_type_hints(ExperimentConfig)
+#: field name -> its config key
+_KEYS = {
+    f.name: _Key(f.name, f.metadata["section"], f.metadata["key"] or f.name, _TYPES[f.name], f.metadata["least"],
+                 *_codec(_TYPES[f.name]))
+    for f in dataclasses.fields(ExperimentConfig)
 }
+_FILE_KEYS = {(key.section, key.name): key for key in _KEYS.values()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -314,26 +315,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown: list[str] = []
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             keys = list(parser[section]) or [""]
             unknown.extend(f"{section}.{k}".rstrip(".") for k in keys)
             continue
-        for key, raw in parser[section].items():
-            spec = _SCHEMA[section].get(key)
-            if spec is None:
-                unknown.append(f"{section}.{key}")
+        for name, raw in parser[section].items():
+            key = _FILE_KEYS.get((section, name))
+            if key is None:
+                unknown.append(f"{section}.{name}")
                 continue
-            parse, _, attr = spec
             try:
-                values[attr] = parse(raw)
+                values[key.field] = key.parse(raw)
             except ValueError as exc:
-                raise ValueError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
+                raise ValueError(f"{path}: bad value for {key}: {raw!r}") from exc
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     config = ExperimentConfig(**values)
     if not config.out_dir:
         # Path("") is the working directory, whose files the sweep would overwrite
-        raise ValueError(f"{path}: output.directory must not be empty")
+        raise ValueError(f"{path}: {_KEYS['out_dir']} must not be empty")
     if config.source == "file":
         target = Path(config.ensemble_file)
         if not target.is_absolute():
@@ -351,13 +351,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def write_config(config: ExperimentConfig, path: str | Path | None = None) -> str:
     """Serialize a config so that load(write(x)) == x; optionally write it."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SCHEMA.items():
-        parser[section] = {}
-        for key, (_, fmt, attr) in keys.items():
-            value = getattr(config, attr)
-            if value is None:
-                continue
-            parser[section][key] = fmt(value)
+    parser.read_dict(dict.fromkeys(_SECTIONS, {}))
+    for key in _KEYS.values():
+        value = getattr(config, key.field)
+        if value is not None:
+            parser[key.section][key.name] = key.format(value)
     buf = io.StringIO()
     parser.write(buf)
     text = buf.getvalue()

@@ -294,7 +294,7 @@ class OmpConfig:
     shrink_to_delta: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+        if not isinstance(self.k_max, numbers.Integral) or isinstance(self.k_max, bool) or self.k_max < 1:
             raise ValueError(f"k_max must be an integer >= 1, got {self.k_max!r}")
         if self.noise_scale is not None and not 0 <= self.noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csqkd import estimators, harness
-from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannelEnsemble, ensemble_means
+from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannelEnsemble, build_ensemble, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
     EstimateRow,
@@ -30,11 +30,13 @@ from csqkd.harness import (
     run_sweep,
     write_config,
     write_reports,
-    _SCHEMA,
+    _KEYS,
+    _SECTIONS,
     _ensemble_for,
     _write_csv,
 )
 from csqkd.security import secret_key_rate, summary_from_means
+from csqkd.sensing import OmpConfig
 
 import oracles
 
@@ -93,10 +95,13 @@ def test_minimal_config_applies_defaults(tmp_path):
     assert config.modulation_variance == defaults.modulation_variance
 
 
+def _readme_config_example() -> str:
+    return (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_example_loads(tmp_path):
     # the documented example must load as written, comments included
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme_config_example()
     cfg_file = tmp_path / "readme.cfg"
     cfg_file.write_text(block)
     config = load_config(cfg_file)
@@ -105,6 +110,33 @@ def test_readme_config_example_loads(tmp_path):
     assert config.variance_mode == "replicated"
     assert config.distances_km == (5.0, 10.0)
     assert config.k_max == 1
+
+
+def test_readme_config_example_names_every_key():
+    # as a `key =` line of its section, or inside a `;` comment there
+    parts = re.split(r"^\[(\w+)\]\n", _readme_config_example(), flags=re.M)
+    sections = dict(zip(parts[1::2], parts[2::2]))
+    for key in _KEYS.values():
+        assert re.search(rf"^(;.*\W)?{key.name} =", sections.get(key.section, ""), re.M), str(key)
+
+
+def test_config_keys_are_declared_once_per_field():
+    # like each table's columns on its row type: one (section, key) a field,
+    # no two fields sharing one, under the sections in their write order
+    assert list(_KEYS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert len({(key.section, key.name) for key in _KEYS.values()}) == len(_KEYS)
+    assert sorted({key.section for key in _KEYS.values()}, key=_SECTIONS.index) == list(_SECTIONS)
+    declared = [(key.section, key.name) for section in _SECTIONS for key in _KEYS.values() if key.section == section]
+    for config in (ExperimentConfig(), ExperimentConfig(ensemble_file="ens.csv")):
+        written, section = [], None
+        for line in write_config(config).splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                written.append((section, line.split(" = ", 1)[0]))
+        # an unset file is not written
+        assert written == [k for k in declared if config.ensemble_file or k != ("ensemble", "file")]
+        assert re.findall(r"^\[(\w+)\]$", write_config(config), re.M) == list(_SECTIONS)
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -253,6 +285,7 @@ def test_bad_variance_blocks_rejected(blocks):
         ("variance_blocks", 4.0, "estimation.variance_blocks"),
         ("sampler_seed", 7.5, "ensemble.sampler_seed"),
         ("seeds", (1, 2.5), "estimation.seeds entries"),
+        ("k_max", True, "estimation.k_max"),
     ],
 )
 def test_non_integer_config_keys_rejected(field, value, key):
@@ -265,6 +298,22 @@ def test_non_integer_config_keys_rejected(field, value, key):
     assert getattr(dataclasses.replace(FAST, **{field: three}), field) == three
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExperimentConfig(seeds=(True, 2)), "estimation.seeds entries must be an integer, got True"),
+        (lambda: OmpConfig(k_max=True), "k_max must be an integer >= 1, got True"),
+        (lambda: build_ensemble([0.5], block_length=True), "block_length must be an integer >= 1, got True"),
+    ],
+    ids=["config-seeds", "omp-k_max", "ensemble-block_length"],
+)
+def test_bool_is_not_an_integer(build, message):
+    # a bool is a numbers.Integral, and a config holding one was written as
+    # `k_max = True`, which load_config then rejected
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        build()
+
+
 _VALUES = st.one_of(
     st.text(max_size=12),
     st.sampled_from(("-1", "0", "nan", "inf", "-inf", "1e400", "0.5,0.5", "1,,2", "sampler",
@@ -273,10 +322,10 @@ _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 _LINES = st.one_of(
-    st.sampled_from(sorted(_SCHEMA)).map(lambda name: f"[{name}]"),
+    st.sampled_from(sorted(_SECTIONS)).map(lambda name: f"[{name}]"),
     st.text(max_size=10).map(lambda name: f"[{name}]"),
     st.tuples(
-        st.sampled_from(sorted({k for keys in _SCHEMA.values() for k in keys})),
+        st.sampled_from(sorted({key.name for key in _KEYS.values()})),
         st.sampled_from(("=", ":", " = ", "")),
         _VALUES,
     ).map("".join),
