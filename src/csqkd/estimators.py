@@ -59,6 +59,7 @@ recovered exactly; otherwise T_hat carries a relative bias of eps/V_A.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,6 +74,7 @@ from .sensing import (
     _dc_project,
     _norm,
     _row_dots,
+    mutual_incoherence,
     omp_solve,
 )
 
@@ -158,8 +160,15 @@ def _cell_sample_count(plans: Sequence[SamplingPlan]) -> int:
 def _work_area(subchannels: int, sample_count: int) -> np.ndarray:
     """Two float rows, each of which holds the sampled rows of a cell of up
     to ``subchannels`` sub-channels at up to ``sample_count`` rows each, for
-    ``work`` of the fits."""
-    return np.empty((2, subchannels * sample_count))
+    ``work`` of the fits.
+
+    The rows get an anonymous mapping of their own, unmapped when the array
+    is freed.  On the malloc heap a sweep's area (832 KB on
+    ``lowsnr-blockwise``) landed in a free hole or above the heap top from
+    one process to the next, so the peak RSS of a loop of sweeps took one of
+    two values, the area's size apart.
+    """
+    return np.frombuffer(mmap.mmap(-1, 16 * subchannels * sample_count), dtype=float).reshape(2, -1)
 
 
 def _cell_fit(
@@ -244,6 +253,7 @@ def _omp_refit(
     shrink: bool,
     imag_norm: np.ndarray,
     off_dc: np.ndarray,
+    coherence: np.ndarray | None = None,
 ) -> None:
     """Refit by Batch-OMP the rows of the cell marked in ``todo``, in place.
 
@@ -252,16 +262,15 @@ def _omp_refit(
     ``shrink``.  Its gain becomes mean(h), read off the coefficients, and its
     residual norm and degenerate flag in ``fit`` are overwritten;
     ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
-    whether its support misses the DC column.
+    whether its support misses the DC column.  A ``coherence`` column gets
+    the operator's :func:`~csqkd.sensing.mutual_incoherence`, read off the
+    Gram that the solve cached, so it takes no transform.
     """
     for i in np.flatnonzero(todo).tolist():
-        solution = omp_solve(
-            RowSampledIdftOperator(weights(i), plans[i].indices),
-            measurement[i],
-            k_max=k_max,
-            delta=float(delta[i]),
-            shrink_to_delta=shrink,
-        )
+        op = RowSampledIdftOperator(weights(i), plans[i].indices)
+        solution = omp_solve(op, measurement[i], k_max=k_max, delta=float(delta[i]), shrink_to_delta=shrink)
+        if coherence is not None:
+            coherence[i] = mutual_incoherence(op)
         fit.gain[i], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
         fit.residual_norm[i] = solution.residual_norm
         fit.degenerate[i] = solution.degenerate_support
@@ -294,13 +303,16 @@ def _fit_variables(
     shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
+    coherence: np.ndarray | None = None,
 ) -> CellFit:
     """The variables fit of validated blocks, with the atom budget ``k_max``
     and ``shrink`` (``shrink_to_delta``) of every sub-channel and
     ``noise_scale`` (0 for none) for all or one each.  The sampled rows of
     every sub-channel are gathered at the start of the two rows of ``work``
     (:func:`_work_area`; by default a fresh one of the cell's size), which
-    is overwritten."""
+    is overwritten.  At ``k_max > 1`` a ``coherence`` column gets the
+    coherence value of each row that OMP solves (see :func:`_omp_refit`);
+    its other rows are left as they are."""
     n, m_s = len(plans), _cell_sample_count(plans)
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, n)
@@ -317,7 +329,8 @@ def _fit_variables(
     if k_max > 1:
         # a zero column has nothing to refit
         _omp_refit(
-            fit, ~fit.degenerate, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink, imag_norm, off_dc
+            fit, ~fit.degenerate, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink, imag_norm, off_dc,
+            coherence,
         )
     t_hat, eps_hat, unestimable = _variables_plug_in(
         fit.gain, fit.ww, fit.yy, m_s, params.detector_efficiency, floor

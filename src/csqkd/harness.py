@@ -40,8 +40,12 @@ known here because the harness owns the simulation ground truth:
 ``run_sweep`` reads it into ``noise_oracle`` and passes each group a copy
 of its slice as ``noise_scale``, the one truth array that estimation reads
 (a view would carry the whole distance's array in its ``base``).  The
-coherence diagnostic builds the row-sampled IDFT operator of each model
-and passes a sub-channel's operators to one
+coherence diagnostic needs the Gram of each (sub-channel, model) operator.
+At ``k_max > 1`` the variables fit reads it for each row that OMP solves,
+off the Gram the solve cached, right after the solve; so no transform is
+repeated and no operator outlives its row.  For the rows left (the
+statistics model, a zero Alice column, every row at ``k_max = 1``) the
+harness builds the row-sampled IDFT operators and passes them two to a
 :func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
 transforms as one two-row call.
 
@@ -54,9 +58,10 @@ groups, and each sub-channel is fitted on its own, so the output does not
 depend on the budget.  Every cell fit of the sweep gathers all its sampled
 rows into one work area.  :func:`run_sweep` allocates it before the first
 distance, at the size of the largest cell (the first group at the largest
-fraction), and frees it when it returns; no fit allocates arrays of its
-rows.  So the budget bounds the gathered rows as well: a cell's two rows
-take at most the bytes of its group's (x, y) blocks.
+fraction), in a mapping of its own, and frees it when it returns; no fit
+allocates arrays of its rows.  So the budget bounds the gathered rows as
+well: a cell's two rows take at most the bytes of its group's (x, y)
+blocks.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -503,6 +508,11 @@ def _fit_group(
     reads.  Returns the fit of each (fraction index, estimator) and, keyed
     the same way, the coherence values of the group's sub-channels under
     that model: with ``coherence`` one array per cell, without it none.
+    The variables fit fills the values of the rows that OMP solves; the
+    rows left, in model then sub-channel order, take one
+    :func:`~csqkd.sensing.mutual_incoherence` call per two, so at
+    ``k_max = 1`` a group of both models runs one two-row transform per
+    sub-channel.
     """
     params = config.protocol
     n = config.block_length
@@ -521,31 +531,38 @@ def _fit_group(
             )
             for i, y in zip(group, dataset.bob)
         ]
+    if coherence:
+        # the statistics model's weights, shared by its operators
+        flat = np.full(n, params.modulation_variance)
     fits, mips = {}, {}
     for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
         plans = [make_sampling_plan(n, fraction, rng) for _ in group]
         for estimator in config.estimator_names:
+            # coherence diagnostics, once per (fraction, channel, model): the
+            # variables fit reads the rows that OMP solves, NaN marks the rest
+            column = np.full(len(plans), math.nan) if coherence else None
+            if coherence:
+                mips[f_idx, estimator] = column
             if estimator == "statistics":
                 fits[f_idx, estimator] = _fit_statistics(measured, params, plans, 1, noise_scale, True, work=work)
             else:
                 fits[f_idx, estimator] = _fit_variables(
-                    alice, bob, plans, params, config.k_max, 0.0, False, work=work
+                    alice, bob, plans, params, config.k_max, 0.0, False, work=work, coherence=column
                 )
-        # coherence diagnostics, once per (fraction, channel, model): one call
-        # per sub-channel takes the operators of all its models
         if coherence:
-            values = np.array([
-                mutual_incoherence(*(
-                    RowSampledIdftOperator(
-                        dataset.alice[j] if estimator == "variables" else np.full(n, params.modulation_variance),
-                        plan.indices,
-                    )
-                    for estimator in config.estimator_names
+            # the rows left, in model then sub-channel order, two per call
+            left = [
+                (estimator, j)
+                for estimator in config.estimator_names
+                for j in np.flatnonzero(np.isnan(mips[f_idx, estimator])).tolist()
+            ]
+            for pair in (left[i : i + 2] for i in range(0, len(left), 2)):
+                values = mutual_incoherence(*(
+                    RowSampledIdftOperator(dataset.alice[j] if estimator == "variables" else flat, plans[j].indices)
+                    for estimator, j in pair
                 ))
-                for j, plan in enumerate(plans)
-            ]).reshape(len(plans), -1)
-            for estimator, column in zip(config.estimator_names, values.T):
-                mips[f_idx, estimator] = column
+                for (estimator, j), value in zip(pair, np.atleast_1d(values).tolist()):
+                    mips[f_idx, estimator][j] = value
     return fits, mips
 
 
@@ -558,9 +575,7 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     ensembles = [_ensemble_for(config, d_idx) for d_idx in range(len(distances))]
     # every cell fit of the sweep gathers its sampled rows here, sized for
     # the largest cell: the first group, of an ensemble's count (the same at
-    # every distance), at the largest fraction.  Allocated after the first
-    # distance's truth arrays instead, it raised a lowsnr-blockwise sweep
-    # loop's peak RSS by 0.9 MiB (2 vCPU, numpy 2.4.6, glibc 2.36)
+    # every distance), at the largest fraction
     work = _work_area(
         len(_groups(ensembles[0].count, config.block_length)[0]),
         _sample_count(config.block_length, fractions[-1]),

@@ -18,7 +18,8 @@ Real transforms of length m run two rows per call where two are due: in a
 sweep at m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row
 calls, and each row keeps the bits of its one-row transform.  The first real
 adjoint of an operator shares its call with the operator's Gram, and
-:func:`mutual_incoherence` takes several operators of one block length.
+:func:`mutual_incoherence` takes several operators of one block length and
+reads a cached Gram instead of transforming again.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
@@ -31,7 +32,8 @@ passes: correlation updates, scores, columns and refits.  It reads the one
 column norm as a scalar, updates its correlations in place, extends its
 forward solve by one step per atom, and scores a real measurement's first
 atom on offsets 0..m//2 only, where the Hermitian adjoint puts the
-lowest-index maximum.
+lowest-index maximum; so is the second atom after a DC first atom with a
+real coefficient, which keeps the correlations Hermitian.
 """
 
 from __future__ import annotations
@@ -71,20 +73,23 @@ def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> np.ndarray:
-    """Gram entries d = 0..m//2 of each operator, one row each.
+def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> list[np.ndarray]:
+    """Gram entries d = 0..m//2 of each operator.
 
-    The operators share one block length m; their real transforms run two
-    rows per call.
+    The operators share one block length m.  An operator whose Gram is
+    cached gives a view of its first m//2 + 1 entries, the bits of a fresh
+    transform; the others' real transforms run two rows per call.
     """
     m = ops[0].n_coefficients
-    w2 = np.zeros((len(ops), m))
-    for row, op in zip(w2, ops):
+    fresh = [op for op in ops if op._gram is None]
+    w2 = np.zeros((len(fresh), m))
+    for row, op in zip(w2, fresh):
         row[op.rows] = op.sampled_weights**2
-    half = np.empty((len(ops), m // 2 + 1), dtype=np.complex128)
-    for i in range(0, len(ops), 2):
+    half = np.empty((len(fresh), m // 2 + 1), dtype=np.complex128)
+    for i in range(0, len(fresh), 2):
         np.fft.rfft(w2[i : i + 2], out=half[i : i + 2])
-    return _gram_from_transform(half, m)
+    transformed = iter(_gram_from_transform(half, m))
+    return [op._gram[: m // 2 + 1] if op._gram is not None else next(transformed) for op in ops]
 
 
 def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
@@ -165,11 +170,15 @@ class RowSampledIdftOperator:
 
     def __init__(self, weights: np.ndarray, rows: np.ndarray):
         weights = np.asarray(weights, dtype=float)
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
         if weights.ndim != 1:
             raise ValueError("weights must be a 1-d array")
         if rows.ndim != 1 or rows.size == 0:
             raise ValueError("rows must be a non-empty 1-d index array")
+        # the int64 cast would truncate float rows and read a mask as 0s and 1s
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
+        rows = rows.astype(np.int64, copy=False)
         # plans are sorted, so a strictly increasing test settles uniqueness
         # in O(n) and puts the range at the ends; only unsorted rows pay more
         increasing = bool((rows[1:] > rows[:-1]).all())
@@ -257,16 +266,18 @@ class RowSampledIdftOperator:
         return self._gram[(k - np.asarray(entries)) % self.n_coefficients]
 
     def subtract_gram_column(self, out: np.ndarray, k: int, c: complex) -> None:
-        """out -= c A^H a_k in place, without building the column.
+        """out -= c (A^H a_k)[: len(out)] in place, without building the column.
 
         Entries j = 0..k read g[k], ..., g[0] and j = k+1..m-1 read
-        g[m-1], ..., g[k+1]: two reversed slices of the cached Gram.
+        g[m-1], ..., g[k+1]: two reversed slices of the cached Gram.  A
+        shorter ``out`` updates its entries j = 0..len(out)-1 only.
         """
         if self._gram is None:
             self._gram = self.gram_by_offset()
         k %= self.n_coefficients
-        out[: k + 1] -= self._gram[k::-1] * c
-        out[k + 1 :] -= self._gram[:k:-1] * c
+        size = len(out)
+        out[: k + 1] -= self._gram[k::-1][:size] * c
+        out[k + 1 :] -= self._gram[:k:-1][: max(size - k - 1, 0)] * c
 
     def dense(self) -> np.ndarray:
         """The explicit m_s x m matrix, for small-m checks."""
@@ -336,12 +347,17 @@ def omp_solve(
     (``op.subtract_gram_column``).  ``op.column_norms()`` gives one scalar
     or one norm per column; a zero column is never selected.  The residual
     y - sum_s c_s a_s is still formed explicitly for the stop rule, the
-    ``shrink_to_delta`` factor and the reported norms.
+    ``shrink_to_delta`` factor and the reported norms.  A non-finite
+    measurement, or one whose sum of squares overflows, is rejected.
 
     Real data stays real, so the adjoint runs a real transform; its
     correlations with columns k and m - k are then exact conjugates, and of
     such a tie the lower index is selected, so the first atom is chosen from
-    offsets 0..m//2 alone.  The two transforms of a solve,
+    offsets 0..m//2 alone.  A DC first atom with a real coefficient c
+    subtracts c g[-j] from them, with the Gram g Hermitian, so the
+    correlations stay exact conjugates and the second atom's update, scores
+    and choice run on offsets 0..m//2 too; a roundoff confirmation scores
+    all m.  The two transforms of a solve,
     the adjoint and the Gram, run as one two-row real transform (see
     :meth:`RowSampledIdftOperator.adjoint`); a roundoff confirmation adds a
     one-row adjoint.
@@ -352,10 +368,13 @@ def omp_solve(
         raise ValueError(
             f"measurement length {y.size} does not match operator ({op.n_measurements})"
         )
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not isinstance(k_max, numbers.Integral) or isinstance(k_max, bool) or k_max < 1:
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     if not 0 <= delta < math.inf:
         raise ValueError("delta must be finite and >= 0")
+    history = [_norm(y)]
+    if not math.isfinite(history[0]):
+        raise ValueError("measurement must be finite, with a finite sum of squares")
 
     m = op.n_coefficients
     norm = op.column_norms()  # one scalar when every column has the same norm
@@ -370,7 +389,7 @@ def omp_solve(
     # a real measurement has a Hermitian adjoint, |corr0[k]| == |corr0[m-k]|
     # bit for bit, so the first atom's lowest-index maximum lies at k <= m//2
     hermitian = y.dtype.kind == "f" and isinstance(op, RowSampledIdftOperator)
-    first_offsets = m // 2 + 1 if hermitian else m
+    half = m // 2 + 1 if hermitian else m
     corr = np.empty_like(corr0)
     scores = np.empty(m)
     support: list[int] = []
@@ -378,26 +397,27 @@ def omp_solve(
     chol = np.zeros((min(k_max, 8),) * 2, dtype=np.complex128)
     # forward-substituted corr0[S]: the refit's triangular solve L z = corr0[S]
     z = np.zeros(chol.shape[0], dtype=np.complex128)
-    history = [_norm(y)]
     degenerate = False
 
     while len(support) < k_max and history[-1] > delta:
         n = len(support)
+        # a real DC first atom subtracts c g[-j] with g Hermitian and c real,
+        # which keeps the mirror symmetry bit for bit, so the second atom is
+        # chosen from offsets 0..m//2 as well
+        span = half if n == 0 or (n == 1 and support[0] == 0 and coef[0].imag == 0) else m
         if n:
-            np.copyto(corr, corr0)
+            np.copyto(corr[:span], corr0[:span])
             for c, s in zip(coef, support):
-                op.subtract_gram_column(corr, s, c)
-            _scores(corr, divisor, support, scores)
-            k = int(scores.argmax())
+                op.subtract_gram_column(corr[:span], s, c)
+        _scores((corr if n else corr0)[:span], divisor, support, scores[:span])
+        k = int(scores[:span].argmax())
+        if n:
             # a normalized score errs by at most ~eps (||y|| + sum_s |c_s| ||a_s||)
             support_norms = norm[support] if per_column else np.full(n, norm)
             if scores[k] <= ROUNDOFF_SCALE * (history[0] + float(np.abs(coef) @ support_norms)):
                 # the update may have cancelled to roundoff; confirm on the residual
                 _scores(op.adjoint(residual), divisor, support, scores)
                 k = int(scores.argmax())
-        else:
-            _scores(corr0[:first_offsets], divisor, support, scores[:first_offsets])
-            k = int(scores[:first_offsets].argmax())
         if scores[k] <= 0:
             break
         diag = (norm[k] if per_column else norm) ** 2
@@ -575,7 +595,9 @@ def mutual_incoherence(
     All column pairs are evaluated exactly in O(m log m) via each operator's
     offset-circulant Gram.  One operator gives a float; several, which must
     share one block length m, give a tuple of one value each, in order, and
-    their Gram transforms run two rows per call.
+    their Gram transforms run two rows per call.  An operator whose Gram is
+    cached (after a real :meth:`~RowSampledIdftOperator.adjoint`, as in an
+    OMP solve) takes no transform, and its value keeps the same bits.
     """
     if not ops:
         raise ValueError("mutual incoherence needs at least one operator")
@@ -585,9 +607,10 @@ def mutual_incoherence(
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
     # |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every column pair
-    grams = _half_grams(ops)
-    scale = grams[:, 0].real if normalize else m
-    if normalize and np.any(scale <= 0):
-        raise ValueError("operator has zero column norms")
-    values = (np.max(np.abs(grams[:, 1:]), axis=1) / scale).tolist()
+    values = []
+    for gram in _half_grams(ops):
+        scale = gram[0].real if normalize else m
+        if normalize and scale <= 0:
+            raise ValueError("operator has zero column norms")
+        values.append(float(np.abs(gram[1:]).max() / scale))
     return values[0] if len(ops) == 1 else tuple(values)

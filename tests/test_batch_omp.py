@@ -184,6 +184,62 @@ def _fresh_idft(m, fraction, weights, seed):
     return rng, op, lambda: RowSampledIdftOperator(op.weights, op.rows)
 
 
+@pytest.mark.parametrize("offset", ["low", "high", "half"])
+@pytest.mark.parametrize("k_max", [2, 3, 5])
+@pytest.mark.parametrize("m", [1999, 2000])
+def test_post_dc_atom_scored_on_half_the_spectrum_matches_frozen_solver(m, k_max, offset, monkeypatch):
+    # real data whose first atom is DC with a real coefficient: the second
+    # atom's update, scores and choice run on offsets 0..m//2 alone, since
+    # the post-DC correlations tie at k and m - k bit for bit; a component
+    # at m - 37 is then chosen as 37, and one at m//2 as itself.  The bits
+    # are those of the frozen solver, which scores all m offsets
+    rng, op, make_op = _fresh_idft(m, 0.4, "symbols", seed=m + k_max)
+    k = {"low": 37, "high": m - 37, "half": m // 2}[offset]
+    truth = np.zeros(m, dtype=complex)
+    truth[0] = 0.8 * np.sqrt(m)
+    truth[k] = 0.3 * np.sqrt(m)
+    y = op.apply(truth).real + rng.normal(0, 0.5, op.n_measurements)
+    lengths = []
+    subtract = RowSampledIdftOperator.subtract_gram_column
+
+    def counted(self, out, k, c):
+        lengths.append(len(out))
+        return subtract(self, out, k, c)
+
+    monkeypatch.setattr(RowSampledIdftOperator, "subtract_gram_column", counted)
+    sol = _assert_same_bits(make_op, y, k_max=k_max)
+    assert sol.support.size == k_max
+    first, second = sol.support.tolist()[:2]
+    assert (first, second) == (0, min(k, m - k))
+    assert lengths[:1] == [m // 2 + 1]
+    assert lengths[1:] == [m] * (sum(range(2, k_max)))
+    # the tie that the half spectrum relies on, on the full update
+    dc = omp_solve(make_op(), y, k_max=1).coefficients[0]
+    assert dc.imag == 0
+    check = make_op()
+    corr = check.adjoint(y)
+    subtract(check, corr, 0, dc)
+    # one contiguous pass, as the solver scores: a strided np.abs may round
+    # differently
+    magnitude = np.abs(corr)
+    assert magnitude[second] == magnitude[m - second]
+    assert np.array_equal(magnitude[1:], magnitude[1:][::-1])
+
+
+def test_half_spectrum_update_writes_the_leading_entries_of_the_full_one():
+    # subtract_gram_column on a shorter out updates its len(out) entries with
+    # the bits of the full-length update, for a short and a long head
+    rng, op = _idft_case(64, 0.5, "symbols", seed=4)
+    corr0 = op.adjoint(rng.normal(size=op.n_measurements))
+    for k in (0, 5, 40, 63):
+        full = corr0.copy()
+        op.subtract_gram_column(full, k, 0.7 - 0.2j)
+        for size in (1, 20, 33, 64):
+            head = corr0[:size].copy()
+            op.subtract_gram_column(head, k, 0.7 - 0.2j)
+            assert head.tobytes() == full[:size].tobytes(), (k, size)
+
+
 @pytest.mark.parametrize("data", ["real", "complex"])
 @pytest.mark.parametrize("k_max", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("weights", ["symbols", "constant"])

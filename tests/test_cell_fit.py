@@ -5,6 +5,7 @@ bodies they replaced; cells split as the sweep's groups split them, the work
 area, degenerate rows, and rejection of non-finite inputs."""
 
 import math
+import mmap
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import csqkd.estimators as estimators
 import csqkd.harness as harness
+import csqkd.sensing as sensing
 from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import (
     FLAG_BELOW_FLOOR,
@@ -295,6 +297,38 @@ def test_multi_atom_rank_deficient_support_matches_reference(route):
     assert (FLAG_DEGENERATE, FLAG_OFF_DC, FLAG_UNESTIMABLE) in flags
 
 
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_variables_fit_reads_the_coherence_of_each_row_omp_solves(k_max, monkeypatch):
+    # a coherence column gets, for each row that OMP solves, the value of a
+    # fresh operator bit for bit, read off the Gram the solve cached without
+    # a further transform; the zero Alice column that OMP skips keeps its
+    # NaN, and the fit is the fit without the column
+    _, alice, bob = _dataset()
+    plans = _plans()
+    alice[2][:] = 0.0
+    expected = [
+        sensing.mutual_incoherence(sensing.RowSampledIdftOperator(x, p.indices)) for x, p in zip(alice, plans)
+    ]
+    plain = estimators._records(estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.0, False))
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    column = np.full(M, math.nan)
+    fit = estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.0, False, coherence=column)
+    assert_identical(estimators._records(fit), plain)
+    # one paired adjoint and Gram per solve, and nothing else
+    assert shapes == [(2, m)] * (M - 1)
+    assert math.isnan(column[2])
+    assert [_bits(v) for i, v in enumerate(column.tolist()) if i != 2] == [
+        _bits(v) for i, v in enumerate(expected) if i != 2
+    ]
+
+
 @pytest.mark.parametrize("route", ["variables", "statistics"])
 def test_dc_projection_skips_rows_that_omp_refits(split_cell, route, monkeypatch):
     # at k_max = 3 the projection (sensing._dc_project, which dc_project also
@@ -429,6 +463,20 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, grou
         assert getattr(split, column).tobytes() == getattr(whole, column).tobytes(), column
     assert split.flags == whole.flags
     assert not whole.usable.all() and whole.usable.any()
+
+
+def test_work_area_has_a_mapping_of_its_own():
+    # two writable float rows of a cell's size, held in an anonymous mapping
+    # rather than on the malloc heap, where the place the sweep's area took
+    # moved the process's peak RSS by the area's size from run to run
+    work = estimators._work_area(3, 5)
+    assert work.shape == (2, 15) and work.dtype == np.float64
+    assert work.flags.c_contiguous and work.flags.writeable
+    owner = work
+    while isinstance(owner, (np.ndarray, memoryview)):
+        owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+    assert isinstance(owner, mmap.mmap)
+    assert work.ctypes.data % mmap.PAGESIZE == 0
 
 
 @pytest.mark.parametrize("k_max", [(1,), (3,), (3, 1, 3)], ids=["k1", "k3", "mixed"])

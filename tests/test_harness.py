@@ -789,6 +789,62 @@ def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, varianc
 
 
 @pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_mip_rows_of_a_model_are_those_of_its_sweep_alone(tmp_path, monkeypatch, variance_mode, k_max):
+    # in groups of three, three and one sub-channels, at k_max = 3 the OMP
+    # solves give the variables values and the harness pairs the statistics
+    # rows; at k_max = 1 it pairs the rows of both models, one call taking
+    # the last variables row and the first statistics row of a group.  Each
+    # model's rows are the bytes of a sweep of that model alone
+    config = dataclasses.replace(
+        FAST, subchannels=7, distances_km=(2.0, 40.0), fractions=(0.25, 0.5, 1.0),
+        variance_mode=variance_mode, variance_blocks=16, k_max=k_max,
+    )
+    monkeypatch.setattr(harness, "GROUP_BYTES", 3 * 16 * config.block_length)
+    both = write_reports(run_sweep(config), tmp_path / "both")["mip"].read_text().splitlines()
+    for estimator in ("variables", "statistics"):
+        alone = write_reports(run_sweep(dataclasses.replace(config, estimators=estimator)), tmp_path / estimator)
+        rows = alone["mip"].read_text().splitlines()
+        assert len(rows) == 1 + 2 * 3 * 7
+        assert rows[1:] == [row for row in both[1:] if f",{estimator}," in row]
+
+
+def test_k_max_3_sweep_transforms_no_variables_weights_outside_omp(monkeypatch):
+    # the coherence of each variables row is read off the Gram its OMP solve
+    # transformed; every other transform of the sweep is of the statistics
+    # model's squared weights, V_A^2 at the sampled rows, two rows per
+    # harness call
+    config = dataclasses.replace(FAST, k_max=3, fractions=(0.25, 0.5, 1.0))
+    flat = np.full(1, config.protocol.modulation_variance) ** 2
+    solving, inside, outside, calls = [], [], [], []
+    solve, rfft, coherence = estimators.omp_solve, np.fft.rfft, harness.mutual_incoherence
+
+    def traced_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def spy(a, *args, **kwargs):
+        (inside if solving else outside).append(np.array(a, ndmin=2))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "omp_solve", traced_solve)
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    monkeypatch.setattr(harness, "mutual_incoherence", lambda *ops, **kw: calls.append(len(ops)) or coherence(*ops, **kw))
+    run_sweep(config)
+    n = config.subchannels
+    # one paired adjoint and Gram per solve: every variables row of every cell
+    assert [a.shape[0] for a in inside] == [2] * (n * 3 * len(config.seeds))
+    assert calls == [2, 2, 1] * 3
+    assert [a.shape[0] for a in outside] == calls
+    for a in outside:
+        for row in a:
+            assert np.count_nonzero(row) > 0 and np.all((row == 0) | (row == flat[0]))
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
 def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch, k_max):
     # a file ensemble of 7 rows, with low transmittances at rows 2, 4 and 6,
     # under ensemble.subchannels = 2, which a file source does not read, in

@@ -1,6 +1,9 @@
 """Sampling plans, DFT basis, OMP solver, and coherence diagnostics."""
 
 import math
+import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +315,19 @@ def test_operator_input_validation():
             RowSampledIdftOperator(np.ones(4), np.array(rows))
 
 
+@pytest.mark.parametrize(
+    "rows", [[0.5, 2.5], [0.0, 2.0], np.array([True, False, True, False]), np.array([True, True])]
+)
+def test_operator_rejects_rows_that_are_not_integers(rows):
+    # the int64 cast truncated float rows to [0, 2], and read a mask as the
+    # rows 1, 0, 1, 0 ("must be unique") or 1, 1
+    with pytest.raises(ValueError, match=r"^row indices must be integers, got dtype (float64|bool)$"):
+        RowSampledIdftOperator(np.ones(4), rows)
+    for rows in ([0, 2], np.array([0, 2], dtype=np.uint8), np.array([3, 1], dtype=np.int32)):
+        op = RowSampledIdftOperator(np.ones(4), rows)
+        assert op.rows.dtype == np.int64 and op.rows.tolist() == list(rows)
+
+
 # ---------------------------------------------------------------------------
 # OMP
 # ---------------------------------------------------------------------------
@@ -404,6 +420,46 @@ def test_omp_rejects_a_delta_that_is_not_finite_and_nonnegative(bad):
     op = DenseOperator(np.eye(4))
     with pytest.raises(ValueError, match="delta must be finite and >= 0"):
         omp_solve(op, np.ones(4), delta=bad)
+
+
+@pytest.mark.parametrize("k_max", [0, -3, 2.5, 2.0, True, "2", None])
+def test_omp_rejects_a_budget_that_is_not_a_positive_integer(k_max):
+    # with OmpConfig's message: 2.5 used to raise numpy's TypeError from the
+    # Cholesky allocation, and True "an integer is required"
+    op = RowSampledIdftOperator(np.full(16, 2.0), make_sampling_plan(16, 0.5, seed=1).indices)
+    y = np.random.default_rng(1).normal(size=8)
+    with pytest.raises(ValueError, match=rf"^k_max must be an integer >= 1, got {re.escape(repr(k_max))}$"):
+        omp_solve(op, y, k_max=k_max)
+    assert omp_solve(op, y, k_max=np.int64(2)).support.size == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "one inf", "overflow", "complex nan"])
+def test_omp_rejects_a_non_finite_measurement(bad, monkeypatch):
+    # an all-NaN measurement used to return an empty support with a NaN
+    # residual and no flag, and one inf entry reached the transform with a
+    # RuntimeWarning; now neither gets past the norm the solve starts from
+    op = RowSampledIdftOperator(np.full(16, 2.0), np.arange(0, 16, 2))
+    y = np.ones(8)
+    if bad == "nan":
+        y[:] = math.nan
+    elif bad == "inf":
+        y[:] = math.inf
+    elif bad == "one inf":
+        y[3] = -math.inf
+    elif bad == "overflow":
+        y[:] = 1e200
+    else:
+        y = y.astype(complex)
+        y[5] = complex(1.0, math.nan)
+    transforms = []
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(a))
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: transforms.append(a))
+    with warnings.catch_warnings():
+        # no transform warns; the sum of squares that overflows may
+        warnings.simplefilter("ignore" if bad == "overflow" else "error")
+        with pytest.raises(ValueError, match="^measurement must be finite, with a finite sum of squares$"):
+            omp_solve(op, y, k_max=3)
+    assert transforms == []
 
 
 @pytest.mark.parametrize(
@@ -549,8 +605,8 @@ def test_mip_guards():
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("m", [64, 2000])
 def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch):
-    # the harness passes a sub-channel's two models in one call, whose Gram
-    # transforms run as one two-row call; each value equals its single call
+    # the harness passes two operators in one call, whose Gram transforms
+    # run as one two-row call; each value equals its single call
     rng = np.random.default_rng(m)
     rows = make_sampling_plan(m, 0.4, seed=2).indices
     ops = [
@@ -574,6 +630,36 @@ def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch)
     # an odd count runs its last operator as a one-row stack
     assert mutual_incoherence(*ops, normalize=normalize) == tuple(single)
     assert shapes[1:] == [(2, m), (1, m)]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("m", [511, 512])
+def test_mip_reads_a_cached_gram_with_the_bits_of_a_fresh_transform(m, normalize, monkeypatch):
+    # after a real adjoint, as in an OMP solve, the operator's Gram is cached:
+    # its coherence takes no transform and keeps a fresh operator's bits,
+    # alone and beside a fresh operator in one call
+    rng = np.random.default_rng(m)
+    weights = rng.normal(0, 2.0, m)
+    rows = make_sampling_plan(m, 0.4, seed=m).indices
+    solved = RowSampledIdftOperator(weights, rows)
+    omp_solve(solved, rng.normal(size=rows.size), k_max=2)
+    other = RowSampledIdftOperator(np.full(m, 4.0), make_sampling_plan(m, 0.1, seed=1).indices)
+    fresh = mutual_incoherence(RowSampledIdftOperator(weights, rows), normalize=normalize)
+    alone = mutual_incoherence(other, normalize=normalize)
+    shapes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    assert struct.pack("d", mutual_incoherence(solved, normalize=normalize)) == struct.pack("d", fresh)
+    assert shapes == []
+    for ops, expected in (((solved, other), (fresh, alone)), ((other, solved), (alone, fresh))):
+        values = mutual_incoherence(*ops, normalize=normalize)
+        assert struct.pack("2d", *values) == struct.pack("2d", *expected)
+    assert shapes == [(1, m), (1, m)]
 
 
 def test_mip_of_several_operators_needs_one_block_length():
