@@ -324,6 +324,9 @@ def simulate_block(
     and freed in one piece: a sweep that frees one group's data before
     simulating the next leaves no run of freed blocks at the top of the heap
     for the allocator to trim and fault back in under later temporaries.
+    Each row takes its draws from its own generator; the scalings by
+    sqrt(V_A) and sigma_i then run once per plane, and sqrt(eta*T_i) x_i is
+    added row by row through one row-sized temporary.
     """
     indices = range(ensemble.count) if subchannels is None else subchannels
     if not indices or min(indices) < 0 or max(indices) >= ensemble.count:
@@ -331,26 +334,28 @@ def simulate_block(
             f"subchannels must be a non-empty range within 0..{ensemble.count - 1}, got {subchannels!r}"
         )
     root = np.random.SeedSequence(seed)
-    std_x = math.sqrt(params.modulation_variance)
     t, eps = ensemble.transmittances.tolist(), ensemble.excess_noises.tolist()
     buffer = np.empty((2, len(indices), ensemble.block_length))
-    # sqrt(eta*T) * x of one block at a time: the dataset's one temporary
-    signal = np.empty(ensemble.block_length)
-    for i, x, y in zip(indices, buffer[0], buffer[1]):
+    alice, bob = buffer
+    for i, x, y in zip(indices, alice, bob):
         rng = np.random.default_rng(
             np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size)
         )
-        # in place, with the bits of rng.normal(0.0, scale, n) = 0.0 + scale * z
         rng.standard_normal(out=x)
-        x *= std_x
-        x += 0.0
-        attenuate(x, t[i], params.detector_efficiency, out=signal)
-        if zero_noise:
-            y[:] = 0.0
-        else:
+        if not zero_noise:
             rng.standard_normal(out=y)
-            y *= math.sqrt(noise_variance(t[i], eps[i], params))
-            y += 0.0
+    # in place, with the bits of rng.normal(0.0, scale, n) = 0.0 + scale * z
+    alice *= math.sqrt(params.modulation_variance)
+    alice += 0.0
+    if zero_noise:
+        bob[:] = 0.0
+    else:
+        bob *= np.array([math.sqrt(noise_variance(t[i], eps[i], params)) for i in indices])[:, None]
+        bob += 0.0
+    # sqrt(eta*T) * x of one block at a time: the dataset's one temporary
+    signal = np.empty(ensemble.block_length)
+    for i, x, y in zip(indices, alice, bob):
+        attenuate(x, t[i], params.detector_efficiency, out=signal)
         y += signal
     return QuadratureDataset(alice=tuple(buffer[0]), bob=tuple(buffer[1]))
 

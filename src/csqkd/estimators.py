@@ -21,9 +21,13 @@ is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
 (variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
 and ``_fit_statistics``, is the implementation of each: it fits consecutive
 sub-channels of one (seed, fraction) cell with one atom budget and one
-``shrink_to_delta`` in one pass.  It gathers the sampled rows of every
-sub-channel into the starts of the two rows of a work area, fits them, and
-returns the estimates as the columns of a :class:`CellFit`.  The projection
+``shrink_to_delta`` in one pass.  It takes the blocks as the rows of (n, m)
+planes (the statistics route: one variance per row, or a row of sub-block
+variances each) and the plans as the rows of one sorted (n, m_s) index
+array.  It gathers the sampled entries into the starts of the two rows of a
+work area, with one flat ``take`` per plane, or a copy of the planes when
+every row is sampled, fits them, and returns the estimates as the columns
+of a :class:`CellFit`.  The projection
 forms its residual in place in the gathered measurement rows, with g w in
 the gathered Alice rows or, for the statistics route's shared weights, in
 the second row.  A sweep allocates one work area (``_work_area``), the size
@@ -141,6 +145,8 @@ class CellFit:
     usable: np.ndarray
 
 
+# squares past the float range give an infinite sum, not a warning
+@np.errstate(over="ignore")
 def _require_finite(name: str, values: np.ndarray) -> None:
     # one BLAS pass: the sum of squares is finite unless an entry is not, or
     # the squares overflow, which no fit of the entries would survive either
@@ -148,13 +154,16 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, with a finite sum of squares")
 
 
-def _cell_sample_count(plans: Sequence[SamplingPlan]) -> int:
+def _plan_rows(plans: Sequence[SamplingPlan]) -> np.ndarray:
+    """The indices of ``plans`` as the rows of one (n, m_s) array, the rows
+    argument of the cell fits, which read them unchecked."""
     if not plans:
         raise ValueError("a cell needs at least one sub-channel")
-    m_s = plans[0].sample_count
-    if any(p.sample_count != m_s for p in plans):
+    if len({p.sample_count for p in plans}) > 1:
         raise ValueError("the plans of a cell must share one sample count")
-    return m_s
+    if any(np.any(p.indices < 0) or np.any(p.indices >= p.length) for p in plans):
+        raise ValueError("plan indices must lie in 0..length-1")
+    return np.stack([p.indices for p in plans])
 
 
 def _work_area(subchannels: int, sample_count: int) -> np.ndarray:
@@ -247,7 +256,7 @@ def _omp_refit(
     todo: np.ndarray,
     weights: Callable[[int], np.ndarray],
     measurement: np.ndarray,
-    plans: Sequence[SamplingPlan],
+    rows: np.ndarray,
     k_max: int,
     delta: np.ndarray,
     shrink: bool,
@@ -258,7 +267,7 @@ def _omp_refit(
     """Refit by Batch-OMP the rows of the cell marked in ``todo``, in place.
 
     Row i is ``measurement[i]`` through the row-sampled IDFT operator of
-    ``weights(i)`` at ``plans[i]``, solved with ``k_max``, ``delta[i]`` and
+    ``weights(i)`` at ``rows[i]``, solved with ``k_max``, ``delta[i]`` and
     ``shrink``.  Its gain becomes mean(h), read off the coefficients, and its
     residual norm and degenerate flag in ``fit`` are overwritten;
     ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
@@ -267,7 +276,7 @@ def _omp_refit(
     Gram that the solve cached, so it takes no transform.
     """
     for i in np.flatnonzero(todo).tolist():
-        op = RowSampledIdftOperator(weights(i), plans[i].indices)
+        op = RowSampledIdftOperator(weights(i), rows[i])
         solution = omp_solve(op, measurement[i], k_max=k_max, delta=float(delta[i]), shrink_to_delta=shrink)
         if coherence is not None:
             coherence[i] = mutual_incoherence(op)
@@ -294,9 +303,9 @@ def _variables_plug_in(
 
 
 def _fit_variables(
-    x_blocks: Sequence[np.ndarray],
-    y_blocks: Sequence[np.ndarray],
-    plans: Sequence[SamplingPlan],
+    alice: np.ndarray,
+    bob: np.ndarray,
+    rows: np.ndarray,
     params: ProtocolParams,
     k_max: int,
     noise_scale: float | np.ndarray,
@@ -305,23 +314,34 @@ def _fit_variables(
     work: np.ndarray | None = None,
     coherence: np.ndarray | None = None,
 ) -> CellFit:
-    """The variables fit of validated blocks, with the atom budget ``k_max``
-    and ``shrink`` (``shrink_to_delta``) of every sub-channel and
-    ``noise_scale`` (0 for none) for all or one each.  The sampled rows of
-    every sub-channel are gathered at the start of the two rows of ``work``
+    """The variables fit of validated (n, m) planes of Alice's and Bob's
+    blocks, row i sub-channel i, sampled at row i of ``rows``, sorted unique
+    indices (:func:`~csqkd.sensing._cell_plans`), with the atom budget
+    ``k_max`` and ``shrink`` (``shrink_to_delta``) of every sub-channel and
+    ``noise_scale`` (0 for none) for all or one each.  The sampled entries
+    are gathered at the start of the two rows of ``work``
     (:func:`_work_area`; by default a fresh one of the cell's size), which
     is overwritten.  At ``k_max > 1`` a ``coherence`` column gets the
     coherence value of each row that OMP solves (see :func:`_omp_refit`);
     its other rows are left as they are."""
-    n, m_s = len(plans), _cell_sample_count(plans)
+    n, m_s = rows.shape
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, n)
     if work is None:
         work = _work_area(n, m_s)
     x_s, y_s = (row[: n * m_s].reshape(n, m_s) for row in work)
-    for i, plan in enumerate(plans):
-        x_blocks[i].take(plan.indices, out=x_s[i])
-        y_blocks[i].take(plan.indices, out=y_s[i])
+    if m_s == alice.shape[1]:
+        # sorted unique rows that keep all m indices: the planes themselves
+        np.copyto(x_s, alice)
+        np.copyto(y_s, bob)
+    else:
+        # one flat take per plane, row i at rows[i] + i*m; the indices are
+        # in range, and "clip" writes to out directly where "raise" buffers.
+        # The index array is freed before the fit allocates
+        flat = rows + np.arange(0, alice.size, alice.shape[1])[:, None]
+        alice.take(flat, out=x_s, mode="clip")
+        bob.take(flat, out=y_s, mode="clip")
+        del flat
     sample_count = np.count_nonzero(x_s, axis=1)
     imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
     # x_s is the g w scratch
@@ -329,8 +349,7 @@ def _fit_variables(
     if k_max > 1:
         # a zero column has nothing to refit
         _omp_refit(
-            fit, ~fit.degenerate, x_blocks.__getitem__, y_s, plans, k_max, delta, shrink, imag_norm, off_dc,
-            coherence,
+            fit, ~fit.degenerate, alice.__getitem__, y_s, rows, k_max, delta, shrink, imag_norm, off_dc, coherence,
         )
     t_hat, eps_hat, unestimable = _variables_plug_in(
         fit.gain, fit.ww, fit.yy, m_s, params.detector_efficiency, floor
@@ -385,7 +404,8 @@ def estimate_subchannel_variables(
     """
     x, y = _variables_inputs(x_block, y_block, plan.length)
     fit = _fit_variables(
-        [x], [y], [plan], params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, noise_floor
+        x[None], y[None], _plan_rows([plan]), params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta,
+        noise_floor,
     )
     return _records(fit, first=index)[0]
 
@@ -437,40 +457,48 @@ def _statistics_plug_in(
 
 
 def _fit_statistics(
-    measured: Sequence,
+    measured: np.ndarray,
     params: ProtocolParams,
-    plans: Sequence[SamplingPlan],
+    length: int,
+    rows: np.ndarray,
     k_max: int,
     noise_scale: float | np.ndarray,
     shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
-    """The statistics fit of validated variances; the solver settings and
-    ``work`` are those of :func:`_fit_variables`."""
-    n, m_s = len(plans), _cell_sample_count(plans)
+    """The statistics fit of validated variances of blocks of ``length``:
+    row i of ``measured`` holds the variances of B equal sub-blocks of
+    sub-channel i, B dividing ``length`` (a 1-d array, one variance per
+    sub-channel, is B = 1).  The rows, solver settings and ``work`` are
+    those of :func:`_fit_variables`."""
+    n, m_s = rows.shape
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.broadcast_to(math.sqrt(m_s) * noise_scale, n)
-    v_b = np.array([v if isinstance(v, float) else float(v.mean()) for v in measured])
-    below = v_b <= floor - FLOOR_TOLERANCE
+    measured = measured.reshape(n, -1)
+    b = measured.shape[1]
+    below = measured.mean(axis=1) <= floor - FLOOR_TOLERANCE
     if work is None:
         work = _work_area(n, m_s)
     r_s, scratch = (row[: n * m_s].reshape(n, m_s) for row in work)
-    # a scalar fills its row; sub-block variances are read at the rows each
-    # covers, r_y[rows] without forming the length-m vector r_y
-    r_s[:] = v_b[:, None]
-    for i, (v, plan) in enumerate(zip(measured, plans)):
-        if not isinstance(v, float):
-            v.take(plan.indices // (plan.length // v.size), out=r_s[i])
+    # r_y[rows] without forming the length-m vectors r_y: a broadcast copy
+    # for one variance a row or every row sampled, else one flat take at
+    # rows[i] // (length / B) + i*B (in range, so unbuffered "clip")
+    if b == 1 or m_s == length:
+        np.copyto(r_s.reshape(n, b, -1), measured[:, :, None])
+    else:
+        flat = rows // (length // b)
+        flat += np.arange(0, n * b, b)[:, None]
+        measured.take(flat, out=r_s, mode="clip")
+        del flat
     r_s -= floor
     sums = r_s.sum(axis=1)
     imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
     fit = _dc_fit(np.full(m_s, v_a), r_s, delta, shrink, k_max, scratch)
     if k_max > 1:
         _omp_refit(
-            fit, ~below, lambda i: np.full(plans[i].length, v_a), r_s, plans, k_max, delta, shrink,
-            imag_norm, off_dc,
+            fit, ~below, lambda i: np.full(length, v_a), r_s, rows, k_max, delta, shrink, imag_norm, off_dc
         )
     t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, sums, m_s, params.detector_efficiency, v_a)
     t_hat[below] = 0.0
@@ -542,7 +570,8 @@ def estimate_subchannel_statistics(
         raise ValueError(f"plan covers length {plan.length}, expected {block_length}")
     value = _statistics_input(measured, block_length)
     fit = _fit_statistics(
-        [value], params, [plan], omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, noise_floor
+        np.reshape(value, (1, -1)), params, block_length, _plan_rows([plan]), omp.k_max, omp.noise_scale or 0.0,
+        omp.shrink_to_delta, noise_floor,
     )
     return _records(fit, first=index)[0]
 

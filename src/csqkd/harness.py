@@ -17,7 +17,9 @@ config and its hash so any row can be reproduced exactly.  All randomness
 derives from the configured seeds, so reruns are byte-identical.  The
 sampling plans of a (seed, distance, fraction < 1) cell are drawn in
 sub-channel order from one generator seeded ``(seed, distance index, index
-in the sorted fractions)``; fraction 1 keeps every row and draws nothing.
+in the sorted fractions)``, a group's plans as the rows of one index array
+(:func:`~csqkd.sensing._cell_plans`); fraction 1 keeps every row and draws
+nothing.
 
 A sweep runs each (distance, seed) in three stages, one group of
 sub-channels at a time:
@@ -25,8 +27,10 @@ sub-channels at a time:
 - simulate: :func:`run_sweep` draws a group's (x, y) blocks from the
   distance's ensemble with ``simulate_block(..., subchannels=group)``;
 - estimate: :func:`_fit_group` takes those blocks, never the ensemble,
-  validates them, draws the group's plans and returns the fit of each
-  (fraction, estimator) cell and, at the first seed, its coherence values;
+  validates them, draws the group's plans, one index array per fraction,
+  and fits the planes of the dataset's one buffer, Alice's and Bob's, at
+  them; it returns the fit of each (fraction, estimator) cell and, at the
+  first seed, its coherence values;
 - score: after the last group, ``run_sweep`` joins each cell's group fits
   and coherence values in sub-channel order and reads the estimate rows,
   the MSE inputs and, at the first seed, the MIP rows and the key-rate
@@ -105,9 +109,9 @@ from .channel import (
     sample_lognormal_transmittances,
     simulate_block,
 )
-# perfbench/tracing.py wraps names in this module, so block_variances and
-# both estimate_subchannel_* stay importable here though the sweep does not
-# call them
+# perfbench/tracing.py wraps names in this module, so block_variances,
+# measured_variance, make_sampling_plan and both estimate_subchannel_* stay
+# importable here though the sweep does not call them
 from .estimators import (  # noqa: F401
     AggregateEstimate,
     CellFit,
@@ -123,7 +127,9 @@ from .estimators import (  # noqa: F401
     measured_variance,
     subblock_variances,
 )
-from .sensing import RowSampledIdftOperator, _sample_count, make_sampling_plan, mutual_incoherence
+from .sensing import (  # noqa: F401
+    RowSampledIdftOperator, _cell_plans, _row_dots, _sample_count, make_sampling_plan, mutual_incoherence,
+)
 from .security import secret_key_rate, summary_from_means
 
 ESTIMATOR_CHOICES = ("variables", "statistics", "both")
@@ -499,13 +505,15 @@ def _fit_group(
     blocks and the public protocol, never from the ensemble.
 
     ``dataset`` holds the blocks of the sub-channels in ``group``, which
-    validation errors name by their absolute index.  The blocks and measured
-    variances are validated once; at each fraction the plans are drawn from
-    that fraction's generator in ``rngs`` (0 for fraction 1, which draws
-    nothing) and fitted in the sweep's ``work`` area, the variables route at
-    the configured ``k_max`` and the one-atom statistics route at
-    ``noise_scale``, the one array of the group's truth that estimation
-    reads.  Returns the fit of each (fraction index, estimator) and, keyed
+    validation errors name by their absolute index; the fits read them as
+    the two planes of its one buffer.  The blocks and measured variances
+    (y.y / m of each row, or its sub-block variances) are validated once
+    per row; at each fraction the group's plans are drawn from that
+    fraction's generator in ``rngs`` (0 for fraction 1, which draws
+    nothing) as the rows of one index array and fitted in the sweep's
+    ``work`` area, the variables route at the configured ``k_max`` and the
+    one-atom statistics route at ``noise_scale``, the one array of the
+    group's truth that estimation reads.  Returns the fit of each (fraction index, estimator) and, keyed
     the same way, the coherence values of the group's sub-channels under
     that model: with ``coherence`` one array per cell, without it none.
     The variables fit fills the values of the rows that OMP solves; the
@@ -516,38 +524,40 @@ def _fit_group(
     """
     params = config.protocol
     n = config.block_length
+    # the group's blocks are the rows of the dataset's one (2, M_g, m) buffer
+    alice, bob = dataset.alice[0].base
     if "variables" in config.estimator_names:
-        alice, bob = zip(*(
+        for i, x, y in zip(group, alice, bob):
             _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
-            for i, x, y in zip(group, dataset.alice, dataset.bob)
-        ))
     if "statistics" in config.estimator_names:
-        replicated = config.variance_mode == "replicated"
-        measured = [
-            _statistics_input(
-                measured_variance(y) if replicated else subblock_variances(y, config.variance_blocks),
-                n,
-                f"measured[{i}]",
-            )
-            for i, y in zip(group, dataset.bob)
-        ]
+        if config.variance_mode == "replicated":
+            # each row's y.y / m, the bits of measured_variance(y)
+            with np.errstate(over="ignore"):
+                measured = _row_dots(bob, bob) / n
+            for i, v in zip(group, measured.tolist()):
+                _statistics_input(v, n, f"measured[{i}]")
+        else:
+            measured = np.stack([
+                _statistics_input(subblock_variances(y, config.variance_blocks), n, f"measured[{i}]")
+                for i, y in zip(group, bob)
+            ])
     if coherence:
         # the statistics model's weights, shared by its operators
         flat = np.full(n, params.modulation_variance)
     fits, mips = {}, {}
     for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
-        plans = [make_sampling_plan(n, fraction, rng) for _ in group]
+        rows = _cell_plans(n, fraction, rng, len(group))
         for estimator in config.estimator_names:
             # coherence diagnostics, once per (fraction, channel, model): the
             # variables fit reads the rows that OMP solves, NaN marks the rest
-            column = np.full(len(plans), math.nan) if coherence else None
+            column = np.full(len(group), math.nan) if coherence else None
             if coherence:
                 mips[f_idx, estimator] = column
             if estimator == "statistics":
-                fits[f_idx, estimator] = _fit_statistics(measured, params, plans, 1, noise_scale, True, work=work)
+                fits[f_idx, estimator] = _fit_statistics(measured, params, n, rows, 1, noise_scale, True, work=work)
             else:
                 fits[f_idx, estimator] = _fit_variables(
-                    alice, bob, plans, params, config.k_max, 0.0, False, work=work, coherence=column
+                    alice, bob, rows, params, config.k_max, 0.0, False, work=work, coherence=column
                 )
         if coherence:
             # the rows left, in model then sub-channel order, two per call
@@ -558,7 +568,7 @@ def _fit_group(
             ]
             for pair in (left[i : i + 2] for i in range(0, len(left), 2)):
                 values = mutual_incoherence(*(
-                    RowSampledIdftOperator(dataset.alice[j] if estimator == "variables" else flat, plans[j].indices)
+                    RowSampledIdftOperator(alice[j] if estimator == "variables" else flat, rows[j])
                     for estimator, j in pair
                 ))
                 for (estimator, j), value in zip(pair, np.atleast_1d(values).tolist()):

@@ -1,5 +1,11 @@
 """Compressive sensing: sampling plans, the row-sampled IDFT operator, OMP, coherence.
 
+A sampling plan is a sorted uniform subset of a block's rows.  The plans of
+a sweep cell are drawn as the rows of one (n, m_s) index array
+(:func:`_cell_plans`), one draw per row in sub-channel order and one sort
+for all; :func:`make_sampling_plan` is its one-row case.  Keeping every row
+draws nothing.
+
 The sparse basis is the unitary inverse-DFT matrix (entries
 exp(+2i*pi*j*k/m)/sqrt(m)), so a constant vector of length m is a single
 impulse of magnitude sqrt(m) in the analysis domain.  The one sensing
@@ -133,6 +139,27 @@ def _sample_count(m: int, fraction: float) -> int:
     return min(m, max(1, int(math.floor(fraction * m + 0.5))))
 
 
+def _cell_plans(m: int, fraction: float, rng: int | np.random.Generator, count: int) -> np.ndarray:
+    """The plans of ``count`` sub-channels as the rows of one sorted
+    (count, m_s) int64 array, m_s = max(1, round(fraction * m)).
+
+    Row i is drawn from ``rng`` (an int seeds a fresh generator) by one
+    ``choice`` without replacement, in row order, and the rows are sorted in
+    one pass; the draw skips the generator's final shuffle, which a sorted
+    row does not see.  When m_s = m every row keeps every index: the result
+    is a read-only broadcast of 0..m-1 and nothing is drawn.
+    """
+    m_s = _sample_count(m, fraction)
+    if m_s == m:
+        return np.broadcast_to(np.arange(m, dtype=np.int64), (count, m))
+    rng = np.random.default_rng(rng)
+    rows = np.empty((count, m_s), dtype=np.int64)
+    for row in rows:
+        row[:] = rng.choice(m, size=m_s, replace=False, shuffle=False)
+    rows.sort(axis=1)
+    return rows
+
+
 def make_sampling_plan(
     m: int, fraction: float, seed: int | np.random.Generator
 ) -> SamplingPlan:
@@ -141,23 +168,16 @@ def make_sampling_plan(
     fraction = 1 keeps every index (identity selection) and draws nothing.
     ``seed`` is an int, which seeds a fresh generator, or a ``Generator``,
     which the draw advances: successive calls on one generator give
-    independent uniform subsets, and a sweep draws every plan of a cell from
-    one generator in sub-channel order.  Deterministic for a fixed seed or
-    generator state.  The draw skips the generator's final shuffle, which the
-    sorted index set does not see.
+    independent uniform subsets.  The plan is the one row of
+    :func:`_cell_plans`, which draws a sweep cell's plans in sub-channel
+    order from one generator, so ``count`` successive calls give its rows.
+    Deterministic for a fixed seed or generator state.
     """
     if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    m_s = _sample_count(m, fraction)
-    if m_s == m:
-        indices = np.arange(m, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        indices = rng.choice(m, size=m_s, replace=False, shuffle=False).astype(np.int64, copy=False)
-        indices.sort()
-    return SamplingPlan(length=m, indices=indices)
+    return SamplingPlan(length=int(m), indices=_cell_plans(int(m), fraction, seed, 1)[0])
 
 
 class RowSampledIdftOperator:
@@ -372,7 +392,9 @@ def omp_solve(
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     if not 0 <= delta < math.inf:
         raise ValueError("delta must be finite and >= 0")
-    history = [_norm(y)]
+    # squares past the float range give an infinite norm, not a warning
+    with np.errstate(over="ignore"):
+        history = [_norm(y)]
     if not math.isfinite(history[0]):
         raise ValueError("measurement must be finite, with a finite sum of squares")
 

@@ -4,6 +4,7 @@ per-sub-channel estimators and, for multi-atom rows, with the per-sub-channel
 bodies they replaced; cells split as the sweep's groups split them, the work
 area, degenerate rows, and rejection of non-finite inputs."""
 
+import itertools
 import math
 import mmap
 import struct
@@ -56,10 +57,22 @@ def assert_scalar_reference(estimate, reference):
     )
 
 
+def _cell(alice, bob, plans):
+    """The (n, m) planes of the blocks and the rows of the plans: the
+    arguments that the sweep passes the variables fit."""
+    return np.stack(alice), np.stack(bob), estimators._plan_rows(plans)
+
+
+def _variances(measured):
+    """Per-sub-channel variances of one form as the statistics fit takes
+    them: scalars as one 1-d array, sub-block variances as the rows of one."""
+    return np.array(measured) if np.ndim(measured[0]) == 0 else np.stack(measured)
+
+
 def fit_variables(alice, bob, plans, omp=OmpConfig(), params=PARAMS, work=None):
     """The records of the sweep's variables fit at ``omp``'s settings."""
     fit = estimators._fit_variables(
-        alice, bob, plans, params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, work=work
+        *_cell(alice, bob, plans), params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, work=work
     )
     return estimators._records(fit)
 
@@ -72,10 +85,24 @@ def _noise_scale(ens):
 def fit_statistics(measured, plans, ens=None, k_max=1, work=None):
     """The records of the sweep's statistics fit at ``k_max``: with ``ens``
     at each sub-channel's noise scale and ``shrink_to_delta``, as
-    :func:`_statistics_configs` gives them one each; without, at neither."""
+    :func:`_statistics_configs` gives them one each; without, at neither.
+    A cell fit takes variances of one form and blocks of one length, so
+    mixed ones (a per-entry vector among sub-block variances, plans of two
+    block lengths) are fitted as runs of one form and length, joined in
+    order as the sweep joins its groups' fits."""
     noise_scale = 0.0 if ens is None else _noise_scale(ens)
-    fit = estimators._fit_statistics(measured, PARAMS, plans, k_max, noise_scale, ens is not None, work=work)
-    return estimators._records(fit)
+    rows = estimators._plan_rows(plans)
+    fits = []
+    for (_, length), run in itertools.groupby(
+        range(len(measured)), key=lambda i: (np.shape(measured[i]), plans[i].length)
+    ):
+        run = list(run)
+        a, b = run[0], run[-1] + 1
+        fits.append(estimators._fit_statistics(
+            _variances(measured[a:b]), PARAMS, length, rows[a:b], k_max,
+            noise_scale if ens is None else noise_scale[a:b], ens is not None, work=work,
+        ))
+    return estimators._records(harness._joined(fits))
 
 
 def _dataset(seed=3):
@@ -107,7 +134,7 @@ def split_cell(request, monkeypatch):
     """Fit each cell whole ("default-chunk"), and as runs of 3, 3 and 1 of
     the M = 7 sub-channels ("chunk-of-3"), each fitted on its own and joined."""
     if request.param is not None:
-        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 2, 4))):
+        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 3, 5))):
             monkeypatch.setattr(estimators, name, _in_runs(getattr(estimators, name), per_channel, request.param))
     return request.param
 
@@ -309,7 +336,7 @@ def test_variables_fit_reads_the_coherence_of_each_row_omp_solves(k_max, monkeyp
     expected = [
         sensing.mutual_incoherence(sensing.RowSampledIdftOperator(x, p.indices)) for x, p in zip(alice, plans)
     ]
-    plain = estimators._records(estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.0, False))
+    plain = estimators._records(estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.0, False))
     shapes = []
     rfft = np.fft.rfft
 
@@ -319,7 +346,7 @@ def test_variables_fit_reads_the_coherence_of_each_row_omp_solves(k_max, monkeyp
 
     monkeypatch.setattr(np.fft, "rfft", counted)
     column = np.full(M, math.nan)
-    fit = estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.0, False, coherence=column)
+    fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.0, False, coherence=column)
     assert_identical(estimators._records(fit), plain)
     # one paired adjoint and Gram per solve, and nothing else
     assert shapes == [(2, m)] * (M - 1)
@@ -381,7 +408,8 @@ def test_dc_projection_skips_rows_that_omp_refits(split_cell, route, monkeypatch
 def test_multi_atom_statistics_plans_of_two_lengths(split_cell, mode):
     # blocks of 400 and 200 sampled at 120 rows each, the first four
     # sub-channels from an ensemble of length 400 and the last three from
-    # one of length 200: each OMP operator spans its own block length
+    # one of length 200, fitted as a cell per length and joined: each OMP
+    # operator spans its own block length
     lengths = [m] * 4 + [m // 2] * 3
     ens, _, bob = _low_snr_dataset(m, range(0, 4))
     bob += _low_snr_dataset(m // 2, range(4, M))[2]
@@ -407,7 +435,7 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
     if route == "variables":
         alice[1][:] = 0.0   # degenerate and unestimable
         omp = OmpConfig(k_max=k_max, noise_scale=0.3)
-        fit = estimators._fit_variables(alice, bob, plans, PARAMS, k_max, 0.3, False)
+        fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.3, False)
         cell = [
             estimate_subchannel_variables(x, y, p, PARAMS, omp, index=i)
             for i, (x, y, p) in enumerate(zip(alice, bob, plans))
@@ -415,7 +443,9 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
     else:
         bob[3] *= 0.5       # below the floor
         per_cell, _ = _statistics_inputs(bob, "blockwise")
-        fit = estimators._fit_statistics(per_cell, PARAMS, plans, k_max, _noise_scale(ens), True)
+        fit = estimators._fit_statistics(
+            _variances(per_cell), PARAMS, m, estimators._plan_rows(plans), k_max, _noise_scale(ens), True
+        )
         cell = [
             estimate_subchannel_statistics(v, PARAMS, m, p, c, index=i)
             for i, (v, p, c) in enumerate(zip(per_cell, plans, _statistics_configs(ens, k_max, shrink=True)))
@@ -447,7 +477,7 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, grou
         alice[1][:] = 0.0
 
         def fit(a, b):
-            return estimators._fit_variables(alice[a:b], bob[a:b], plans[a:b], PARAMS, k_max, 0.3, False)
+            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, k_max, 0.3, False)
     else:
         bob[3] *= 0.5
         per_cell, _ = _statistics_inputs(bob, "blockwise")
@@ -455,7 +485,8 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, grou
 
         def fit(a, b):
             return estimators._fit_statistics(
-                per_cell[a:b], PARAMS, plans[a:b], k_max, noise_scale[a:b], True
+                _variances(per_cell[a:b]), PARAMS, m, estimators._plan_rows(plans[a:b]), k_max, noise_scale[a:b],
+                True,
             )
     whole = fit(0, M)
     split = harness._joined([fit(a, b) for a, b in groups])
@@ -549,14 +580,21 @@ def test_groups_fit_the_byte_budget():
 
 
 def test_cell_rejects_mixed_inputs():
-    # the plans of a cell share one sample count, and the sweep's validator
-    # takes sub-block variances only in a count that divides the block
+    # the plans of a cell share one sample count and lie in their block, and
+    # the sweep's validator takes sub-block variances only in a count that
+    # divides the block
     _, alice, bob = _dataset()
     plans = _plans()[:-1] + [make_sampling_plan(m, 0.5, seed=1)]
     with pytest.raises(ValueError, match="share one sample count"):
         fit_variables(alice, bob, plans)
     with pytest.raises(ValueError, match="share one sample count"):
         fit_statistics([4.0] * M, plans)
+    for indices in ([0, m], [-1, 3]):
+        outside = sensing.SamplingPlan(length=m, indices=np.array(indices))
+        with pytest.raises(ValueError, match=r"^plan indices must lie in 0\.\.length-1$"):
+            estimate_subchannel_variables(alice[0], bob[0], outside, PARAMS)
+        with pytest.raises(ValueError, match=r"^plan indices must lie in 0\.\.length-1$"):
+            estimate_subchannel_statistics(4.0, PARAMS, m, outside)
     with pytest.raises(ValueError, match=r"^measured\[2\] must be a scalar .* divides the block length"):
         estimators._statistics_input(np.ones(7), m, "measured[2]")
 
@@ -615,6 +653,28 @@ def test_cell_variables_reject_non_finite_blocks(bad, monkeypatch):
         sweep()
     sweep = _poisoned_sweep(monkeypatch, "variables", "replicated", lambda a, b: a[2].__setitem__(0, bad))
     with pytest.raises(ValueError, match=r"^x_blocks\[2\] must be finite"):
+        sweep()
+
+
+@pytest.mark.parametrize("route", ["variables", "statistics"])
+def test_squares_that_overflow_raise_the_documented_error(route, monkeypatch):
+    # finite entries whose sum of squares overflows are rejected with the
+    # ValueError that names the argument, under the suite's warnings-as-errors
+    # filter too, rather than with numpy's overflow RuntimeWarning
+    plan = make_sampling_plan(8, 0.5, seed=1)
+    with pytest.raises(ValueError, match="^y must be finite, with a finite sum of squares$"):
+        estimators._require_finite("y", np.full(4, 1e200))
+    if route == "variables":
+        with pytest.raises(ValueError, match="^y_block must be finite"):
+            estimate_subchannel_variables(np.ones(8), np.full(8, 1e200), plan, PARAMS)
+        expected = r"^y_blocks\[4\] must be finite"
+    else:
+        with pytest.raises(ValueError, match="^measured must be finite"):
+            estimate_subchannel_statistics(np.full(8, 1e200), PARAMS, 8, plan)
+        # the sweep's replicated variances, y.y / m of each row of a group's plane
+        expected = r"^measured\[4\] must be finite"
+    sweep = _poisoned_sweep(monkeypatch, route, "replicated", lambda a, b: b[4].__setitem__(slice(None), 1e200))
+    with pytest.raises(ValueError, match=expected):
         sweep()
 
 

@@ -558,7 +558,9 @@ def test_sweep_with_usable_estimates_of_zero_probability_writes_nan_rows(tmp_pat
 def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
     # every plan of a (seed, distance, fraction < 1) cell comes, in
     # sub-channel order, from one generator seeded (seed, d_idx, f_idx), where
-    # f_idx counts the sorted fractions; fraction 1 draws nothing
+    # f_idx counts the sorted fractions; fraction 1 draws nothing.  A cell's
+    # plans are the rows of one _cell_plans array, row i the plan that the
+    # i-th successive make_sampling_plan call on the generator gives
     config = dataclasses.replace(
         FAST,
         distances_km=(2.0, 6.0),
@@ -568,14 +570,14 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
         seeds=(4, 9),
         estimators="variables",
     )
-    make_plan = harness.make_sampling_plan
+    make_plan, cell_plans = harness.make_sampling_plan, harness._cell_plans
     default_rng = np.random.default_rng
     calls, built = [], {}
 
-    def recorded_plan(m, fraction, seed):
-        plan = make_plan(m, fraction, seed)
-        calls.append((m, fraction, seed, plan.indices))
-        return plan
+    def recorded_plans(m, fraction, rng, count):
+        rows = cell_plans(m, fraction, rng, count)
+        calls.append((m, fraction, rng, count, rows))
+        return rows
 
     def recorded_rng(seed=None):
         rng = default_rng(seed)
@@ -584,7 +586,7 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
             built[seed] = rng
         return rng
 
-    monkeypatch.setattr(harness, "make_sampling_plan", recorded_plan)
+    monkeypatch.setattr(harness, "_cell_plans", recorded_plans)
     monkeypatch.setattr(np.random, "default_rng", recorded_rng)
     run_sweep(config)
     monkeypatch.undo()
@@ -604,14 +606,15 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
             for f_idx, fraction in enumerate(fractions):
                 cell = (seed, d_idx, f_idx)
                 reference = default_rng(cell)
-                for _ in range(config.subchannels):
-                    m, f, source, indices = next(calls)
-                    assert (m, f) == (config.block_length, fraction)
-                    if fraction == 1:
-                        assert np.array_equal(indices, np.arange(m))
-                        continue
-                    assert source is built[cell]
-                    assert np.array_equal(indices, make_plan(m, fraction, reference).indices)
+                m, f, source, count, rows = next(calls)
+                assert (m, f, count) == (config.block_length, fraction, config.subchannels)
+                if fraction == 1:
+                    assert not isinstance(source, np.random.Generator)
+                    assert np.array_equal(rows, np.broadcast_to(np.arange(m), (count, m)))
+                    continue
+                assert source is built[cell]
+                for row in rows:
+                    assert np.array_equal(row, make_plan(m, fraction, reference).indices)
     assert next(calls, None) is None
 
 
@@ -737,18 +740,19 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
                 return out
             return construct
 
-    def recorded(fit):
+    def recorded(fit, position):
+        # position: where the fit takes its (sub-channels, sampled rows) array
         def run(*args, **kwargs):
-            plans = args[2]
+            n, m_s = args[position].shape
             del made[:]
             result = fit(*args, **kwargs)
-            fits.append((kwargs.get("work"), max(made), len(plans) * plans[0].sample_count))
+            fits.append((kwargs.get("work"), max(made), n * m_s))
             return result
         return run
 
     monkeypatch.setattr(harness, "_work_area", recorded_area)
-    monkeypatch.setattr(harness, "_fit_variables", recorded(harness._fit_variables))
-    monkeypatch.setattr(harness, "_fit_statistics", recorded(harness._fit_statistics))
+    monkeypatch.setattr(harness, "_fit_variables", recorded(harness._fit_variables, 2))
+    monkeypatch.setattr(harness, "_fit_statistics", recorded(harness._fit_statistics, 3))
     monkeypatch.setattr(estimators, "_dc_project", recorded_project)
     monkeypatch.setattr(estimators, "np", Constructors())
     run_sweep(config)

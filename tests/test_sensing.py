@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from csqkd.sensing import (
     OmpConfig,
     RowSampledIdftOperator,
+    _cell_plans,
     _gram_from_transform,
     make_sampling_plan,
     mutual_incoherence,
@@ -62,6 +63,40 @@ def test_plan_rejects_a_length_that_is_not_a_positive_integer(m):
 def test_tiny_fraction_keeps_one_index():
     plan = make_sampling_plan(100, 0.001, seed=3)
     assert plan.sample_count == 1
+
+
+@pytest.mark.parametrize(
+    ("m", "fraction"),
+    [(2000, 0.1), (2000, 0.4), (10_000, 0.1), (10_000, 0.4), (2001, 0.3), (20_000, 0.4), (2000, 1.0), (511, 1.0)],
+)
+def test_cell_plans_are_the_successive_plans_of_one_generator(m, fraction):
+    # the rows of _cell_plans(m, f, rng, count) are the plans of count
+    # successive make_sampling_plan(m, f, rng) calls, each the sorted draw of
+    # one choice without replacement, and the generator ends in the state
+    # those calls leave; at m = 20 000 and f = 0.4 numpy's choice shuffles a
+    # tail of 0..m-1 instead of running Floyd's algorithm.  Fraction 1 draws
+    # nothing and gives read-only rows of every index
+    count = 5
+    cell_rng, plan_rng, draw_rng = (np.random.default_rng(17) for _ in range(3))
+    before = cell_rng.bit_generator.state
+    rows = _cell_plans(m, fraction, cell_rng, count)
+    plans = [make_sampling_plan(m, fraction, plan_rng) for _ in range(count)]
+    m_s = plans[0].sample_count
+    assert rows.shape == (count, m_s) and rows.dtype == np.int64
+    for row, plan in zip(rows, plans):
+        assert np.array_equal(row, plan.indices)
+        if m_s < m:
+            assert np.array_equal(row, np.sort(draw_rng.choice(m, size=m_s, replace=False, shuffle=False)))
+    assert cell_rng.bit_generator.state == plan_rng.bit_generator.state
+    if fraction == 1:
+        assert cell_rng.bit_generator.state == before
+        assert np.array_equal(rows, np.broadcast_to(np.arange(m), (count, m)))
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1
+    else:
+        assert cell_rng.bit_generator.state != before
+        assert (np.diff(rows, axis=1) > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +490,8 @@ def test_omp_rejects_a_non_finite_measurement(bad, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: transforms.append(a))
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: transforms.append(a))
     with warnings.catch_warnings():
-        # no transform warns; the sum of squares that overflows may
-        warnings.simplefilter("ignore" if bad == "overflow" else "error")
+        # nothing warns, not even the sum of squares that overflows
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^measurement must be finite, with a finite sum of squares$"):
             omp_solve(op, y, k_max=3)
     assert transforms == []
