@@ -255,14 +255,13 @@ def sample_lognormal_transmittances(
     seed: int,
     attenuation_per_km: float = 0.15,
     sigma_log: float = 0.3,
-    max_transmittance: float = 1.0,
 ) -> np.ndarray:
     """Draw a bounded log-normal transmittance ensemble.
 
     The log-normal mean decays exponentially with the nominal distance label:
     E[T] = exp(-attenuation_per_km * distance_km).  Samples falling outside
-    (0, max_transmittance] are redrawn, so the result is bounded and
-    deterministic for a fixed seed.
+    (0, 1] are redrawn, so the result is bounded and deterministic for a
+    fixed seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -275,7 +274,7 @@ def sample_lognormal_transmittances(
     filled = 0
     for _ in range(1000):
         draw = rng.lognormal(mu, sigma_log, size=count - filled)
-        good = draw[(draw > 0) & (draw <= max_transmittance)]
+        good = draw[(draw > 0) & (draw <= 1.0)]
         out[filled : filled + good.size] = good
         filled += good.size
         if filled == count:
@@ -288,10 +287,11 @@ def sample_lognormal_transmittances(
 
 @dataclass(frozen=True)
 class QuadratureDataset:
-    """Per-sub-channel Alice/Bob variable blocks."""
+    """Alice's and Bob's blocks as the rows of two (M, m) planes, the
+    sub-channels' variables in the order they were simulated."""
 
-    alice: tuple[np.ndarray, ...]
-    bob: tuple[np.ndarray, ...]
+    alice: np.ndarray
+    bob: np.ndarray
 
 
 def attenuate(
@@ -320,10 +320,11 @@ def simulate_block(
     counterpart (real data always carries the vacuum unit).
 
     The blocks of one call are the rows of one (2, M_g, m) buffer, Alice's
-    in its first plane and Bob's in its second, so a dataset is allocated
-    and freed in one piece: a sweep that frees one group's data before
-    simulating the next leaves no run of freed blocks at the top of the heap
-    for the allocator to trim and fault back in under later temporaries.
+    in its first plane and Bob's in its second, which the dataset holds as
+    ``alice`` and ``bob``.  So a dataset is allocated and freed in one
+    piece: a sweep that frees one group's data before simulating the next
+    leaves no run of freed blocks at the top of the heap for the allocator
+    to trim and fault back in under later temporaries.
     Each row takes its draws from its own generator; the scalings by
     sqrt(V_A) and sigma_i then run once per plane, and sqrt(eta*T_i) x_i is
     added row by row through one row-sized temporary.
@@ -357,7 +358,7 @@ def simulate_block(
     for i, x, y in zip(indices, alice, bob):
         attenuate(x, t[i], params.detector_efficiency, out=signal)
         y += signal
-    return QuadratureDataset(alice=tuple(buffer[0]), bob=tuple(buffer[1]))
+    return QuadratureDataset(alice, bob)
 
 
 def ensemble_means(ensemble: SubChannelEnsemble) -> tuple[float, float, float]:

@@ -427,7 +427,9 @@ def subblock_variances(y_block: np.ndarray, n_blocks: int) -> np.ndarray:
         raise ValueError(f"block length {y.size} is not divisible into {n_blocks} sub-blocks")
     if y.size // n_blocks < 2:
         raise ValueError("sub-blocks need at least 2 samples each")
-    return (y.reshape(n_blocks, -1) ** 2).mean(axis=1)
+    # squares past the float range give an infinite variance, not a warning
+    with np.errstate(over="ignore"):
+        return (y.reshape(n_blocks, -1) ** 2).mean(axis=1)
 
 
 def block_variances(y_block: np.ndarray, n_blocks: int) -> np.ndarray:

@@ -21,20 +21,19 @@ in the sorted fractions)``, a group's plans as the rows of one index array
 (:func:`~csqkd.sensing._cell_plans`); fraction 1 keeps every row and draws
 nothing.
 
-A sweep runs each (distance, seed) in three stages, one group of
-sub-channels at a time:
+A sweep runs each distance in three stages:
 
-- simulate: :func:`run_sweep` draws a group's (x, y) blocks from the
-  distance's ensemble with ``simulate_block(..., subchannels=group)``;
-- estimate: :func:`_fit_group` takes those blocks, never the ensemble,
-  validates them, draws the group's plans, one index array per fraction,
-  and fits the planes of the dataset's one buffer, Alice's and Bob's, at
-  them; it returns the fit of each (fraction, estimator) cell and, at the
-  first seed, its coherence values;
-- score: after the last group, ``run_sweep`` joins each cell's group fits
-  and coherence values in sub-channel order and reads the estimate rows,
-  the MSE inputs and, at the first seed, the MIP rows and the key-rate
-  aggregate off the columns, next to the truth.
+- simulate: for each seed, one group of sub-channels at a time,
+  :func:`run_sweep` draws the group's (x, y) blocks from the distance's
+  ensemble with ``simulate_block(..., subchannels=group)``;
+- fit: :func:`_fit_group` takes those blocks, never the ensemble, validates
+  them, draws the group's plans, one index array per fraction, and fits the
+  dataset's Alice and Bob planes at them; ``run_sweep`` joins each cell's
+  group fits in sub-channel order into ``fits[seed, fraction, estimator]``,
+  and the first seed's coherence values into ``mips[fraction, estimator]``;
+- score: after the last seed, :func:`_score` appends the distance's rows to
+  all four tables.  It is the one reader of the ensemble's truth but for
+  the statistics route's noise scale.
 
 The variable-based estimator runs at the configured ``k_max`` without a
 noise scale: the closed-form DC projection at 1 and OMP above it.  The
@@ -113,7 +112,6 @@ from .channel import (
 # measured_variance, make_sampling_plan and both estimate_subchannel_* stay
 # importable here though the sweep does not call them
 from .estimators import (  # noqa: F401
-    AggregateEstimate,
     CellFit,
     _fit_statistics,
     _fit_variables,
@@ -459,11 +457,10 @@ def _ensemble_for(config: ExperimentConfig, distance_index: int) -> SubChannelEn
             excess_noise=config.excess_noise,
             block_length=config.block_length,
         )
-    seed = int(np.random.SeedSequence((config.sampler_seed, distance_index)).generate_state(1)[0])
     t = sample_lognormal_transmittances(
         config.subchannels,
         config.distances_km[distance_index],
-        seed=seed,
+        seed=_derived_seed(config.sampler_seed, distance_index),
         attenuation_per_km=config.attenuation_per_km,
         sigma_log=config.sigma_log,
     )
@@ -500,32 +497,31 @@ def _fit_group(
     noise_scale: np.ndarray,
     work: np.ndarray,
     coherence: bool,
-) -> tuple[dict[tuple[int, str], CellFit], dict[tuple[int, str], np.ndarray]]:
+) -> tuple[dict[tuple[float, str], CellFit], dict[tuple[float, str], np.ndarray]]:
     """Estimate every cell of one simulated group of sub-channels from its
     blocks and the public protocol, never from the ensemble.
 
-    ``dataset`` holds the blocks of the sub-channels in ``group``, which
-    validation errors name by their absolute index; the fits read them as
-    the two planes of its one buffer.  The blocks and measured variances
-    (y.y / m of each row, or its sub-block variances) are validated once
-    per row; at each fraction the group's plans are drawn from that
-    fraction's generator in ``rngs`` (0 for fraction 1, which draws
-    nothing) as the rows of one index array and fitted in the sweep's
-    ``work`` area, the variables route at the configured ``k_max`` and the
-    one-atom statistics route at ``noise_scale``, the one array of the
-    group's truth that estimation reads.  Returns the fit of each (fraction index, estimator) and, keyed
-    the same way, the coherence values of the group's sub-channels under
-    that model: with ``coherence`` one array per cell, without it none.
-    The variables fit fills the values of the rows that OMP solves; the
-    rows left, in model then sub-channel order, take one
+    ``dataset`` holds the blocks of the sub-channels in ``group`` as the rows
+    of its Alice and Bob planes; validation errors name a block by its
+    absolute index.  The blocks and measured variances (y.y / m of
+    each row, or its sub-block variances) are validated once per row; at
+    each fraction the group's plans are drawn from that fraction's
+    generator in ``rngs`` (0 for fraction 1, which draws nothing) as the
+    rows of one index array and fitted in the sweep's ``work`` area, the
+    variables route at the configured ``k_max`` and the one-atom statistics
+    route at ``noise_scale``, the one array of the group's truth that
+    estimation reads.  Returns the fit of each (fraction, estimator) and,
+    keyed the same way, the coherence values of the group's sub-channels
+    under that model: with ``coherence`` one array per cell, without it
+    none.  The variables fit fills the values of the rows that OMP solves;
+    the rows left, in model then sub-channel order, take one
     :func:`~csqkd.sensing.mutual_incoherence` call per two, so at
     ``k_max = 1`` a group of both models runs one two-row transform per
     sub-channel.
     """
     params = config.protocol
     n = config.block_length
-    # the group's blocks are the rows of the dataset's one (2, M_g, m) buffer
-    alice, bob = dataset.alice[0].base
+    alice, bob = dataset.alice, dataset.bob
     if "variables" in config.estimator_names:
         for i, x, y in zip(group, alice, bob):
             _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
@@ -545,18 +541,18 @@ def _fit_group(
         # the statistics model's weights, shared by its operators
         flat = np.full(n, params.modulation_variance)
     fits, mips = {}, {}
-    for f_idx, (fraction, rng) in enumerate(zip(sorted(config.fractions), rngs)):
+    for fraction, rng in zip(sorted(config.fractions), rngs):
         rows = _cell_plans(n, fraction, rng, len(group))
         for estimator in config.estimator_names:
             # coherence diagnostics, once per (fraction, channel, model): the
             # variables fit reads the rows that OMP solves, NaN marks the rest
             column = np.full(len(group), math.nan) if coherence else None
             if coherence:
-                mips[f_idx, estimator] = column
+                mips[fraction, estimator] = column
             if estimator == "statistics":
-                fits[f_idx, estimator] = _fit_statistics(measured, params, n, rows, 1, noise_scale, True, work=work)
+                fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, 1, noise_scale, True, work=work)
             else:
-                fits[f_idx, estimator] = _fit_variables(
+                fits[fraction, estimator] = _fit_variables(
                     alice, bob, rows, params, config.k_max, 0.0, False, work=work, coherence=column
                 )
         if coherence:
@@ -564,7 +560,7 @@ def _fit_group(
             left = [
                 (estimator, j)
                 for estimator in config.estimator_names
-                for j in np.flatnonzero(np.isnan(mips[f_idx, estimator])).tolist()
+                for j in np.flatnonzero(np.isnan(mips[fraction, estimator])).tolist()
             ]
             for pair in (left[i : i + 2] for i in range(0, len(left), 2)):
                 values = mutual_incoherence(*(
@@ -572,8 +568,66 @@ def _fit_group(
                     for estimator, j in pair
                 ))
                 for (estimator, j), value in zip(pair, np.atleast_1d(values).tolist()):
-                    mips[f_idx, estimator][j] = value
+                    mips[fraction, estimator][j] = value
     return fits, mips
+
+
+def _score(
+    report: RunReport,
+    distance: float,
+    ensemble: SubChannelEnsemble,
+    fits: dict[tuple[int, float, str], CellFit],
+    mips: dict[tuple[float, str], np.ndarray],
+) -> None:
+    """Append one distance's rows to the four tables of ``report``: its fits
+    ``fits[seed, fraction, estimator]`` and the first seed's coherence
+    values ``mips[fraction, estimator]``, scored against the ensemble's
+    truth.  A cell's MSE pools its usable estimates over the seeds; an
+    estimator's key rate is that of its fit at the first seed and the
+    largest fraction, the key-rate cell."""
+    config = report.config
+    t_true, eps_true, p = ensemble.transmittances, ensemble.excess_noises, ensemble.probabilities
+    rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
+    for (seed, fraction, estimator), fit in fits.items():
+        report.estimate_rows.extend(
+            EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
+            for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
+                zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(), fit.residual.tolist(), fit.flags)
+            )
+        )
+    for (fraction, estimator), values in mips.items():
+        report.mip_rows.extend(MipRow(distance, i, fraction, estimator, v) for i, v in enumerate(values.tolist()))
+
+    for fraction, estimator in sorted({cell[1:] for cell in fits}):
+        # a cell with no usable estimate over all seeds keeps its row, as NaN
+        mse_t = mse_eps = math.nan
+        t_hat, eps_hat, t, eps = (np.concatenate(c) for c in zip(*(
+            (fit.t_hat[fit.usable], fit.eps_hat[fit.usable], t_true[fit.usable], eps_true[fit.usable])
+            for fit in (fits[seed, fraction, estimator] for seed in config.seeds)
+        )))
+        if t_hat.size:
+            mse_t, mse_eps = compute_mse(t_hat, t), compute_mse(eps_hat, eps)
+        report.mse_rows.append(MseRow(distance, fraction, estimator, len(config.seeds), mse_t, mse_eps))
+
+    # key rates under true and estimated summaries; an estimator with no
+    # usable estimate in the key-rate cell, or only usable estimates of
+    # total probability 0, gets NaN rates
+    summaries = {"true": summary_from_means(*ensemble_means(ensemble), source="true")}
+    for estimator in config.estimator_names:
+        fit = fits[config.seeds[0], max(config.fractions), estimator]
+        aggregate = aggregate_estimates(fit, p) if p[fit.usable].sum() > 0 else None
+        source = f"estimated-{estimator}"
+        summaries[source] = None if aggregate is None else summary_from_means(
+            aggregate.t_mean_clamped, aggregate.sqrt_t_mean, aggregate.eps_mean_clamped, source=source
+        )
+    for detection in config.detections:
+        det_params = dataclasses.replace(config.protocol, detection=detection)
+        for source, summary in summaries.items():
+            if summary is None:
+                report.keyrate_rows.append(KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan))
+                continue
+            rate = secret_key_rate(summary, det_params)
+            report.keyrate_rows.append(KeyrateRow(distance, detection, source, rate.i_ab, rate.chi_be, rate.key_rate))
 
 
 def run_sweep(config: ExperimentConfig) -> RunReport:
@@ -592,17 +646,13 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     )
 
     for d_idx, (distance, ensemble) in enumerate(zip(distances, ensembles)):
-        t_mean, sqrt_t_mean, eps_mean = ensemble_means(ensemble)
-        t_true, eps_true = ensemble.transmittances, ensemble.excess_noises
-        rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
         # the statistics fit keeps its residual bound at the model-exact
         # disturbance scale eta*T_i*eps_i of each sub-channel, read off the truth
-        noise_oracle = params.detector_efficiency * t_true * eps_true
+        noise_oracle = params.detector_efficiency * ensemble.transmittances * ensemble.excess_noises
         groups = _groups(ensemble.count, config.block_length)
-        keyrate_aggregates: dict[str, AggregateEstimate | None] = {}
-        per_cell: dict[tuple[float, str], list[tuple[np.ndarray, ...]]] = {}
+        fits: dict[tuple[int, float, str], CellFit] = {}
+        mips: dict[tuple[float, str], np.ndarray] = {}
         for seed in config.seeds:
-            first_seed = seed == config.seeds[0]
             # fraction 1 keeps every row without a draw, so it needs no generator
             rngs = [np.random.default_rng((seed, d_idx, f_idx)) if f < 1 else 0 for f_idx, f in enumerate(fractions)]
             sim_seed = _derived_seed(seed, d_idx)
@@ -611,71 +661,20 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
             results = [
                 _fit_group(
                     config, group, simulate_block(ensemble, params, seed=sim_seed, subchannels=group),
-                    rngs, noise_oracle[group.start : group.stop].copy(), work, first_seed,
+                    rngs, noise_oracle[group.start : group.stop].copy(), work, seed == config.seeds[0],
                 )
                 for group in groups
             ]
-
-            # score: the cell's group fits joined in order, against the truth
-            for f_idx, fraction in enumerate(fractions):
-                for estimator in config.estimator_names:
-                    cell = f_idx, estimator
-                    fit = _joined([fits[cell] for fits, _ in results])
-                    report.estimate_rows.extend(
-                        EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
-                        for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
-                            zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(),
-                                fit.residual.tolist(), fit.flags)
-                        )
-                    )
-                    if first_seed:
-                        values = np.concatenate([mips[cell] for _, mips in results]).tolist()
-                        report.mip_rows.extend(
-                            MipRow(distance, i, fraction, estimator, v) for i, v in enumerate(values)
-                        )
-                    usable = fit.usable
-                    per_cell.setdefault((fraction, estimator), []).append(
-                        (fit.t_hat[usable], fit.eps_hat[usable], t_true[usable], eps_true[usable])
-                    )
-                    if first_seed and fraction == fractions[-1]:
-                        # usable estimates of total probability 0 are none to aggregate
-                        p = ensemble.probabilities
-                        keyrate_aggregates[estimator] = aggregate_estimates(fit, p) if p[usable].sum() > 0 else None
+            # each cell's group fits, and the first seed's coherence values, joined in order
+            for cell in results[0][0]:
+                fits[(seed, *cell)] = _joined([cells[cell] for cells, _ in results])
+            for cell in results[0][1]:
+                mips[cell] = np.concatenate([values[cell] for _, values in results])
             # freed before the next seed is simulated: left alive under its
-            # group buffers, a seed's fits and generators raised a
+            # group buffers, a seed's group fits and generators raised a
             # lowsnr-blockwise sweep's peak RSS by about 0.5 MiB
-            del results, fit, usable, rngs
-
-        for (fraction, estimator), columns in sorted(per_cell.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            # a cell with no usable estimate over all seeds keeps its row, as NaN
-            mse_t = mse_eps = math.nan
-            t_hat, eps_hat, t, eps = (np.concatenate(c) for c in zip(*columns))
-            if t_hat.size:
-                mse_t = compute_mse(t_hat, t)
-                mse_eps = compute_mse(eps_hat, eps)
-            report.mse_rows.append(MseRow(distance, fraction, estimator, len(config.seeds), mse_t, mse_eps))
-
-        # key rates under true and estimated summaries; an estimator with no
-        # usable estimate in the key-rate cell gets NaN rates
-        summaries = {"true": summary_from_means(t_mean, sqrt_t_mean, eps_mean, source="true")}
-        for estimator, aggregate in keyrate_aggregates.items():
-            source = f"estimated-{estimator}"
-            summaries[source] = None if aggregate is None else summary_from_means(
-                aggregate.t_mean_clamped,
-                aggregate.sqrt_t_mean,
-                aggregate.eps_mean_clamped,
-                source=source,
-            )
-        for detection in config.detections:
-            det_params = dataclasses.replace(params, detection=detection)
-            for source, summary in summaries.items():
-                if summary is None:
-                    report.keyrate_rows.append(KeyrateRow(distance, detection, source, math.nan, math.nan, math.nan))
-                    continue
-                rate = secret_key_rate(summary, det_params)
-                report.keyrate_rows.append(
-                    KeyrateRow(distance, detection, source, rate.i_ab, rate.chi_be, rate.key_rate)
-                )
+            del results, rngs
+        _score(report, distance, ensemble, fits, mips)
     return report
 
 

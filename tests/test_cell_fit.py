@@ -678,6 +678,18 @@ def test_squares_that_overflow_raise_the_documented_error(route, monkeypatch):
         sweep()
 
 
+def test_sub_block_variances_that_overflow_raise_the_documented_error(monkeypatch):
+    # finite entries whose squares overflow give infinite sub-block
+    # variances, which the statistics input rejects with its ValueError,
+    # rather than with numpy's overflow RuntimeWarning
+    with pytest.raises(ValueError, match="^measured must be finite"):
+        estimators._statistics_input(subblock_variances(np.full(8, 1e200), 2), 8)
+    # the sweep's blockwise variances, the sub-blocks of each row of a group's plane
+    sweep = _poisoned_sweep(monkeypatch, "statistics", "blockwise", lambda a, b: b[4].__setitem__(slice(None), 1e200))
+    with pytest.raises(ValueError, match=r"^measured\[4\] must be finite"):
+        sweep()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("k_max", [1, 2])
 def test_statistics_reject_non_finite_variances(bad, k_max, monkeypatch):

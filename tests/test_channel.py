@@ -277,7 +277,7 @@ def test_simulation_bitwise_deterministic():
     ens = build_ensemble([0.5, 0.7], excess_noise=0.02, block_length=300)
     a = simulate_block(ens, params, seed=21)
     b = simulate_block(ens, params, seed=21)
-    for xa, xb in zip(a.alice + a.bob, b.alice + b.bob):
+    for xa, xb in zip((*a.alice, *a.bob), (*b.alice, *b.bob)):
         assert np.array_equal(xa, xb)
     assert all(len(x) == len(y) for x, y in zip(a.alice, a.bob))
 
@@ -290,7 +290,7 @@ def test_simulation_blocks_view_one_buffer_with_per_block_draws():
     ds = simulate_block(ens, params, seed=5)
     base = ds.alice[0].base
     assert base is not None and base.shape == (2, 3, 33)
-    assert all(block.base is base for block in ds.alice + ds.bob)
+    assert all(block.base is base for block in (*ds.alice, *ds.bob))
     assert all(np.shares_memory(x, base[0, i]) and np.shares_memory(y, base[1, i])
                for i, (x, y) in enumerate(zip(ds.alice, ds.bob)))
     children = np.random.SeedSequence(5).spawn(ens.count)
@@ -349,7 +349,7 @@ def test_simulation_of_a_range_is_the_full_datasets_blocks(subchannels, zero_noi
     base = part.alice[0].base
     assert base is not None and base is not full.alice[0].base
     assert base.shape == (2, len(subchannels), ens.block_length)
-    assert all(block.base is base for block in part.alice + part.bob)
+    assert all(block.base is base for block in (*part.alice, *part.bob))
     for i, x, y in zip(subchannels, part.alice, part.bob):
         assert x.tobytes() == full.alice[i].tobytes()
         assert y.tobytes() == full.bob[i].tobytes()

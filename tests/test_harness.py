@@ -928,6 +928,48 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
         assert not [a for a in (*args, *vars(data).values()) if isinstance(a, SubChannelEnsemble)]
 
 
+@pytest.mark.parametrize("t_scale, eps_scale", [
+    (2.0, 0.5),
+    pytest.param(1.0, 2.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+])
+def test_only_the_scoring_reads_the_truth(monkeypatch, t_scale, eps_scale):
+    # a golden blockwise sweep at k_max = 3 whose blocks are simulated from
+    # ensemble A, run once handed A and once handed B = (t_scale T,
+    # eps_scale eps, the same p): every estimate, MIP and estimated key rate
+    # is the same, and the truth columns are B's.  At (2T, eps/2) the
+    # statistics route's eta*T*eps is A's bit for bit; at (T, 2 eps) it is
+    # not, and that route still reads it
+    config = dataclasses.replace(load_config(GOLDEN), variance_mode="blockwise", k_max=3)
+    a = build_ensemble(
+        [0.45, 0.3, 0.12, 0.05, 0.38, 0.2],
+        excess_noise=[0.01, 0.03, 0.02, 0.05, 0.015, 0.04],
+        block_length=config.block_length,
+        probabilities=[0.1, 0.2, 0.15, 0.25, 0.1, 0.2],
+    )
+    b = build_ensemble(t_scale * a.transmittances, eps_scale * a.excess_noises, a.block_length, a.probabilities)
+    simulate = harness.simulate_block
+    monkeypatch.setattr(harness, "simulate_block", lambda ensemble, *args, **kwargs: simulate(a, *args, **kwargs))
+    reports = []
+    for handed in (a, b):
+        monkeypatch.setattr(harness, "_ensemble_for", lambda config, d_idx, handed=handed: handed)
+        reports.append(run_sweep(config))
+    on_a, on_b = reports
+
+    def columns(rows, *names):
+        # repr, so that NaN estimates compare equal
+        return [repr(tuple(getattr(row, name) for name in names)) for row in rows]
+
+    estimated = ("distance", "subchannel", "fraction", "seed", "estimator", "t_hat", "eps_hat", "residual", "flags")
+    assert columns(on_a.estimate_rows, *estimated) == columns(on_b.estimate_rows, *estimated)
+    assert columns(on_a.mip_rows, *MipRow._fields) == columns(on_b.mip_rows, *MipRow._fields)
+    assert [row for row in on_a.keyrate_rows if row.source != "true"] == [
+        row for row in on_b.keyrate_rows if row.source != "true"
+    ]
+    assert [(t_scale * r.t_true, eps_scale * r.eps_true) for r in on_a.estimate_rows] == [
+        (r.t_true, r.eps_true) for r in on_b.estimate_rows
+    ]
+
+
 def test_golden_config_runs_deterministically(tmp_path):
     config = dataclasses.replace(load_config(GOLDEN), out_dir=str(tmp_path / "a"))
     first = write_reports(run_sweep(config), config.out_dir)
