@@ -20,6 +20,7 @@ analysis.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -249,6 +250,12 @@ def ensemble_from_csv(
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _require_seed(seed) -> None:
+    """A seed is an integer >= 0, a numpy integer too, but not a bool."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def sample_lognormal_transmittances(
     count: int,
     distance_km: float,
@@ -261,8 +268,9 @@ def sample_lognormal_transmittances(
     The log-normal mean decays exponentially with the nominal distance label:
     E[T] = exp(-attenuation_per_km * distance_km).  Samples falling outside
     (0, 1] are redrawn, so the result is bounded and deterministic for a
-    fixed seed.
+    fixed seed, an integer >= 0 (a bool is not).
     """
+    _require_seed(seed)
     if count < 1:
         raise ValueError("count must be >= 1")
     mean_t = math.exp(-attenuation_per_km * distance_km)
@@ -301,6 +309,75 @@ def attenuate(
     return np.multiply(np.asarray(x, dtype=float), math.sqrt(detector_efficiency * transmittance), out=out)
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq, PCG report HMC-CS-2014-0905):
+# each hashmix step xors in a constant, steps it by a multiplier and
+# multiplies by the new value; entropy words mix into the pool with MIX_L and
+# MIX_R, and generate_state runs its own chain over the pool's words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_steps(start: int, mult: int, count: int) -> np.ndarray:
+    """The (xor, multiply) uint32 constants of ``count`` hash steps from
+    ``start``, as the two rows of one array."""
+    chain = [start]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)
+
+
+#: generate_state(4, np.uint64): eight uint32 words, the four-word pool twice
+_OUTPUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)
+
+
+def _child_states(root: np.random.SeedSequence, indices: range) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of child i of ``root.spawn(...)``
+    for each i in ``indices``, as the rows of one (len(indices), 4) array.
+
+    A child mixes the root's entropy, zero-padded to the pool size, then its
+    spawn word i (one word: i < 2^32).  Everything before that word is mixed exactly as the
+    root mixed ``root.pool``, since the root pads a short entropy with the
+    same zero words, so only the spawn word's round and the output hash
+    depend on i; both run here for all children in one uint32 pass.
+    """
+    size = root.pool_size  # numpy's default, four words
+    words = max(1, (int(root.entropy).bit_length() + 31) // 32)
+    # hash steps before the spawn word: one per pool word, the pool's
+    # cross-mix, then one per pool word for each entropy word past the pool
+    done = size * size + size * max(0, words - size)
+    xor, mult = _hash_steps(_INIT_A * pow(_MULT_A, done, 1 << 32) & _MASK32, _MULT_A, size)
+    spawn = (np.arange(indices.start, indices.stop, indices.step, dtype=np.uint32)[:, None] ^ xor) * mult
+    spawn ^= spawn >> 16
+    pool = root.pool * np.uint32(_MIX_L) - spawn * np.uint32(_MIX_R)
+    pool ^= pool >> 16
+    xor, mult = _OUTPUT_STEPS
+    state = (np.tile(pool, 2) ^ xor) * mult
+    state ^= state >> 16
+    # word pairs read little-endian, as numpy reads them on every platform
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _state_words() -> type:
+    """A seed sequence whose ``generate_state`` returns the words it holds,
+    which seed a ``PCG64`` as the child they came from would.  Built on the
+    first call: naming ``numpy.random.bit_generator`` at module level would
+    import ``numpy.random`` with this package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for its four uint64 words, the ones held
+            return self.words
+
+    return StateWords
+
+
 def simulate_block(
     ensemble: SubChannelEnsemble,
     params: ProtocolParams,
@@ -311,13 +388,16 @@ def simulate_block(
     """Generate one quadrature dataset for every sub-channel, or for the
     sub-channels in ``subchannels``, in its order.
 
-    Sub-channel i draws from child i of ``SeedSequence(seed)``, the one that
-    ``spawn(M)`` gives it.  The child is built directly, from the seed's
-    entropy and the spawn key (i,), so a range draws exactly the blocks the
-    whole dataset holds for its sub-channels, and generation may run in any
-    order (or in parallel) with identical output.  ``zero_noise`` forces
-    z = 0; it exists for exact-recovery testing and has no physical
-    counterpart (real data always carries the vacuum unit).
+    ``seed`` is an integer >= 0 (a bool is not).  Sub-channel i draws from
+    child i of ``SeedSequence(seed)``, the one that ``spawn(M)`` gives it, so
+    a range draws exactly the blocks the whole dataset holds for its
+    sub-channels, and generation may run in any order with identical
+    output.  The children's words come from the root's one mixed pool: the
+    spawn-word round and output hash of every child of the call run in one
+    pass (:func:`_child_states`), and each row's ``PCG64`` is seeded with
+    its child's words.  ``zero_noise`` forces z = 0; it exists for
+    exact-recovery testing and has no physical counterpart (real data
+    always carries the vacuum unit).
 
     The blocks of one call are the rows of one (2, M_g, m) buffer, Alice's
     in its first plane and Bob's in its second, which the dataset holds as
@@ -329,19 +409,19 @@ def simulate_block(
     sqrt(V_A) and sigma_i then run once per plane, and sqrt(eta*T_i) x_i is
     added row by row through one row-sized temporary.
     """
+    _require_seed(seed)
     indices = range(ensemble.count) if subchannels is None else subchannels
     if not indices or min(indices) < 0 or max(indices) >= ensemble.count:
         raise ValueError(
             f"subchannels must be a non-empty range within 0..{ensemble.count - 1}, got {subchannels!r}"
         )
-    root = np.random.SeedSequence(seed)
+    states = _child_states(np.random.SeedSequence(seed), indices)
+    words, generator, pcg64 = _state_words(), np.random.Generator, np.random.PCG64
     t, eps = ensemble.transmittances.tolist(), ensemble.excess_noises.tolist()
     buffer = np.empty((2, len(indices), ensemble.block_length))
     alice, bob = buffer
-    for i, x, y in zip(indices, alice, bob):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size)
-        )
+    for state, x, y in zip(states, alice, bob):
+        rng = generator(pcg64(words(state)))
         rng.standard_normal(out=x)
         if not zero_noise:
             rng.standard_normal(out=y)

@@ -145,13 +145,19 @@ class CellFit:
     usable: np.ndarray
 
 
+def _not_finite(name: str) -> ValueError:
+    """The error for an array ``name`` whose entries, or the sum of their
+    squares, are not all finite."""
+    return ValueError(f"{name} must be finite, with a finite sum of squares")
+
+
 # squares past the float range give an infinite sum, not a warning
 @np.errstate(over="ignore")
 def _require_finite(name: str, values: np.ndarray) -> None:
     # one BLAS pass: the sum of squares is finite unless an entry is not, or
     # the squares overflow, which no fit of the entries would survive either
     if not math.isfinite(values.dot(values)):
-        raise ValueError(f"{name} must be finite, with a finite sum of squares")
+        raise _not_finite(name)
 
 
 def _plan_rows(plans: Sequence[SamplingPlan]) -> np.ndarray:
@@ -342,7 +348,8 @@ def _fit_variables(
         alice.take(flat, out=x_s, mode="clip")
         bob.take(flat, out=y_s, mode="clip")
         del flat
-    sample_count = np.count_nonzero(x_s, axis=1)
+    # one count of the whole cell; per row only when some entry is zero
+    sample_count = np.full(n, m_s) if np.count_nonzero(x_s) == x_s.size else np.count_nonzero(x_s, axis=1)
     imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
     # x_s is the g w scratch
     fit = _dc_fit(x_s, y_s, delta, shrink, k_max, x_s)

@@ -27,8 +27,9 @@ A sweep runs each distance in three stages:
   :func:`run_sweep` draws the group's (x, y) blocks from the distance's
   ensemble with ``simulate_block(..., subchannels=group)``;
 - fit: :func:`_fit_group` takes those blocks, never the ensemble, validates
-  them, draws the group's plans, one index array per fraction, and fits the
-  dataset's Alice and Bob planes at them; ``run_sweep`` joins each cell's
+  each plane once (one sum of squares per row, for all its rows in one
+  call), draws the group's plans, one index array per fraction, and fits
+  the dataset's Alice and Bob planes at them; ``run_sweep`` joins each cell's
   group fits in sub-channel order into ``fits[seed, fraction, estimator]``,
   and the first seed's coherence values into ``mips[fraction, estimator]``;
 - score: after the last seed, :func:`_score` appends the distance's rows to
@@ -115,8 +116,8 @@ from .estimators import (  # noqa: F401
     CellFit,
     _fit_statistics,
     _fit_variables,
+    _not_finite,
     _statistics_input,
-    _variables_inputs,
     _work_area,
     aggregate_estimates,
     block_variances,
@@ -503,9 +504,10 @@ def _fit_group(
 
     ``dataset`` holds the blocks of the sub-channels in ``group`` as the rows
     of its Alice and Bob planes; validation errors name a block by its
-    absolute index.  The blocks and measured variances (y.y / m of
-    each row, or its sub-block variances) are validated once per row; at
-    each fraction the group's plans are drawn from that fraction's
+    absolute index.  Each plane a route reads is validated once, from the
+    sums of squares of its rows; the replicated variances are Bob's sums
+    over m, and sub-block variances are validated row by row.  At each
+    fraction the group's plans are drawn from that fraction's
     generator in ``rngs`` (0 for fraction 1, which draws nothing) as the
     rows of one index array and fitted in the sweep's ``work`` area, the
     variables route at the configured ``k_max`` and the one-atom statistics
@@ -522,16 +524,28 @@ def _fit_group(
     params = config.protocol
     n = config.block_length
     alice, bob = dataset.alice, dataset.bob
-    if "variables" in config.estimator_names:
-        for i, x, y in zip(group, alice, bob):
-            _variables_inputs(x, y, n, f"x_blocks[{i}]", f"y_blocks[{i}]")
+    variables = "variables" in config.estimator_names
+    replicated = config.variance_mode == "replicated"
+    # one sum of squares per row of each plane a route reads, finite unless
+    # an entry is not or the squares overflow (as _require_finite checks a
+    # block); the first bad row, its x before its y, is named
+    with np.errstate(over="ignore"):
+        xx = _row_dots(alice, alice) if variables else None
+        yy = _row_dots(bob, bob) if variables or replicated else None
+    if variables:
+        bad = np.flatnonzero(~(np.isfinite(xx) & np.isfinite(yy)))
+        if bad.size:
+            j = int(bad[0])
+            plane = "y" if math.isfinite(xx[j]) else "x"
+            raise _not_finite(f"{plane}_blocks[{group[j]}]")
     if "statistics" in config.estimator_names:
-        if config.variance_mode == "replicated":
+        if replicated:
             # each row's y.y / m, the bits of measured_variance(y)
-            with np.errstate(over="ignore"):
-                measured = _row_dots(bob, bob) / n
-            for i, v in zip(group, measured.tolist()):
-                _statistics_input(v, n, f"measured[{i}]")
+            measured = yy / n
+            bad = np.flatnonzero(~np.isfinite(measured))
+            if bad.size:
+                # the scalar check raises for the first, naming it
+                _statistics_input(float(measured[bad[0]]), n, f"measured[{group[bad[0]]}]")
         else:
             measured = np.stack([
                 _statistics_input(subblock_variances(y, config.variance_blocks), n, f"measured[{i}]")

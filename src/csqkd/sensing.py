@@ -52,6 +52,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .channel import _require_seed
+
 #: Relative roundoff of Gram-updated OMP correlations; scores below it are
 #: confirmed against an explicit adjoint of the residual.
 ROUNDOFF_SCALE = 64 * np.finfo(float).eps
@@ -166,17 +168,20 @@ def make_sampling_plan(
     """Choose max(1, round(fraction * m)) distinct indices from 0..m-1.
 
     fraction = 1 keeps every index (identity selection) and draws nothing.
-    ``seed`` is an int, which seeds a fresh generator, or a ``Generator``,
-    which the draw advances: successive calls on one generator give
-    independent uniform subsets.  The plan is the one row of
-    :func:`_cell_plans`, which draws a sweep cell's plans in sub-channel
-    order from one generator, so ``count`` successive calls give its rows.
+    ``seed`` is an integer >= 0 (a bool is not), which seeds a fresh
+    generator, or a ``Generator``, which the draw advances: successive calls
+    on one generator give independent uniform subsets.  The plan is the one
+    row of :func:`_cell_plans`, which draws a sweep cell's plans in
+    sub-channel order from one generator, so ``count`` successive calls give
+    its rows.
     Deterministic for a fixed seed or generator state.
     """
     if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if not 0 < fraction <= 1:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if not isinstance(seed, np.random.Generator):
+        _require_seed(seed)
     return SamplingPlan(length=int(m), indices=_cell_plans(int(m), fraction, seed, 1)[0])
 
 

@@ -18,6 +18,7 @@ from csqkd.channel import (
     sample_lognormal_transmittances,
     simulate_block,
 )
+from csqkd.sensing import make_sampling_plan
 
 
 def test_protocol_params_validation():
@@ -360,6 +361,56 @@ def test_simulation_rejects_a_range_outside_the_ensemble(subchannels):
     ens = build_ensemble([0.5, 0.6, 0.7, 0.8, 0.9], block_length=16)
     with pytest.raises(ValueError, match="subchannels"):
         simulate_block(ens, ProtocolParams(), seed=1, subchannels=subchannels)
+
+
+@pytest.mark.parametrize("subchannels", [range(7, 40, 3), None], ids=["stepped", "full"])
+@pytest.mark.parametrize(
+    "seed",
+    [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, np.int64(2**40 + 9), np.uint32(2**32 - 2)],
+    ids=["0", "2^32-1", "2^32", "2^64+5", "2^128+3", "int64", "uint32"],
+)
+def test_simulation_draws_from_numpys_spawned_children(seed, subchannels):
+    # seeds of one to five entropy words, numpy integers too: every block
+    # holds the draws of numpy's own child of SeedSequence(seed).spawn(M)
+    params = ProtocolParams()
+    ens = build_ensemble(np.linspace(0.05, 0.95, 40), excess_noise=0.02, block_length=19)
+    ds = simulate_block(ens, params, seed=seed, subchannels=subchannels)
+    indices = range(ens.count) if subchannels is None else subchannels
+    assert ds.alice.shape == ds.bob.shape == (len(indices), ens.block_length)
+    children = np.random.SeedSequence(seed).spawn(ens.count)
+    for i, x, y in zip(indices, ds.alice, ds.bob):
+        t, eps = float(ens.transmittances[i]), float(ens.excess_noises[i])
+        rng = np.random.default_rng(children[i])
+        x_ref = rng.normal(0.0, math.sqrt(params.modulation_variance), ens.block_length)
+        z = rng.normal(0.0, math.sqrt(noise_variance(t, eps, params)), ens.block_length)
+        assert x.tobytes() == x_ref.tobytes()
+        assert y.tobytes() == (attenuate(x_ref, t, params.detector_efficiency) + z).tobytes()
+
+
+_SEEDED = {
+    "simulate_block": lambda seed: simulate_block(build_ensemble([0.5, 0.7], block_length=16), ProtocolParams(), seed).bob,
+    "make_sampling_plan": lambda seed: make_sampling_plan(64, 0.25, seed).indices,
+    "make_sampling_plan, fraction 1": lambda seed: make_sampling_plan(64, 1.0, seed).indices,
+    "sample_lognormal_transmittances": lambda seed: sample_lognormal_transmittances(4, 10.0, seed),
+}
+
+
+@pytest.mark.parametrize("function", list(_SEEDED))
+@pytest.mark.parametrize(
+    "seed", [True, False, np.bool_(True), 1.0, np.float64(2.0), 2.5, [1, 2], (3,), "4", None, -1],
+    ids=["True", "False", "np.bool_", "1.0", "np.float64", "2.5", "list", "tuple", "str", "None", "-1"],
+)
+def test_seeded_functions_reject_a_seed_that_is_not_an_integer(function, seed):
+    # a bool, a float, a sequence or a negative number is not a seed, and the
+    # error names it; a numpy integer is one, and make_sampling_plan also
+    # takes a Generator
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+        _SEEDED[function](seed)
+    draw = _SEEDED[function]
+    assert np.array_equal(draw(np.int64(3)), draw(3))
+    assert np.array_equal(draw(np.uint32(3)), draw(3))
+    if function.startswith("make_sampling_plan"):
+        assert np.array_equal(draw(np.random.default_rng(3)), draw(3))
 
 
 def test_zero_noise_shares_alice_draws():

@@ -620,8 +620,10 @@ def test_sweep_draws_each_cells_plans_from_one_generator(monkeypatch):
 
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
 def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, variance_mode):
-    # three fractions fit every block three times per route, from blocks and
-    # variances validated once per (distance, seed)
+    # three fractions fit every block three times per route, from planes
+    # validated once per (distance, seed) group: one sum of squares per row
+    # of each plane, no check of a block on its own; blockwise variances are
+    # still checked row by row
     config = dataclasses.replace(
         FAST,
         distances_km=(2.0, 6.0),
@@ -629,8 +631,18 @@ def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, varia
         variance_mode=variance_mode,
         variance_blocks=16,
     )
+    datasets, dots = [], []
     finite_checks, variance_inputs = collections.Counter(), collections.Counter()
+    simulate, row_dots = harness.simulate_block, harness._row_dots
     require_finite, statistics_input = estimators._require_finite, estimators._statistics_input
+
+    def recorded_simulate(*args, **kwargs):
+        datasets.append(simulate(*args, **kwargs))
+        return datasets[-1]
+
+    def recorded_dots(a, b):
+        dots.append((a, b))
+        return row_dots(a, b)
 
     def recorded_finite(name, values):
         finite_checks[name] += 1
@@ -640,18 +652,51 @@ def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, varia
         variance_inputs[name] += 1
         return statistics_input(measured, length, name)
 
+    monkeypatch.setattr(harness, "simulate_block", recorded_simulate)
+    # not raising: a sweep that no longer calls them fails the counts below
+    monkeypatch.setattr(harness, "_row_dots", recorded_dots, raising=False)
     monkeypatch.setattr(estimators, "_require_finite", recorded_finite)
-    # not raising: a sweep that no longer calls it fails the count below
     monkeypatch.setattr(harness, "_statistics_input", recorded_input, raising=False)
     report = run_sweep(config)
     runs = len(config.distances_km) * len(config.seeds)
     assert len(report.estimate_rows) == runs * len(config.fractions) * 2 * config.subchannels
-    blocks = [f"{name}[{i}]" for i in range(config.subchannels) for name in ("x_blocks", "y_blocks")]
-    variances = [f"measured[{i}]" for i in range(config.subchannels)]
-    # a scalar variance is checked without _require_finite
-    arrays = variances if variance_mode == "blockwise" else []
-    assert finite_checks == {name: runs for name in blocks + arrays}
+    # one group per (distance, seed), and one dot call per plane of it
+    assert len(datasets) == runs
+    assert len(dots) == 2 * runs
+    for dataset in datasets:
+        for plane in (dataset.alice, dataset.bob):
+            assert plane.shape == (config.subchannels, config.block_length)
+            assert sum(a is plane and b is plane for a, b in dots) == 1
+    # blockwise variances are arrays, checked per row; replicated ones are
+    # checked with the planes
+    variances = [f"measured[{i}]" for i in range(config.subchannels)] if variance_mode == "blockwise" else []
+    assert finite_checks == {name: runs for name in variances}
     assert variance_inputs == {name: runs for name in variances}
+
+    # the first error is the one a row-by-row check raised: the lowest
+    # sub-channel first, its x before its y, and measured[i] for a
+    # statistics-only sweep
+    monkeypatch.undo()
+
+    def poisoned(estimators_, *entries):
+        def poison(*args, **kwargs):
+            dataset = simulate(*args, **kwargs)
+            for plane, i, j, value in entries:
+                getattr(dataset, plane)[i, j] = value
+            return dataset
+
+        monkeypatch.setattr(harness, "simulate_block", poison)
+        with pytest.raises(ValueError) as caught:
+            run_sweep(dataclasses.replace(config, estimators=estimators_, distances_km=(2.0,), seeds=(1,)))
+        return str(caught.value)
+
+    blocks = " must be finite, with a finite sum of squares"
+    assert poisoned("both", ("bob", 1, 7, math.nan), ("alice", 3, 0, math.inf)) == "y_blocks[1]" + blocks
+    assert poisoned("both", ("bob", 2, 7, math.nan), ("alice", 2, 9, -math.inf)) == "x_blocks[2]" + blocks
+    assert poisoned("variables", ("bob", 4, slice(None), 1e200)) == "y_blocks[4]" + blocks
+    variances = " must be finite" + ("" if variance_mode == "replicated" else ", with a finite sum of squares")
+    assert poisoned("statistics", ("bob", 3, 7, math.nan), ("bob", 1, 0, math.inf)) == "measured[1]" + variances
+    assert poisoned("statistics", ("bob", 2, slice(None), 1e200)) == "measured[2]" + variances
 
 
 def test_sweep_holds_one_seeds_blocks(monkeypatch):
