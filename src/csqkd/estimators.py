@@ -31,7 +31,8 @@ of a :class:`CellFit`.  The projection
 forms its residual in place in the gathered measurement rows, with g w in
 the gathered Alice rows or, for the statistics route's shared weights, in
 the second row.  A sweep allocates one work area (``_work_area``), the size
-of its largest cell, and passes it to every cell fit.  Each sub-channel is
+of its largest cell or of its coherence transform, if larger, and passes it
+to every cell fit.  Each sub-channel is
 fitted on its own and the plug-ins and flags are elementwise, so the fit of
 consecutive sub-channels equals the fits of any split of them joined in
 order, bit for bit, and the per-sub-channel estimators are its one-channel
@@ -172,10 +173,9 @@ def _plan_rows(plans: Sequence[SamplingPlan]) -> np.ndarray:
     return np.stack([p.indices for p in plans])
 
 
-def _work_area(subchannels: int, sample_count: int) -> np.ndarray:
-    """Two float rows, each of which holds the sampled rows of a cell of up
-    to ``subchannels`` sub-channels at up to ``sample_count`` rows each, for
-    ``work`` of the fits.
+def _work_area(length: int) -> np.ndarray:
+    """Two float rows of ``length`` entries, for ``work`` of the fits: each
+    row holds the sampled rows of a cell of up to ``length`` entries in all.
 
     The rows get an anonymous mapping of their own, unmapped when the array
     is freed.  On the malloc heap a sweep's area (832 KB on
@@ -183,7 +183,7 @@ def _work_area(subchannels: int, sample_count: int) -> np.ndarray:
     one process to the next, so the peak RSS of a loop of sweeps took one of
     two values, the area's size apart.
     """
-    return np.frombuffer(mmap.mmap(-1, 16 * subchannels * sample_count), dtype=float).reshape(2, -1)
+    return np.frombuffer(mmap.mmap(-1, 16 * length), dtype=float).reshape(2, -1)
 
 
 def _cell_fit(
@@ -334,7 +334,7 @@ def _fit_variables(
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, n)
     if work is None:
-        work = _work_area(n, m_s)
+        work = _work_area(n * m_s)
     x_s, y_s = (row[: n * m_s].reshape(n, m_s) for row in work)
     if m_s == alice.shape[1]:
         # sorted unique rows that keep all m indices: the planes themselves
@@ -489,7 +489,7 @@ def _fit_statistics(
     b = measured.shape[1]
     below = measured.mean(axis=1) <= floor - FLOOR_TOLERANCE
     if work is None:
-        work = _work_area(n, m_s)
+        work = _work_area(n * m_s)
     r_s, scratch = (row[: n * m_s].reshape(n, m_s) for row in work)
     # r_y[rows] without forming the length-m vectors r_y: a broadcast copy
     # for one variance a row or every row sampled, else one flat take at

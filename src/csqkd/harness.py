@@ -32,9 +32,11 @@ A sweep runs each distance in three stages:
   the dataset's Alice and Bob planes at them; ``run_sweep`` joins each cell's
   group fits in sub-channel order into ``fits[seed, fraction, estimator]``,
   and the first seed's coherence values into ``mips[fraction, estimator]``;
-- score: after the last seed, :func:`_score` appends the distance's rows to
-  all four tables.  It is the one reader of the ensemble's truth but for
-  the statistics route's noise scale.
+- score: after the last seed, :func:`_score` appends the distance to all
+  four tables: its estimates as columns, the truth beside each cell's fit
+  (see :class:`RunReport`), and the rows of the other three.  It is the one
+  reader of the ensemble's truth but for the statistics route's noise
+  scale.
 
 The variable-based estimator runs at the configured ``k_max`` without a
 noise scale: the closed-form DC projection at 1 and OMP above it.  The
@@ -47,11 +49,12 @@ of its slice as ``noise_scale``, the one truth array that estimation reads
 coherence diagnostic needs the Gram of each (sub-channel, model) operator.
 At ``k_max > 1`` the variables fit reads it for each row that OMP solves,
 off the Gram the solve cached, right after the solve; so no transform is
-repeated and no operator outlives its row.  For the rows left (the
-statistics model, a zero Alice column, every row at ``k_max = 1``) the
-harness builds the row-sampled IDFT operators and passes them two to a
-:func:`~csqkd.sensing.mutual_incoherence` call, which runs their Gram
-transforms as one two-row call.
+repeated and no operator outlives its row.  The rows left (the statistics
+model, a zero Alice column, every row at ``k_max = 1``) get no operator:
+:func:`_coherence_left` scatters the squared weights of as many rows of
+one model as fit into the work area's first row and transforms them in one
+call into its second, with the bits of
+:func:`~csqkd.sensing.mutual_incoherence` of each row's operator.
 
 The groups are the consecutive sub-channels whose blocks fit
 :data:`GROUP_BYTES`; a group's blocks live only in its estimation call, so
@@ -62,7 +65,8 @@ groups, and each sub-channel is fitted on its own, so the output does not
 depend on the budget.  Every cell fit of the sweep gathers all its sampled
 rows into one work area.  :func:`run_sweep` allocates it before the first
 distance, at the size of the largest cell (the first group at the largest
-fraction), in a mapping of its own, and frees it when it returns; no fit
+fraction) or one coherence transform, m + 2 floats a row, if that is
+larger, in a mapping of its own, and frees it when it returns; no fit
 allocates arrays of its rows.  So the budget bounds the gathered rows as
 well: a cell's two rows take at most the bytes of its group's (x, y)
 blocks.
@@ -73,6 +77,9 @@ the key-rate cell (largest fraction, first seed), or only usable estimates of
 probability 0, gets NaN key-rate columns, so every grid writes the same row
 counts.  Each table is written with one ``%`` template per row type:
 ``%.12g`` for float fields, ``%s`` otherwise, applied to the row tuple.
+``estimates.csv`` takes the same formats from ``EstimateRow``, one cell at
+a time: a distance's truth and a cell's constant fields are formatted once,
+and each row formats its fit's fields only.
 
 Configs are validated on construction, so a bad grid fails before any
 simulation starts.
@@ -110,8 +117,9 @@ from .channel import (
     simulate_block,
 )
 # perfbench/tracing.py wraps names in this module, so block_variances,
-# measured_variance, make_sampling_plan and both estimate_subchannel_* stay
-# importable here though the sweep does not call them
+# measured_variance, make_sampling_plan, RowSampledIdftOperator,
+# mutual_incoherence and both estimate_subchannel_* stay importable here
+# though the sweep does not call them
 from .estimators import (  # noqa: F401
     CellFit,
     _fit_statistics,
@@ -127,7 +135,8 @@ from .estimators import (  # noqa: F401
     subblock_variances,
 )
 from .sensing import (  # noqa: F401
-    RowSampledIdftOperator, _cell_plans, _row_dots, _sample_count, make_sampling_plan, mutual_incoherence,
+    RowSampledIdftOperator, _cell_plans, _gram_peaks, _row_dots, _sample_count, make_sampling_plan,
+    mutual_incoherence,
 )
 from .security import secret_key_rate, summary_from_means
 
@@ -441,14 +450,48 @@ class MipRow(NamedTuple):
     header = ("distance", "subchannel", "fraction", "model", "mip")
 
 
+class DistanceEstimates(NamedTuple):
+    """The estimates of one distance as columns: each sub-channel's truth
+    and the joined fit of each (seed, fraction, estimator) cell."""
+
+    distance: float
+    t_true: np.ndarray
+    eps_true: np.ndarray
+    #: fits[seed, fraction, estimator], in the order their rows are written
+    fits: dict[tuple[int, float, str], CellFit]
+
+
 @dataclass
 class RunReport:
+    """The four tables of a sweep.
+
+    ``mse_rows``, ``keyrate_rows`` and ``mip_rows`` hold one row tuple per
+    CSV line.  The estimates, one row per (cell, sub-channel), are kept as
+    columns instead: ``estimates`` holds one :class:`DistanceEstimates` per
+    distance, in sweep order.  :attr:`estimate_rows` builds their
+    ``EstimateRow`` list when read, and :func:`write_reports` writes
+    ``estimates.csv`` from the columns, one cell at a time.
+    """
+
     config: ExperimentConfig
     config_hash: str
-    estimate_rows: list[EstimateRow] = field(default_factory=list)
+    estimates: list[DistanceEstimates] = field(default_factory=list)
     mse_rows: list[MseRow] = field(default_factory=list)
     keyrate_rows: list[KeyrateRow] = field(default_factory=list)
     mip_rows: list[MipRow] = field(default_factory=list)
+
+    @property
+    def estimate_rows(self) -> list[EstimateRow]:
+        """One ``EstimateRow`` per line of ``estimates.csv``, in its order."""
+        return [
+            EstimateRow(d.distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
+            for d in self.estimates
+            for (seed, fraction, estimator), fit in d.fits.items()
+            for i, (t, t_hat, e, eps_hat, r, f) in enumerate(zip(
+                d.t_true.tolist(), fit.t_hat.tolist(), d.eps_true.tolist(), fit.eps_hat.tolist(),
+                fit.residual.tolist(), fit.flags,
+            ))
+        ]
 
 
 def _ensemble_for(config: ExperimentConfig, distance_index: int) -> SubChannelEnsemble:
@@ -506,7 +549,8 @@ def _fit_group(
     of its Alice and Bob planes; validation errors name a block by its
     absolute index.  Each plane a route reads is validated once, from the
     sums of squares of its rows; the replicated variances are Bob's sums
-    over m, and sub-block variances are validated row by row.  At each
+    over m, and the sub-block variances, computed for the plane at once, are
+    validated from their own sums of squares.  At each
     fraction the group's plans are drawn from that fraction's
     generator in ``rngs`` (0 for fraction 1, which draws nothing) as the
     rows of one index array and fitted in the sweep's ``work`` area, the
@@ -516,10 +560,7 @@ def _fit_group(
     keyed the same way, the coherence values of the group's sub-channels
     under that model: with ``coherence`` one array per cell, without it
     none.  The variables fit fills the values of the rows that OMP solves;
-    the rows left, in model then sub-channel order, take one
-    :func:`~csqkd.sensing.mutual_incoherence` call per two, so at
-    ``k_max = 1`` a group of both models runs one two-row transform per
-    sub-channel.
+    :func:`_coherence_left` fills the rest in the work area.
     """
     params = config.protocol
     n = config.block_length
@@ -539,21 +580,20 @@ def _fit_group(
             plane = "y" if math.isfinite(xx[j]) else "x"
             raise _not_finite(f"{plane}_blocks[{group[j]}]")
     if "statistics" in config.estimator_names:
-        if replicated:
-            # each row's y.y / m, the bits of measured_variance(y)
-            measured = yy / n
-            bad = np.flatnonzero(~np.isfinite(measured))
-            if bad.size:
-                # the scalar check raises for the first, naming it
-                _statistics_input(float(measured[bad[0]]), n, f"measured[{group[bad[0]]}]")
-        else:
-            measured = np.stack([
-                _statistics_input(subblock_variances(y, config.variance_blocks), n, f"measured[{i}]")
-                for i, y in zip(group, bob)
-            ])
-    if coherence:
-        # the statistics model's weights, shared by its operators
-        flat = np.full(n, params.modulation_variance)
+        with np.errstate(over="ignore"):
+            if replicated:
+                # each row's y.y / m, the bits of measured_variance(y)
+                measured = checked = yy / n
+            else:
+                # each row's subblock_variances(y, B), bit for bit, and the
+                # sum of their squares, which _require_finite checks
+                b = config.variance_blocks
+                measured = (bob.reshape(len(group), b, n // b) ** 2).mean(axis=2)
+                checked = _row_dots(measured, measured)
+        bad = np.flatnonzero(~np.isfinite(checked))
+        if bad.size:
+            # the check of one row raises for the first, naming it
+            _statistics_input(measured[bad[0]], n, f"measured[{group[bad[0]]}]")
     fits, mips = {}, {}
     for fraction, rng in zip(sorted(config.fractions), rngs):
         rows = _cell_plans(n, fraction, rng, len(group))
@@ -561,29 +601,45 @@ def _fit_group(
             # coherence diagnostics, once per (fraction, channel, model): the
             # variables fit reads the rows that OMP solves, NaN marks the rest
             column = np.full(len(group), math.nan) if coherence else None
-            if coherence:
-                mips[fraction, estimator] = column
             if estimator == "statistics":
                 fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, 1, noise_scale, True, work=work)
             else:
                 fits[fraction, estimator] = _fit_variables(
                     alice, bob, rows, params, config.k_max, 0.0, False, work=work, coherence=column
                 )
-        if coherence:
-            # the rows left, in model then sub-channel order, two per call
-            left = [
-                (estimator, j)
-                for estimator in config.estimator_names
-                for j in np.flatnonzero(np.isnan(mips[fraction, estimator])).tolist()
-            ]
-            for pair in (left[i : i + 2] for i in range(0, len(left), 2)):
-                values = mutual_incoherence(*(
-                    RowSampledIdftOperator(alice[j] if estimator == "variables" else flat, rows[j])
-                    for estimator, j in pair
-                ))
-                for (estimator, j), value in zip(pair, np.atleast_1d(values).tolist()):
-                    mips[fraction, estimator][j] = value
+            if coherence:
+                mips[fraction, estimator] = column
+                weights = alice if estimator == "variables" else float(params.modulation_variance)
+                _coherence_left(column, weights, rows, n, work)
     return fits, mips
+
+
+def _coherence_left(
+    column: np.ndarray, weights: np.ndarray | float, rows: np.ndarray, m: int, work: np.ndarray
+) -> None:
+    """Fill the NaN entries of a cell's coherence ``column`` in place.
+
+    Entry j gets the :func:`~csqkd.sensing.mutual_incoherence` of the
+    row-sampled IDFT operator of block length ``m`` at ``rows[j]`` with the
+    weights of row j of ``weights`` (the Alice plane) or the one weight
+    ``weights`` (the statistics model's V_A), bit for bit, without building
+    the operator.  As many rows as a row of the ``work`` area holds, m + 2
+    floats each, take one transform (:func:`~csqkd.sensing._gram_peaks`).
+    """
+    left = np.flatnonzero(np.isnan(column))
+    per_call = work.shape[1] // (m + 2)
+    for start in range(0, left.size, per_call):
+        js = left[start : start + per_call]
+        index = rows[js]
+        if isinstance(weights, np.ndarray):
+            squares = weights[js[:, None], index]
+            np.square(squares, out=squares)
+        else:
+            squares = weights * weights
+        # the flat index of each sampled row in a (len(js), m) array
+        index += np.arange(0, js.size * m, m)[:, None]
+        peaks, _ = _gram_peaks(js.size, m, index, squares, work)
+        column[js] = peaks / m
 
 
 def _score(
@@ -593,22 +649,16 @@ def _score(
     fits: dict[tuple[int, float, str], CellFit],
     mips: dict[tuple[float, str], np.ndarray],
 ) -> None:
-    """Append one distance's rows to the four tables of ``report``: its fits
-    ``fits[seed, fraction, estimator]`` and the first seed's coherence
-    values ``mips[fraction, estimator]``, scored against the ensemble's
-    truth.  A cell's MSE pools its usable estimates over the seeds; an
+    """Append one distance to the four tables of ``report``: its fits
+    ``fits[seed, fraction, estimator]``, kept as columns beside the
+    ensemble's truth, and the first seed's coherence values
+    ``mips[fraction, estimator]``, scored against that truth.  A cell's MSE
+    pools its usable estimates over the seeds; an
     estimator's key rate is that of its fit at the first seed and the
     largest fraction, the key-rate cell."""
     config = report.config
     t_true, eps_true, p = ensemble.transmittances, ensemble.excess_noises, ensemble.probabilities
-    rows_t, rows_eps = t_true.tolist(), eps_true.tolist()
-    for (seed, fraction, estimator), fit in fits.items():
-        report.estimate_rows.extend(
-            EstimateRow(distance, i, fraction, seed, estimator, t, t_hat, e, eps_hat, r, f)
-            for i, (t, t_hat, e, eps_hat, r, f) in enumerate(
-                zip(rows_t, fit.t_hat.tolist(), rows_eps, fit.eps_hat.tolist(), fit.residual.tolist(), fit.flags)
-            )
-        )
+    report.estimates.append(DistanceEstimates(distance, t_true, eps_true, fits))
     for (fraction, estimator), values in mips.items():
         report.mip_rows.extend(MipRow(distance, i, fraction, estimator, v) for i, v in enumerate(values.tolist()))
 
@@ -653,11 +703,12 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     ensembles = [_ensemble_for(config, d_idx) for d_idx in range(len(distances))]
     # every cell fit of the sweep gathers its sampled rows here, sized for
     # the largest cell: the first group, of an ensemble's count (the same at
-    # every distance), at the largest fraction
-    work = _work_area(
-        len(_groups(ensembles[0].count, config.block_length)[0]),
-        _sample_count(config.block_length, fractions[-1]),
-    )
+    # every distance), at the largest fraction; and the coherence diagnostic
+    # transforms its rows here, which takes a row of at least m + 2 floats
+    work = _work_area(max(
+        len(_groups(ensembles[0].count, config.block_length)[0]) * _sample_count(config.block_length, fractions[-1]),
+        config.block_length + 2,
+    ))
 
     for d_idx, (distance, ensemble) in enumerate(zip(distances, ensembles)):
         # the statistics fit keeps its residual bound at the model-exact
@@ -692,18 +743,67 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     return report
 
 
+def _formats(row_type: type) -> dict[str, str]:
+    """The ``%`` format of each field of the row type ``row_type``: ``%.12g``
+    for a float field, ``%s`` otherwise."""
+    types = get_type_hints(row_type)
+    return {name: "%.12g" if types[name] is float else "%s" for name in row_type._fields}
+
+
 def _write_csv(path: Path, row_type: type, rows: Sequence[tuple]) -> None:
     """Write ``rows``, instances of the row type ``row_type``, under its
-    ``header``: float fields as ``%.12g``, the rest as str."""
-    types = get_type_hints(row_type)
-    template = ",".join("%.12g" if types[name] is float else "%s" for name in row_type._fields) + "\n"
+    ``header``, each field in its :func:`_formats` format."""
+    template = ",".join(_formats(row_type).values()) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(row_type.header) + "\n")
         fh.write("".join([template % row for row in rows]))
 
 
+def _write_estimates(path: Path, estimates: Sequence[DistanceEstimates]) -> None:
+    """Write the ``EstimateRow`` lines of ``estimates`` under its header, the
+    text that :func:`_write_csv` writes for ``RunReport.estimate_rows``.
+
+    Each distance's sub-channel indices and truth are formatted once, and
+    each cell's distance, fraction, seed and estimator once, into the
+    template of its rows; a row formats only its fit's fields.
+    """
+    formats = _formats(EstimateRow)
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(EstimateRow.header) + "\n")
+        for d in estimates:
+            per_channel = {
+                name: [formats[name] % v for v in values]
+                for name, values in (
+                    ("subchannel", range(d.t_true.size)), ("t_true", d.t_true.tolist()),
+                    ("eps_true", d.eps_true.tolist()),
+                )
+            }
+            for (seed, fraction, estimator), fit in d.fits.items():
+                per_cell = {"distance": d.distance, "fraction": fraction, "seed": seed, "estimator": estimator}
+                template, columns = [], []
+                for name in EstimateRow._fields:
+                    if name in per_cell:
+                        template.append((formats[name] % per_cell[name]).replace("%", "%%"))
+                    elif name in per_channel:
+                        template.append("%s")
+                        columns.append(per_channel[name])
+                    else:
+                        # the fit's own column of the field: t_hat, eps_hat, residual, flags
+                        template.append(formats[name])
+                        column = getattr(fit, name)
+                        columns.append(column.tolist() if isinstance(column, np.ndarray) else column)
+                row = ",".join(template) + "\n"
+                fh.write("".join([row % values for values in zip(*columns)]))
+
+
 def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write the CSV set and the run manifest; returns the file map."""
+    """Write the CSV set and the run manifest; returns the file map.
+
+    An empty ``out_dir`` names the working directory, whose files the
+    sweep would overwrite; it is refused before anything is written.
+    """
+    if not out_dir:
+        raise ValueError(f"{_KEYS['out_dir']} must not be empty")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {
@@ -713,7 +813,7 @@ def write_reports(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "mip": out / "mip.csv",
         "manifest": out / "run.json",
     }
-    _write_csv(files["estimates"], EstimateRow, report.estimate_rows)
+    _write_estimates(files["estimates"], report.estimates)
     _write_csv(files["mse"], MseRow, report.mse_rows)
     _write_csv(files["keyrate"], KeyrateRow, report.keyrate_rows)
     _write_csv(files["mip"], MipRow, report.mip_rows)

@@ -20,12 +20,13 @@ other half of the spectrum by exact conjugate mirroring, s[m-k] = conj(s[k])
 data keeps the complex FFT.  Columns gather exp(2i*pi*j/m) from a table built
 once per block length, equal bit for bit to the direct cos/sin expression.
 
-Real transforms of length m run two rows per call where two are due: in a
-sweep at m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row
-calls, and each row keeps the bits of its one-row transform.  The first real
-adjoint of an operator shares its call with the operator's Gram, and
-:func:`mutual_incoherence` takes several operators of one block length and
-reads a cached Gram instead of transforming again.
+Real transforms of length m run several rows per call where several are
+due, and each row keeps the bits of its one-row transform: in a sweep at
+m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row calls.
+The first real adjoint of an operator shares its call with the operator's
+Gram.  The coherence of k operators of one block length (:func:`_gram_peaks`)
+is one k-row transform of their scattered squared weights, and
+:func:`mutual_incoherence` reads a cached Gram instead of transforming again.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
@@ -48,7 +49,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,23 +82,30 @@ def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _half_grams(ops: Sequence[RowSampledIdftOperator]) -> list[np.ndarray]:
-    """Gram entries d = 0..m//2 of each operator.
+def _gram_peaks(k: int, m: int, index: np.ndarray, squares, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest |g[d]|, d = 1..m//2, of the Gram g of each of ``k``
+    row-sampled operators of block length m, and its entries d = 0..m//2.
 
-    The operators share one block length m.  An operator whose Gram is
-    cached gives a view of its first m//2 + 1 entries, the bits of a fresh
-    transform; the others' real transforms run two rows per call.
+    Row i of a (k, m) array of squared weights holds ``squares`` (an array,
+    or one value for all) at the flat ``index`` i*m + its sampled rows, and 0
+    elsewhere.  The rows are scattered into ``work[0]`` and transformed by one
+    k-row real transform into ``work[1]`` viewed as complex, and each row
+    keeps the bits of its one-row transform; ``work``, two float rows of at
+    least k*(m + 2) entries, is overwritten.  The entries returned are a view
+    of ``work[1]``.  |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every
+    column pair.
     """
-    m = ops[0].n_coefficients
-    fresh = [op for op in ops if op._gram is None]
-    w2 = np.zeros((len(fresh), m))
-    for row, op in zip(w2, fresh):
-        row[op.rows] = op.sampled_weights**2
-    half = np.empty((len(fresh), m // 2 + 1), dtype=np.complex128)
-    for i in range(0, len(fresh), 2):
-        np.fft.rfft(w2[i : i + 2], out=half[i : i + 2])
-    transformed = iter(_gram_from_transform(half, m))
-    return [op._gram[: m // 2 + 1] if op._gram is not None else next(transformed) for op in ops]
+    h = m // 2 + 1
+    scattered = work[0, : k * m]
+    scattered.fill(0.0)
+    scattered[index] = squares
+    half = work[1, : 2 * k * h].view(np.complex128).reshape(k, h)
+    np.fft.rfft(scattered.reshape(k, m), out=half)
+    _gram_from_transform(half, m)
+    # the scattered squares are spent: their rows take the magnitudes
+    magnitudes = work[0, : k * (h - 1)].reshape(k, h - 1)
+    np.abs(half[:, 1:], out=magnitudes)
+    return magnitudes.max(axis=1), half
 
 
 def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
@@ -279,7 +287,10 @@ class RowSampledIdftOperator:
         weights are real, so g[m - d] = conj(g[d]) and a real transform of
         half the work gives all of g.
         """
-        return _hermitian_completion(_half_grams([self])[0], self.n_coefficients)
+        m = self.n_coefficients
+        w2 = np.zeros(m)
+        w2[self.rows] = self.sampled_weights**2
+        return _hermitian_completion(_gram_from_transform(np.fft.rfft(w2), m), m)
 
     def gram_column(self, k: int, entries: np.ndarray) -> np.ndarray:
         """Entries j of A^H a_k without a transform: g[(k - j) mod m].
@@ -622,9 +633,10 @@ def mutual_incoherence(
     All column pairs are evaluated exactly in O(m log m) via each operator's
     offset-circulant Gram.  One operator gives a float; several, which must
     share one block length m, give a tuple of one value each, in order, and
-    their Gram transforms run two rows per call.  An operator whose Gram is
-    cached (after a real :meth:`~RowSampledIdftOperator.adjoint`, as in an
-    OMP solve) takes no transform, and its value keeps the same bits.
+    their Gram transforms run as one call (:func:`_gram_peaks`, the helper
+    that the sweep's coherence diagnostic runs too).  An operator whose Gram
+    is cached (after a real :meth:`~RowSampledIdftOperator.adjoint`, as in
+    an OMP solve) takes no transform, and its value keeps the same bits.
     """
     if not ops:
         raise ValueError("mutual incoherence needs at least one operator")
@@ -633,11 +645,21 @@ def mutual_incoherence(
         raise ValueError("operators must share one block length m")
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
-    # |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every column pair
+    h = m // 2 + 1
+    fresh = [op for op in ops if op._gram is None]
+    if fresh:
+        peaks, half = _gram_peaks(
+            len(fresh), m,
+            np.concatenate([op.rows + i * m for i, op in enumerate(fresh)]),
+            np.concatenate([op.sampled_weights**2 for op in fresh]),
+            np.empty((2, len(fresh) * (m + 2))),
+        )
+        transformed = zip(peaks.tolist(), half[:, 0].real.tolist())
     values = []
-    for gram in _half_grams(ops):
-        scale = gram[0].real if normalize else m
+    for op in ops:
+        peak, zero = next(transformed) if op._gram is None else (np.abs(op._gram[1:h]).max(), op._gram[0].real)
+        scale = zero if normalize else m
         if normalize and scale <= 0:
             raise ValueError("operator has zero column norms")
-        values.append(float(np.abs(gram[1:]).max() / scale))
+        values.append(float(peak / scale))
     return values[0] if len(ops) == 1 else tuple(values)

@@ -500,7 +500,7 @@ def test_work_area_has_a_mapping_of_its_own():
     # two writable float rows of a cell's size, held in an anonymous mapping
     # rather than on the malloc heap, where the place the sweep's area took
     # moved the process's peak RSS by the area's size from run to run
-    work = estimators._work_area(3, 5)
+    work = estimators._work_area(3 * 5)
     assert work.shape == (2, 15) and work.dtype == np.float64
     assert work.flags.c_contiguous and work.flags.writeable
     owner = work
@@ -526,7 +526,7 @@ def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs, k_max):
     else:
         bob[3] *= 0.5       # below the floor: not solved where k_max is 3
         measured, _ = _statistics_inputs(bob, inputs)
-    work = estimators._work_area(M, _plans(fraction=0.6)[0].sample_count)
+    work = estimators._work_area(M * _plans(fraction=0.6)[0].sample_count)
     work.fill(np.nan)
     for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
         k = k_max[c_idx % len(k_max)]

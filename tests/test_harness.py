@@ -18,6 +18,7 @@ from csqkd import estimators, harness
 from csqkd.channel import DETECTIONS, QuadratureDataset, SubChannelEnsemble, build_ensemble, ensemble_means
 from csqkd.cli import main as cli_main
 from csqkd.harness import (
+    DistanceEstimates,
     EstimateRow,
     ExperimentConfig,
     KeyrateRow,
@@ -34,9 +35,10 @@ from csqkd.harness import (
     _SECTIONS,
     _ensemble_for,
     _write_csv,
+    _write_estimates,
 )
 from csqkd.security import secret_key_rate, summary_from_means
-from csqkd.sensing import OmpConfig
+from csqkd.sensing import OmpConfig, RowSampledIdftOperator, mutual_incoherence
 
 import oracles
 
@@ -478,6 +480,17 @@ def test_manifest_carries_the_csv_schema_version(tmp_path, fast_report):
     assert manifest["config_hash"] == fast_report.config_hash
 
 
+def test_write_reports_refuses_an_empty_directory(tmp_path, monkeypatch):
+    # "" names the working directory, whose files the sweep would overwrite:
+    # refused by name before anything is written, as load_config and the CLI
+    # refuse it.  ExperimentConfig itself admits an empty directory
+    monkeypatch.chdir(tmp_path)
+    config = dataclasses.replace(FAST, out_dir="")
+    with pytest.raises(ValueError, match=r"^output\.directory must not be empty$"):
+        write_reports(run_sweep(config), config.out_dir)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_templates_match_value_formatter(tmp_path):
     odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3]
     tables = [
@@ -497,6 +510,39 @@ def test_write_csv_templates_match_value_formatter(tmp_path):
         assert path.read_bytes() == expected.encode()
     _write_csv(tmp_path / "empty.csv", MseRow, [])
     assert (tmp_path / "empty.csv").read_text() == "distance,fraction,estimator,seeds,MSE_T,MSE_eps\n"
+
+
+def test_estimates_writer_matches_the_row_writer(tmp_path):
+    # estimates.csv is written from the columns, a cell at a time, with the
+    # text _write_csv gives the same rows one by one: odd floats in every
+    # float column, a seed past 32 bits, and a "%" in a constant field
+    odd = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, -1.5e300, 0.1, 1 / 3])
+    n = odd.size
+
+    def fit(shift):
+        values = np.roll(odd, shift)
+        return estimators.CellFit(
+            values, -values, np.roll(odd, 2 * shift), np.full(n, 7), np.zeros(n),
+            ["degenerate_support;unestimable_transmittance" if i % 3 else "" for i in range(n)],
+            np.ones(n, dtype=bool),
+        )
+
+    estimates = [
+        DistanceEstimates(5.0, odd, odd[::-1].copy(), {(2**40, 0.1, "variables"): fit(1), (3, 1.0, "a%sb"): fit(4)}),
+        DistanceEstimates(1 / 3, odd[::-1].copy(), odd, {(0, 0.25, "statistics"): fit(7)}),
+    ]
+    report = harness.RunReport(FAST, "hash", estimates)
+    rows = report.estimate_rows
+    assert len(rows) == 3 * n
+    assert rows[n + 2] == EstimateRow(5.0, 2, 1.0, 3, "a%sb", -math.inf, *rows[n + 2][6:])
+    _write_estimates(tmp_path / "columns.csv", estimates)
+    _write_csv(tmp_path / "rows.csv", EstimateRow, rows)
+    expected = ",".join(EstimateRow.header) + "\n" + "".join(
+        ",".join(oracles.csv_field(getattr(r, name)) for name in EstimateRow._fields) + "\n" for r in rows
+    )
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes() == expected.encode()
+    _write_estimates(tmp_path / "empty.csv", [])
+    assert (tmp_path / "empty.csv").read_text() == ",".join(EstimateRow.header) + "\n"
 
 
 def test_sweep_without_usable_estimate_writes_nan_rows(tmp_path):
@@ -623,7 +669,8 @@ def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, varia
     # three fractions fit every block three times per route, from planes
     # validated once per (distance, seed) group: one sum of squares per row
     # of each plane, no check of a block on its own; blockwise variances are
-    # still checked row by row
+    # computed for the plane at once and checked from their own sums of
+    # squares, no row on its own
     config = dataclasses.replace(
         FAST,
         distances_km=(2.0, 6.0),
@@ -660,18 +707,20 @@ def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, varia
     report = run_sweep(config)
     runs = len(config.distances_km) * len(config.seeds)
     assert len(report.estimate_rows) == runs * len(config.fractions) * 2 * config.subchannels
-    # one group per (distance, seed), and one dot call per plane of it
+    # one group per (distance, seed), and one dot call per plane of it and,
+    # blockwise, one for the group's (sub-channels, sub-blocks) variances
+    blockwise = variance_mode == "blockwise"
     assert len(datasets) == runs
-    assert len(dots) == 2 * runs
+    assert len(dots) == (2 + blockwise) * runs
     for dataset in datasets:
         for plane in (dataset.alice, dataset.bob):
             assert plane.shape == (config.subchannels, config.block_length)
             assert sum(a is plane and b is plane for a, b in dots) == 1
-    # blockwise variances are arrays, checked per row; replicated ones are
-    # checked with the planes
-    variances = [f"measured[{i}]" for i in range(config.subchannels)] if variance_mode == "blockwise" else []
-    assert finite_checks == {name: runs for name in variances}
-    assert variance_inputs == {name: runs for name in variances}
+    variances = [a for a, b in dots if a is b and a.shape == (config.subchannels, config.variance_blocks)]
+    assert len(variances) == (runs if blockwise else 0)
+    # no row of the variances is checked on its own
+    assert finite_checks == {}
+    assert variance_inputs == {}
 
     # the first error is the one a row-by-row check raised: the lowest
     # sub-channel first, its x before its y, and measured[i] for a
@@ -697,6 +746,11 @@ def test_sweep_validates_each_seeds_blocks_and_variances_once(monkeypatch, varia
     variances = " must be finite" + ("" if variance_mode == "replicated" else ", with a finite sum of squares")
     assert poisoned("statistics", ("bob", 3, 7, math.nan), ("bob", 1, 0, math.inf)) == "measured[1]" + variances
     assert poisoned("statistics", ("bob", 2, slice(None), 1e200)) == "measured[2]" + variances
+    # finite sub-block variances whose squares overflow, on a row below a
+    # NaN: the blockwise check names that row, whose replicated variance
+    # passes
+    first = "measured[3]" if variance_mode == "replicated" else "measured[2]"
+    assert poisoned("statistics", ("bob", 3, 7, math.nan), ("bob", 2, slice(None), 1e152)) == first + variances
 
 
 def test_sweep_holds_one_seeds_blocks(monkeypatch):
@@ -861,8 +915,9 @@ def test_mip_rows_of_a_model_are_those_of_its_sweep_alone(tmp_path, monkeypatch,
 def test_k_max_3_sweep_transforms_no_variables_weights_outside_omp(monkeypatch):
     # the coherence of each variables row is read off the Gram its OMP solve
     # transformed; every other transform of the sweep is of the statistics
-    # model's squared weights, V_A^2 at the sampled rows, two rows per
-    # harness call
+    # model's squared weights, V_A^2 at the sampled rows, as many rows per
+    # call as a row of the work area holds, and takes no harness call of
+    # mutual_incoherence
     config = dataclasses.replace(FAST, k_max=3, fractions=(0.25, 0.5, 1.0))
     flat = np.full(1, config.protocol.modulation_variance) ** 2
     solving, inside, outside, calls = [], [], [], []
@@ -883,14 +938,55 @@ def test_k_max_3_sweep_transforms_no_variables_weights_outside_omp(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", spy)
     monkeypatch.setattr(harness, "mutual_incoherence", lambda *ops, **kw: calls.append(len(ops)) or coherence(*ops, **kw))
     run_sweep(config)
-    n = config.subchannels
+    n, m = config.subchannels, config.block_length
     # one paired adjoint and Gram per solve: every variables row of every cell
     assert [a.shape[0] for a in inside] == [2] * (n * 3 * len(config.seeds))
-    assert calls == [2, 2, 1] * 3
-    assert [a.shape[0] for a in outside] == calls
+    assert calls == []
+    # the work area holds the largest cell, n rows at fraction 1: 4 rows of
+    # m + 2 floats, so each cell's n statistics rows take calls of 4 and 1
+    per_call = n * m // (m + 2)
+    assert per_call == 4
+    assert [a.shape[0] for a in outside] == [per_call, n - per_call] * 3
     for a in outside:
         for row in a:
             assert np.count_nonzero(row) > 0 and np.all((row == 0) | (row == flat[0]))
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode, k_max):
+    # every coherence value of a sweep at the odd block length m = 511 is
+    # the mutual_incoherence of its sub-channel's operator, the Alice
+    # symbols or V_A at the cell's plan, bit for bit.  A row of the work
+    # area, one cell of 5 rows at fraction 1, holds 4 transforms of m + 2
+    # floats, fewer than the rows a cell leaves
+    config = dataclasses.replace(
+        FAST, block_length=511, seeds=(1,), distances_km=(2.0, 40.0),
+        variance_mode=variance_mode, variance_blocks=7, k_max=k_max,
+    )
+    datasets, plans, transforms = [], {}, []
+    simulate, cell_plans, gram_peaks = harness.simulate_block, harness._cell_plans, harness._gram_peaks
+
+    def recorded_plans(m, fraction, rng, count):
+        plans[len(datasets) - 1, fraction] = cell_plans(m, fraction, rng, count)
+        return plans[len(datasets) - 1, fraction]
+
+    monkeypatch.setattr(harness, "simulate_block", lambda *a, **k: datasets.append(simulate(*a, **k)) or datasets[-1])
+    monkeypatch.setattr(harness, "_cell_plans", recorded_plans)
+    monkeypatch.setattr(harness, "_gram_peaks", lambda k, *a: transforms.append(k) or gram_peaks(k, *a))
+    report = run_sweep(config)
+    n = config.subchannels
+    assert max(transforms) == 4 < n
+    # both models' rows at k_max = 1; the statistics rows at k_max = 3
+    cells = len(config.distances_km) * len(config.fractions)
+    assert sum(transforms) == cells * n * (2 if k_max == 1 else 1)
+    assert len(report.mip_rows) == cells * n * 2
+    flat = np.full(config.block_length, config.protocol.modulation_variance)
+    for row in report.mip_rows:
+        d_idx = config.distances_km.index(row.distance)
+        weights = datasets[d_idx].alice[row.subchannel] if row.model == "variables" else flat
+        op = RowSampledIdftOperator(weights, plans[d_idx, row.fraction][row.subchannel])
+        assert np.float64(row.mip).tobytes() == np.float64(mutual_incoherence(op)).tobytes(), row
 
 
 @pytest.mark.parametrize("k_max", [1, 3])

@@ -278,6 +278,28 @@ def test_gram_scaling_matches_complex_division_up_to_the_sign_of_zero(m):
     assert _same_bits(_gram_from_transform(pair[1], m), expected) and _same_bits(pair[1], expected)
 
 
+@pytest.mark.parametrize("m", [511, 512, 2000, 10_000])
+def test_k_row_rfft_gives_each_row_the_bits_of_its_one_row_transform(m):
+    # OMP's paired adjoint and Gram, and the sweep's coherence rows, rest on
+    # this: each row of a k-row np.fft.rfft, fresh or written with out= into
+    # a float buffer viewed as complex, is its own one-row transform, bit
+    # for bit
+    rng = np.random.default_rng(m)
+    h = m // 2 + 1
+    for k in (1, 2, 3, 5, 19):
+        rows = rng.normal(0, 2.0, (k, m)) ** 2
+        rows[:, rng.random(m) < 0.5] = 0.0
+        single = np.stack([np.fft.rfft(row) for row in rows])
+        assert _same_bits(np.fft.rfft(rows), single)
+        # the work area's layout: the input in one float row, the output in
+        # the next, whose entries before the transform are NaN
+        work = np.full((2, k * (m + 2)), math.nan)
+        work[0, : k * m] = rows.ravel()
+        out = work[1, : 2 * k * h].view(np.complex128).reshape(k, h)
+        assert np.fft.rfft(work[0, : k * m].reshape(k, m), out=out) is out
+        assert _same_bits(out, single)
+
+
 def _one_row_adjoint(weights, rows, r):
     # the adjoint as its own one-row norm="ortho" transform
     m = weights.size
@@ -640,8 +662,8 @@ def test_mip_guards():
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("m", [64, 2000])
 def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch):
-    # the harness passes two operators in one call, whose Gram transforms
-    # run as one two-row call; each value equals its single call
+    # the Gram transforms of several operators run as one call, one row
+    # each; each value equals its single call
     rng = np.random.default_rng(m)
     rows = make_sampling_plan(m, 0.4, seed=2).indices
     ops = [
@@ -662,9 +684,9 @@ def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch)
     pair = mutual_incoherence(ops[0], ops[1], normalize=normalize)
     assert shapes == [(2, m)]
     assert pair == tuple(single[:2])
-    # an odd count runs its last operator as a one-row stack
+    # three operators, of two sample counts, take one three-row transform
     assert mutual_incoherence(*ops, normalize=normalize) == tuple(single)
-    assert shapes[1:] == [(2, m), (1, m)]
+    assert shapes[1:] == [(3, m)]
 
 
 @pytest.mark.parametrize("normalize", [False, True])
