@@ -426,17 +426,20 @@ def measured_variance(y_block: np.ndarray) -> float:
 
 
 def subblock_variances(y_block: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Empirical variance of each of ``n_blocks`` disjoint contiguous sub-blocks."""
-    y = np.asarray(y_block, dtype=float)
+    """Empirical variance of each of ``n_blocks`` disjoint contiguous
+    sub-blocks of a block, or of each row of a plane of blocks, whose
+    sub-blocks then run along its last axis."""
+    y = np.atleast_1d(np.asarray(y_block, dtype=float))
+    m = y.shape[-1]
     if n_blocks < 1:
         raise ValueError("n_blocks must be >= 1")
-    if y.size % n_blocks:
-        raise ValueError(f"block length {y.size} is not divisible into {n_blocks} sub-blocks")
-    if y.size // n_blocks < 2:
+    if m % n_blocks:
+        raise ValueError(f"block length {m} is not divisible into {n_blocks} sub-blocks")
+    if m // n_blocks < 2:
         raise ValueError("sub-blocks need at least 2 samples each")
     # squares past the float range give an infinite variance, not a warning
     with np.errstate(over="ignore"):
-        return (y.reshape(n_blocks, -1) ** 2).mean(axis=1)
+        return (y.reshape(*y.shape[:-1], n_blocks, m // n_blocks) ** 2).mean(axis=-1)
 
 
 def block_variances(y_block: np.ndarray, n_blocks: int) -> np.ndarray:

@@ -140,10 +140,6 @@ from .sensing import (  # noqa: F401
 )
 from .security import secret_key_rate, summary_from_means
 
-ESTIMATOR_CHOICES = ("variables", "statistics", "both")
-SOURCE_CHOICES = ("sampler", "file")
-VARIANCE_MODE_CHOICES = ("replicated", "blockwise")
-
 #: Bytes of the (x, y) blocks of the group of sub-channels that a sweep holds
 #: at a time: 13 sub-channels at m = 10^4.  Through the group it also bounds
 #: the sampled rows that every cell fit gathers, which take at most the bytes
@@ -155,11 +151,16 @@ VARIANCE_MODE_CHOICES = ("replicated", "blockwise")
 GROUP_BYTES = 2 * 1024 * 1024
 
 
-def _key(section: str, default: object, *, key: str | None = None, least: int | None = None):
+def _key(
+    section: str, default: object, *, key: str | None = None, least: float | None = None,
+    choices: tuple[str, ...] | None = None,
+):
     """A config field, declared as ``key`` (its own name by default) under
-    ``[section]`` of the config file; an integer key is bounded below by
-    ``least``, if given."""
-    return field(default=default, metadata={"section": section, "key": key, "least": least})
+    ``[section]`` of the config file.  A number, or each entry of a tuple of
+    numbers, is bounded below by ``least``, and a float must be finite as
+    well; a string, or each entry of a tuple of strings, is one of
+    ``choices``."""
+    return field(default=default, metadata={"section": section, "key": key, "least": least, "choices": choices})
 
 
 @dataclass(frozen=True)
@@ -169,19 +170,19 @@ class ExperimentConfig:
     Each field is one config key, declared with :func:`_key`; its type picks
     how the key's text is parsed and written (see :func:`_codec`)."""
 
-    source: str = _key("ensemble", "sampler")
+    source: str = _key("ensemble", "sampler", choices=("sampler", "file"))
     ensemble_file: str | None = _key("ensemble", None, key="file")
-    distances_km: tuple[float, ...] = _key("ensemble", (5.0, 10.0))
+    distances_km: tuple[float, ...] = _key("ensemble", (5.0, 10.0), least=0)
     subchannels: int = _key("ensemble", 20, least=1)
     block_length: int = _key("ensemble", 2000, least=2)
-    excess_noise: float = _key("ensemble", 0.01)
+    excess_noise: float = _key("ensemble", 0.01, least=0)
     sampler_seed: int = _key("ensemble", 7, least=0)
-    attenuation_per_km: float = _key("ensemble", 0.15)
-    sigma_log: float = _key("ensemble", 0.3)
+    attenuation_per_km: float = _key("ensemble", 0.15, least=0)
+    sigma_log: float = _key("ensemble", 0.3, least=0)
     fractions: tuple[float, ...] = _key("estimation", (0.1, 0.4, 1.0))
     seeds: tuple[int, ...] = _key("estimation", (1, 2, 3), least=0)
-    estimators: str = _key("estimation", "both")
-    variance_mode: str = _key("estimation", "replicated")
+    estimators: str = _key("estimation", "both", choices=("variables", "statistics", "both"))
+    variance_mode: str = _key("estimation", "replicated", choices=("replicated", "blockwise"))
     # read, and bounded below, in blockwise mode only
     variance_blocks: int = _key("estimation", 100)
     k_max: int = _key("estimation", 1, least=1)
@@ -189,59 +190,45 @@ class ExperimentConfig:
     detector_efficiency: float = _key("protocol", DEFAULT_DETECTOR_EFFICIENCY)
     electronic_noise: float = _key("protocol", DEFAULT_ELECTRONIC_NOISE)
     reconciliation_efficiency: float = _key("protocol", DEFAULT_RECONCILIATION_EFFICIENCY)
-    detections: tuple[str, ...] = _key("security", ("homodyne", "heterodyne"))
+    detections: tuple[str, ...] = _key("security", ("homodyne", "heterodyne"), choices=DETECTIONS)
     out_dir: str = _key("output", "out", key="directory")
 
     def __post_init__(self) -> None:
         k = _KEYS  # every message names a field by its config key
+        # the rules declared on the fields
         for key in k.values():
             value = getattr(self, key.field)
-            if key.kind is int:
-                entries = [(str(key), value)]
-            elif key.kind == tuple[int, ...]:
+            if get_origin(key.kind) is tuple:
+                if len(set(value)) != len(value):
+                    raise ValueError(f"{key} must not repeat entries, got {_fmt_seq(value)}")
                 entries = [(f"{key} entries", v) for v in value]
             else:
-                continue
+                entries = [(str(key), value)]
             for label, v in entries:
-                # a bool is an Integral, but write_config would write it as True
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ValueError(f"{label} must be an integer, got {v!r}")
-                if key.least is not None and v < key.least:
-                    raise ValueError(f"{label} must be >= {key.least}, got {v}")
-        if self.source not in SOURCE_CHOICES:
-            raise ValueError(f"{k['source']} must be one of {SOURCE_CHOICES}, got {self.source!r}")
+                if key.item is int:
+                    # a bool is an Integral, but write_config would write it as True
+                    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                        raise ValueError(f"{label} must be an integer, got {v!r}")
+                    if key.least is not None and v < key.least:
+                        raise ValueError(f"{label} must be >= {key.least}, got {v}")
+                elif key.least is not None and not (math.isfinite(v) and v >= key.least):
+                    raise ValueError(f"{label} must be finite and >= {key.least}, got {v}")
+                if key.choices is not None and v not in key.choices:
+                    raise ValueError(f"{label} must be one of {key.choices}, got {v!r}")
+        # the rules that span fields, or that a bound cannot state
         if self.source == "file" and not self.ensemble_file:
             raise ValueError(f"{k['ensemble_file']} is required when {k['source']} = file")
         if self.source == "sampler" and not self.distances_km:
             raise ValueError(f"{k['distances_km']} must not be empty when {k['source']} = sampler")
-        for label, value in (
-            (k["excess_noise"], self.excess_noise),
-            (k["attenuation_per_km"], self.attenuation_per_km),
-            (k["sigma_log"], self.sigma_log),
-            *((f"{k['distances_km']} entries", d) for d in self.distances_km),
-        ):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{label} must be finite and >= 0, got {value}")
         for d in self.distances_km if self.source == "sampler" else ():
             if math.exp(-self.attenuation_per_km * d) == 0:
                 raise ValueError(f"{k['distances_km']} entry {d} gives a mean transmittance of 0")
-        if not self.fractions:
-            raise ValueError(f"{k['fractions']} must not be empty")
+        for name in ("fractions", "seeds", "detections"):
+            if not getattr(self, name):
+                raise ValueError(f"{k[name]} must not be empty")
         for f in self.fractions:
             if not 0 < f <= 1:
                 raise ValueError(f"{k['fractions']} entries must be in (0, 1], got {f}")
-        if not self.seeds:
-            raise ValueError(f"{k['seeds']} must not be empty")
-        for name in ("distances_km", "fractions", "seeds", "detections"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{k[name]} must not repeat entries, got {_fmt_seq(values)}")
-        if self.estimators not in ESTIMATOR_CHOICES:
-            raise ValueError(f"{k['estimators']} must be one of {ESTIMATOR_CHOICES}, got {self.estimators!r}")
-        if self.variance_mode not in VARIANCE_MODE_CHOICES:
-            raise ValueError(
-                f"{k['variance_mode']} must be one of {VARIANCE_MODE_CHOICES}, got {self.variance_mode!r}"
-            )
         if self.variance_mode == "blockwise" and (
             self.variance_blocks < 1
             or self.block_length % self.variance_blocks
@@ -251,11 +238,6 @@ class ExperimentConfig:
                 f"{k['variance_blocks']} must divide {k['block_length']} = {self.block_length} "
                 f"into sub-blocks of at least 2 samples, got {self.variance_blocks}"
             )
-        if not self.detections:
-            raise ValueError(f"{k['detections']} must not be empty")
-        for d in self.detections:
-            if d not in DETECTIONS:
-                raise ValueError(f"{k['detections']} entries must be in {DETECTIONS}, got {d!r}")
         try:
             self.protocol
         except ValueError as exc:
@@ -282,15 +264,15 @@ def _fmt_seq(values: Sequence) -> str:
     return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def _codec(kind: object) -> tuple[Callable[[str], object], Callable[[object], str]]:
-    """The parser and formatter of a config value of type ``kind``: a tuple is
-    a comma-separated list of its item type, a float is written by ``repr``,
-    and an optional value is read as its type."""
+def _codec(kind: object) -> tuple[type, Callable[[str], object], Callable[[object], str]]:
+    """The item type of a config value of type ``kind`` (each entry's type
+    for a tuple, the type itself for an optional value) and the value's
+    parser and formatter: a tuple is a comma-separated list of its items,
+    and a float is written by ``repr``."""
+    item = (get_args(kind) or (kind,))[0]
     if get_origin(kind) is tuple:
-        item = get_args(kind)[0]
-        return (lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())), _fmt_seq
-    kind = (get_args(kind) or (kind,))[0]
-    return kind, repr if kind is float else str
+        return item, (lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())), _fmt_seq
+    return item, item, repr if item is float else str
 
 
 class _Key(NamedTuple):
@@ -301,7 +283,10 @@ class _Key(NamedTuple):
     section: str
     name: str
     kind: object
-    least: int | None
+    least: float | None
+    choices: tuple[str, ...] | None
+    #: the type of the value, or of each entry of a tuple
+    item: type
     parse: Callable[[str], object]
     format: Callable[[object], str]
 
@@ -315,7 +300,7 @@ _TYPES = get_type_hints(ExperimentConfig)
 #: field name -> its config key
 _KEYS = {
     f.name: _Key(f.name, f.metadata["section"], f.metadata["key"] or f.name, _TYPES[f.name], f.metadata["least"],
-                 *_codec(_TYPES[f.name]))
+                 f.metadata["choices"], *_codec(_TYPES[f.name]))
     for f in dataclasses.fields(ExperimentConfig)
 }
 _FILE_KEYS = {(key.section, key.name): key for key in _KEYS.values()}
@@ -580,15 +565,14 @@ def _fit_group(
             plane = "y" if math.isfinite(xx[j]) else "x"
             raise _not_finite(f"{plane}_blocks[{group[j]}]")
     if "statistics" in config.estimator_names:
-        with np.errstate(over="ignore"):
-            if replicated:
-                # each row's y.y / m, the bits of measured_variance(y)
-                measured = checked = yy / n
-            else:
-                # each row's subblock_variances(y, B), bit for bit, and the
-                # sum of their squares, which _require_finite checks
-                b = config.variance_blocks
-                measured = (bob.reshape(len(group), b, n // b) ** 2).mean(axis=2)
+        if replicated:
+            # each row's y.y / m, the bits of measured_variance(y)
+            measured = checked = yy / n
+        else:
+            # each row's sub-block variances, and the sum of their squares,
+            # which _require_finite checks
+            measured = subblock_variances(bob, config.variance_blocks)
+            with np.errstate(over="ignore"):
                 checked = _row_dots(measured, measured)
         bad = np.flatnonzero(~np.isfinite(checked))
         if bad.size:
@@ -638,8 +622,7 @@ def _coherence_left(
             squares = weights * weights
         # the flat index of each sampled row in a (len(js), m) array
         index += np.arange(0, js.size * m, m)[:, None]
-        peaks, _ = _gram_peaks(js.size, m, index, squares, work)
-        column[js] = peaks / m
+        column[js] = _gram_peaks(js.size, m, index, squares, work) / m
 
 
 def _score(

@@ -26,7 +26,8 @@ m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row calls.
 The first real adjoint of an operator shares its call with the operator's
 Gram.  The coherence of k operators of one block length (:func:`_gram_peaks`)
 is one k-row transform of their scattered squared weights, and
-:func:`mutual_incoherence` reads a cached Gram instead of transforming again.
+:func:`mutual_incoherence` of one operator reads its cached Gram instead of
+transforming again.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
@@ -82,18 +83,17 @@ def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _gram_peaks(k: int, m: int, index: np.ndarray, squares, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_peaks(k: int, m: int, index: np.ndarray, squares, work: np.ndarray) -> np.ndarray:
     """The largest |g[d]|, d = 1..m//2, of the Gram g of each of ``k``
-    row-sampled operators of block length m, and its entries d = 0..m//2.
+    row-sampled operators of block length m.
 
     Row i of a (k, m) array of squared weights holds ``squares`` (an array,
     or one value for all) at the flat ``index`` i*m + its sampled rows, and 0
     elsewhere.  The rows are scattered into ``work[0]`` and transformed by one
     k-row real transform into ``work[1]`` viewed as complex, and each row
     keeps the bits of its one-row transform; ``work``, two float rows of at
-    least k*(m + 2) entries, is overwritten.  The entries returned are a view
-    of ``work[1]``.  |g[d]| = |g[m - d]|, so offsets 1..m//2 cover every
-    column pair.
+    least k*(m + 2) entries, is overwritten.  |g[d]| = |g[m - d]|, so
+    offsets 1..m//2 cover every column pair.
     """
     h = m // 2 + 1
     scattered = work[0, : k * m]
@@ -105,7 +105,7 @@ def _gram_peaks(k: int, m: int, index: np.ndarray, squares, work: np.ndarray) ->
     # the scattered squares are spent: their rows take the magnitudes
     magnitudes = work[0, : k * (h - 1)].reshape(k, h - 1)
     np.abs(half[:, 1:], out=magnitudes)
-    return magnitudes.max(axis=1), half
+    return magnitudes.max(axis=1)
 
 
 def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
@@ -618,10 +618,8 @@ def _dc_project(
     return DcProjection(gain, np.sqrt(_row_dots(y, y)), degenerate, ww, yy)
 
 
-def mutual_incoherence(
-    *ops: RowSampledIdftOperator, normalize: bool = False
-) -> float | tuple[float, ...]:
-    """Largest off-diagonal column inner product of each sensing matrix.
+def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> float:
+    """Largest off-diagonal column inner product of the sensing matrix ``op``.
 
     With ``normalize`` the columns are l2-normalized first (the textbook,
     scale-free definition).  Without it, inner products are reported in the
@@ -630,36 +628,19 @@ def mutual_incoherence(
     rows, which is the regime the magnitude diagnostics in this package are
     calibrated against.
 
-    All column pairs are evaluated exactly in O(m log m) via each operator's
-    offset-circulant Gram.  One operator gives a float; several, which must
-    share one block length m, give a tuple of one value each, in order, and
-    their Gram transforms run as one call (:func:`_gram_peaks`, the helper
-    that the sweep's coherence diagnostic runs too).  An operator whose Gram
-    is cached (after a real :meth:`~RowSampledIdftOperator.adjoint`, as in
-    an OMP solve) takes no transform, and its value keeps the same bits.
+    All column pairs are evaluated exactly in O(m log m) via the operator's
+    offset-circulant Gram; |g[d]| = |g[m - d]|, so offsets 1..m//2 cover
+    every column pair.  An operator whose Gram is cached (after a real
+    :meth:`~RowSampledIdftOperator.adjoint`, as in an OMP solve) takes no
+    transform, and its value keeps the bits of a fresh transform, which is
+    not cached.
     """
-    if not ops:
-        raise ValueError("mutual incoherence needs at least one operator")
-    m = ops[0].n_coefficients
-    if any(op.n_coefficients != m for op in ops):
-        raise ValueError("operators must share one block length m")
+    m = op.n_coefficients
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
-    h = m // 2 + 1
-    fresh = [op for op in ops if op._gram is None]
-    if fresh:
-        peaks, half = _gram_peaks(
-            len(fresh), m,
-            np.concatenate([op.rows + i * m for i, op in enumerate(fresh)]),
-            np.concatenate([op.sampled_weights**2 for op in fresh]),
-            np.empty((2, len(fresh) * (m + 2))),
-        )
-        transformed = zip(peaks.tolist(), half[:, 0].real.tolist())
-    values = []
-    for op in ops:
-        peak, zero = next(transformed) if op._gram is None else (np.abs(op._gram[1:h]).max(), op._gram[0].real)
-        scale = zero if normalize else m
-        if normalize and scale <= 0:
-            raise ValueError("operator has zero column norms")
-        values.append(float(peak / scale))
-    return values[0] if len(ops) == 1 else tuple(values)
+    gram = op.gram_by_offset() if op._gram is None else op._gram
+    peak = np.abs(gram[1 : m // 2 + 1]).max()
+    scale = gram[0].real if normalize else m
+    if normalize and scale <= 0:
+        raise ValueError("operator has zero column norms")
+    return float(peak / scale)

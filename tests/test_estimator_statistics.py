@@ -15,6 +15,7 @@ from csqkd.estimators import (
     estimate_subchannel_statistics,
     estimate_subchannel_variables,
     measured_variance,
+    subblock_variances,
 )
 from csqkd.sensing import OmpConfig, make_sampling_plan
 
@@ -126,6 +127,17 @@ def test_block_variances_layout():
     assert np.allclose(v, [1, 1, 4, 4, 0, 0, 9, 9])
     with pytest.raises(ValueError, match="divisible"):
         block_variances(y, n_blocks=3)
+
+
+@pytest.mark.parametrize("shape, n_blocks", [((13, 10_000), 100), ((20, 2000), 100), ((5, 512), 8), ((3, 511), 7)])
+def test_subblock_variances_of_a_plane_are_those_of_its_rows(shape, n_blocks):
+    # the sweep takes a plane's sub-block variances in one call: each row
+    # keeps the bits of its own call
+    plane = np.random.default_rng(shape[1]).normal(0, 3.0, shape)
+    rows = np.stack([subblock_variances(y, n_blocks) for y in plane])
+    assert subblock_variances(plane, n_blocks).tobytes() == rows.tobytes()
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        subblock_variances(plane[:, :3], 3)
 
 
 def test_noise_split_reconstitutes_total_variance():

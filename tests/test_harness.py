@@ -9,6 +9,7 @@ import math
 import re
 import weakref
 from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 import pytest
@@ -115,11 +116,18 @@ def test_readme_config_example_loads(tmp_path):
 
 
 def test_readme_config_example_names_every_key():
-    # as a `key =` line of its section, or inside a `;` comment there
+    # as a `key =` line of its section, or inside a `;` comment there; a
+    # key with choices has a `; key:` comment there that names every choice
     parts = re.split(r"^\[(\w+)\]\n", _readme_config_example(), flags=re.M)
     sections = dict(zip(parts[1::2], parts[2::2]))
     for key in _KEYS.values():
-        assert re.search(rf"^(;.*\W)?{key.name} =", sections.get(key.section, ""), re.M), str(key)
+        section = sections.get(key.section, "")
+        assert re.search(rf"^(;.*\W)?{key.name} =", section, re.M), str(key)
+        if key.choices is not None:
+            comment = re.search(rf"^; {key.name}:(.*)$", section, re.M)
+            assert comment, str(key)
+            named = set(re.findall(r"\w+", comment[1]))
+            assert set(key.choices) <= named, (str(key), comment[0])
 
 
 def test_config_keys_are_declared_once_per_field():
@@ -245,6 +253,34 @@ def test_empty_fractions_rejected(tmp_path):
 def test_duplicate_grid_entries_rejected(field, values):
     with pytest.raises(ValueError, match="repeat"):
         dataclasses.replace(FAST, **{field: values})
+
+
+def test_declared_config_rules_are_enforced():
+    # walked from the declarations on the fields: each value that breaks a
+    # declared rule is rejected by a message that starts with the key's
+    # section.key and names the value
+    broken = set()
+    for key in _KEYS.values():
+        many = get_origin(key.kind) is tuple
+        cases = []
+        if key.choices is not None:
+            cases.append(("choices", "nonesuch"))
+        if key.least is not None:
+            cases.append(("least", key.least - 1))
+        if key.item is float:
+            cases.extend(("float", v) for v in (math.nan, math.inf, -math.inf))
+        if many:
+            cases.append(("repeat", getattr(FAST, key.field)[0]))
+        for rule, entry in cases:
+            value = (entry, entry) if rule == "repeat" else (entry,) if many else entry
+            with pytest.raises(ValueError) as caught:
+                dataclasses.replace(FAST, **{key.field: value})
+            message = str(caught.value)
+            assert re.match(rf"{re.escape(str(key))}\b", message), (rule, message)
+            assert str(entry) in message, (rule, message)
+            broken.add(rule)
+    # every kind of rule is declared on some key
+    assert broken == {"choices", "least", "float", "repeat"}
 
 
 @pytest.mark.parametrize(

@@ -660,49 +660,20 @@ def test_mip_guards():
 
 
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("m", [64, 2000])
-def test_mip_of_several_operators_equals_single_calls(m, normalize, monkeypatch):
-    # the Gram transforms of several operators run as one call, one row
-    # each; each value equals its single call
-    rng = np.random.default_rng(m)
-    rows = make_sampling_plan(m, 0.4, seed=2).indices
-    ops = [
-        RowSampledIdftOperator(rng.normal(0, 2.0, m), rows),
-        RowSampledIdftOperator(np.full(m, 4.0), rows),
-        RowSampledIdftOperator(rng.normal(0, 1.0, m), make_sampling_plan(m, 0.1, seed=3).indices),
-    ]
-    single = [mutual_incoherence(op, normalize=normalize) for op in ops]
-    assert all(type(value) is float for value in single)
-    shapes = []
-    rfft = np.fft.rfft
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counted)
-    pair = mutual_incoherence(ops[0], ops[1], normalize=normalize)
-    assert shapes == [(2, m)]
-    assert pair == tuple(single[:2])
-    # three operators, of two sample counts, take one three-row transform
-    assert mutual_incoherence(*ops, normalize=normalize) == tuple(single)
-    assert shapes[1:] == [(3, m)]
-
-
-@pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("m", [511, 512])
 def test_mip_reads_a_cached_gram_with_the_bits_of_a_fresh_transform(m, normalize, monkeypatch):
     # after a real adjoint, as in an OMP solve, the operator's Gram is cached:
-    # its coherence takes no transform and keeps a fresh operator's bits,
-    # alone and beside a fresh operator in one call
+    # its coherence takes no transform and keeps a fresh operator's bits.
+    # A fresh operator's Gram is transformed for the value and not cached
     rng = np.random.default_rng(m)
     weights = rng.normal(0, 2.0, m)
     rows = make_sampling_plan(m, 0.4, seed=m).indices
     solved = RowSampledIdftOperator(weights, rows)
     omp_solve(solved, rng.normal(size=rows.size), k_max=2)
-    other = RowSampledIdftOperator(np.full(m, 4.0), make_sampling_plan(m, 0.1, seed=1).indices)
-    fresh = mutual_incoherence(RowSampledIdftOperator(weights, rows), normalize=normalize)
-    alone = mutual_incoherence(other, normalize=normalize)
+    unsolved = RowSampledIdftOperator(weights, rows)
+    fresh = mutual_incoherence(unsolved, normalize=normalize)
+    assert type(fresh) is float
+    assert unsolved._gram is None
     shapes = []
     rfft = np.fft.rfft
 
@@ -713,18 +684,3 @@ def test_mip_reads_a_cached_gram_with_the_bits_of_a_fresh_transform(m, normalize
     monkeypatch.setattr(np.fft, "rfft", counted)
     assert struct.pack("d", mutual_incoherence(solved, normalize=normalize)) == struct.pack("d", fresh)
     assert shapes == []
-    for ops, expected in (((solved, other), (fresh, alone)), ((other, solved), (alone, fresh))):
-        values = mutual_incoherence(*ops, normalize=normalize)
-        assert struct.pack("2d", *values) == struct.pack("2d", *expected)
-    assert shapes == [(1, m), (1, m)]
-
-
-def test_mip_of_several_operators_needs_one_block_length():
-    ops = [
-        RowSampledIdftOperator(np.ones(64), np.arange(0, 64, 2)),
-        RowSampledIdftOperator(np.ones(32), np.arange(0, 32, 2)),
-    ]
-    with pytest.raises(ValueError, match="one block length"):
-        mutual_incoherence(*ops)
-    with pytest.raises(ValueError, match="at least one operator"):
-        mutual_incoherence()
