@@ -18,31 +18,33 @@ Two routes are provided:
 With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
 is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
 is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
-(variables) or g/eta (statistics).  One cell fit per route, ``_fit_variables``
-and ``_fit_statistics``, is the implementation of each: it fits consecutive
-sub-channels of one (seed, fraction) cell with one atom budget and one
-``shrink_to_delta`` in one pass.  It takes the blocks as the rows of (n, m)
-planes (the statistics route: one variance per row, or a row of sub-block
-variances each) and the plans as the rows of one sorted (n, m_s) index
-array.  It gathers the sampled entries into the starts of the two rows of a
-work area, with one flat ``take`` per plane, or a copy of the planes when
-every row is sampled, fits them, and returns the estimates as the columns
-of a :class:`CellFit`.  The projection
-forms its residual in place in the gathered measurement rows, with g w in
-the gathered Alice rows or, for the statistics route's shared weights, in
-the second row.  A sweep allocates one work area (``_work_area``), the size
-of its largest cell or of its coherence transform, if larger, and passes it
-to every cell fit.  Each sub-channel is
-fitted on its own and the plug-ins and flags are elementwise, so the fit of
-consecutive sub-channels equals the fits of any split of them joined in
-order, bit for bit, and the per-sub-channel estimators are its one-channel
-case.  With a larger budget each row is fitted by Batch-OMP
-(:func:`~csqkd.sensing.omp_solve`) over the row-sampled IDFT operator
-instead, except a zero Alice column or a variance below the floor, which
-keeps gain 0 and residual ||y_s||, the projection of a zero column; and
-:func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and ||Im h|| off
-the sparse coefficients s without synthesizing h.  A support without the DC
-column has mean(h) = 0 exactly, so such an estimate is flagged both
+(variables) or g/eta (statistics).  The statistics route fits this one atom
+only: its variances come from sub-channels that are stable by construction,
+so each variance vector is one DC atom.  One cell fit per route,
+``_fit_variables`` and ``_fit_statistics``, is the implementation of each:
+it fits consecutive sub-channels of one (seed, fraction) cell with one
+``shrink_to_delta`` (and, for the variables route, one atom budget) in one
+pass.  It takes the blocks as the rows of (n, m) planes (the statistics
+route: one variance per row, or a row of sub-block variances each) and the
+plans as the rows of one sorted (n, m_s) index array.  It gathers the
+sampled entries into the starts of the two rows of a work area, with one
+flat ``take`` per plane, or a copy of the planes when every row is sampled,
+fits them, and returns the estimates as the columns of a
+:class:`CellFit`.  The projection forms its residual in place in the
+gathered measurement rows, with g w in the gathered Alice rows or, for the
+statistics route's shared weights, in the second row.  A sweep allocates
+one work area (``_work_area``), the size of its largest cell or of its
+coherence transform, if larger, and passes it to every cell fit.  Each
+sub-channel is fitted on its own and the plug-ins and flags are
+elementwise, so the fit of consecutive sub-channels equals the fits of any
+split of them joined in order, bit for bit, and the per-sub-channel
+estimators are its one-channel case.  With a larger budget each row of the
+variables route is fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`)
+over the row-sampled IDFT operator instead, except a zero Alice column,
+which keeps gain 0 and residual ||y_s||, the projection of a zero column;
+and :func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and ||Im h||
+off the sparse coefficients s without synthesizing h.  A support without
+the DC column has mean(h) = 0 exactly, so such an estimate is flagged both
 ``off_dc_support`` and ``unestimable_transmittance`` and is excluded from
 aggregation.
 
@@ -66,7 +68,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,7 +88,8 @@ from .sensing import (
 FLAG_UNESTIMABLE = "unestimable_transmittance"
 FLAG_BELOW_FLOOR = "below_noise_floor"
 FLAG_DEGENERATE = "degenerate_support"
-#: A multi-atom OMP support without the DC column: mean(h) is exactly 0.
+#: A multi-atom OMP support of the variables route without the DC column:
+#: mean(h) is exactly 0.
 FLAG_OFF_DC = "off_dc_support"
 
 #: Flags that mark an estimate as unusable for aggregation.
@@ -232,35 +235,10 @@ def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[flo
     return float(s[0].real) / math.sqrt(m), imag_norm
 
 
-def _dc_fit(
-    weights: np.ndarray,
-    measurement: np.ndarray,
-    delta: np.ndarray,
-    shrink: bool,
-    k_max: int,
-    scratch: np.ndarray,
-) -> DcProjection:
-    """The one-atom fits of a cell, or at a larger budget the sums OMP starts from.
-
-    At ``k_max = 1`` this is :func:`~csqkd.sensing.dc_project`, with the
-    residual formed in place in ``measurement`` and ``scratch`` (``weights``
-    or an array of the cell's shape) for g w.  Otherwise ``measurement`` is
-    kept for :func:`_omp_refit`, and every row gets w_s.w_s, y_s.y_s, gain 0
-    and residual ||y_s||: the projection of a zero column, which the rows
-    that OMP solves overwrite.
-    """
-    if k_max == 1:
-        return _dc_project(weights, measurement, delta, shrink, scratch)
-    n = measurement.shape[0]
-    ww = _row_dots(weights, weights) if weights.ndim == 2 else np.full(n, weights @ weights)
-    yy = _row_dots(measurement, measurement)
-    return DcProjection(np.zeros(n), np.sqrt(yy), ww == 0, ww, yy)
-
-
 def _omp_refit(
     fit: DcProjection,
     todo: np.ndarray,
-    weights: Callable[[int], np.ndarray],
+    alice: np.ndarray,
     measurement: np.ndarray,
     rows: np.ndarray,
     k_max: int,
@@ -270,19 +248,20 @@ def _omp_refit(
     off_dc: np.ndarray,
     coherence: np.ndarray | None = None,
 ) -> None:
-    """Refit by Batch-OMP the rows of the cell marked in ``todo``, in place.
+    """Refit by Batch-OMP the rows of a variables cell marked in ``todo``, in place.
 
     Row i is ``measurement[i]`` through the row-sampled IDFT operator of
-    ``weights(i)`` at ``rows[i]``, solved with ``k_max``, ``delta[i]`` and
-    ``shrink``.  Its gain becomes mean(h), read off the coefficients, and its
-    residual norm and degenerate flag in ``fit`` are overwritten;
-    ``imag_norm[i]`` and ``off_dc[i]`` get its imaginary-residue norm and
-    whether its support misses the DC column.  A ``coherence`` column gets
-    the operator's :func:`~csqkd.sensing.mutual_incoherence`, read off the
-    Gram that the solve cached, so it takes no transform.
+    row i of the Alice plane ``alice`` at ``rows[i]``, solved with
+    ``k_max``, ``delta[i]`` and ``shrink``.  Its gain becomes mean(h), read
+    off the coefficients, and its residual norm and degenerate flag in
+    ``fit`` are overwritten; ``imag_norm[i]`` and ``off_dc[i]`` get its
+    imaginary-residue norm and whether its support misses the DC column.  A
+    ``coherence`` column gets the operator's
+    :func:`~csqkd.sensing.mutual_incoherence`, read off the Gram that the
+    solve cached, so it takes no transform.
     """
     for i in np.flatnonzero(todo).tolist():
-        op = RowSampledIdftOperator(weights(i), rows[i])
+        op = RowSampledIdftOperator(alice[i], rows[i])
         solution = omp_solve(op, measurement[i], k_max=k_max, delta=float(delta[i]), shrink_to_delta=shrink)
         if coherence is not None:
             coherence[i] = mutual_incoherence(op)
@@ -351,13 +330,16 @@ def _fit_variables(
     # one count of the whole cell; per row only when some entry is zero
     sample_count = np.full(n, m_s) if np.count_nonzero(x_s) == x_s.size else np.count_nonzero(x_s, axis=1)
     imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
-    # x_s is the g w scratch
-    fit = _dc_fit(x_s, y_s, delta, shrink, k_max, x_s)
-    if k_max > 1:
-        # a zero column has nothing to refit
-        _omp_refit(
-            fit, ~fit.degenerate, alice.__getitem__, y_s, rows, k_max, delta, shrink, imag_norm, off_dc, coherence,
-        )
+    if k_max == 1:
+        # x_s is the g w scratch
+        fit = _dc_project(x_s, y_s, delta, shrink, x_s)
+    else:
+        # y_s is kept for OMP; every row gets the projection of a zero
+        # column (gain 0, residual ||y_s||), which the solved rows overwrite,
+        # and a zero column has nothing to refit
+        ww, yy = _row_dots(x_s, x_s), _row_dots(y_s, y_s)
+        fit = DcProjection(np.zeros(n), np.sqrt(yy), ww == 0, ww, yy)
+        _omp_refit(fit, ~fit.degenerate, alice, y_s, rows, k_max, delta, shrink, imag_norm, off_dc, coherence)
     t_hat, eps_hat, unestimable = _variables_plug_in(
         fit.gain, fit.ww, fit.yy, m_s, params.detector_efficiency, floor
     )
@@ -473,17 +455,18 @@ def _fit_statistics(
     params: ProtocolParams,
     length: int,
     rows: np.ndarray,
-    k_max: int,
     noise_scale: float | np.ndarray,
     shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
 ) -> CellFit:
-    """The statistics fit of validated variances of blocks of ``length``:
-    row i of ``measured`` holds the variances of B equal sub-blocks of
-    sub-channel i, B dividing ``length`` (a 1-d array, one variance per
-    sub-channel, is B = 1).  The rows, solver settings and ``work`` are
-    those of :func:`_fit_variables`."""
+    """The one-atom statistics fit of validated variances of blocks of
+    ``length``: row i of ``measured`` holds the variances of B equal
+    sub-blocks of sub-channel i, B dividing ``length`` (a 1-d array, one
+    variance per sub-channel, is B = 1).  Each row is the DC projection of
+    its sampled floor-removed variances on V_A, so its ``imag_norm`` is 0
+    and it is never flagged ``off_dc_support``.  The rows, ``noise_scale``,
+    ``shrink`` and ``work`` are those of :func:`_fit_variables`."""
     n, m_s = rows.shape
     v_a = params.modulation_variance
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
@@ -506,22 +489,16 @@ def _fit_statistics(
         del flat
     r_s -= floor
     sums = r_s.sum(axis=1)
-    imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
-    fit = _dc_fit(np.full(m_s, v_a), r_s, delta, shrink, k_max, scratch)
-    if k_max > 1:
-        _omp_refit(
-            fit, ~below, lambda i: np.full(length, v_a), r_s, rows, k_max, delta, shrink, imag_norm, off_dc
-        )
+    fit = _dc_project(np.full(m_s, v_a), r_s, delta, shrink, scratch)
     t_hat, eps_hat, unestimable = _statistics_plug_in(fit.gain, sums, m_s, params.detector_efficiency, v_a)
     t_hat[below] = 0.0
     eps_hat[below] = math.nan
     fit.residual_norm[below] = 0.0
     return _cell_fit(
-        t_hat, eps_hat, fit.residual_norm, np.full(n, m_s), imag_norm,
+        t_hat, eps_hat, fit.residual_norm, np.full(n, m_s), np.zeros(n),
         (
             (FLAG_BELOW_FLOOR, below),
             (FLAG_DEGENERATE, fit.degenerate & ~below),
-            (FLAG_OFF_DC, off_dc),
             (FLAG_UNESTIMABLE, unestimable & ~below),
         ),
     )
@@ -567,22 +544,25 @@ def estimate_subchannel_statistics(
             calibrated eta, nu_el are consumed -- never Alice's symbols.
         block_length: m for the sub-channel.
         plan: row-selection plan over m.
-        omp: solver configuration; the default single-atom budget is the
-            closed-form DC projection (T_hat = g/eta with g the least-squares
-            gain of the sampled floor-removed variances on V_A), and a larger
-            one runs OMP, both as the one-channel case of the cell fit.  The
-            derived stop tolerance is sqrt(m_s) * noise_scale with no slack:
-            the in-model disturbance (eta*T*eps per entry) is deterministic, and
-            keeping the residual constraint active via ``shrink_to_delta``
-            separates it from the transmittance part exactly.
+        omp: solver configuration; ``k_max`` must be 1, the one DC atom of a
+            variance vector, fitted in closed form (T_hat = g/eta with g the
+            least-squares gain of the sampled floor-removed variances on V_A)
+            as the one-channel case of the cell fit.  The derived stop
+            tolerance is sqrt(m_s) * noise_scale with no slack: the
+            in-model disturbance (eta*T*eps per entry) is deterministic,
+            and keeping the residual constraint active via
+            ``shrink_to_delta`` separates it from the transmittance part
+            exactly.
         noise_floor: constant removed per entry before sensing; defaults to
             1 + nu_el.
     """
+    if omp.k_max != 1:
+        raise ValueError(f"omp.k_max must be 1 for the statistics route, one DC atom, got {omp.k_max}")
     if plan.length != block_length:
         raise ValueError(f"plan covers length {plan.length}, expected {block_length}")
     value = _statistics_input(measured, block_length)
     fit = _fit_statistics(
-        np.reshape(value, (1, -1)), params, block_length, _plan_rows([plan]), omp.k_max, omp.noise_scale or 0.0,
+        np.reshape(value, (1, -1)), params, block_length, _plan_rows([plan]), omp.noise_scale or 0.0,
         omp.shrink_to_delta, noise_floor,
     )
     return _records(fit, first=index)[0]

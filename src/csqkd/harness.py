@@ -157,8 +157,9 @@ def _key(
 ):
     """A config field, declared as ``key`` (its own name by default) under
     ``[section]`` of the config file.  A number, or each entry of a tuple of
-    numbers, is bounded below by ``least``, and a float must be finite as
-    well; a string, or each entry of a tuple of strings, is one of
+    numbers, is of its type (an integer, or for a float a real number; never
+    a bool) and bounded below by ``least``, and a bounded float must be
+    finite as well; a string, or each entry of a tuple of strings, is one of
     ``choices``."""
     return field(default=default, metadata={"section": section, "key": key, "least": least, "choices": choices})
 
@@ -185,6 +186,7 @@ class ExperimentConfig:
     variance_mode: str = _key("estimation", "replicated", choices=("replicated", "blockwise"))
     # read, and bounded below, in blockwise mode only
     variance_blocks: int = _key("estimation", 100)
+    # the variables route's atom budget; the statistics route fits one atom
     k_max: int = _key("estimation", 1, least=1)
     modulation_variance: float = _key("protocol", DEFAULT_MODULATION_VARIANCE)
     detector_efficiency: float = _key("protocol", DEFAULT_DETECTOR_EFFICIENCY)
@@ -211,8 +213,12 @@ class ExperimentConfig:
                         raise ValueError(f"{label} must be an integer, got {v!r}")
                     if key.least is not None and v < key.least:
                         raise ValueError(f"{label} must be >= {key.least}, got {v}")
-                elif key.least is not None and not (math.isfinite(v) and v >= key.least):
-                    raise ValueError(f"{label} must be finite and >= {key.least}, got {v}")
+                elif key.item is float:
+                    # likewise a bool is a Real; an integer is a float's value
+                    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                        raise ValueError(f"{label} must be a real number, got {v!r}")
+                    if key.least is not None and not (math.isfinite(v) and v >= key.least):
+                        raise ValueError(f"{label} must be finite and >= {key.least}, got {v}")
                 if key.choices is not None and v not in key.choices:
                     raise ValueError(f"{label} must be one of {key.choices}, got {v!r}")
         # the rules that span fields, or that a bound cannot state
@@ -586,7 +592,7 @@ def _fit_group(
             # variables fit reads the rows that OMP solves, NaN marks the rest
             column = np.full(len(group), math.nan) if coherence else None
             if estimator == "statistics":
-                fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, 1, noise_scale, True, work=work)
+                fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, noise_scale, True, work=work)
             else:
                 fits[fraction, estimator] = _fit_variables(
                     alice, bob, rows, params, config.k_max, 0.0, False, work=work, coherence=column

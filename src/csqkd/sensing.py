@@ -325,7 +325,9 @@ class OmpConfig:
     """Solver knobs shared by the estimators.
 
     ``k_max = 1``, the budget of a constant sub-channel, is the closed-form
-    DC projection of :func:`dc_project`; a larger budget runs :func:`omp_solve`.
+    DC projection of :func:`dc_project`; a larger budget runs
+    :func:`omp_solve` in the variables estimator, and the statistics
+    estimator, whose variance vector is one DC atom, rejects it.
     The estimators derive the absolute residual tolerance delta from
     ``noise_scale`` (the known or estimated per-entry disturbance amplitude)
     as delta ~ sqrt(m_s) * noise_scale, and use 0 without it.

@@ -13,11 +13,11 @@ replaced.
 
 The exceptions pin the package's code to an earlier form of itself, bit for
 bit.  :func:`batch_omp_frozen` is Batch-OMP as written before it kept its
-work in place, driven by the package's operators.  The pair of multi-atom
-per-sub-channel estimators are kept as they were written before the cell fit
-served every atom budget: they reuse the package's Batch-OMP solver,
-plug-ins and input checks, and pin the cell fit's multi-atom rows to one OMP
-solve per sub-channel.
+work in place, driven by the package's operators.  The multi-atom
+per-sub-channel variables estimator is kept as it was written before the
+cell fit served every atom budget: it reuses the package's Batch-OMP
+solver, plug-in and input checks, and pins the cell fit's multi-atom rows
+to one OMP solve per sub-channel.
 """
 
 from __future__ import annotations
@@ -30,14 +30,10 @@ import numpy as np
 from csqkd import sensing
 from csqkd.channel import ProtocolParams
 from csqkd.estimators import (
-    FLAG_BELOW_FLOOR,
     FLAG_DEGENERATE,
     FLAG_OFF_DC,
     FLAG_UNESTIMABLE,
-    FLOOR_TOLERANCE,
     SubChannelEstimate,
-    _statistics_input,
-    _statistics_plug_in,
     _variables_inputs,
     _variables_plug_in,
     transfer_moments,
@@ -411,8 +407,8 @@ def scalar_statistics_estimate(r_s, v_a, eta, delta=0.0, shrink=False):
 
 
 # ---------------------------------------------------------------------------
-# per-sub-channel multi-atom estimators, as written before the cell fit
-# served every atom budget
+# the per-sub-channel multi-atom variables estimator, as written before the
+# cell fit served every atom budget
 # ---------------------------------------------------------------------------
 
 def _omp_gain(
@@ -440,13 +436,6 @@ def _omp_gain(
     if solution.support.size and not np.any(solution.support == 0):
         flags.append(FLAG_OFF_DC)
     return gain, solution.residual_norm, imag_norm, flags
-
-
-def _resolve_delta(omp: OmpConfig, sample_count: int, slack: float) -> float:
-    """The scalar stop tolerance slack * sqrt(m_s) * noise_scale, 0 without a scale."""
-    if omp.noise_scale is not None:
-        return slack * math.sqrt(sample_count) * omp.noise_scale
-    return 0.0
 
 
 def multi_atom_variables_estimate(
@@ -479,7 +468,8 @@ def multi_atom_variables_estimate(
         )
     eta = params.detector_efficiency
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    delta = _resolve_delta(omp, m_s, slack=1.1)
+    # the stop tolerance 1.1 * sqrt(m_s) * noise_scale, 0 without a scale
+    delta = 0.0 if omp.noise_scale is None else 1.1 * math.sqrt(m_s) * omp.noise_scale
     gain, residual, imag_norm, flags = _omp_gain(x, rows, y_s, omp, delta)
     t_hat, eps_hat, unestimable = _variables_plug_in(
         np.array([gain]), np.array([xx]), np.array([yy]), m_s, eta, floor
@@ -492,54 +482,6 @@ def multi_atom_variables_estimate(
         eps_hat=float(eps_hat[0]),
         residual_norm=residual,
         sample_count=int(np.count_nonzero(x_s)),
-        flags=tuple(flags),
-        imag_norm=imag_norm,
-    )
-
-
-def multi_atom_statistics_estimate(
-    measured,
-    params: ProtocolParams,
-    block_length: int,
-    plan: SamplingPlan,
-    omp: OmpConfig,
-    mode: str = "replicated",
-    noise_floor: float | None = None,
-    index: int = 0,
-) -> SubChannelEstimate:
-    """The ``k_max > 1`` body of ``estimate_subchannel_statistics``: a
-    ``replicated`` ``measured`` is the scalar variance of the block, and a
-    ``blockwise`` one the per-entry vector of length ``block_length``."""
-    value = _statistics_input(measured, block_length)
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    v_b = value if mode == "replicated" else float(value.mean())
-    if v_b <= floor - FLOOR_TOLERANCE:
-        return SubChannelEstimate(
-            index=index,
-            t_hat=0.0,
-            eps_hat=math.nan,
-            residual_norm=0.0,
-            sample_count=plan.sample_count,
-            flags=(FLAG_BELOW_FLOOR,),
-        )
-    rows = plan.indices
-    m_s = rows.size
-    eta = params.detector_efficiency
-    v_a = params.modulation_variance
-    r_s = (np.full(m_s, value) if mode == "replicated" else value[rows]) - floor
-    delta = _resolve_delta(omp, m_s, slack=1.0)
-    gain, residual, imag_norm, flags = _omp_gain(np.full(block_length, v_a), rows, r_s, omp, delta)
-    t_hat, eps_hat, unestimable = _statistics_plug_in(
-        np.array([gain]), np.array([r_s.sum()]), m_s, eta, v_a
-    )
-    if unestimable[0]:
-        flags.append(FLAG_UNESTIMABLE)
-    return SubChannelEstimate(
-        index=index,
-        t_hat=float(t_hat[0]),
-        eps_hat=float(eps_hat[0]),
-        residual_norm=residual,
-        sample_count=m_s,
         flags=tuple(flags),
         imag_norm=imag_norm,
     )

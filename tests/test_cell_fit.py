@@ -82,8 +82,8 @@ def _noise_scale(ens):
     return PARAMS.detector_efficiency * ens.transmittances * ens.excess_noises
 
 
-def fit_statistics(measured, plans, ens=None, k_max=1, work=None):
-    """The records of the sweep's statistics fit at ``k_max``: with ``ens``
+def fit_statistics(measured, plans, ens=None, work=None):
+    """The records of the sweep's statistics fit: with ``ens``
     at each sub-channel's noise scale and ``shrink_to_delta``, as
     :func:`_statistics_configs` gives them one each; without, at neither.
     A cell fit takes variances of one form and blocks of one length, so
@@ -99,7 +99,7 @@ def fit_statistics(measured, plans, ens=None, k_max=1, work=None):
         run = list(run)
         a, b = run[0], run[-1] + 1
         fits.append(estimators._fit_statistics(
-            _variances(measured[a:b]), PARAMS, length, rows[a:b], k_max,
+            _variances(measured[a:b]), PARAMS, length, rows[a:b],
             noise_scale if ens is None else noise_scale[a:b], ens is not None, work=work,
         ))
     return estimators._records(harness._joined(fits))
@@ -134,7 +134,7 @@ def split_cell(request, monkeypatch):
     """Fit each cell whole ("default-chunk"), and as runs of 3, 3 and 1 of
     the M = 7 sub-channels ("chunk-of-3"), each fitted on its own and joined."""
     if request.param is not None:
-        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 3, 5))):
+        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 3, 4))):
             monkeypatch.setattr(estimators, name, _in_runs(getattr(estimators, name), per_channel, request.param))
     return request.param
 
@@ -187,11 +187,10 @@ def _statistics_inputs(bob, form):
     return per_cell, [block_variances(y, 20) for y in bob]
 
 
-def _statistics_configs(ens, k_max, shrink):
-    if not shrink:
-        return [OmpConfig(k_max=k_max)] * ens.count
+def _statistics_configs(ens):
+    """The one-atom settings of the sweep's statistics fit, one per sub-channel."""
     return [
-        OmpConfig(k_max=k_max, noise_scale=PARAMS.detector_efficiency * t * eps, shrink_to_delta=True)
+        OmpConfig(noise_scale=PARAMS.detector_efficiency * t * eps, shrink_to_delta=True)
         for t, eps in zip(ens.transmittances.tolist(), ens.excess_noises.tolist())
     ]
 
@@ -214,7 +213,7 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(split_cell, form):
         low = np.full(m, 50.0)
         low[plans[3].indices] = floor - 0.01
         per_cell[3] = per_channel[3] = low
-    configs = _statistics_configs(ens, 1, shrink=True)
+    configs = _statistics_configs(ens)
     cell = fit_statistics(per_cell, plans, ens)
     single = [
         estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, index=i)
@@ -276,48 +275,17 @@ def test_multi_atom_variables_cell_matches_reference(split_cell, k_max, shrink):
     assert all(cell[i].flags == () and cell[i].imag_norm > 0 for i in (0, 3))
 
 
-@pytest.mark.parametrize("shrink", [False, True])
-@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
-@pytest.mark.parametrize("k_max", [2, 3])
-def test_multi_atom_statistics_cell_matches_reference(split_cell, k_max, mode, shrink):
-    ens, _, bob = _low_snr_dataset()
-    plans = _plans()
-    bob[3] *= 0.5       # variance below the 1 + nu_el floor: no OMP solve
-    per_cell, per_channel = _statistics_inputs(bob, mode)
-    configs = _statistics_configs(ens, k_max, shrink)
-    cell = fit_statistics(per_cell, plans, ens if shrink else None, k_max)
-    reference = [
-        oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode=mode, index=i)
-        for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
-    ]
-    assert_identical(cell, reference)
-    assert cell[3].flags == (FLAG_BELOW_FLOOR,)
-    assert cell[0].flags == ()
-    if mode == "blockwise":
-        assert _flagged(cell, FLAG_OFF_DC) == {2, 6}
-        assert cell[0].imag_norm > 0
-
-
-@pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_multi_atom_rank_deficient_support_matches_reference(route):
+def test_multi_atom_rank_deficient_support_matches_reference():
     # 3 sampled rows cannot carry 4 independent atoms: OMP stops on a
     # rank-deficient support, with or without the DC column in it
     _, alice, bob = _low_snr_dataset()
     plans = _plans(fraction=3 / m)
     omp = OmpConfig(k_max=4)
-    if route == "variables":
-        cell = fit_variables(alice, bob, plans, omp)
-        reference = [
-            oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
-            for i, (x, y, p) in enumerate(zip(alice, bob, plans))
-        ]
-    else:
-        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        cell = fit_statistics(per_cell, plans, k_max=4)
-        reference = [
-            oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, omp, mode="blockwise", index=i)
-            for i, (v, p) in enumerate(zip(per_channel, plans))
-        ]
+    cell = fit_variables(alice, bob, plans, omp)
+    reference = [
+        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
+        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+    ]
     assert_identical(cell, reference)
     flags = {e.flags for e in cell}
     assert (FLAG_DEGENERATE,) in flags
@@ -356,33 +324,20 @@ def test_variables_fit_reads_the_coherence_of_each_row_omp_solves(k_max, monkeyp
     ]
 
 
-@pytest.mark.parametrize("route", ["variables", "statistics"])
-def test_dc_projection_skips_rows_that_omp_refits(split_cell, route, monkeypatch):
+def test_dc_projection_skips_rows_that_omp_refits(split_cell, monkeypatch):
     # at k_max = 3 the projection (sensing._dc_project, which dc_project also
-    # runs) sees no row, and omp_solve every row but those it skips: a zero
-    # Alice column (sub-channel 0) or a variance below the floor (sub-channel
-    # 3), which keeps gain 0 and residual ||y_s||, the projection of a zero
-    # column; the per-sub-channel bodies give every row's bits
-    ens, alice, bob = _low_snr_dataset()
+    # runs) sees no row, and omp_solve every row but the one it skips: a zero
+    # Alice column (sub-channel 0), which keeps gain 0 and residual ||y_s||,
+    # the projection of a zero column; the per-sub-channel bodies give every
+    # row's bits
+    _, alice, bob = _low_snr_dataset()
     plans = _plans()
-    if route == "variables":
-        skipped, flags = 0, (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
-        alice[0][:] = 0.0
-        omp = OmpConfig(k_max=3, noise_scale=0.3)
-        fit = lambda: fit_variables(alice, bob, plans, omp)  # noqa: E731
-        reference = [
-            oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
-            for i, (x, y, p) in enumerate(zip(alice, bob, plans))
-        ]
-    else:
-        skipped, flags = 3, (FLAG_BELOW_FLOOR,)
-        bob[3] *= 0.5
-        per_cell, per_channel = _statistics_inputs(bob, "blockwise")
-        fit = lambda: fit_statistics(per_cell, plans, ens, k_max=3)  # noqa: E731
-        reference = [
-            oracles.multi_atom_statistics_estimate(v, PARAMS, m, p, c, mode="blockwise", index=i)
-            for i, (v, p, c) in enumerate(zip(per_channel, plans, _statistics_configs(ens, 3, shrink=True)))
-        ]
+    alice[0][:] = 0.0
+    omp = OmpConfig(k_max=3, noise_scale=0.3)
+    reference = [
+        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
+        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+    ]
     projected, solved = [], []
     project, solve = estimators._dc_project, estimators.omp_solve
 
@@ -396,37 +351,35 @@ def test_dc_projection_skips_rows_that_omp_refits(split_cell, route, monkeypatch
 
     monkeypatch.setattr(estimators, "_dc_project", spy_project)
     monkeypatch.setattr(estimators, "omp_solve", spy_solve)
-    cell = fit()
+    cell = fit_variables(alice, bob, plans, omp)
     assert_identical(cell, reference)
-    assert cell[skipped].flags == flags and cell[skipped].imag_norm == 0.0
+    assert cell[0].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE) and cell[0].imag_norm == 0.0
     assert projected == []
-    # below the floor: sub-channel 3, and the lowest transmittances by chance
-    assert len(solved) == M - len(_flagged(cell, flags[0]))
+    assert len(solved) == M - 1
 
 
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
-def test_multi_atom_statistics_plans_of_two_lengths(split_cell, mode):
+def test_statistics_plans_of_two_lengths(split_cell, mode):
     # blocks of 400 and 200 sampled at 120 rows each, the first four
     # sub-channels from an ensemble of length 400 and the last three from
-    # one of length 200, fitted as a cell per length and joined: each OMP
-    # operator spans its own block length
+    # one of length 200, fitted as a cell per length and joined: each row
+    # gathers its variances at its own block length
     lengths = [m] * 4 + [m // 2] * 3
     ens, _, bob = _low_snr_dataset(m, range(0, 4))
     bob += _low_snr_dataset(m // 2, range(4, M))[2]
     plans = [make_sampling_plan(n, 120 / n, seed=5 + i) for i, n in enumerate(lengths)]
     assert {p.sample_count for p in plans} == {120}
     per_cell, per_channel = _statistics_inputs(bob, mode)
-    configs = _statistics_configs(ens, 3, shrink=True)
-    cell = fit_statistics(per_cell, plans, ens, k_max=3)
-    reference = [
-        oracles.multi_atom_statistics_estimate(v, PARAMS, n, p, c, mode=mode, index=i)
-        for i, (v, n, p, c) in enumerate(zip(per_channel, lengths, plans, configs))
+    cell = fit_statistics(per_cell, plans, ens)
+    single = [
+        estimate_subchannel_statistics(v, PARAMS, n, p, omp=c, index=i)
+        for i, (v, n, p, c) in enumerate(zip(per_channel, lengths, plans, _statistics_configs(ens)))
     ]
-    assert_identical(cell, reference)
+    assert_identical(cell, single)
+    assert any(e.usable for e in cell)
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
-@pytest.mark.parametrize("route", ["variables", "statistics"])
+@pytest.mark.parametrize(("route", "k_max"), [("variables", 1), ("variables", 3), ("statistics", 1)])
 def test_cell_records_are_the_core_columns(split_cell, route, k_max):
     # row i of the cell fit's columns is the record of sub-channel i that the
     # per-sub-channel estimator builds from its one-channel fit
@@ -444,11 +397,11 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
         bob[3] *= 0.5       # below the floor
         per_cell, _ = _statistics_inputs(bob, "blockwise")
         fit = estimators._fit_statistics(
-            _variances(per_cell), PARAMS, m, estimators._plan_rows(plans), k_max, _noise_scale(ens), True
+            _variances(per_cell), PARAMS, m, estimators._plan_rows(plans), _noise_scale(ens), True
         )
         cell = [
             estimate_subchannel_statistics(v, PARAMS, m, p, c, index=i)
-            for i, (v, p, c) in enumerate(zip(per_cell, plans, _statistics_configs(ens, k_max, shrink=True)))
+            for i, (v, p, c) in enumerate(zip(per_cell, plans, _statistics_configs(ens)))
         ]
     for column, field in (
         ("t_hat", "t_hat"), ("eps_hat", "eps_hat"), ("residual", "residual_norm"), ("imag_norm", "imag_norm"),
@@ -466,8 +419,7 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
 
 
 @pytest.mark.parametrize("groups", [[(0, 7)], [(0, 2), (2, 3), (3, 7)], [(i, i + 1) for i in range(M)]])
-@pytest.mark.parametrize("k_max", [1, 3])
-@pytest.mark.parametrize("route", ["variables", "statistics"])
+@pytest.mark.parametrize(("route", "k_max"), [("variables", 1), ("variables", 3), ("statistics", 1)])
 def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, groups):
     # the sweep fits a cell one group of sub-channels at a time and joins
     # the group fits in order; the columns are the one-fit bits
@@ -485,8 +437,7 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, grou
 
         def fit(a, b):
             return estimators._fit_statistics(
-                _variances(per_cell[a:b]), PARAMS, m, estimators._plan_rows(plans[a:b]), k_max, noise_scale[a:b],
-                True,
+                _variances(per_cell[a:b]), PARAMS, m, estimators._plan_rows(plans[a:b]), noise_scale[a:b], True
             )
     whole = fit(0, M)
     split = harness._joined([fit(a, b) for a, b in groups])
@@ -514,35 +465,38 @@ def test_work_area_has_a_mapping_of_its_own():
 @pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
 def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs, k_max):
     # cells of three sample counts fitted one after another in one work area,
-    # NaN-filled before the first, at the atom budgets in k_max in turn
-    # ("mixed": OMP, projection, OMP): no row of the fill or of an earlier
-    # cell leaks into a fit, and an OMP cell reads its measurement rows as
-    # gathered, after a projected cell formed its residuals in the area; the
-    # per-sub-channel estimates, cells of one row, are the reference.  The
-    # area holds the largest cell exactly (fraction 0.6), as the sweep's does
+    # NaN-filled before the first, the variables fits at the atom budgets in
+    # k_max in turn ("mixed": OMP, projection, OMP): no row of the fill or of
+    # an earlier cell leaks into a fit, and an OMP cell reads its measurement
+    # rows as gathered, after a projected cell formed its residuals in the
+    # area.  The statistics fits run at one atom, each but the first after a
+    # variables cell at that budget, as in a sweep of both estimators.
+    # The per-sub-channel estimates, cells of one row, are the reference.
+    # The area holds the largest cell exactly (fraction 0.6), as the sweep's does
     ens, alice, bob = _low_snr_dataset()
     if inputs == "variables":
         alice[1][:] = 0.0   # a zero column: neither projected nor solved where k_max is 3
     else:
-        bob[3] *= 0.5       # below the floor: not solved where k_max is 3
+        bob[3] *= 0.5       # below the floor
         measured, _ = _statistics_inputs(bob, inputs)
     work = estimators._work_area(M * _plans(fraction=0.6)[0].sample_count)
     work.fill(np.nan)
     for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
-        k = k_max[c_idx % len(k_max)]
+        omp = OmpConfig(k_max=k_max[c_idx % len(k_max)], noise_scale=0.3)
         plans = _plans(fraction=fraction)
         if inputs == "variables":
-            omp = OmpConfig(k_max=k, noise_scale=0.3)
             cell = fit_variables(alice, bob, plans, omp, work=work)
             single = [
                 estimate_subchannel_variables(alice[i], bob[i], plans[i], PARAMS, omp, index=i)
                 for i in range(M)
             ]
         else:
-            cell = fit_statistics(measured, plans, ens, k, work=work)
+            if c_idx:
+                fit_variables(alice, bob, plans, omp, work=work)
+            cell = fit_statistics(measured, plans, ens, work=work)
             single = [
                 estimate_subchannel_statistics(measured[i], PARAMS, m, plans[i], c, index=i)
-                for i, c in enumerate(_statistics_configs(ens, k, shrink=True))
+                for i, c in enumerate(_statistics_configs(ens))
             ]
         assert_identical(cell, single)
         assert any(e.usable for e in cell) and not all(e.usable for e in cell)
@@ -691,16 +645,14 @@ def test_sub_block_variances_that_overflow_raise_the_documented_error(monkeypatc
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("k_max", [1, 2])
-def test_statistics_reject_non_finite_variances(bad, k_max, monkeypatch):
+def test_statistics_reject_non_finite_variances(bad, monkeypatch):
     plan = make_sampling_plan(m, 0.5, seed=1)
-    omp = OmpConfig(k_max=k_max)
     with pytest.raises(ValueError, match="^measured must be finite"):
-        estimate_subchannel_statistics(bad, PARAMS, m, plan, omp=omp)
+        estimate_subchannel_statistics(bad, PARAMS, m, plan)
     vector = np.full(m, 3.0)
     vector[9] = bad
     with pytest.raises(ValueError, match="^measured must be finite"):
-        estimate_subchannel_statistics(vector, PARAMS, m, plan, omp=omp)
+        estimate_subchannel_statistics(vector, PARAMS, m, plan)
     # the sweep validates a group's measured variances before it fits them
     sweep = _poisoned_sweep(monkeypatch, "statistics", "replicated", lambda a, b: b[5].__setitem__(9, bad))
     with pytest.raises(ValueError, match=r"^measured\[5\] must be finite"):

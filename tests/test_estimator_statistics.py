@@ -164,6 +164,17 @@ def test_statistics_consume_no_symbols():
     assert not {"x_block", "alice", "x"} & names
 
 
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_statistics_fit_one_atom_only(k_max):
+    # a variance vector is one DC atom: a larger budget is rejected before
+    # any work, so before a non-finite variance or a plan of another length
+    plan = make_sampling_plan(64, 0.5, seed=1)
+    omp = OmpConfig(k_max=k_max, noise_scale=0.1, shrink_to_delta=True)
+    for measured, length in ((4.0, 64), (math.nan, 64), (np.ones(7), 128)):
+        with pytest.raises(ValueError, match=rf"^omp\.k_max must be 1 .*, got {k_max}$"):
+            estimate_subchannel_statistics(measured, ProtocolParams(), length, plan, omp=omp)
+
+
 def test_cross_check_against_variable_estimator():
     params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
     t_true, eps_true = 0.5, 0.02

@@ -6,7 +6,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 from typing import get_origin
@@ -269,6 +272,10 @@ def test_declared_config_rules_are_enforced():
             cases.append(("least", key.least - 1))
         if key.item is float:
             cases.extend(("float", v) for v in (math.nan, math.inf, -math.inf))
+            # no write_config text of these loads back
+            cases.extend(("real", v) for v in ("0.1", None, True))
+            # an integer is a float's value
+            assert dataclasses.replace(FAST, **{key.field: (1,) if many else 1})
         if many:
             cases.append(("repeat", getattr(FAST, key.field)[0]))
         for rule, entry in cases:
@@ -280,7 +287,7 @@ def test_declared_config_rules_are_enforced():
             assert str(entry) in message, (rule, message)
             broken.add(rule)
     # every kind of rule is declared on some key
-    assert broken == {"choices", "least", "float", "repeat"}
+    assert broken == {"choices", "least", "float", "real", "repeat"}
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1162,18 @@ def test_golden_config_runs_deterministically(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes()
 
 
+@pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
+def test_statistics_sweep_is_the_same_at_every_budget(tmp_path, variance_mode):
+    # the atom budget is the variables route's: the statistics route fits
+    # one atom, so a statistics-only golden sweep at k_max = 3 writes the
+    # bytes of the one at k_max = 1
+    config = dataclasses.replace(load_config(GOLDEN), estimators="statistics", variance_mode=variance_mode)
+    one = write_reports(run_sweep(config), tmp_path / "k1")
+    three = write_reports(run_sweep(dataclasses.replace(config, k_max=3)), tmp_path / "k3")
+    for name in ("estimates", "mse", "keyrate", "mip"):
+        assert one[name].stat().st_size and three[name].read_bytes() == one[name].read_bytes(), name
+
+
 def test_config_hash_stable():
     assert config_hash(FAST) == config_hash(dataclasses.replace(FAST))
     assert config_hash(FAST) != config_hash(dataclasses.replace(FAST, sampler_seed=8))
@@ -1174,6 +1193,20 @@ def test_benchmark_trace_targets_resolve():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_numpy_random_to_numpy():
+    # numpy.random is slow to import, and no CLI path needs it before a
+    # sweep draws (channel._state_words is built on first use): a fresh
+    # interpreter has it after importing the CLI only if importing numpy
+    # alone loads it, as some numpy versions do
+    def loads_numpy_random(module):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        code = f"import sys, {module}; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return {"True": True, "False": False}[done.stdout.strip()]
+
+    assert loads_numpy_random("numpy") or not loads_numpy_random("csqkd.cli")
+
 
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "run"
