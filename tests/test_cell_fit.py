@@ -275,6 +275,64 @@ def test_multi_atom_variables_cell_matches_reference(split_cell, k_max, shrink):
     assert all(cell[i].flags == () and cell[i].imag_norm > 0 for i in (0, 3))
 
 
+@pytest.mark.parametrize("fraction", [FRACTION, 3 / m], ids=["sampled", "three-rows"])
+@pytest.mark.parametrize("shrink", [False, True])
+@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
+def test_statistics_cell_matches_one_atom_reference(split_cell, mode, shrink, fraction):
+    # the low-SNR rows, where a multi-atom OMP fit missed the DC column, and
+    # 3 sampled rows, where it stopped on a rank-deficient support: the
+    # statistics fit is the one-atom DC projection of every row, so no row
+    # is off the DC support, degenerate or imaginary
+    ens, _, bob = _low_snr_dataset()
+    plans = _plans(fraction=fraction)
+    floor = 1.0 + PARAMS.electronic_noise
+    bob[3] *= 0.5       # variance below the 1 + nu_el floor
+    per_cell, per_channel = _statistics_inputs(bob, mode)
+    configs = _statistics_configs(ens) if shrink else [OmpConfig()] * M
+    cell = fit_statistics(per_cell, plans, ens if shrink else None)
+    single = [
+        estimate_subchannel_statistics(v, PARAMS, m, p, omp=c, index=i)
+        for i, (v, p, c) in enumerate(zip(per_channel, plans, configs))
+    ]
+    assert_identical(cell, single)
+    assert cell[3].flags == (FLAG_BELOW_FLOOR,)
+    assert cell[0].flags == ()
+    assert _flagged(cell, FLAG_OFF_DC) == _flagged(cell, FLAG_DEGENERATE) == set()
+    assert all(e.imag_norm == 0.0 for e in cell)
+    checked = [i for i, e in enumerate(cell) if not e.flags]
+    assert 0 in checked
+    for i in checked:
+        rows = plans[i].indices
+        r_s = np.broadcast_to(per_channel[i], m)[rows] - floor
+        delta = math.sqrt(rows.size) * configs[i].noise_scale if shrink else 0.0
+        reference = oracles.scalar_statistics_estimate(r_s, 4.0, 0.6, delta, shrink)
+        assert_scalar_reference(cell[i], reference)
+
+
+@pytest.mark.parametrize("mode", ["replicated", "blockwise"])
+def test_statistics_fit_projects_every_row_and_solves_none(split_cell, mode, monkeypatch):
+    # the statistics fit takes no atom budget: the DC projection sees every
+    # row of the cell once, a row below the floor too, and OMP none
+    ens, _, bob = _low_snr_dataset()
+    plans = _plans()
+    bob[3] *= 0.5       # below the floor
+    per_cell, _ = _statistics_inputs(bob, mode)
+    expected = fit_statistics(per_cell, plans, ens)
+    projected, solved = [], []
+    project = estimators._dc_project
+
+    def spy_project(weights, measurement, *args):
+        projected.extend(row.copy() for row in measurement)
+        return project(weights, measurement, *args)
+
+    monkeypatch.setattr(estimators, "_dc_project", spy_project)
+    monkeypatch.setattr(estimators, "omp_solve", lambda *args, **kwargs: solved.append(args))
+    cell = fit_statistics(per_cell, plans, ens)
+    assert_identical(cell, expected)
+    assert cell[3].flags == (FLAG_BELOW_FLOOR,)
+    assert len(projected) == M and solved == []
+
+
 def test_multi_atom_rank_deficient_support_matches_reference():
     # 3 sampled rows cannot carry 4 independent atoms: OMP stops on a
     # rank-deficient support, with or without the DC column in it
@@ -379,13 +437,18 @@ def test_statistics_plans_of_two_lengths(split_cell, mode):
     assert any(e.usable for e in cell)
 
 
-@pytest.mark.parametrize(("route", "k_max"), [("variables", 1), ("variables", 3), ("statistics", 1)])
-def test_cell_records_are_the_core_columns(split_cell, route, k_max):
+@pytest.mark.parametrize(
+    ("route", "setting"), [("variables", 1), ("variables", 3), ("statistics", "blockwise"), ("statistics", "replicated")]
+)
+def test_cell_records_are_the_core_columns(split_cell, route, setting):
     # row i of the cell fit's columns is the record of sub-channel i that the
-    # per-sub-channel estimator builds from its one-channel fit
+    # per-sub-channel estimator builds from its one-channel fit; the setting
+    # is the variables route's atom budget and the statistics route's
+    # variance form
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     if route == "variables":
+        k_max = setting
         alice[1][:] = 0.0   # degenerate and unestimable
         omp = OmpConfig(k_max=k_max, noise_scale=0.3)
         fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.3, False)
@@ -395,7 +458,7 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
         ]
     else:
         bob[3] *= 0.5       # below the floor
-        per_cell, _ = _statistics_inputs(bob, "blockwise")
+        per_cell, _ = _statistics_inputs(bob, setting)
         fit = estimators._fit_statistics(
             _variances(per_cell), PARAMS, m, estimators._plan_rows(plans), _noise_scale(ens), True
         )
@@ -411,7 +474,7 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
     assert fit.flags == [";".join(e.flags) for e in cell]
     assert fit.usable.dtype == bool and fit.usable.tolist() == [e.usable for e in cell]
     assert not fit.usable.all() and fit.usable.any()
-    if k_max == 3:
+    if setting == 3:
         assert any(FLAG_OFF_DC in e.flags for e in cell)
     # the key-rate aggregate reads the columns as it reads the records
     p = np.linspace(1.0, 2.0, M) / np.linspace(1.0, 2.0, M).sum()
@@ -419,8 +482,10 @@ def test_cell_records_are_the_core_columns(split_cell, route, k_max):
 
 
 @pytest.mark.parametrize("groups", [[(0, 7)], [(0, 2), (2, 3), (3, 7)], [(i, i + 1) for i in range(M)]])
-@pytest.mark.parametrize(("route", "k_max"), [("variables", 1), ("variables", 3), ("statistics", 1)])
-def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, groups):
+@pytest.mark.parametrize(
+    ("route", "setting"), [("variables", 1), ("variables", 3), ("statistics", "blockwise"), ("statistics", "replicated")]
+)
+def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, groups):
     # the sweep fits a cell one group of sub-channels at a time and joins
     # the group fits in order; the columns are the one-fit bits
     ens, alice, bob = _low_snr_dataset()
@@ -429,10 +494,10 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, k_max, grou
         alice[1][:] = 0.0
 
         def fit(a, b):
-            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, k_max, 0.3, False)
+            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, setting, 0.3, False)
     else:
         bob[3] *= 0.5
-        per_cell, _ = _statistics_inputs(bob, "blockwise")
+        per_cell, _ = _statistics_inputs(bob, setting)
         noise_scale = _noise_scale(ens)
 
         def fit(a, b):
@@ -644,7 +709,7 @@ def test_sub_block_variances_that_overflow_raise_the_documented_error(monkeypatc
         sweep()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_statistics_reject_non_finite_variances(bad, monkeypatch):
     plan = make_sampling_plan(m, 0.5, seed=1)
     with pytest.raises(ValueError, match="^measured must be finite"):
