@@ -15,16 +15,15 @@ Two routes are provided:
   V_A; T_hat = mean(h)/eta.  No individual symbols are consumed, so no key
   material is sacrificed.
 
-With the default one-atom budget (``OmpConfig.k_max = 1``) the reconstruction
-is the closed-form DC projection :func:`~csqkd.sensing.dc_project`: mean(h)
-is the least-squares gain g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta
-(variables) or g/eta (statistics).  The statistics route fits this one atom
-only: its variances come from sub-channels that are stable by construction,
-so each variance vector is one DC atom.  One cell fit per route,
-``_fit_variables`` and ``_fit_statistics``, is the implementation of each:
-it fits consecutive sub-channels of one (seed, fraction) cell with one
-``shrink_to_delta`` (and, for the variables route, one atom budget) in one
-pass.  It takes the blocks as the rows of (n, m) planes (the statistics
+Both routes fit one atom (``OmpConfig.k_max = 1``, the only budget they
+accept): a stable sub-channel's transfer vector, and its variance vector,
+is one DC atom.  The reconstruction is the closed-form DC projection
+:func:`~csqkd.sensing.dc_project`: mean(h) is the least-squares gain
+g = w_s.y_s / w_s.w_s, so T_hat = g^2/eta (variables) or g/eta
+(statistics).  One cell fit per route, ``_fit_variables`` and
+``_fit_statistics``, is the implementation of each: it fits consecutive
+sub-channels of one (seed, fraction) cell with one ``shrink_to_delta`` in
+one pass.  It takes the blocks as the rows of (n, m) planes (the statistics
 route: one variance per row, or a row of sub-block variances each) and the
 plans as the rows of one sorted (n, m_s) index array.  It gathers the
 sampled entries into the starts of the two rows of a work area, with one
@@ -38,15 +37,7 @@ coherence transform, if larger, and passes it to every cell fit.  Each
 sub-channel is fitted on its own and the plug-ins and flags are
 elementwise, so the fit of consecutive sub-channels equals the fits of any
 split of them joined in order, bit for bit, and the per-sub-channel
-estimators are its one-channel case.  With a larger budget each row of the
-variables route is fitted by Batch-OMP (:func:`~csqkd.sensing.omp_solve`)
-over the row-sampled IDFT operator instead, except a zero Alice column,
-which keeps gain 0 and residual ||y_s||, the projection of a zero column;
-and :func:`transfer_moments` reads mean(h) = Re(s_0)/sqrt(m) and ||Im h||
-off the sparse coefficients s without synthesizing h.  A support without
-the DC column has mean(h) = 0 exactly, so such an estimate is flagged both
-``off_dc_support`` and ``unestimable_transmittance`` and is excluded from
-aggregation.
+estimators are its one-channel case.
 
 Every sampled row is used: a zero Alice symbol adds nothing to the
 least-squares sums, and its Bob symbol still enters the excess-noise plug-in.
@@ -73,27 +64,17 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ProtocolParams
-from .sensing import (
-    DcProjection,
-    OmpConfig,
-    RowSampledIdftOperator,
-    SamplingPlan,
-    _dc_project,
-    _norm,
-    _row_dots,
-    mutual_incoherence,
-    omp_solve,
-)
+from .sensing import OmpConfig, SamplingPlan, _dc_project
+# perfbench/tracing.py wraps these names in this module, so they stay
+# importable here though no fit calls them
+from .sensing import RowSampledIdftOperator, omp_solve  # noqa: F401
 
 FLAG_UNESTIMABLE = "unestimable_transmittance"
 FLAG_BELOW_FLOOR = "below_noise_floor"
 FLAG_DEGENERATE = "degenerate_support"
-#: A multi-atom OMP support of the variables route without the DC column:
-#: mean(h) is exactly 0.
-FLAG_OFF_DC = "off_dc_support"
 
 #: Flags that mark an estimate as unusable for aggregation.
-EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR, FLAG_OFF_DC})
+EXCLUDING_FLAGS = frozenset({FLAG_UNESTIMABLE, FLAG_BELOW_FLOOR})
 
 #: Grace below the 1 + nu_el floor before a variance is flagged.
 FLOOR_TOLERANCE = 1e-6
@@ -109,7 +90,6 @@ class SubChannelEstimate:
     residual_norm: float
     sample_count: int
     flags: tuple[str, ...] = ()
-    imag_norm: float = 0.0
 
     @property
     def usable(self) -> bool:
@@ -142,7 +122,6 @@ class CellFit:
     eps_hat: np.ndarray
     residual: np.ndarray
     sample_count: np.ndarray
-    imag_norm: np.ndarray
     #: each row's flags joined by ";", "" for none
     flags: list[str]
     #: rows without an excluding flag
@@ -194,7 +173,6 @@ def _cell_fit(
     eps_hat: np.ndarray,
     residual: np.ndarray,
     sample_count: np.ndarray,
-    imag_norm: np.ndarray,
     flags: Sequence[tuple[str, np.ndarray]],
 ) -> CellFit:
     """The columns of a cell; ``flags`` pairs each flag, in order, with the rows that carry it."""
@@ -202,73 +180,19 @@ def _cell_fit(
     for j in np.flatnonzero(np.logical_or.reduce([mask for _, mask in flags])).tolist():
         joined[j] = ";".join(name for name, mask in flags if mask[j])
     excluded = np.logical_or.reduce([mask for name, mask in flags if name in EXCLUDING_FLAGS])
-    return CellFit(t_hat, eps_hat, residual, sample_count, imag_norm, joined, ~excluded)
+    return CellFit(t_hat, eps_hat, residual, sample_count, joined, ~excluded)
 
 
 def _records(fit: CellFit, first: int = 0) -> list[SubChannelEstimate]:
     """One estimate per row of ``fit``, indexed from ``first``."""
-    columns = (fit.t_hat, fit.eps_hat, fit.residual, fit.sample_count, fit.imag_norm)
+    columns = (fit.t_hat, fit.eps_hat, fit.residual, fit.sample_count)
     return [
         SubChannelEstimate(
             index=first + j, t_hat=t, eps_hat=e, residual_norm=r, sample_count=n,
-            flags=tuple(f.split(";")) if f else (), imag_norm=h,
+            flags=tuple(f.split(";")) if f else (),
         )
-        for j, (t, e, r, n, h, f) in enumerate(zip(*(c.tolist() for c in columns), fit.flags))
+        for j, (t, e, r, n, f) in enumerate(zip(*(c.tolist() for c in columns), fit.flags))
     ]
-
-
-def transfer_moments(coefficients: np.ndarray, support: np.ndarray) -> tuple[float, float]:
-    """mean(h) and ||Im h|| of h = Psi s, read off the coefficients s.
-
-    ``support`` holds every index where s may be nonzero.  mean(h) =
-    Re(s_0) / sqrt(m), exactly 0 for a support without the DC column.
-    Im h = (h - conj h) / 2i and conj h = Psi t with t_k = conj(s_(-k mod m)),
-    so unitarity gives ||Im h|| = ||s - t|| / 2, to which only the support and
-    its mirror contribute.
-    """
-    s = np.asarray(coefficients, dtype=np.complex128)
-    m = s.size
-    # at most 2|S| indices: a set sorts them faster than np.union1d
-    support = np.asarray(support, dtype=np.int64).tolist()
-    touched = np.array(sorted({*support, *((-k) % m for k in support)}), dtype=np.int64)
-    imag_norm = 0.5 * _norm(s[touched] - np.conj(s[(-touched) % m]))
-    return float(s[0].real) / math.sqrt(m), imag_norm
-
-
-def _omp_refit(
-    fit: DcProjection,
-    todo: np.ndarray,
-    alice: np.ndarray,
-    measurement: np.ndarray,
-    rows: np.ndarray,
-    k_max: int,
-    delta: np.ndarray,
-    shrink: bool,
-    imag_norm: np.ndarray,
-    off_dc: np.ndarray,
-    coherence: np.ndarray | None = None,
-) -> None:
-    """Refit by Batch-OMP the rows of a variables cell marked in ``todo``, in place.
-
-    Row i is ``measurement[i]`` through the row-sampled IDFT operator of
-    row i of the Alice plane ``alice`` at ``rows[i]``, solved with
-    ``k_max``, ``delta[i]`` and ``shrink``.  Its gain becomes mean(h), read
-    off the coefficients, and its residual norm and degenerate flag in
-    ``fit`` are overwritten; ``imag_norm[i]`` and ``off_dc[i]`` get its
-    imaginary-residue norm and whether its support misses the DC column.  A
-    ``coherence`` column gets the operator's
-    :func:`~csqkd.sensing.mutual_incoherence`, read off the Gram that the
-    solve cached, so it takes no transform.
-    """
-    for i in np.flatnonzero(todo).tolist():
-        op = RowSampledIdftOperator(alice[i], rows[i])
-        solution = omp_solve(op, measurement[i], k_max=k_max, delta=float(delta[i]), shrink_to_delta=shrink)
-        if coherence is not None:
-            coherence[i] = mutual_incoherence(op)
-        fit.gain[i], imag_norm[i] = transfer_moments(solution.coefficients, solution.support)
-        fit.residual_norm[i] = solution.residual_norm
-        fit.degenerate[i] = solution.degenerate_support
-        off_dc[i] = solution.support.size > 0 and 0 not in solution.support.tolist()
 
 
 def _variables_plug_in(
@@ -292,23 +216,20 @@ def _fit_variables(
     bob: np.ndarray,
     rows: np.ndarray,
     params: ProtocolParams,
-    k_max: int,
     noise_scale: float | np.ndarray,
     shrink: bool,
     noise_floor: float | None = None,
     work: np.ndarray | None = None,
-    coherence: np.ndarray | None = None,
 ) -> CellFit:
-    """The variables fit of validated (n, m) planes of Alice's and Bob's
-    blocks, row i sub-channel i, sampled at row i of ``rows``, sorted unique
-    indices (:func:`~csqkd.sensing._cell_plans`), with the atom budget
-    ``k_max`` and ``shrink`` (``shrink_to_delta``) of every sub-channel and
+    """The one-atom variables fit of validated (n, m) planes of Alice's and
+    Bob's blocks, row i sub-channel i, sampled at row i of ``rows``, sorted
+    unique indices (:func:`~csqkd.sensing._cell_plans`), with the
+    ``shrink`` (``shrink_to_delta``) of every sub-channel and
     ``noise_scale`` (0 for none) for all or one each.  The sampled entries
     are gathered at the start of the two rows of ``work``
     (:func:`_work_area`; by default a fresh one of the cell's size), which
-    is overwritten.  At ``k_max > 1`` a ``coherence`` column gets the
-    coherence value of each row that OMP solves (see :func:`_omp_refit`);
-    its other rows are left as they are."""
+    is overwritten, and each row is the DC projection of its Bob entries on
+    its Alice entries."""
     n, m_s = rows.shape
     floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
     delta = np.broadcast_to(1.1 * math.sqrt(m_s) * noise_scale, n)
@@ -329,23 +250,14 @@ def _fit_variables(
         del flat
     # one count of the whole cell; per row only when some entry is zero
     sample_count = np.full(n, m_s) if np.count_nonzero(x_s) == x_s.size else np.count_nonzero(x_s, axis=1)
-    imag_norm, off_dc = np.zeros(n), np.zeros(n, dtype=bool)
-    if k_max == 1:
-        # x_s is the g w scratch
-        fit = _dc_project(x_s, y_s, delta, shrink, x_s)
-    else:
-        # y_s is kept for OMP; every row gets the projection of a zero
-        # column (gain 0, residual ||y_s||), which the solved rows overwrite,
-        # and a zero column has nothing to refit
-        ww, yy = _row_dots(x_s, x_s), _row_dots(y_s, y_s)
-        fit = DcProjection(np.zeros(n), np.sqrt(yy), ww == 0, ww, yy)
-        _omp_refit(fit, ~fit.degenerate, alice, y_s, rows, k_max, delta, shrink, imag_norm, off_dc, coherence)
+    # x_s is the g w scratch
+    fit = _dc_project(x_s, y_s, delta, shrink, x_s)
     t_hat, eps_hat, unestimable = _variables_plug_in(
         fit.gain, fit.ww, fit.yy, m_s, params.detector_efficiency, floor
     )
     return _cell_fit(
-        t_hat, eps_hat, fit.residual_norm, sample_count, imag_norm,
-        ((FLAG_DEGENERATE, fit.degenerate), (FLAG_OFF_DC, off_dc), (FLAG_UNESTIMABLE, unestimable)),
+        t_hat, eps_hat, fit.residual_norm, sample_count,
+        ((FLAG_DEGENERATE, fit.degenerate), (FLAG_UNESTIMABLE, unestimable)),
     )
 
 
@@ -379,22 +291,22 @@ def estimate_subchannel_variables(
         x_block, y_block: full Alice/Bob blocks of equal length m, finite.
         plan: sampling plan over m; every sampled row is used.
         params: protocol constants (eta, nu_el, V_A).
-        omp: solver configuration; the default single-atom budget matches the
-            constant-per-sub-channel transfer vector, whose analysis transform
-            is one DC impulse, and is fitted in closed form (T_hat =
-            (x_s.y_s / x_s.x_s)^2 / eta); a larger one runs OMP.  Either way
-            the estimate is the one-channel case of the cell fit.  The stop
-            tolerance, when derived from ``noise_scale``, is 1.1 * sqrt(m_s)
-            * noise_scale (the residual of the true solution concentrates
-            near sqrt(m_s) * sigma).
+        omp: solver configuration; ``k_max`` must be 1, the one DC atom of
+            the constant-per-sub-channel transfer vector, whose analysis
+            transform is one DC impulse, fitted in closed form (T_hat =
+            (x_s.y_s / x_s.x_s)^2 / eta) as the one-channel case of the cell
+            fit.  The stop tolerance, when derived from ``noise_scale``, is
+            1.1 * sqrt(m_s) * noise_scale (the residual of the true solution
+            concentrates near sqrt(m_s) * sigma).
         noise_floor: constant subtracted per sampled entry in the excess-noise
             plug-in; defaults to 1 + nu_el.  Pass 0.0 for data generated in
             zero-noise mode, which carries no vacuum unit.
     """
+    if omp.k_max != 1:
+        raise ValueError(f"omp.k_max must be 1 for the variables route, one DC atom, got {omp.k_max}")
     x, y = _variables_inputs(x_block, y_block, plan.length)
     fit = _fit_variables(
-        x[None], y[None], _plan_rows([plan]), params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta,
-        noise_floor,
+        x[None], y[None], _plan_rows([plan]), params, omp.noise_scale or 0.0, omp.shrink_to_delta, noise_floor
     )
     return _records(fit, first=index)[0]
 
@@ -464,8 +376,7 @@ def _fit_statistics(
     ``length``: row i of ``measured`` holds the variances of B equal
     sub-blocks of sub-channel i, B dividing ``length`` (a 1-d array, one
     variance per sub-channel, is B = 1).  Each row is the DC projection of
-    its sampled floor-removed variances on V_A, so its ``imag_norm`` is 0
-    and it is never flagged ``off_dc_support``.  The rows, ``noise_scale``,
+    its sampled floor-removed variances on V_A.  The rows, ``noise_scale``,
     ``shrink`` and ``work`` are those of :func:`_fit_variables`."""
     n, m_s = rows.shape
     v_a = params.modulation_variance
@@ -495,7 +406,7 @@ def _fit_statistics(
     eps_hat[below] = math.nan
     fit.residual_norm[below] = 0.0
     return _cell_fit(
-        t_hat, eps_hat, fit.residual_norm, np.full(n, m_s), np.zeros(n),
+        t_hat, eps_hat, fit.residual_norm, np.full(n, m_s),
         (
             (FLAG_BELOW_FLOOR, below),
             (FLAG_DEGENERATE, fit.degenerate & ~below),
@@ -575,8 +486,8 @@ def aggregate_estimates(
     """Probability-weighted means over the usable estimates.
 
     ``estimates`` is a list of estimates or the columns of a cell fit, and
-    each of ``probabilities`` lies in [0, 1].  Flagged (unestimable,
-    below-floor or off-DC) entries are excluded and the weights
+    each of ``probabilities`` lies in [0, 1].  Flagged (unestimable or
+    below-floor) entries are excluded and the weights
     renormalized; the exclusion count is returned.  Raw values feed the T and
     eps means; sqrt(T) floors the transmittance at zero but applies no upper
     cap (capping individual entries at 1 would bias <sqrt(T)> low near unit

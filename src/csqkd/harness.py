@@ -38,23 +38,22 @@ A sweep runs each distance in three stages:
   reader of the ensemble's truth but for the statistics route's noise
   scale.
 
-The variable-based estimator runs at the configured ``k_max`` without a
-noise scale: the closed-form DC projection at 1 and OMP above it.  The
-statistics estimator runs the one-atom projection with the residual
-constraint active at the model-exact disturbance scale eta*T_i*eps_i,
-known here because the harness owns the simulation ground truth:
-``run_sweep`` reads it into ``noise_oracle`` and passes each group a copy
-of its slice as ``noise_scale``, the one truth array that estimation reads
-(a view would carry the whole distance's array in its ``base``).  The
-coherence diagnostic needs the Gram of each (sub-channel, model) operator.
-At ``k_max > 1`` the variables fit reads it for each row that OMP solves,
-off the Gram the solve cached, right after the solve; so no transform is
-repeated and no operator outlives its row.  The rows left (the statistics
-model, a zero Alice column, every row at ``k_max = 1``) get no operator:
-:func:`_coherence_left` scatters the squared weights of as many rows of
-one model as fit into the work area's first row and transforms them in one
-call into its second, with the bits of
+Both estimators fit one atom, the closed-form DC projection.  The
+variable-based one runs without a noise scale.  The statistics one runs
+with the residual constraint active at the model-exact disturbance scale
+eta*T_i*eps_i, known here because the harness owns the simulation ground
+truth: ``run_sweep`` reads it into ``noise_oracle`` and passes each group a
+copy of its slice as ``noise_scale``, the one truth array that estimation
+reads (a view would carry the whole distance's array in its ``base``).  The
+coherence diagnostic needs the Gram of each (sub-channel, model) operator,
+but builds no operator: :func:`_coherence` scatters the squared weights of
+as many rows of one model as fit into the work area's first row and
+transforms them in one call into its second, with the bits of
 :func:`~csqkd.sensing.mutual_incoherence` of each row's operator.
+
+The config file key ``estimation.k_max``, the variables route's atom budget
+before it fitted one atom only, is retired: :func:`load_config` still
+parses it as an integer >= 1, warns when it is not 1, and drops it.
 
 The groups are the consecutive sub-channels whose blocks fit
 :data:`GROUP_BYTES`; a group's blocks live only in its estimation call, so
@@ -94,6 +93,7 @@ import io
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_origin, get_type_hints
@@ -156,11 +156,12 @@ def _key(
     choices: tuple[str, ...] | None = None,
 ):
     """A config field, declared as ``key`` (its own name by default) under
-    ``[section]`` of the config file.  A number, or each entry of a tuple of
-    numbers, is of its type (an integer, or for a float a real number; never
-    a bool) and bounded below by ``least``, and a bounded float must be
-    finite as well; a string, or each entry of a tuple of strings, is one of
-    ``choices``."""
+    ``[section]`` of the config file.  A tuple field holds a tuple.  A
+    number, or each entry of a tuple of numbers, is of its type (an integer;
+    for a float, a Python float, ``np.float64`` included, or an integer;
+    never a bool) and bounded below by ``least``, and a bounded float must
+    be finite as well; a string, or each entry of a tuple of strings, is one
+    of ``choices``."""
     return field(default=default, metadata={"section": section, "key": key, "least": least, "choices": choices})
 
 
@@ -186,8 +187,6 @@ class ExperimentConfig:
     variance_mode: str = _key("estimation", "replicated", choices=("replicated", "blockwise"))
     # read, and bounded below, in blockwise mode only
     variance_blocks: int = _key("estimation", 100)
-    # the variables route's atom budget; the statistics route fits one atom
-    k_max: int = _key("estimation", 1, least=1)
     modulation_variance: float = _key("protocol", DEFAULT_MODULATION_VARIANCE)
     detector_efficiency: float = _key("protocol", DEFAULT_DETECTOR_EFFICIENCY)
     electronic_noise: float = _key("protocol", DEFAULT_ELECTRONIC_NOISE)
@@ -201,6 +200,8 @@ class ExperimentConfig:
         for key in k.values():
             value = getattr(self, key.field)
             if get_origin(key.kind) is tuple:
+                if not isinstance(value, tuple):
+                    raise ValueError(f"{key} must be a tuple, got {value!r}")
                 if len(set(value)) != len(value):
                     raise ValueError(f"{key} must not repeat entries, got {_fmt_seq(value)}")
                 entries = [(f"{key} entries", v) for v in value]
@@ -214,9 +215,11 @@ class ExperimentConfig:
                     if key.least is not None and v < key.least:
                         raise ValueError(f"{label} must be >= {key.least}, got {v}")
                 elif key.item is float:
-                    # likewise a bool is a Real; an integer is a float's value
-                    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                        raise ValueError(f"{label} must be a real number, got {v!r}")
+                    # likewise a bool is an Integral; an integer is a float's
+                    # value.  Another real type (np.float32, Fraction) would
+                    # be written in digits that load back as another value
+                    if isinstance(v, bool) or not isinstance(v, (float, numbers.Integral)):
+                        raise ValueError(f"{label} must be a float or an integer, got {v!r}")
                     if key.least is not None and not (math.isfinite(v) and v >= key.least):
                         raise ValueError(f"{label} must be finite and >= {key.least}, got {v}")
                 if key.choices is not None and v not in key.choices:
@@ -266,19 +269,25 @@ class ExperimentConfig:
         return (self.estimators,)
 
 
+def _fmt(value: object) -> str:
+    # float.__repr__ writes an np.float64 in the digits of its value, where
+    # repr writes np.float64(...)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
 def _fmt_seq(values: Sequence) -> str:
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+    return ",".join(map(_fmt, values))
 
 
 def _codec(kind: object) -> tuple[type, Callable[[str], object], Callable[[object], str]]:
     """The item type of a config value of type ``kind`` (each entry's type
     for a tuple, the type itself for an optional value) and the value's
     parser and formatter: a tuple is a comma-separated list of its items,
-    and a float is written by ``repr``."""
+    and a float is written by ``float.__repr__``."""
     item = (get_args(kind) or (kind,))[0]
     if get_origin(kind) is tuple:
         return item, (lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())), _fmt_seq
-    return item, item, repr if item is float else str
+    return item, item, _fmt
 
 
 class _Key(NamedTuple):
@@ -312,6 +321,21 @@ _KEYS = {
 _FILE_KEYS = {(key.section, key.name): key for key in _KEYS.values()}
 
 
+def _retired_k_max(path: Path, raw: str) -> None:
+    """Check the text ``raw`` of the retired key ``estimation.k_max``, the
+    variables route's atom budget, as an integer >= 1, and warn when it asks
+    for more than the one atom that both routes fit."""
+    try:
+        k_max = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad value for estimation.k_max: {raw!r}") from exc
+    if k_max < 1:
+        raise ValueError(f"estimation.k_max must be >= 1, got {k_max}")
+    if k_max != 1:
+        message = f"{path}: estimation.k_max = {k_max} is retired and ignored: both routes fit one atom"
+        warnings.warn(message, stacklevel=3)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a flat key-value config file; unknown keys are an error."""
     path = Path(path)
@@ -330,6 +354,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             unknown.extend(f"{section}.{k}".rstrip(".") for k in keys)
             continue
         for name, raw in parser[section].items():
+            if (section, name) == ("estimation", "k_max"):
+                _retired_k_max(path, raw)
+                continue
             key = _FILE_KEYS.get((section, name))
             if key is None:
                 unknown.append(f"{section}.{name}")
@@ -545,13 +572,11 @@ def _fit_group(
     fraction the group's plans are drawn from that fraction's
     generator in ``rngs`` (0 for fraction 1, which draws nothing) as the
     rows of one index array and fitted in the sweep's ``work`` area, the
-    variables route at the configured ``k_max`` and the one-atom statistics
-    route at ``noise_scale``, the one array of the group's truth that
-    estimation reads.  Returns the fit of each (fraction, estimator) and,
-    keyed the same way, the coherence values of the group's sub-channels
-    under that model: with ``coherence`` one array per cell, without it
-    none.  The variables fit fills the values of the rows that OMP solves;
-    :func:`_coherence_left` fills the rest in the work area.
+    statistics route at ``noise_scale``, the one array of the group's truth
+    that estimation reads.  Returns the fit of each (fraction, estimator)
+    and, keyed the same way, the coherence values of the group's
+    sub-channels under that model (:func:`_coherence`): with ``coherence``
+    one array per cell, without it none.
     """
     params = config.protocol
     n = config.block_length
@@ -588,38 +613,31 @@ def _fit_group(
     for fraction, rng in zip(sorted(config.fractions), rngs):
         rows = _cell_plans(n, fraction, rng, len(group))
         for estimator in config.estimator_names:
-            # coherence diagnostics, once per (fraction, channel, model): the
-            # variables fit reads the rows that OMP solves, NaN marks the rest
-            column = np.full(len(group), math.nan) if coherence else None
             if estimator == "statistics":
                 fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, noise_scale, True, work=work)
             else:
-                fits[fraction, estimator] = _fit_variables(
-                    alice, bob, rows, params, config.k_max, 0.0, False, work=work, coherence=column
-                )
+                fits[fraction, estimator] = _fit_variables(alice, bob, rows, params, 0.0, False, work=work)
             if coherence:
-                mips[fraction, estimator] = column
+                # coherence diagnostics, once per (fraction, channel, model)
                 weights = alice if estimator == "variables" else float(params.modulation_variance)
-                _coherence_left(column, weights, rows, n, work)
+                mips[fraction, estimator] = _coherence(weights, rows, n, work)
     return fits, mips
 
 
-def _coherence_left(
-    column: np.ndarray, weights: np.ndarray | float, rows: np.ndarray, m: int, work: np.ndarray
-) -> None:
-    """Fill the NaN entries of a cell's coherence ``column`` in place.
+def _coherence(weights: np.ndarray | float, rows: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
+    """The coherence column of a cell.
 
-    Entry j gets the :func:`~csqkd.sensing.mutual_incoherence` of the
+    Entry j is the :func:`~csqkd.sensing.mutual_incoherence` of the
     row-sampled IDFT operator of block length ``m`` at ``rows[j]`` with the
     weights of row j of ``weights`` (the Alice plane) or the one weight
     ``weights`` (the statistics model's V_A), bit for bit, without building
     the operator.  As many rows as a row of the ``work`` area holds, m + 2
     floats each, take one transform (:func:`~csqkd.sensing._gram_peaks`).
     """
-    left = np.flatnonzero(np.isnan(column))
+    column = np.empty(rows.shape[0])
     per_call = work.shape[1] // (m + 2)
-    for start in range(0, left.size, per_call):
-        js = left[start : start + per_call]
+    for start in range(0, column.size, per_call):
+        js = np.arange(start, min(start + per_call, column.size))
         index = rows[js]
         if isinstance(weights, np.ndarray):
             squares = weights[js[:, None], index]
@@ -629,6 +647,7 @@ def _coherence_left(
         # the flat index of each sampled row in a (len(js), m) array
         index += np.arange(0, js.size * m, m)[:, None]
         column[js] = _gram_peaks(js.size, m, index, squares, work) / m
+    return column
 
 
 def _score(

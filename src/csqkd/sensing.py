@@ -31,7 +31,8 @@ transforming again.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
-stack of fits at once; OMP serves larger atom budgets.  :func:`omp_solve` is
+stack of fits at once; it is the fit of both estimators.  OMP solves
+multi-atom problems on the operator directly.  :func:`omp_solve` is
 Batch-OMP: one adjoint A^H y, correlations updated through Gram columns
 A^H a_k (circular shifts of one transform), and small normal-equation
 refits, so a solve runs two transforms, in one two-row call, and no dense
@@ -325,9 +326,10 @@ class OmpConfig:
     """Solver knobs shared by the estimators.
 
     ``k_max = 1``, the budget of a constant sub-channel, is the closed-form
-    DC projection of :func:`dc_project`; a larger budget runs
-    :func:`omp_solve` in the variables estimator, and the statistics
-    estimator, whose variance vector is one DC atom, rejects it.
+    DC projection of :func:`dc_project`, and the only budget the
+    estimators accept: a stable sub-channel's transfer vector and its
+    variance vector are each one DC atom.  :func:`omp_solve` takes its own
+    ``k_max``.
     The estimators derive the absolute residual tolerance delta from
     ``noise_scale`` (the known or estimated per-entry disturbance amplitude)
     as delta ~ sqrt(m_s) * noise_scale, and use 0 without it.

@@ -11,13 +11,9 @@ beamsplitters and measurement updates, read eigenvalues of |i Omega gamma|),
 and the per-value CSV field formatter that the report writer's row templates
 replaced.
 
-The exceptions pin the package's code to an earlier form of itself, bit for
-bit.  :func:`batch_omp_frozen` is Batch-OMP as written before it kept its
-work in place, driven by the package's operators.  The multi-atom
-per-sub-channel variables estimator is kept as it was written before the
-cell fit served every atom budget: it reuses the package's Batch-OMP
-solver, plug-in and input checks, and pins the cell fit's multi-atom rows
-to one OMP solve per sub-channel.
+The exception pins the package's code to an earlier form of itself, bit for
+bit: :func:`batch_omp_frozen` is Batch-OMP as written before it kept its
+work in place, driven by the package's operators.
 """
 
 from __future__ import annotations
@@ -29,23 +25,8 @@ import numpy as np
 
 from csqkd import sensing
 from csqkd.channel import ProtocolParams
-from csqkd.estimators import (
-    FLAG_DEGENERATE,
-    FLAG_OFF_DC,
-    FLAG_UNESTIMABLE,
-    SubChannelEstimate,
-    _variables_inputs,
-    _variables_plug_in,
-    transfer_moments,
-)
 from csqkd.security import ChannelSummary
-from csqkd.sensing import (
-    OmpConfig,
-    RowSampledIdftOperator,
-    SamplingPlan,
-    SparseCoefficients,
-    omp_solve,
-)
+from csqkd.sensing import SparseCoefficients
 
 
 # ---------------------------------------------------------------------------
@@ -404,87 +385,6 @@ def scalar_statistics_estimate(r_s, v_a, eta, delta=0.0, shrink=False):
         return None, None, residual
     eps_hat = (float(r_s.sum()) - eta * t_hat * m_s * v_a) / (m_s * eta * t_hat)
     return t_hat, eps_hat, residual
-
-
-# ---------------------------------------------------------------------------
-# the per-sub-channel multi-atom variables estimator, as written before the
-# cell fit served every atom budget
-# ---------------------------------------------------------------------------
-
-def _omp_gain(
-    weights: np.ndarray,
-    rows: np.ndarray,
-    measurement: np.ndarray,
-    omp: OmpConfig,
-    delta: float,
-) -> tuple[float, float, float, list[str]]:
-    """Mean of the transfer vector of one sub-channel reconstructed by OMP.
-
-    Reads mean(h) off the coefficients and flags a support that misses the
-    DC column.  Returns (mean(h), residual norm, imaginary-residue norm,
-    flags).
-    """
-    solution = omp_solve(
-        RowSampledIdftOperator(weights, rows),
-        measurement,
-        k_max=omp.k_max,
-        delta=delta,
-        shrink_to_delta=omp.shrink_to_delta,
-    )
-    gain, imag_norm = transfer_moments(solution.coefficients, solution.support)
-    flags = [FLAG_DEGENERATE] if solution.degenerate_support else []
-    if solution.support.size and not np.any(solution.support == 0):
-        flags.append(FLAG_OFF_DC)
-    return gain, solution.residual_norm, imag_norm, flags
-
-
-def multi_atom_variables_estimate(
-    x_block: np.ndarray,
-    y_block: np.ndarray,
-    plan: SamplingPlan,
-    params: ProtocolParams,
-    omp: OmpConfig,
-    noise_floor: float | None = None,
-    index: int = 0,
-) -> SubChannelEstimate:
-    """The ``k_max > 1`` body of ``estimate_subchannel_variables``: one
-    sub-channel, its own OMP solve, its own plug-in and flag assembly."""
-    x, y = _variables_inputs(x_block, y_block, plan.length)
-    rows = plan.indices
-    m_s = rows.size
-    x_s = x[rows]
-    y_s = y[rows]
-    xx = float(x_s @ x_s)
-    yy = float(y_s @ y_s)
-    if xx == 0:
-        # no sampled Alice symbol carries channel information
-        return SubChannelEstimate(
-            index=index,
-            t_hat=0.0,
-            eps_hat=math.nan,
-            residual_norm=math.sqrt(yy),
-            sample_count=int(np.count_nonzero(x_s)),
-            flags=(FLAG_DEGENERATE, FLAG_UNESTIMABLE),
-        )
-    eta = params.detector_efficiency
-    floor = (1.0 + params.electronic_noise) if noise_floor is None else noise_floor
-    # the stop tolerance 1.1 * sqrt(m_s) * noise_scale, 0 without a scale
-    delta = 0.0 if omp.noise_scale is None else 1.1 * math.sqrt(m_s) * omp.noise_scale
-    gain, residual, imag_norm, flags = _omp_gain(x, rows, y_s, omp, delta)
-    t_hat, eps_hat, unestimable = _variables_plug_in(
-        np.array([gain]), np.array([xx]), np.array([yy]), m_s, eta, floor
-    )
-    if unestimable[0]:
-        flags.append(FLAG_UNESTIMABLE)
-    return SubChannelEstimate(
-        index=index,
-        t_hat=float(t_hat[0]),
-        eps_hat=float(eps_hat[0]),
-        residual_norm=residual,
-        sample_count=int(np.count_nonzero(x_s)),
-        flags=tuple(flags),
-        imag_norm=imag_norm,
-    )
 
 
 def ls_transmittance(x_s: np.ndarray, y_s: np.ndarray, eta: float) -> float:

@@ -1,20 +1,10 @@
-"""Batch-OMP against the plain OMP oracle, its transform budget, and the
-closed-form transfer moments the estimators read off the coefficients."""
+"""Batch-OMP against the plain OMP oracle, and its transform budget."""
 
 import numpy as np
 import pytest
 
-import csqkd.estimators as estimators
 import csqkd.sensing as sensing
-from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
-from csqkd.estimators import estimate_subchannel_variables, transfer_moments
-from csqkd.sensing import (
-    OmpConfig,
-    RowSampledIdftOperator,
-    make_sampling_plan,
-    omp_solve,
-    unitary_idft,
-)
+from csqkd.sensing import RowSampledIdftOperator, make_sampling_plan, omp_solve
 
 import oracles
 from oracles import DenseOperator
@@ -68,7 +58,7 @@ def _idft_case(m, fraction, weights, seed):
 @pytest.mark.parametrize("weights", ["symbols", "constant"])
 @pytest.mark.parametrize("fraction", [0.1, 0.4, 1.0])
 def test_noisy_real_data_matches_oracle(fraction, weights, k_max):
-    # the estimators' setting: a DC transfer vector under real noise
+    # a DC transfer vector under real noise, the sub-channel model
     rng, op = _idft_case(2000, fraction, weights, seed=int(1000 * fraction) + k_max)
     truth = np.zeros(2000, dtype=complex)
     truth[0] = 0.4 * np.sqrt(2000)
@@ -474,66 +464,3 @@ def test_batch_omp_updates_correlations_in_place_and_builds_no_gram_column(monke
     assert sol.support.size == 5
     assert len(updates) == 1 + 2 + 3 + 4
     assert gathered == [1, 2, 3, 4]
-
-
-def test_multi_atom_estimate_runs_two_transforms(monkeypatch):
-    # one adjoint and one Gram transform per estimate, both real and run as
-    # one two-row call; no complex transform and no synthesis of h
-    counts = {"fft": 0, "ifft": 0, "rfft": 0}
-    shapes = []
-
-    def counting(name):
-        original = getattr(np.fft, name)
-
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            shapes.append(np.shape(args[0]))
-            return original(*args, **kwargs)
-
-        return counted
-
-    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
-    ens = build_ensemble([0.5], excess_noise=0.02, block_length=2000)
-    ds = simulate_block(ens, params, seed=31)
-    plan = make_sampling_plan(2000, 0.4, seed=1)
-    for name in counts:
-        monkeypatch.setattr(np.fft, name, counting(name))
-    est = estimate_subchannel_variables(
-        ds.alice[0], ds.bob[0], plan, params, omp=OmpConfig(k_max=3)
-    )
-    assert est.usable
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 1}
-    assert shapes == [(2, 2000)]
-    # the estimators have no synthesis transform to call
-    assert not hasattr(estimators, "unitary_idft")
-
-
-# ---------------------------------------------------------------------------
-# closed-form transfer moments
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("with_dc", [True, False])
-@pytest.mark.parametrize("m", [2, 63, 64, 1000])
-def test_transfer_moments_match_synthesis(m, with_dc):
-    rng = np.random.default_rng(m + with_dc)
-    s = np.zeros(m, dtype=complex)
-    k = min(5, m - 1)
-    support = rng.choice(np.arange(1, m), size=k, replace=False)
-    if with_dc:
-        support = np.append(support, 0)
-    s[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
-    h = unitary_idft(s)
-    mean_h, imag_norm = transfer_moments(s, support)
-    scale = float(np.linalg.norm(s))
-    assert abs(mean_h - h.real.mean()) <= 1e-12 * scale
-    assert abs(imag_norm - np.linalg.norm(h.imag)) <= 1e-12 * scale
-    if not with_dc:
-        assert mean_h == 0.0
-
-
-def test_transfer_moments_of_real_transfer_vector():
-    # a real h has a conjugate-mirrored spectrum and no imaginary residue
-    h = np.random.default_rng(2).normal(size=50)
-    mean_h, imag_norm = transfer_moments(np.fft.fft(h, norm="ortho"), np.arange(50))
-    assert mean_h == pytest.approx(h.mean(), rel=1e-12)
-    assert imag_norm <= 1e-12 * np.linalg.norm(h)

@@ -1,8 +1,8 @@
-"""Cell fits, run as the sweep runs them (``estimators._fit_*`` with one atom
-budget and one ``shrink_to_delta`` per cell): bit parity with the
-per-sub-channel estimators and, for multi-atom rows, with the per-sub-channel
-bodies they replaced; cells split as the sweep's groups split them, the work
-area, degenerate rows, and rejection of non-finite inputs."""
+"""Cell fits, run as the sweep runs them (``estimators._fit_*``, one atom and
+one ``shrink_to_delta`` per cell): bit parity with the per-sub-channel
+estimators and with scalar references; cells split as the sweep's groups
+split them, the work area, degenerate rows, and rejection of non-finite
+inputs."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from csqkd.channel import ProtocolParams, build_ensemble, simulate_block
 from csqkd.estimators import (
     FLAG_BELOW_FLOOR,
     FLAG_DEGENERATE,
-    FLAG_OFF_DC,
     FLAG_UNESTIMABLE,
     block_variances,
     estimate_subchannel_statistics,
@@ -44,7 +43,7 @@ def assert_identical(cell, single):
     assert len(cell) == len(single)
     for a, b in zip(cell, single):
         assert (a.index, a.flags, a.sample_count) == (b.index, b.flags, b.sample_count)
-        for field in ("t_hat", "eps_hat", "residual_norm", "imag_norm"):
+        for field in ("t_hat", "eps_hat", "residual_norm"):
             assert _bits(getattr(a, field)) == _bits(getattr(b, field)), (a.index, field)
 
 
@@ -72,7 +71,7 @@ def _variances(measured):
 def fit_variables(alice, bob, plans, omp=OmpConfig(), params=PARAMS, work=None):
     """The records of the sweep's variables fit at ``omp``'s settings."""
     fit = estimators._fit_variables(
-        *_cell(alice, bob, plans), params, omp.k_max, omp.noise_scale or 0.0, omp.shrink_to_delta, work=work
+        *_cell(alice, bob, plans), params, omp.noise_scale or 0.0, omp.shrink_to_delta, work=work
     )
     return estimators._records(fit)
 
@@ -134,7 +133,7 @@ def split_cell(request, monkeypatch):
     """Fit each cell whole ("default-chunk"), and as runs of 3, 3 and 1 of
     the M = 7 sub-channels ("chunk-of-3"), each fitted on its own and joined."""
     if request.param is not None:
-        for name, per_channel in (("_fit_variables", (0, 1, 2, 5)), ("_fit_statistics", (0, 3, 4))):
+        for name, per_channel in (("_fit_variables", (0, 1, 2, 4)), ("_fit_statistics", (0, 3, 4))):
             monkeypatch.setattr(estimators, name, _in_runs(getattr(estimators, name), per_channel, request.param))
     return request.param
 
@@ -237,10 +236,11 @@ def test_statistics_cell_matches_per_channel_bit_for_bit(split_cell, form):
 
 
 # ---------------------------------------------------------------------------
-# multi-atom rows: parity with the per-sub-channel bodies they replaced
+# low-SNR rows
 # ---------------------------------------------------------------------------
 
-#: low transmittances at rows 2, 4 and 6 make OMP miss the DC column
+#: low transmittances at rows 2, 4 and 6, where a multi-atom OMP fit missed
+#: the DC column
 LOW_SNR_T = (0.5, 0.2, 0.003, 0.9, 0.002, 0.35, 0.001)
 
 
@@ -254,27 +254,6 @@ def _flagged(estimates, flag):
     return {e.index for e in estimates if flag in e.flags}
 
 
-@pytest.mark.parametrize("shrink", [False, True])
-@pytest.mark.parametrize("k_max", [2, 3])
-def test_multi_atom_variables_cell_matches_reference(split_cell, k_max, shrink):
-    _, alice, bob = _low_snr_dataset()
-    plans = _plans()
-    alice[1][:] = 0.0   # all-zero Alice block: no OMP solve
-    bob[5] = -bob[5]    # sign-flipped channel: negative DC coefficient
-    omp = OmpConfig(k_max=k_max, noise_scale=0.3, shrink_to_delta=shrink)
-    cell = fit_variables(alice, bob, plans, omp)
-    reference = [
-        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
-        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
-    ]
-    assert_identical(cell, reference)
-    assert cell[1].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
-    assert cell[5].flags == (FLAG_UNESTIMABLE,)
-    assert _flagged(cell, FLAG_OFF_DC) == {2, 4, 6}
-    assert all(cell[i].flags == (FLAG_OFF_DC, FLAG_UNESTIMABLE) for i in (2, 4, 6))
-    assert all(cell[i].flags == () and cell[i].imag_norm > 0 for i in (0, 3))
-
-
 @pytest.mark.parametrize("fraction", [FRACTION, 3 / m], ids=["sampled", "three-rows"])
 @pytest.mark.parametrize("shrink", [False, True])
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
@@ -282,7 +261,7 @@ def test_statistics_cell_matches_one_atom_reference(split_cell, mode, shrink, fr
     # the low-SNR rows, where a multi-atom OMP fit missed the DC column, and
     # 3 sampled rows, where it stopped on a rank-deficient support: the
     # statistics fit is the one-atom DC projection of every row, so no row
-    # is off the DC support, degenerate or imaginary
+    # is degenerate
     ens, _, bob = _low_snr_dataset()
     plans = _plans(fraction=fraction)
     floor = 1.0 + PARAMS.electronic_noise
@@ -297,8 +276,7 @@ def test_statistics_cell_matches_one_atom_reference(split_cell, mode, shrink, fr
     assert_identical(cell, single)
     assert cell[3].flags == (FLAG_BELOW_FLOOR,)
     assert cell[0].flags == ()
-    assert _flagged(cell, FLAG_OFF_DC) == _flagged(cell, FLAG_DEGENERATE) == set()
-    assert all(e.imag_norm == 0.0 for e in cell)
+    assert _flagged(cell, FLAG_DEGENERATE) == set()
     checked = [i for i, e in enumerate(cell) if not e.flags]
     assert 0 in checked
     for i in checked:
@@ -333,87 +311,35 @@ def test_statistics_fit_projects_every_row_and_solves_none(split_cell, mode, mon
     assert len(projected) == M and solved == []
 
 
-def test_multi_atom_rank_deficient_support_matches_reference():
-    # 3 sampled rows cannot carry 4 independent atoms: OMP stops on a
-    # rank-deficient support, with or without the DC column in it
-    _, alice, bob = _low_snr_dataset()
-    plans = _plans(fraction=3 / m)
-    omp = OmpConfig(k_max=4)
-    cell = fit_variables(alice, bob, plans, omp)
-    reference = [
-        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
-        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
-    ]
-    assert_identical(cell, reference)
-    flags = {e.flags for e in cell}
-    assert (FLAG_DEGENERATE,) in flags
-    assert (FLAG_DEGENERATE, FLAG_OFF_DC, FLAG_UNESTIMABLE) in flags
-
-
-@pytest.mark.parametrize("k_max", [2, 3])
-def test_variables_fit_reads_the_coherence_of_each_row_omp_solves(k_max, monkeypatch):
-    # a coherence column gets, for each row that OMP solves, the value of a
-    # fresh operator bit for bit, read off the Gram the solve cached without
-    # a further transform; the zero Alice column that OMP skips keeps its
-    # NaN, and the fit is the fit without the column
-    _, alice, bob = _dataset()
-    plans = _plans()
-    alice[2][:] = 0.0
-    expected = [
-        sensing.mutual_incoherence(sensing.RowSampledIdftOperator(x, p.indices)) for x, p in zip(alice, plans)
-    ]
-    plain = estimators._records(estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.0, False))
-    shapes = []
-    rfft = np.fft.rfft
-
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counted)
-    column = np.full(M, math.nan)
-    fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.0, False, coherence=column)
-    assert_identical(estimators._records(fit), plain)
-    # one paired adjoint and Gram per solve, and nothing else
-    assert shapes == [(2, m)] * (M - 1)
-    assert math.isnan(column[2])
-    assert [_bits(v) for i, v in enumerate(column.tolist()) if i != 2] == [
-        _bits(v) for i, v in enumerate(expected) if i != 2
-    ]
-
-
-def test_dc_projection_skips_rows_that_omp_refits(split_cell, monkeypatch):
-    # at k_max = 3 the projection (sensing._dc_project, which dc_project also
-    # runs) sees no row, and omp_solve every row but the one it skips: a zero
-    # Alice column (sub-channel 0), which keeps gain 0 and residual ||y_s||,
-    # the projection of a zero column; the per-sub-channel bodies give every
-    # row's bits
+def test_variables_fit_projects_every_row_and_solves_none(split_cell, monkeypatch):
+    # the variables fit is one atom too: the DC projection sees every row of
+    # the cell once, a zero Alice column (sub-channel 0) too, and OMP none;
+    # each usable row is the scalar projection of its sampled pairs
     _, alice, bob = _low_snr_dataset()
     plans = _plans()
     alice[0][:] = 0.0
-    omp = OmpConfig(k_max=3, noise_scale=0.3)
-    reference = [
-        oracles.multi_atom_variables_estimate(x, y, p, PARAMS, omp, index=i)
-        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
-    ]
+    omp = OmpConfig(noise_scale=0.3)
+    expected = fit_variables(alice, bob, plans, omp)
     projected, solved = [], []
-    project, solve = estimators._dc_project, estimators.omp_solve
+    project = estimators._dc_project
 
     def spy_project(weights, measurement, *args):
         projected.extend(row.copy() for row in measurement)
         return project(weights, measurement, *args)
 
-    def spy_solve(op, measurement, **kwargs):
-        solved.append(np.array(measurement, copy=True))
-        return solve(op, measurement, **kwargs)
-
     monkeypatch.setattr(estimators, "_dc_project", spy_project)
-    monkeypatch.setattr(estimators, "omp_solve", spy_solve)
+    monkeypatch.setattr(estimators, "omp_solve", lambda *args, **kwargs: solved.append(args))
     cell = fit_variables(alice, bob, plans, omp)
-    assert_identical(cell, reference)
-    assert cell[0].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE) and cell[0].imag_norm == 0.0
-    assert projected == []
-    assert len(solved) == M - 1
+    assert_identical(cell, expected)
+    assert cell[0].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
+    assert len(projected) == M and solved == []
+    checked = [i for i, e in enumerate(cell) if not e.flags]
+    assert 3 in checked
+    delta = 1.1 * math.sqrt(plans[0].sample_count) * 0.3
+    for i in checked:
+        rows = plans[i].indices
+        reference = oracles.scalar_variables_estimate(alice[i][rows], bob[i][rows], 0.6, 1.05, delta)
+        assert_scalar_reference(cell[i], reference)
 
 
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
@@ -438,20 +364,19 @@ def test_statistics_plans_of_two_lengths(split_cell, mode):
 
 
 @pytest.mark.parametrize(
-    ("route", "setting"), [("variables", 1), ("variables", 3), ("statistics", "blockwise"), ("statistics", "replicated")]
+    ("route", "setting"), [("variables", 1), ("statistics", "blockwise"), ("statistics", "replicated")]
 )
 def test_cell_records_are_the_core_columns(split_cell, route, setting):
     # row i of the cell fit's columns is the record of sub-channel i that the
     # per-sub-channel estimator builds from its one-channel fit; the setting
-    # is the variables route's atom budget and the statistics route's
+    # is the variables route's atom budget, one, and the statistics route's
     # variance form
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     if route == "variables":
-        k_max = setting
         alice[1][:] = 0.0   # degenerate and unestimable
-        omp = OmpConfig(k_max=k_max, noise_scale=0.3)
-        fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, k_max, 0.3, False)
+        omp = OmpConfig(noise_scale=0.3)
+        fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, 0.3, False)
         cell = [
             estimate_subchannel_variables(x, y, p, PARAMS, omp, index=i)
             for i, (x, y, p) in enumerate(zip(alice, bob, plans))
@@ -466,16 +391,12 @@ def test_cell_records_are_the_core_columns(split_cell, route, setting):
             estimate_subchannel_statistics(v, PARAMS, m, p, c, index=i)
             for i, (v, p, c) in enumerate(zip(per_cell, plans, _statistics_configs(ens)))
         ]
-    for column, field in (
-        ("t_hat", "t_hat"), ("eps_hat", "eps_hat"), ("residual", "residual_norm"), ("imag_norm", "imag_norm"),
-    ):
+    for column, field in (("t_hat", "t_hat"), ("eps_hat", "eps_hat"), ("residual", "residual_norm")):
         assert getattr(fit, column).tobytes() == np.array([getattr(e, field) for e in cell]).tobytes(), column
     assert fit.sample_count.tolist() == [e.sample_count for e in cell]
     assert fit.flags == [";".join(e.flags) for e in cell]
     assert fit.usable.dtype == bool and fit.usable.tolist() == [e.usable for e in cell]
     assert not fit.usable.all() and fit.usable.any()
-    if setting == 3:
-        assert any(FLAG_OFF_DC in e.flags for e in cell)
     # the key-rate aggregate reads the columns as it reads the records
     p = np.linspace(1.0, 2.0, M) / np.linspace(1.0, 2.0, M).sum()
     assert estimators.aggregate_estimates(fit, p) == estimators.aggregate_estimates(cell, p)
@@ -483,7 +404,7 @@ def test_cell_records_are_the_core_columns(split_cell, route, setting):
 
 @pytest.mark.parametrize("groups", [[(0, 7)], [(0, 2), (2, 3), (3, 7)], [(i, i + 1) for i in range(M)]])
 @pytest.mark.parametrize(
-    ("route", "setting"), [("variables", 1), ("variables", 3), ("statistics", "blockwise"), ("statistics", "replicated")]
+    ("route", "setting"), [("variables", 1), ("statistics", "blockwise"), ("statistics", "replicated")]
 )
 def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, groups):
     # the sweep fits a cell one group of sub-channels at a time and joins
@@ -494,7 +415,7 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, gr
         alice[1][:] = 0.0
 
         def fit(a, b):
-            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, setting, 0.3, False)
+            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, 0.3, False)
     else:
         bob[3] *= 0.5
         per_cell, _ = _statistics_inputs(bob, setting)
@@ -506,7 +427,7 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, gr
             )
     whole = fit(0, M)
     split = harness._joined([fit(a, b) for a, b in groups])
-    for column in ("t_hat", "eps_hat", "residual", "sample_count", "imag_norm", "usable"):
+    for column in ("t_hat", "eps_hat", "residual", "sample_count", "usable"):
         assert getattr(split, column).tobytes() == getattr(whole, column).tobytes(), column
     assert split.flags == whole.flags
     assert not whole.usable.all() and whole.usable.any()
@@ -526,28 +447,25 @@ def test_work_area_has_a_mapping_of_its_own():
     assert work.ctypes.data % mmap.PAGESIZE == 0
 
 
-@pytest.mark.parametrize("k_max", [(1,), (3,), (3, 1, 3)], ids=["k1", "k3", "mixed"])
 @pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
-def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs, k_max):
+def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs):
     # cells of three sample counts fitted one after another in one work area,
-    # NaN-filled before the first, the variables fits at the atom budgets in
-    # k_max in turn ("mixed": OMP, projection, OMP): no row of the fill or of
-    # an earlier cell leaks into a fit, and an OMP cell reads its measurement
-    # rows as gathered, after a projected cell formed its residuals in the
-    # area.  The statistics fits run at one atom, each but the first after a
-    # variables cell at that budget, as in a sweep of both estimators.
+    # NaN-filled before the first: no row of the fill or of an earlier cell
+    # leaks into a fit, after an earlier cell formed its residuals in the
+    # area.  The statistics fits run each but the first after a variables
+    # cell, as in a sweep of both estimators.
     # The per-sub-channel estimates, cells of one row, are the reference.
     # The area holds the largest cell exactly (fraction 0.6), as the sweep's does
     ens, alice, bob = _low_snr_dataset()
+    omp = OmpConfig(noise_scale=0.3)
     if inputs == "variables":
-        alice[1][:] = 0.0   # a zero column: neither projected nor solved where k_max is 3
+        alice[1][:] = 0.0   # a zero column
     else:
         bob[3] *= 0.5       # below the floor
         measured, _ = _statistics_inputs(bob, inputs)
     work = estimators._work_area(M * _plans(fraction=0.6)[0].sample_count)
     work.fill(np.nan)
     for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
-        omp = OmpConfig(k_max=k_max[c_idx % len(k_max)], noise_scale=0.3)
         plans = _plans(fraction=fraction)
         if inputs == "variables":
             cell = fit_variables(alice, bob, plans, omp, work=work)
@@ -632,17 +550,15 @@ def test_zero_weights_are_degenerate_whatever_delta():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("k_max", [1, 3])
-def test_variables_reject_non_finite_blocks(bad, k_max):
+def test_variables_reject_non_finite_blocks(bad):
     _, alice, bob = _dataset()
     plan = _plans()[0]
-    omp = OmpConfig(k_max=k_max)
     for name, x, y in (
         ("x_block", np.where(np.arange(m) == 7, bad, alice[0]), bob[0]),
         ("y_block", alice[0], np.where(np.arange(m) == 7, bad, bob[0])),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            estimate_subchannel_variables(x, y, plan, PARAMS, omp=omp)
+            estimate_subchannel_variables(x, y, plan, PARAMS)
 
 
 def _poisoned_sweep(monkeypatch, estimators_, variance_mode, poison):

@@ -30,7 +30,6 @@ def test_zero_noise_exact_recovery_single_case():
     assert est.t_hat == pytest.approx(0.64, abs=1e-9)
     assert est.eps_hat == pytest.approx(0.0, abs=1e-9)
     assert est.flags == ()
-    assert est.imag_norm <= 1e-9
 
 
 @pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
@@ -123,8 +122,7 @@ def test_scaling_covariance_zero_noise():
     assert scaled.t_hat == pytest.approx(9.0 * base.t_hat, abs=1e-9)
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
-def test_zero_weight_row_is_kept_and_only_all_zero_block_flagged(k_max):
+def test_zero_weight_row_is_kept_and_only_all_zero_block_flagged():
     # a zero Alice symbol adds nothing to the least-squares sums, so the row
     # stays in the plan: its Bob symbol still feeds the excess-noise plug-in
     params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
@@ -135,15 +133,13 @@ def test_zero_weight_row_is_kept_and_only_all_zero_block_flagged(k_max):
     zeroed = x.copy()
     zeroed[plan.indices[:3]] = 0.0
     zeroed[plan.indices[3]] = 1e-12
-    omp = OmpConfig(k_max=k_max)
-    est = estimate_subchannel_variables(zeroed, y, plan, params, omp=omp)
+    est = estimate_subchannel_variables(zeroed, y, plan, params)
     assert est.flags == ()
     assert est.sample_count == plan.sample_count - 3
     x_s, y_s = zeroed[plan.indices], y[plan.indices]
     m_s = plan.sample_count
-    if k_max == 1:
-        gain = float(x_s @ y_s) / float(x_s @ x_s)
-        assert est.t_hat == gain**2 / 0.6
+    gain = float(x_s @ y_s) / float(x_s @ x_s)
+    assert est.t_hat == gain**2 / 0.6
     eps = (float(y_s @ y_s) - 0.6 * est.t_hat * float(x_s @ x_s) - m_s * 1.05) / (
         m_s * 0.6 * est.t_hat
     )
@@ -151,21 +147,18 @@ def test_zero_weight_row_is_kept_and_only_all_zero_block_flagged(k_max):
     # every sampled symbol zero: flagged, whatever the rest of the block holds
     blank = x.copy()
     blank[plan.indices] = 0.0
-    est = estimate_subchannel_variables(blank, y, plan, params, omp=omp)
+    est = estimate_subchannel_variables(blank, y, plan, params)
     assert est.flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
     assert est.sample_count == 0
     assert est.residual_norm == pytest.approx(float(np.linalg.norm(y_s)), rel=1e-15)
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
-def test_all_degenerate_symbols_give_flagged_estimate(k_max):
-    # screening keeps no row, so no budget may build an operator or fit
+def test_all_degenerate_symbols_give_flagged_estimate():
+    # every sampled Alice symbol zero: nothing to fit
     params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
     y = np.random.default_rng(9).normal(size=64)
     plan = make_sampling_plan(64, 0.5, seed=2)
-    est = estimate_subchannel_variables(
-        np.zeros(64), y, plan, params, omp=OmpConfig(k_max=k_max)
-    )
+    est = estimate_subchannel_variables(np.zeros(64), y, plan, params)
     assert est.flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
     assert est.sample_count == 0
     assert est.t_hat == 0.0 and math.isnan(est.eps_hat)
@@ -181,3 +174,17 @@ def test_unestimable_flag_on_sign_flipped_channel():
     assert FLAG_UNESTIMABLE in est.flags
     assert est.t_hat == 0.0
     assert math.isnan(est.eps_hat)
+
+
+@pytest.mark.parametrize("k_max", [2, 3])
+def test_variables_fit_one_atom_only(k_max):
+    # a stable sub-channel's transfer vector is one DC atom: a larger budget
+    # is rejected before any work, so before a non-finite block or a plan of
+    # another length
+    params = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
+    x = np.random.default_rng(3).normal(size=64)
+    plan = make_sampling_plan(64, 0.5, seed=1)
+    omp = OmpConfig(k_max=k_max, noise_scale=0.1, shrink_to_delta=True)
+    for x_block, y_block in ((x, 0.5 * x), (x, np.full(64, math.nan)), (np.ones(128), np.ones(128))):
+        with pytest.raises(ValueError, match=rf"^omp\.k_max must be 1 .*, got {k_max}$"):
+            estimate_subchannel_variables(x_block, y_block, plan, params, omp=omp)

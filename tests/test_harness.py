@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 from typing import get_origin
@@ -115,7 +116,6 @@ def test_readme_config_example_loads(tmp_path):
     assert config.estimators == "both"
     assert config.variance_mode == "replicated"
     assert config.distances_km == (5.0, 10.0)
-    assert config.k_max == 1
 
 
 def test_readme_config_example_names_every_key():
@@ -183,8 +183,14 @@ def test_unreadable_ensemble_file_name_rejected(tmp_path):
         load_config(cfg_file)
 
 
-_NON_NEGATIVE = st.floats(0.0, 1e6)
-_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+def _floats(*args, **kwargs):
+    """Floats of ``st.floats(*args, **kwargs)``, some as ``np.float64``."""
+    values = st.floats(*args, **kwargs)
+    return st.one_of(values, values.map(np.float64))
+
+
+_NON_NEGATIVE = _floats(0.0, 1e6)
+_UNIT = _floats(0.0, 1.0, exclude_min=True)
 
 
 @st.composite
@@ -206,15 +212,14 @@ def sampler_configs(draw):
         excess_noise=draw(_NON_NEGATIVE),
         sampler_seed=draw(st.integers(0, 2**63 - 1)),
         # exp(-attenuation_per_km * d) must not underflow to 0
-        attenuation_per_km=draw(st.floats(0.0, 700.0 / max(1.0, *distances))),
+        attenuation_per_km=draw(_floats(0.0, 700.0 / max(1.0, *distances))),
         sigma_log=draw(_NON_NEGATIVE),
         fractions=tuple(draw(st.lists(_UNIT, min_size=1, max_size=4, unique=True))),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))),
         estimators=draw(st.sampled_from(("variables", "statistics", "both"))),
         variance_mode=variance_mode,
         variance_blocks=variance_blocks,
-        k_max=draw(st.integers(1, 64)),
-        modulation_variance=draw(st.floats(1e-6, 1e6)),
+        modulation_variance=draw(_floats(1e-6, 1e6)),
         detector_efficiency=draw(_UNIT),
         electronic_noise=draw(_NON_NEGATIVE),
         reconciliation_efficiency=draw(_UNIT),
@@ -226,6 +231,8 @@ def sampler_configs(draw):
 @settings(max_examples=100, deadline=None)
 @given(config=sampler_configs())
 @example(config=dataclasses.replace(FAST, detections=("homodyne",), estimators="statistics"))
+# numpy floats are written in the digits of their value, not as np.float64(...)
+@example(config=dataclasses.replace(FAST, excess_noise=np.float64(0.02), fractions=(np.float64(0.5),)))
 def test_config_round_trip(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "rt.cfg"
     write_config(config, path)
@@ -272,8 +279,9 @@ def test_declared_config_rules_are_enforced():
             cases.append(("least", key.least - 1))
         if key.item is float:
             cases.extend(("float", v) for v in (math.nan, math.inf, -math.inf))
-            # no write_config text of these loads back
-            cases.extend(("real", v) for v in ("0.1", None, True))
+            # no write_config text of these loads back: np.float32(0.1) is
+            # written as 0.1, which loads as another value
+            cases.extend(("real", v) for v in ("0.1", None, True, np.float32(0.1)))
             # an integer is a float's value
             assert dataclasses.replace(FAST, **{key.field: (1,) if many else 1})
         if many:
@@ -288,6 +296,17 @@ def test_declared_config_rules_are_enforced():
             broken.add(rule)
     # every kind of rule is declared on some key
     assert broken == {"choices", "least", "float", "real", "repeat"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fractions", 0.5), ("seeds", 3), ("distances_km", [1.0, 2.0]), ("detections", "homodyne")],
+)
+def test_tuple_config_keys_require_a_tuple(field, value):
+    # the repeat check, the entries' rules and the config hash read a tuple
+    key = _KEYS[field]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(key))} must be a tuple, got {re.escape(repr(value))}$"):
+        dataclasses.replace(FAST, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -323,19 +342,16 @@ def test_bad_variance_blocks_rejected(blocks):
 @pytest.mark.parametrize(
     "field, value, key",
     [
-        ("k_max", 2.5, "estimation.k_max"),
         ("block_length", 100.5, "ensemble.block_length"),
         ("subchannels", 5.0, "ensemble.subchannels"),
         ("subchannels", "5", "ensemble.subchannels"),
         ("variance_blocks", 4.0, "estimation.variance_blocks"),
         ("sampler_seed", 7.5, "ensemble.sampler_seed"),
         ("seeds", (1, 2.5), "estimation.seeds entries"),
-        ("k_max", True, "estimation.k_max"),
     ],
 )
 def test_non_integer_config_keys_rejected(field, value, key):
-    # k_max = 2.5 used to fail only after the first dataset was simulated,
-    # and block_length = 100.5 ran as 100 while run.json recorded 100.5
+    # block_length = 100.5 ran as 100 while run.json recorded 100.5
     with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be an integer, got "):
         dataclasses.replace(FAST, **{field: value})
     # a numpy integer is an integer
@@ -354,7 +370,7 @@ def test_non_integer_config_keys_rejected(field, value, key):
 )
 def test_bool_is_not_an_integer(build, message):
     # a bool is a numbers.Integral, and a config holding one was written as
-    # `k_max = True`, which load_config then rejected
+    # `seeds = True,2`, which load_config then rejected
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         build()
 
@@ -370,7 +386,8 @@ _LINES = st.one_of(
     st.sampled_from(sorted(_SECTIONS)).map(lambda name: f"[{name}]"),
     st.text(max_size=10).map(lambda name: f"[{name}]"),
     st.tuples(
-        st.sampled_from(sorted({key.name for key in _KEYS.values()})),
+        # the declared keys and the retired estimation.k_max
+        st.sampled_from(sorted({key.name for key in _KEYS.values()} | {"k_max"})),
         st.sampled_from(("=", ":", " = ", "")),
         _VALUES,
     ).map("".join),
@@ -383,14 +400,18 @@ _LINES = st.one_of(
 @given(text=st.one_of(st.text(), st.lists(_LINES, max_size=12).map("\n".join)))
 def test_load_config_fuzz_returns_config_or_value_error(tmp_path_factory, text):
     # malformed files, bad values and bad combinations all surface as a
-    # ValueError naming the file or the key, never as another exception
+    # ValueError naming the file or the key, never as another exception; the
+    # one warning is the retired estimation.k_max's
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
-    try:
-        config = load_config(path)
-    except ValueError:
-        return
-    assert isinstance(config, ExperimentConfig)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            config = load_config(path)
+        except ValueError:
+            config = None
+    assert all(w.category is UserWarning and "estimation.k_max" in str(w.message) for w in caught)
+    assert config is None or isinstance(config, ExperimentConfig)
 
 
 def test_config_hash_ignores_output_directory():
@@ -403,8 +424,8 @@ def test_config_hash_ignores_output_directory():
 
 
 def test_config_hash_of_the_sampler_configs_is_pinned():
-    assert config_hash(preset_config("desk")) == "b8558706024a0da2"
-    assert config_hash(load_config(GOLDEN)) == "0ef21589e5f3dbec"
+    assert config_hash(preset_config("desk")) == "3254380d2d7650e1"
+    assert config_hash(load_config(GOLDEN)) == "b79336df5c509eb7"
 
 
 def test_config_hash_of_a_file_ensemble_follows_its_bytes_not_its_path(tmp_path):
@@ -565,7 +586,7 @@ def test_estimates_writer_matches_the_row_writer(tmp_path):
     def fit(shift):
         values = np.roll(odd, shift)
         return estimators.CellFit(
-            values, -values, np.roll(odd, 2 * shift), np.full(n, 7), np.zeros(n),
+            values, -values, np.roll(odd, 2 * shift), np.full(n, 7),
             ["degenerate_support;unestimable_transmittance" if i % 3 else "" for i in range(n)],
             np.ones(n, dtype=bool),
         )
@@ -911,15 +932,14 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
 
 
 @pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
-@pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
-def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, variance_mode, k_max, estimator):
+def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, variance_mode, estimator):
     # one sub-channel per group gives the bytes of the whole seed in one
     # group: plans, rows, MSE, the key-rate cell at the first seed and the
     # coherence rows, at a low-SNR distance and at fraction 1
     config = dataclasses.replace(
         FAST, distances_km=(2.0, 40.0), fractions=(1.0, 0.25, 0.5), seeds=(3, 1, 2),
-        variance_mode=variance_mode, variance_blocks=16, k_max=k_max, estimators=estimator,
+        variance_mode=variance_mode, variance_blocks=16, estimators=estimator,
     )
     assert len(harness._groups(config.subchannels, config.block_length)) == 1
     one = write_reports(run_sweep(config), tmp_path / "one")
@@ -934,17 +954,13 @@ def test_streamed_sweep_writes_the_one_group_csvs(tmp_path, monkeypatch, varianc
         assert streamed[name].read_bytes() == one[name].read_bytes(), name
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
-def test_mip_rows_of_a_model_are_those_of_its_sweep_alone(tmp_path, monkeypatch, variance_mode, k_max):
-    # in groups of three, three and one sub-channels, at k_max = 3 the OMP
-    # solves give the variables values and the harness pairs the statistics
-    # rows; at k_max = 1 it pairs the rows of both models, one call taking
-    # the last variables row and the first statistics row of a group.  Each
-    # model's rows are the bytes of a sweep of that model alone
+def test_mip_rows_of_a_model_are_those_of_its_sweep_alone(tmp_path, monkeypatch, variance_mode):
+    # in groups of three, three and one sub-channels, each model's rows are
+    # the bytes of a sweep of that model alone
     config = dataclasses.replace(
         FAST, subchannels=7, distances_km=(2.0, 40.0), fractions=(0.25, 0.5, 1.0),
-        variance_mode=variance_mode, variance_blocks=16, k_max=k_max,
+        variance_mode=variance_mode, variance_blocks=16,
     )
     monkeypatch.setattr(harness, "GROUP_BYTES", 3 * 16 * config.block_length)
     both = write_reports(run_sweep(config), tmp_path / "both")["mip"].read_text().splitlines()
@@ -955,49 +971,8 @@ def test_mip_rows_of_a_model_are_those_of_its_sweep_alone(tmp_path, monkeypatch,
         assert rows[1:] == [row for row in both[1:] if f",{estimator}," in row]
 
 
-def test_k_max_3_sweep_transforms_no_variables_weights_outside_omp(monkeypatch):
-    # the coherence of each variables row is read off the Gram its OMP solve
-    # transformed; every other transform of the sweep is of the statistics
-    # model's squared weights, V_A^2 at the sampled rows, as many rows per
-    # call as a row of the work area holds, and takes no harness call of
-    # mutual_incoherence
-    config = dataclasses.replace(FAST, k_max=3, fractions=(0.25, 0.5, 1.0))
-    flat = np.full(1, config.protocol.modulation_variance) ** 2
-    solving, inside, outside, calls = [], [], [], []
-    solve, rfft, coherence = estimators.omp_solve, np.fft.rfft, harness.mutual_incoherence
-
-    def traced_solve(*args, **kwargs):
-        solving.append(True)
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            solving.pop()
-
-    def spy(a, *args, **kwargs):
-        (inside if solving else outside).append(np.array(a, ndmin=2))
-        return rfft(a, *args, **kwargs)
-
-    monkeypatch.setattr(estimators, "omp_solve", traced_solve)
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    monkeypatch.setattr(harness, "mutual_incoherence", lambda *ops, **kw: calls.append(len(ops)) or coherence(*ops, **kw))
-    run_sweep(config)
-    n, m = config.subchannels, config.block_length
-    # one paired adjoint and Gram per solve: every variables row of every cell
-    assert [a.shape[0] for a in inside] == [2] * (n * 3 * len(config.seeds))
-    assert calls == []
-    # the work area holds the largest cell, n rows at fraction 1: 4 rows of
-    # m + 2 floats, so each cell's n statistics rows take calls of 4 and 1
-    per_call = n * m // (m + 2)
-    assert per_call == 4
-    assert [a.shape[0] for a in outside] == [per_call, n - per_call] * 3
-    for a in outside:
-        for row in a:
-            assert np.count_nonzero(row) > 0 and np.all((row == 0) | (row == flat[0]))
-
-
-@pytest.mark.parametrize("k_max", [1, 3])
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
-def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode, k_max):
+def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode):
     # every coherence value of a sweep at the odd block length m = 511 is
     # the mutual_incoherence of its sub-channel's operator, the Alice
     # symbols or V_A at the cell's plan, bit for bit.  A row of the work
@@ -1005,7 +980,7 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode,
     # floats, fewer than the rows a cell leaves
     config = dataclasses.replace(
         FAST, block_length=511, seeds=(1,), distances_km=(2.0, 40.0),
-        variance_mode=variance_mode, variance_blocks=7, k_max=k_max,
+        variance_mode=variance_mode, variance_blocks=7,
     )
     datasets, plans, transforms = [], {}, []
     simulate, cell_plans, gram_peaks = harness.simulate_block, harness._cell_plans, harness._gram_peaks
@@ -1020,9 +995,9 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode,
     report = run_sweep(config)
     n = config.subchannels
     assert max(transforms) == 4 < n
-    # both models' rows at k_max = 1; the statistics rows at k_max = 3
+    # the rows of both models
     cells = len(config.distances_km) * len(config.fractions)
-    assert sum(transforms) == cells * n * (2 if k_max == 1 else 1)
+    assert sum(transforms) == cells * n * 2
     assert len(report.mip_rows) == cells * n * 2
     flat = np.full(config.block_length, config.protocol.modulation_variance)
     for row in report.mip_rows:
@@ -1032,8 +1007,7 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode,
         assert np.float64(row.mip).tobytes() == np.float64(mutual_incoherence(op)).tobytes(), row
 
 
-@pytest.mark.parametrize("k_max", [1, 3])
-def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch, k_max):
+def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch):
     # a file ensemble of 7 rows, with low transmittances at rows 2, 4 and 6,
     # under ensemble.subchannels = 2, which a file source does not read, in
     # groups of 3, 3 and 1: the work area takes the group of 3 at fraction 1,
@@ -1043,7 +1017,7 @@ def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch, k_
     (tmp_path / "ens.csv").write_text("\n".join(["index,T,epsilon,p", *rows]) + "\n")
     config = dataclasses.replace(
         FAST, source="file", ensemble_file=str(tmp_path / "ens.csv"), subchannels=2,
-        fractions=(1.0, 0.25, 0.5), seeds=(3, 1), variance_mode="blockwise", variance_blocks=16, k_max=k_max,
+        fractions=(1.0, 0.25, 0.5), seeds=(3, 1), variance_mode="blockwise", variance_blocks=16,
     )
     monkeypatch.setattr(harness, "GROUP_BYTES", 3 * 16 * config.block_length)
     assert [len(g) for g in harness._groups(len(rows), config.block_length)] == [3, 3, 1]
@@ -1117,13 +1091,13 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
     pytest.param(1.0, 2.0, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
 ])
 def test_only_the_scoring_reads_the_truth(monkeypatch, t_scale, eps_scale):
-    # a golden blockwise sweep at k_max = 3 whose blocks are simulated from
+    # a golden blockwise sweep whose blocks are simulated from
     # ensemble A, run once handed A and once handed B = (t_scale T,
     # eps_scale eps, the same p): every estimate, MIP and estimated key rate
     # is the same, and the truth columns are B's.  At (2T, eps/2) the
     # statistics route's eta*T*eps is A's bit for bit; at (T, 2 eps) it is
     # not, and that route still reads it
-    config = dataclasses.replace(load_config(GOLDEN), variance_mode="blockwise", k_max=3)
+    config = dataclasses.replace(load_config(GOLDEN), variance_mode="blockwise")
     a = build_ensemble(
         [0.45, 0.3, 0.12, 0.05, 0.38, 0.2],
         excess_noise=[0.01, 0.03, 0.02, 0.05, 0.015, 0.04],
@@ -1162,16 +1136,95 @@ def test_golden_config_runs_deterministically(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes()
 
 
+def _golden_text(variance_mode: str, estimation: str = "") -> str:
+    """golden.cfg in ``variance_mode``, with the lines ``estimation`` first
+    in its [estimation] section."""
+    text = GOLDEN.read_text().replace("variance_mode = replicated", f"variance_mode = {variance_mode}")
+    return text.replace("[estimation]\n", f"[estimation]\n{estimation}", 1)
+
+
 @pytest.mark.parametrize("variance_mode", ["replicated", "blockwise"])
-def test_statistics_sweep_is_the_same_at_every_budget(tmp_path, variance_mode):
-    # the atom budget is the variables route's: the statistics route fits
-    # one atom, so a statistics-only golden sweep at k_max = 3 writes the
-    # bytes of the one at k_max = 1
-    config = dataclasses.replace(load_config(GOLDEN), estimators="statistics", variance_mode=variance_mode)
-    one = write_reports(run_sweep(config), tmp_path / "k1")
-    three = write_reports(run_sweep(dataclasses.replace(config, k_max=3)), tmp_path / "k3")
-    for name in ("estimates", "mse", "keyrate", "mip"):
-        assert one[name].stat().st_size and three[name].read_bytes() == one[name].read_bytes(), name
+def test_retired_k_max_warns_once_and_sweeps_the_file_without_it(tmp_path, capsys, variance_mode):
+    # both routes fit one atom: a file that still asks the variables route
+    # for three loads with one warning naming the key, and sweeps the bytes
+    # of the same file without that line
+    runs = {}
+    for name, line in (("plain", ""), ("k3", "k_max = 3\n")):
+        (tmp_path / f"{name}.cfg").write_text(_golden_text(variance_mode, line))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = load_config(tmp_path / "k3.cfg")
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        UserWarning,
+        f"{tmp_path / 'k3.cfg'}: estimation.k_max = 3 is retired and ignored: both routes fit one atom",
+    )]
+    assert config == load_config(tmp_path / "plain.cfg")
+    assert "k_max" not in write_config(config)
+    for name in ("plain", "k3"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rc = cli_main(["sweep", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)])
+        assert rc == 0
+        runs[name] = [(tmp_path / name / f"{t}.csv").read_bytes() for t in ("estimates", "mse", "keyrate", "mip")]
+    assert all(runs["plain"]) and runs["k3"] == runs["plain"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("0", "estimation.k_max must be >= 1, got 0"),
+        ("-2", "estimation.k_max must be >= 1, got -2"),
+        ("2.5", "{path}: bad value for estimation.k_max: '2.5'"),
+        ("true", "{path}: bad value for estimation.k_max: 'true'"),
+        ("", "{path}: bad value for estimation.k_max: ''"),
+    ],
+    ids=["0", "-2", "2.5", "true", "empty"],
+)
+def test_retired_k_max_is_still_checked(tmp_path, raw, message):
+    # an integer >= 1, or the ValueError naming the key that the key raised
+    # while it was read
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[estimation]\nk_max = {raw}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(message.format(path=path))}$"):
+        load_config(path)
+
+
+def test_retired_k_max_of_one_loads_without_a_warning(tmp_path):
+    path = tmp_path / "one.cfg"
+    path.write_text(_golden_text("replicated", "k_max = 1\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = load_config(path)
+    assert caught == []
+    assert config == load_config(GOLDEN)
+
+
+@pytest.mark.parametrize("grid", ["golden", "blockwise-m511", "two-groups", "retired-k3"])
+@pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
+def test_no_sweep_solves_omp(tmp_path, monkeypatch, grid, estimator):
+    # both routes fit the closed-form projection, and the coherence
+    # diagnostic transforms its rows in the work area: no sweep runs OMP,
+    # builds an operator or calls mutual_incoherence, at any config
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran OMP, built an operator or called mutual_incoherence")
+
+    monkeypatch.setattr(estimators, "omp_solve", refuse)
+    monkeypatch.setattr(estimators, "RowSampledIdftOperator", refuse)
+    monkeypatch.setattr(harness, "RowSampledIdftOperator", refuse)
+    monkeypatch.setattr(harness, "mutual_incoherence", refuse)
+    config = dataclasses.replace(load_config(GOLDEN), estimators=estimator)
+    if grid == "blockwise-m511":
+        config = dataclasses.replace(config, block_length=511, variance_mode="blockwise", variance_blocks=7)
+    elif grid == "two-groups":
+        monkeypatch.setattr(harness, "GROUP_BYTES", 4 * 16 * config.block_length)
+        assert len(harness._groups(config.subchannels, config.block_length)) == 2
+    elif grid == "retired-k3":
+        (tmp_path / "k3.cfg").write_text(_golden_text("blockwise", "k_max = 3\n"))
+        with pytest.warns(UserWarning, match="estimation.k_max"):
+            config = dataclasses.replace(load_config(tmp_path / "k3.cfg"), estimators=estimator)
+    report = run_sweep(config)
+    assert report.estimate_rows and report.mip_rows
 
 
 def test_config_hash_stable():

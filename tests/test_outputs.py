@@ -1,12 +1,12 @@
-"""Pinned sweep outputs: the CSVs of six configs against ``tests/data/outputs.json``.
+"""Pinned sweep outputs: the CSVs of five configs against ``tests/data/outputs.json``.
 
-The cases are the golden config at ``k_max`` 1 and 3, golden with blockwise
-variances, golden at m = 511 with ``k_max = 3``, the desk preset, and golden
-at m = 10^4 with 14 sub-channels, blockwise variances and ``k_max = 3``,
-whose seeds span two groups of sub-channels (13 and 1).  Each
-CSV's header and row count must match exactly and every value at a relative
-tolerance of 1e-9: the fits use BLAS dots and the MIP and OMP use FFTs, whose
-last bits may differ across BLAS builds, CPUs and numpy versions.  A file's
+The cases are the golden config, golden with blockwise variances, golden at
+the odd block length m = 511, the desk preset, and golden at m = 10^4 with
+14 sub-channels and blockwise variances, whose seeds span two groups of
+sub-channels (13 and 1).  Each CSV's header and row count must match
+exactly and every value at a relative tolerance of 1e-9: the fits use BLAS
+dots and the MIP uses FFTs, whose last bits may differ across BLAS builds,
+CPUs and numpy versions.  A file's
 ``sha256`` is compared only where the recording's environment (numpy
 version, machine, C library and numpy's CPU features) matches.
 
@@ -45,12 +45,11 @@ def _cases():
     golden = load_config(ROOT / "configs" / "golden.cfg")
     return {
         "golden": golden,
-        "golden-k3": dataclasses.replace(golden, k_max=3),
         "golden-blockwise": dataclasses.replace(golden, variance_mode="blockwise"),
-        "golden-m511-k3": dataclasses.replace(golden, block_length=511, k_max=3),
+        "golden-m511": dataclasses.replace(golden, block_length=511),
         "desk": preset_config("desk"),
         "golden-two-groups": dataclasses.replace(
-            golden, block_length=10_000, subchannels=14, variance_mode="blockwise", variance_blocks=100, k_max=3
+            golden, block_length=10_000, subchannels=14, variance_mode="blockwise", variance_blocks=100
         ),
     }
 
