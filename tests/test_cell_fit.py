@@ -256,6 +256,43 @@ def _flagged(estimates, flag):
 
 @pytest.mark.parametrize("fraction", [FRACTION, 3 / m], ids=["sampled", "three-rows"])
 @pytest.mark.parametrize("shrink", [False, True])
+def test_variables_cell_matches_one_atom_reference(split_cell, shrink, fraction):
+    # the low-SNR rows 2, 4 and 6, where a multi-atom OMP fit missed the DC
+    # column, and 3 sampled rows, where it stopped on a rank-deficient
+    # support: the variables fit is the one-atom DC projection of every row,
+    # so only the zero Alice column is degenerate, and a row is unestimable
+    # exactly where its scalar gain is <= 0
+    _, alice, bob = _low_snr_dataset()
+    plans = _plans(fraction=fraction)
+    alice[1][:] = 0.0   # all-zero Alice block
+    bob[5] = -bob[5]    # sign-flipped channel
+    omp = OmpConfig(noise_scale=0.3, shrink_to_delta=True) if shrink else OmpConfig()
+    cell = fit_variables(alice, bob, plans, omp)
+    single = [
+        estimate_subchannel_variables(x, y, p, PARAMS, omp=omp, index=i)
+        for i, (x, y, p) in enumerate(zip(alice, bob, plans))
+    ]
+    assert_identical(cell, single)
+    assert cell[1].flags == (FLAG_DEGENERATE, FLAG_UNESTIMABLE)
+    assert cell[5].flags == (FLAG_UNESTIMABLE,)
+    assert _flagged(cell, FLAG_DEGENERATE) == {1}
+    delta = 1.1 * math.sqrt(plans[0].sample_count) * 0.3 if shrink else 0.0
+    usable = []
+    for i in (0, 2, 3, 4, 6):
+        rows = plans[i].indices
+        reference = oracles.scalar_variables_estimate(alice[i][rows], bob[i][rows], 0.6, 1.05, delta, shrink)
+        if reference[0] is None:
+            assert cell[i].flags == (FLAG_UNESTIMABLE,), i
+            assert _bits(cell[i].residual_norm) == _bits(reference[2]), i
+        else:
+            assert cell[i].flags == (), i
+            assert_scalar_reference(cell[i], reference)
+            usable.append(i)
+    assert 0 in usable
+
+
+@pytest.mark.parametrize("fraction", [FRACTION, 3 / m], ids=["sampled", "three-rows"])
+@pytest.mark.parametrize("shrink", [False, True])
 @pytest.mark.parametrize("mode", ["replicated", "blockwise"])
 def test_statistics_cell_matches_one_atom_reference(split_cell, mode, shrink, fraction):
     # the low-SNR rows, where a multi-atom OMP fit missed the DC column, and
@@ -364,19 +401,21 @@ def test_statistics_plans_of_two_lengths(split_cell, mode):
 
 
 @pytest.mark.parametrize(
-    ("route", "setting"), [("variables", 1), ("statistics", "blockwise"), ("statistics", "replicated")]
+    ("route", "setting"),
+    [("variables", 1), ("variables", "shrink"), ("statistics", "blockwise"), ("statistics", "replicated")],
 )
 def test_cell_records_are_the_core_columns(split_cell, route, setting):
     # row i of the cell fit's columns is the record of sub-channel i that the
     # per-sub-channel estimator builds from its one-channel fit; the setting
-    # is the variables route's atom budget, one, and the statistics route's
-    # variance form
+    # is the variables route's one atom, bare (1) or with shrink_to_delta,
+    # and the statistics route's variance form
     ens, alice, bob = _low_snr_dataset()
     plans = _plans()
     if route == "variables":
         alice[1][:] = 0.0   # degenerate and unestimable
-        omp = OmpConfig(noise_scale=0.3)
-        fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, 0.3, False)
+        shrink = setting == "shrink"
+        omp = OmpConfig(noise_scale=0.3, shrink_to_delta=shrink)
+        fit = estimators._fit_variables(*_cell(alice, bob, plans), PARAMS, 0.3, shrink)
         cell = [
             estimate_subchannel_variables(x, y, p, PARAMS, omp, index=i)
             for i, (x, y, p) in enumerate(zip(alice, bob, plans))
@@ -404,7 +443,8 @@ def test_cell_records_are_the_core_columns(split_cell, route, setting):
 
 @pytest.mark.parametrize("groups", [[(0, 7)], [(0, 2), (2, 3), (3, 7)], [(i, i + 1) for i in range(M)]])
 @pytest.mark.parametrize(
-    ("route", "setting"), [("variables", 1), ("statistics", "blockwise"), ("statistics", "replicated")]
+    ("route", "setting"),
+    [("variables", 1), ("variables", "shrink"), ("statistics", "blockwise"), ("statistics", "replicated")],
 )
 def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, groups):
     # the sweep fits a cell one group of sub-channels at a time and joins
@@ -413,9 +453,10 @@ def test_row_passes_over_groups_finish_as_one_fit(split_cell, route, setting, gr
     plans = _plans()
     if route == "variables":
         alice[1][:] = 0.0
+        shrink = setting == "shrink"
 
         def fit(a, b):
-            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, 0.3, False)
+            return estimators._fit_variables(*_cell(alice[a:b], bob[a:b], plans[a:b]), PARAMS, 0.3, shrink)
     else:
         bob[3] *= 0.5
         per_cell, _ = _statistics_inputs(bob, setting)
@@ -447,18 +488,20 @@ def test_work_area_has_a_mapping_of_its_own():
     assert work.ctypes.data % mmap.PAGESIZE == 0
 
 
-@pytest.mark.parametrize("inputs", ["variables", "replicated", "blockwise"])
+@pytest.mark.parametrize("inputs", ["variables", "variables-shrink", "replicated", "blockwise"])
 def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs):
     # cells of three sample counts fitted one after another in one work area,
     # NaN-filled before the first: no row of the fill or of an earlier cell
     # leaks into a fit, after an earlier cell formed its residuals in the
-    # area.  The statistics fits run each but the first after a variables
-    # cell, as in a sweep of both estimators.
+    # area.  The variables fits run bare or with shrink_to_delta; the
+    # statistics fits run each but the first after a variables cell, as in a
+    # sweep of both estimators.
     # The per-sub-channel estimates, cells of one row, are the reference.
     # The area holds the largest cell exactly (fraction 0.6), as the sweep's does
     ens, alice, bob = _low_snr_dataset()
-    omp = OmpConfig(noise_scale=0.3)
-    if inputs == "variables":
+    omp = OmpConfig(noise_scale=0.3, shrink_to_delta=inputs == "variables-shrink")
+    variables = inputs.startswith("variables")
+    if variables:
         alice[1][:] = 0.0   # a zero column
     else:
         bob[3] *= 0.5       # below the floor
@@ -467,7 +510,7 @@ def test_reused_work_area_gives_the_per_channel_bits(split_cell, inputs):
     work.fill(np.nan)
     for c_idx, fraction in enumerate((0.3, 0.6, 0.1)):
         plans = _plans(fraction=fraction)
-        if inputs == "variables":
+        if variables:
             cell = fit_variables(alice, bob, plans, omp, work=work)
             single = [
                 estimate_subchannel_variables(alice[i], bob[i], plans[i], PARAMS, omp, index=i)

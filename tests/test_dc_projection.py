@@ -24,6 +24,8 @@ from csqkd.sensing import (
     unitary_idft,
 )
 
+import oracles
+
 PARAMS = ProtocolParams(detector_efficiency=0.6, electronic_noise=0.05)
 TOL = 1e-10
 
@@ -224,3 +226,20 @@ def test_low_snr_blockwise_statistics_gives_dc_estimate():
     est = estimate_subchannel_statistics(measured, PARAMS, m, plan, omp=cfg)
     assert est.usable
     assert 0.5 * t < est.t_hat < 2.0 * t
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.4, 1.0])
+def test_low_snr_variables_gives_the_one_atom_projection(fraction):
+    # at T = 0.003 OMP puts an off-DC atom first on these rows at f = 0.1
+    # and 1, where a multi-atom budget flagged the row or refitted it; the
+    # variables fit is the scalar DC projection of the sampled pairs,
+    # unflagged, whatever atom OMP would pick
+    params, ds = _variables_case(t=0.003, eps=0.01, m=2000, seed=3)
+    x, y = ds.alice[0], ds.bob[0]
+    plan = make_sampling_plan(2000, fraction, seed=1)
+    support, _, _ = _omp_reference(x, plan.indices, y[plan.indices])
+    assert (support == [0]) == (fraction == 0.4)
+    est = estimate_subchannel_variables(x, y, plan, params)
+    reference = oracles.scalar_variables_estimate(x[plan.indices], y[plan.indices], 0.6, 1.05)
+    assert est.flags == () and est.usable
+    assert (est.t_hat, est.eps_hat, est.residual_norm) == reference

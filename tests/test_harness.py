@@ -239,6 +239,24 @@ def test_config_round_trip(tmp_path_factory, config):
     assert load_config(path) == config
 
 
+@pytest.mark.parametrize("field", sorted(key.field for key in _KEYS.values() if key.item is float))
+def test_numpy_float_keys_are_written_in_the_digits_of_their_value(tmp_path, field):
+    # numpy 2's repr of np.float64(0.1) is np.float64(0.1), which load_config
+    # refuses; each float key is written by float.__repr__ and loads back as
+    # a Python float of the same value
+    key = _KEYS[field]
+    many = get_origin(key.kind) is tuple
+    value = np.float64(0.1)
+    config = dataclasses.replace(FAST, **{field: (value,) if many else value})
+    path = tmp_path / "numpy.cfg"
+    write_config(config, path)
+    assert re.search(rf"^{key.name} = 0\.1$", path.read_text(), re.MULTILINE)
+    loaded = load_config(path)
+    assert loaded == config
+    written = getattr(loaded, field)
+    assert type(written[0] if many else written) is float
+
+
 def test_empty_sampler_distances_rejected():
     with pytest.raises(ValueError, match="distances_km"):
         dataclasses.replace(FAST, distances_km=())
@@ -300,10 +318,14 @@ def test_declared_config_rules_are_enforced():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("fractions", 0.5), ("seeds", 3), ("distances_km", [1.0, 2.0]), ("detections", "homodyne")],
+    [
+        ("fractions", 0.5), ("seeds", 3), ("distances_km", [1.0, 2.0]), ("detections", "homodyne"),
+        ("fractions", [0.5]), ("seeds", [1, 2]), ("distances_km", 2.0), ("detections", ["homodyne"]),
+    ],
 )
 def test_tuple_config_keys_require_a_tuple(field, value):
-    # the repeat check, the entries' rules and the config hash read a tuple
+    # the repeat check, the entries' rules and the config hash read a tuple:
+    # each tuple key refuses a scalar and a list
     key = _KEYS[field]
     with pytest.raises(ValueError, match=rf"^{re.escape(str(key))} must be a tuple, got {re.escape(repr(value))}$"):
         dataclasses.replace(FAST, **{field: value})
@@ -1178,8 +1200,10 @@ def test_retired_k_max_warns_once_and_sweeps_the_file_without_it(tmp_path, capsy
         ("2.5", "{path}: bad value for estimation.k_max: '2.5'"),
         ("true", "{path}: bad value for estimation.k_max: 'true'"),
         ("", "{path}: bad value for estimation.k_max: ''"),
+        ("1.0", "{path}: bad value for estimation.k_max: '1.0'"),
+        ("nan", "{path}: bad value for estimation.k_max: 'nan'"),
     ],
-    ids=["0", "-2", "2.5", "true", "empty"],
+    ids=["0", "-2", "2.5", "true", "empty", "1.0", "nan"],
 )
 def test_retired_k_max_is_still_checked(tmp_path, raw, message):
     # an integer >= 1, or the ValueError naming the key that the key raised
@@ -1200,7 +1224,7 @@ def test_retired_k_max_of_one_loads_without_a_warning(tmp_path):
     assert config == load_config(GOLDEN)
 
 
-@pytest.mark.parametrize("grid", ["golden", "blockwise-m511", "two-groups", "retired-k3"])
+@pytest.mark.parametrize("grid", ["golden", "blockwise-m511", "two-groups", "retired-k3", "file-ensemble"])
 @pytest.mark.parametrize("estimator", ["both", "variables", "statistics"])
 def test_no_sweep_solves_omp(tmp_path, monkeypatch, grid, estimator):
     # both routes fit the closed-form projection, and the coherence
@@ -1223,6 +1247,13 @@ def test_no_sweep_solves_omp(tmp_path, monkeypatch, grid, estimator):
         (tmp_path / "k3.cfg").write_text(_golden_text("blockwise", "k_max = 3\n"))
         with pytest.warns(UserWarning, match="estimation.k_max"):
             config = dataclasses.replace(load_config(tmp_path / "k3.cfg"), estimators=estimator)
+    elif grid == "file-ensemble":
+        # low transmittances at rows 2, 4 and 6, the rows a multi-atom
+        # variables fit refitted off the DC column
+        t = (0.5, 0.2, 0.003, 0.9, 0.002, 0.35, 0.001)
+        rows = [f"{i},{t_i},0.01,{1 / len(t)}" for i, t_i in enumerate(t)]
+        (tmp_path / "ens.csv").write_text("\n".join(["index,T,epsilon,p", *rows]) + "\n")
+        config = dataclasses.replace(config, source="file", ensemble_file=str(tmp_path / "ens.csv"))
     report = run_sweep(config)
     assert report.estimate_rows and report.mip_rows
 
@@ -1268,6 +1299,34 @@ def test_cli_sweep(tmp_path, capsys):
     for name in ("estimates.csv", "mse.csv", "keyrate.csv", "mip.csv", "run.json"):
         assert (out / name).exists()
     capsys.readouterr()
+
+
+def test_console_sweep_of_a_retired_k_max_warns_on_stderr(tmp_path):
+    # `python -m csqkd sweep` of a file that sets the retired k_max = 3
+    # exits 0, prints the one warning naming the key on stderr, and writes
+    # the CSVs of the same file without that line, under Python's default
+    # warning filters
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    small = dataclasses.replace(FAST, variance_mode="blockwise", variance_blocks=16)
+    plain = write_config(small)
+    runs = {}
+    for name, text in (("plain", plain), ("k3", plain.replace("[estimation]\n", "[estimation]\nk_max = 3\n", 1))):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        done = subprocess.run(
+            [sys.executable, "-m", "csqkd", "sweep", "--config", str(tmp_path / f"{name}.cfg"),
+             "--out", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[name] = [(tmp_path / name / f"{t}.csv").read_bytes() for t in ("estimates", "mse", "keyrate", "mip")]
+        warned = [line for line in done.stderr.splitlines() if "Warning" in line]
+        if name == "plain":
+            assert warned == []
+        else:
+            assert len(warned) == 1 and "UserWarning" in warned[0]
+            assert "estimation.k_max = 3 is retired and ignored" in warned[0]
+    assert all(runs["plain"]) and runs["k3"] == runs["plain"]
 
 
 @pytest.mark.parametrize(
