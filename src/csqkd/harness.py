@@ -46,10 +46,11 @@ truth: ``run_sweep`` reads it into ``noise_oracle`` and passes each group a
 copy of its slice as ``noise_scale``, the one truth array that estimation
 reads (a view would carry the whole distance's array in its ``base``).  The
 coherence diagnostic needs the Gram of each (sub-channel, model) operator,
-but builds no operator: :func:`_coherence` scatters the squared weights of
-as many rows of one model as fit into the work area's first row and
-transforms them in one call into its second, with the bits of
-:func:`~csqkd.sensing.mutual_incoherence` of each row's operator.
+but builds no operator: once per fraction, :func:`_coherence` scatters the
+squared weights of as many rows as fit, under every model of the sweep,
+into the work area's first row and transforms them in one call into its
+second, with the bits of :func:`~csqkd.sensing.mutual_incoherence` of each
+row's operator.
 
 The config file key ``estimation.k_max``, the variables route's atom budget
 before it fitted one atom only, is retired: :func:`load_config` still
@@ -64,11 +65,11 @@ groups, and each sub-channel is fitted on its own, so the output does not
 depend on the budget.  Every cell fit of the sweep gathers all its sampled
 rows into one work area.  :func:`run_sweep` allocates it before the first
 distance, at the size of the largest cell (the first group at the largest
-fraction) or one coherence transform, m + 2 floats a row, if that is
-larger, in a mapping of its own, and frees it when it returns; no fit
-allocates arrays of its rows.  So the budget bounds the gathered rows as
-well: a cell's two rows take at most the bytes of its group's (x, y)
-blocks.
+fraction) or one coherence transform, m + 2 floats for each model of the
+sweep, if that is larger, in a mapping of its own, and frees it when it
+returns; no fit allocates arrays of its rows.  So the budget bounds the
+gathered rows as well: a cell's two rows take at most the bytes of its
+group's (x, y) blocks.
 
 A (fraction, estimator) cell with no usable estimate over all seeds keeps its
 ``mse.csv`` row with NaN errors, and an estimator with no usable estimate in
@@ -617,37 +618,43 @@ def _fit_group(
                 fits[fraction, estimator] = _fit_statistics(measured, params, n, rows, noise_scale, True, work=work)
             else:
                 fits[fraction, estimator] = _fit_variables(alice, bob, rows, params, 0.0, False, work=work)
-            if coherence:
-                # coherence diagnostics, once per (fraction, channel, model)
-                weights = alice if estimator == "variables" else float(params.modulation_variance)
-                mips[fraction, estimator] = _coherence(weights, rows, n, work)
+        if coherence:
+            # coherence diagnostics, once per (fraction, channel, model), of
+            # every model in one pass
+            models = [alice if e == "variables" else float(params.modulation_variance) for e in config.estimator_names]
+            for estimator, column in zip(config.estimator_names, _coherence(models, rows, n, work)):
+                mips[fraction, estimator] = column
     return fits, mips
 
 
-def _coherence(weights: np.ndarray | float, rows: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
-    """The coherence column of a cell.
+def _coherence(models: Sequence[np.ndarray | float], rows: np.ndarray, m: int, work: np.ndarray) -> np.ndarray:
+    """The coherence columns of a cell, one row per weight model.
 
-    Entry j is the :func:`~csqkd.sensing.mutual_incoherence` of the
+    Entry (p, j) is the :func:`~csqkd.sensing.mutual_incoherence` of the
     row-sampled IDFT operator of block length ``m`` at ``rows[j]`` with the
-    weights of row j of ``weights`` (the Alice plane) or the one weight
-    ``weights`` (the statistics model's V_A), bit for bit, without building
-    the operator.  As many rows as a row of the ``work`` area holds, m + 2
-    floats each, take one transform (:func:`~csqkd.sensing._gram_peaks`).
+    weights of ``models[p]``: row j of the Alice plane, or the one weight
+    of the statistics model (V_A), bit for bit, without building the
+    operator.  As many rows as a row of the ``work`` area holds, m + 2
+    floats a row and model, take one transform of every model's rows
+    (:func:`~csqkd.sensing._gram_peaks`).
     """
-    column = np.empty(rows.shape[0])
-    per_call = work.shape[1] // (m + 2)
-    for start in range(0, column.size, per_call):
-        js = np.arange(start, min(start + per_call, column.size))
-        index = rows[js]
-        if isinstance(weights, np.ndarray):
-            squares = weights[js[:, None], index]
-            np.square(squares, out=squares)
-        else:
-            squares = weights * weights
-        # the flat index of each sampled row in a (len(js), m) array
-        index += np.arange(0, js.size * m, m)[:, None]
-        column[js] = _gram_peaks(js.size, m, index, squares, work) / m
-    return column
+    count = rows.shape[0]
+    columns = np.empty((len(models), count))
+    per_call = work.shape[1] // (len(models) * (m + 2))
+    for start in range(0, count, per_call):
+        stop = min(start + per_call, count)
+        # the flat index of each sampled row in a (stop - start, m) array
+        index = rows[start:stop] + np.arange(0, (stop - start) * m, m)[:, None]
+        squares = []
+        for weights in models:
+            if isinstance(weights, np.ndarray):
+                # one flat take from the chunk's rows of the plane
+                gathered = weights[start:stop].take(index)
+                squares.append(np.square(gathered, out=gathered))
+            else:
+                squares.append(weights * weights)
+        columns[:, start:stop] = _gram_peaks(stop - start, m, index, squares, work) / m
+    return columns
 
 
 def _score(
@@ -713,9 +720,10 @@ def run_sweep(config: ExperimentConfig) -> RunReport:
     # the largest cell: the first group, of an ensemble's count (the same at
     # every distance), at the largest fraction; and the coherence diagnostic
     # transforms its rows here, which takes a row of at least m + 2 floats
+    # per model
     work = _work_area(max(
         len(_groups(ensembles[0].count, config.block_length)[0]) * _sample_count(config.block_length, fractions[-1]),
-        config.block_length + 2,
+        len(config.estimator_names) * (config.block_length + 2),
     ))
 
     for d_idx, (distance, ensemble) in enumerate(zip(distances, ensembles)):

@@ -3,7 +3,8 @@
 A sampling plan is a sorted uniform subset of a block's rows.  The plans of
 a sweep cell are drawn as the rows of one (n, m_s) index array
 (:func:`_cell_plans`), one draw per row in sub-channel order and one sort
-for all; :func:`make_sampling_plan` is its one-row case.  Keeping every row
+for all, in the narrowest integer type of the block's indices;
+:func:`make_sampling_plan` is its one-row case.  Keeping every row
 draws nothing.
 
 The sparse basis is the unitary inverse-DFT matrix (entries
@@ -24,10 +25,11 @@ Real transforms of length m run several rows per call where several are
 due, and each row keeps the bits of its one-row transform: in a sweep at
 m = 10^4, a two-row ``np.fft.rfft`` costs about 60 % of two one-row calls.
 The first real adjoint of an operator shares its call with the operator's
-Gram.  The coherence of k operators of one block length (:func:`_gram_peaks`)
-is one k-row transform of their scattered squared weights, and
-:func:`mutual_incoherence` of one operator reads its cached Gram instead of
-transforming again.
+Gram.  The coherence of k operators of one block length under q weight
+models (:func:`_gram_peaks`) is one q*k-row transform of their scattered
+squared weights, and :func:`mutual_incoherence` of one operator reads its
+cached Gram instead of transforming again, or the half spectrum of one
+transform without completing it.
 
 A one-atom fit on the DC column is a scalar least-squares projection, so
 :func:`dc_project` computes it in closed form without an operator, for a
@@ -86,27 +88,34 @@ def _hermitian_completion(half: np.ndarray, m: int) -> np.ndarray:
 
 def _gram_peaks(k: int, m: int, index: np.ndarray, squares, work: np.ndarray) -> np.ndarray:
     """The largest |g[d]|, d = 1..m//2, of the Gram g of each of ``k``
-    row-sampled operators of block length m.
+    row-sampled operators of block length m under each weight model, as a
+    (models, k) array.
 
-    Row i of a (k, m) array of squared weights holds ``squares`` (an array,
-    or one value for all) at the flat ``index`` i*m + its sampled rows, and 0
-    elsewhere.  The rows are scattered into ``work[0]`` and transformed by one
-    k-row real transform into ``work[1]`` viewed as complex, and each row
-    keeps the bits of its one-row transform; ``work``, two float rows of at
-    least k*(m + 2) entries, is overwritten.  |g[d]| = |g[m - d]|, so
-    offsets 1..m//2 cover every column pair.
+    ``squares`` holds one entry per model, an array or one value for all.
+    Model p's squared weights fill a (k, m) array: row i holds the entry at
+    the flat ``index`` i*m + its sampled rows, and 0 elsewhere.  The models'
+    arrays are scattered into consecutive rows of ``work[0]`` and transformed
+    by one real transform of models*k rows into ``work[1]`` viewed as
+    complex, and each row keeps the bits of its one-row transform; ``work``,
+    two float rows of at least models*k*(m + 2) entries, is overwritten.
+    |g[d]| = |g[m - d]|, and the magnitude of conj(s)/m is that of s scaled
+    by 1/m, so offsets 1..m//2 of the half spectrum cover every column pair
+    with no conjugation pass.
     """
-    h = m // 2 + 1
-    scattered = work[0, : k * m]
+    q, h = len(squares), m // 2 + 1
+    scattered = work[0, : q * k * m]
     scattered.fill(0.0)
-    scattered[index] = squares
-    half = work[1, : 2 * k * h].view(np.complex128).reshape(k, h)
-    np.fft.rfft(scattered.reshape(k, m), out=half)
-    _gram_from_transform(half, m)
+    # a row view per model scatters at the one index of the k rows
+    for model, values in zip(scattered.reshape(q, k * m), squares):
+        model[index] = values
+    half = work[1, : 2 * q * k * h].view(np.complex128).reshape(q * k, h)
+    np.fft.rfft(scattered.reshape(q * k, m), out=half)
+    parts = half.view(np.float64)
+    parts *= 1 / m
     # the scattered squares are spent: their rows take the magnitudes
-    magnitudes = work[0, : k * (h - 1)].reshape(k, h - 1)
+    magnitudes = work[0, : q * k * (h - 1)].reshape(q * k, h - 1)
     np.abs(half[:, 1:], out=magnitudes)
-    return magnitudes.max(axis=1)
+    return magnitudes.max(axis=1).reshape(q, k)
 
 
 def _gram_from_transform(transform: np.ndarray, m: int) -> np.ndarray:
@@ -156,19 +165,21 @@ def _cell_plans(m: int, fraction: float, rng: int | np.random.Generator, count: 
 
     Row i is drawn from ``rng`` (an int seeds a fresh generator) by one
     ``choice`` without replacement, in row order, and the rows are sorted in
-    one pass; the draw skips the generator's final shuffle, which a sorted
-    row does not see.  When m_s = m every row keeps every index: the result
-    is a read-only broadcast of 0..m-1 and nothing is drawn.
+    one pass, in the narrowest unsigned type that holds m - 1, then widened;
+    the draw skips the generator's final shuffle, which a sorted row does not
+    see.  When m_s = m every row keeps every index: the result is a
+    read-only broadcast of 0..m-1 and nothing is drawn.
     """
     m_s = _sample_count(m, fraction)
     if m_s == m:
         return np.broadcast_to(np.arange(m, dtype=np.int64), (count, m))
     rng = np.random.default_rng(rng)
-    rows = np.empty((count, m_s), dtype=np.int64)
+    # a uint16 sort (m <= 65 536) takes about 40 % of the time of an int64 one
+    rows = np.empty((count, m_s), dtype=np.min_scalar_type(m - 1))
     for row in rows:
         row[:] = rng.choice(m, size=m_s, replace=False, shuffle=False)
     rows.sort(axis=1)
-    return rows
+    return rows.astype(np.int64)
 
 
 def make_sampling_plan(
@@ -288,10 +299,15 @@ class RowSampledIdftOperator:
         weights are real, so g[m - d] = conj(g[d]) and a real transform of
         half the work gives all of g.
         """
+        return _hermitian_completion(self._half_gram(), self.n_coefficients)
+
+    def _half_gram(self) -> np.ndarray:
+        """g[d] for d = 0..m//2, the half of :meth:`gram_by_offset` that one
+        real transform gives."""
         m = self.n_coefficients
         w2 = np.zeros(m)
         w2[self.rows] = self.sampled_weights**2
-        return _hermitian_completion(_gram_from_transform(np.fft.rfft(w2), m), m)
+        return _gram_from_transform(np.fft.rfft(w2), m)
 
     def gram_column(self, k: int, entries: np.ndarray) -> np.ndarray:
         """Entries j of A^H a_k without a transform: g[(k - j) mod m].
@@ -634,15 +650,16 @@ def mutual_incoherence(op: RowSampledIdftOperator, normalize: bool = False) -> f
 
     All column pairs are evaluated exactly in O(m log m) via the operator's
     offset-circulant Gram; |g[d]| = |g[m - d]|, so offsets 1..m//2 cover
-    every column pair.  An operator whose Gram is cached (after a real
-    :meth:`~RowSampledIdftOperator.adjoint`, as in an OMP solve) takes no
-    transform, and its value keeps the bits of a fresh transform, which is
-    not cached.
+    every column pair, and the half spectrum of one real transform holds
+    them without a Hermitian completion.  An operator whose Gram is cached
+    (after a real :meth:`~RowSampledIdftOperator.adjoint`, as in an OMP
+    solve) takes no transform, and its value keeps the bits of a fresh
+    transform, which is not cached.
     """
     m = op.n_coefficients
     if m < 2:
         raise ValueError("mutual incoherence needs at least two columns")
-    gram = op.gram_by_offset() if op._gram is None else op._gram
+    gram = op._half_gram() if op._gram is None else op._gram
     peak = np.abs(gram[1 : m // 2 + 1]).max()
     scale = gram[0].real if normalize else m
     if normalize and scale <= 0:

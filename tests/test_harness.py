@@ -893,9 +893,10 @@ def test_sweep_holds_one_group_of_blocks(monkeypatch):
 def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
     # three groups of two sub-channels, three fractions, two seeds and both
     # routes: the sweep allocates one work area, exactly the size of its
-    # largest cell (two sub-channels at fraction 1), and passes it to every
-    # cell fit, every projection forms its residual in it, and no array
-    # constructor in estimators makes a float array of a cell's rows
+    # largest cell (two sub-channels at fraction 1) or of the coherence
+    # transform of both models (2 (m + 2)), which is larger, and passes it
+    # to every cell fit, every projection forms its residual in it, and no
+    # array constructor in estimators makes a float array of a cell's rows
     config = dataclasses.replace(
         FAST, subchannels=6, block_length=4096, fractions=(0.25, 0.5, 1.0), seeds=(1, 2)
     )
@@ -942,7 +943,7 @@ def test_sweep_fits_every_cell_in_one_work_area(monkeypatch):
     monkeypatch.setattr(estimators, "np", Constructors())
     run_sweep(config)
     assert len(areas) == 1
-    assert areas[0].shape == (2, 2 * 4096)
+    assert areas[0].shape == (2, 2 * (4096 + 2))
     assert len(fits) == 3 * 3 * 2 * 2
     assert all(work is areas[0] for work, _, _ in fits)
     # every cell holds its group's two sub-channels, at m_s 1024, 2048, 4096
@@ -999,7 +1000,8 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode)
     # the mutual_incoherence of its sub-channel's operator, the Alice
     # symbols or V_A at the cell's plan, bit for bit.  A row of the work
     # area, one cell of 5 rows at fraction 1, holds 4 transforms of m + 2
-    # floats, fewer than the rows a cell leaves
+    # floats, fewer than the rows a cell leaves: each call transforms 2
+    # sub-channels under both models, and the ragged last call 1
     config = dataclasses.replace(
         FAST, block_length=511, seeds=(1,), distances_km=(2.0, 40.0),
         variance_mode=variance_mode, variance_blocks=7,
@@ -1011,9 +1013,14 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode)
         plans[len(datasets) - 1, fraction] = cell_plans(m, fraction, rng, count)
         return plans[len(datasets) - 1, fraction]
 
+    def recorded_peaks(k, m, index, squares, work):
+        # the transform rows of the call: k sub-channels under each model
+        transforms.append(k * len(squares))
+        return gram_peaks(k, m, index, squares, work)
+
     monkeypatch.setattr(harness, "simulate_block", lambda *a, **k: datasets.append(simulate(*a, **k)) or datasets[-1])
     monkeypatch.setattr(harness, "_cell_plans", recorded_plans)
-    monkeypatch.setattr(harness, "_gram_peaks", lambda k, *a: transforms.append(k) or gram_peaks(k, *a))
+    monkeypatch.setattr(harness, "_gram_peaks", recorded_peaks)
     report = run_sweep(config)
     n = config.subchannels
     assert max(transforms) == 4 < n
@@ -1027,6 +1034,36 @@ def test_sweep_mip_values_are_those_of_the_operators(monkeypatch, variance_mode)
         weights = datasets[d_idx].alice[row.subchannel] if row.model == "variables" else flat
         op = RowSampledIdftOperator(weights, plans[d_idx, row.fraction][row.subchannel])
         assert np.float64(row.mip).tobytes() == np.float64(mutual_incoherence(op)).tobytes(), row
+
+
+@pytest.mark.parametrize("models", [("alice",), ("v_a",), ("alice", "v_a")])
+@pytest.mark.parametrize("m", [511, 512])
+def test_coherence_transforms_every_model_of_a_chunk_in_one_call(monkeypatch, m, models):
+    # a 5-row cell at fractions 0.4 and 1, in a work area of one channel per
+    # call (q (m + 2) floats for q models) and in one of the fraction-1
+    # cell's size, whose last chunk is ragged: entry (p, j) is the
+    # mutual_incoherence of row j's operator under model p, bit for bit, and
+    # each transform carries the q models of each of its k rows
+    count, v_a = 5, 4.0
+    alice = np.random.default_rng(m).normal(0, 2.0, (count, m))
+    weights = [alice if name == "alice" else v_a for name in models]
+    q = len(models)
+    shapes = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs: shapes.append(a.shape) or rfft(a, *args, **kwargs))
+    # the channels of each call: one at a time, or as many as 5m floats hold
+    for width, chunks in ((q * (m + 2), [1] * count), (count * m, [4, 1] if q == 1 else [2, 2, 1])):
+        for fraction in (0.4, 1.0):
+            rows = harness._cell_plans(m, fraction, 3, count)
+            del shapes[:]
+            columns = harness._coherence(weights, rows, m, harness._work_area(width))
+            assert shapes == [(q * k, m) for k in chunks]
+            assert columns.shape == (q, count)
+            for p, name in enumerate(models):
+                for j in range(count):
+                    w = alice[j] if name == "alice" else np.full(m, v_a)
+                    expected = mutual_incoherence(RowSampledIdftOperator(w, rows[j]))
+                    assert columns[p, j].tobytes() == np.float64(expected).tobytes(), (width, fraction, name, j)
 
 
 def test_file_ensemble_sizes_the_work_area_by_its_rows(tmp_path, monkeypatch):
@@ -1087,8 +1124,9 @@ def test_estimation_takes_a_groups_blocks_and_no_other_truth_than_its_noise_scal
 
     groups = [range(0, 2), range(2, 4), range(4, 6)]
     assert len(calls) == len(config.distances_km) * len(config.seeds) * len(groups)
-    # the one area holds a group of two at fraction 1
-    assert [area.shape for area in areas] == [(2, 2 * config.block_length)]
+    # the one area holds a group of two at fraction 1, or the coherence
+    # transform of both models, which is larger
+    assert [area.shape for area in areas] == [(2, 2 * (config.block_length + 2))]
     eta = config.protocol.detector_efficiency
     for k, ((ensemble, subchannels, dataset), args) in enumerate(calls):
         given, group, data, rngs, noise_scale, work, coherence = args

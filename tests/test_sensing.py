@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from csqkd import sensing
 from csqkd.sensing import (
     OmpConfig,
     RowSampledIdftOperator,
@@ -67,15 +68,21 @@ def test_tiny_fraction_keeps_one_index():
 
 @pytest.mark.parametrize(
     ("m", "fraction"),
-    [(2000, 0.1), (2000, 0.4), (10_000, 0.1), (10_000, 0.4), (2001, 0.3), (20_000, 0.4), (2000, 1.0), (511, 1.0)],
+    [
+        (2000, 0.1), (2000, 0.4), (10_000, 0.1), (10_000, 0.4), (2001, 0.3), (20_000, 0.4), (2000, 1.0), (511, 1.0),
+        (256, 0.4), (257, 0.4), (65_536, 0.1), (65_537, 0.1),
+    ],
 )
 def test_cell_plans_are_the_successive_plans_of_one_generator(m, fraction):
     # the rows of _cell_plans(m, f, rng, count) are the plans of count
     # successive make_sampling_plan(m, f, rng) calls, each the sorted draw of
     # one choice without replacement, and the generator ends in the state
     # those calls leave; at m = 20 000 and f = 0.4 numpy's choice shuffles a
-    # tail of 0..m-1 instead of running Floyd's algorithm.  Fraction 1 draws
-    # nothing and gives read-only rows of every index
+    # tail of 0..m-1 instead of running Floyd's algorithm.  The rows are
+    # drawn and sorted in the narrowest type of 0..m-1, which turns from
+    # uint8 to uint16 past m = 256 and to uint32 past m = 65 536, and come
+    # back as int64.  Fraction 1 draws nothing and gives read-only rows of
+    # every index
     count = 5
     cell_rng, plan_rng, draw_rng = (np.random.default_rng(17) for _ in range(3))
     before = cell_rng.bit_generator.state
@@ -684,3 +691,25 @@ def test_mip_reads_a_cached_gram_with_the_bits_of_a_fresh_transform(m, normalize
     monkeypatch.setattr(np.fft, "rfft", counted)
     assert struct.pack("d", mutual_incoherence(solved, normalize=normalize)) == struct.pack("d", fresh)
     assert shapes == []
+
+
+@pytest.mark.parametrize("model", ["symbols", "flat"])
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 511, 2000, 10_000])
+def test_mip_of_a_fresh_operator_reads_the_half_gram_bit_for_bit(m, model, monkeypatch):
+    # without a cached Gram the coherence is read off offsets 0..m//2 of
+    # one real transform, never completed to length m, with the bits of
+    # the peak over the completed Gram
+    rng = np.random.default_rng(m)
+    weights = rng.normal(0, 2.0, m) if model == "symbols" else np.full(m, 4.0)
+    ops = [RowSampledIdftOperator(weights, make_sampling_plan(m, f, seed=m).indices) for f in (0.1, 0.4, 1.0)]
+    grams = [op.gram_by_offset() for op in ops]
+    completions = []
+    completion = sensing._hermitian_completion
+    monkeypatch.setattr(sensing, "_hermitian_completion", lambda *a: completions.append(a) or completion(*a))
+    for op, gram in zip(ops, grams):
+        for normalize in (False, True):
+            expected = float(np.abs(gram[1 : m // 2 + 1]).max() / (gram[0].real if normalize else m))
+            got = mutual_incoherence(op, normalize=normalize)
+            assert struct.pack("d", got) == struct.pack("d", expected), (op.n_measurements, normalize)
+            assert op._gram is None
+    assert completions == []
